@@ -2,9 +2,9 @@
 
 Received power follows the log-distance law with Gaussian shadow fading;
 directional receive antennas add a cosine-pattern gain term to the link
-budget.  Pairwise RSS differences cancel the unknown transmit power, so all
-generated RSSD values derive from a single per-station RSS vector and are
-cycle-consistent by construction.
+budget.  A measurement set carries the per-station RSS vector; its pairwise
+differences cancel the unknown transmit power, so every RSSD value derives
+from that one vector and the pairs are cycle-consistent by construction.
 """
 
 from __future__ import annotations
@@ -92,15 +92,36 @@ class TdoaNoiseParams:
 
 @dataclass
 class MeasurementSet:
-    """Pairwise RSS differences plus at most one TDOA observation.
+    """Per-station RSS plus at most one TDOA observation.
 
-    rssd_pairs holds (id_i, id_j, P_ij) for every station pair with i < j;
+    rss maps each RSS station id to its received power in dBm.  The unknown
+    transmit power is still in it; only differences of rss are informative.
     tdoa, when present, is (id_k, id_l, delta_t) with delta_t the arrival
     time at k minus the arrival time at l.
     """
 
-    rssd_pairs: List[Tuple[int, int, float]]
+    rss: Dict[int, float]
     tdoa: Optional[Tuple[int, int, float]] = None
+
+    @property
+    def rssd_pairs(self) -> List[Tuple[int, int, float]]:
+        """(id_i, id_j, P_i - P_j) for every station pair with i < j.
+
+        All pairs derive from the one rss vector, so the cycle identity
+        P_ij + P_jk = P_ik holds exactly.
+        """
+        ids = sorted(self.rss)
+        return [(i, j, self.rss[i] - self.rss[j])
+                for a, i in enumerate(ids) for j in ids[a + 1:]]
+
+
+def centred(rss: np.ndarray) -> np.ndarray:
+    """RSS minus its mean over stations (the last axis).
+
+    This is the part of an RSS vector that its differences determine: the
+    transmit power, common to every station, drops out.
+    """
+    return rss - rss.sum(axis=-1, keepdims=True) / rss.shape[-1]
 
 
 def received_power(params: ChannelParams, d: float, beta: float) -> float:
@@ -169,16 +190,12 @@ def simulate_measurements(bs: List[BaseStation], mu: Point2D,
                           params: ChannelParams,
                           tdoa_params: TdoaNoiseParams,
                           rng: np.random.Generator) -> MeasurementSet:
-    """Simulate one localization epoch: all RSSD pairs plus the TDOA value.
+    """Simulate one localization epoch: the RSS vector plus the TDOA value.
 
-    P_ij = P_i - P_j over all i < j from a single RSS vector, so the cycle
-    identity P_ij + P_jk = P_ik holds exactly.  The TDOA draw happens after
-    the fading draws whether or not the caller uses it, keeping RNG streams
-    aligned across solver modes.
+    The TDOA draw happens after the fading draws whether or not the caller
+    uses it, keeping RNG streams aligned across solver modes.
     """
     rss = simulate_rss(bs, mu, params, rng)
-    ids = sorted(rss)
-    pairs = [(i, j, rss[i] - rss[j]) for a, i in enumerate(ids) for j in ids[a + 1:]]
 
     tdoa = None
     pair = tdoa_pair(bs)
@@ -192,4 +209,4 @@ def simulate_measurements(bs: List[BaseStation], mu: Point2D,
             dt += rng.normal(0.0, tdoa_params.sigma_tdoa)
         tdoa = (k.id, l.id, dt)
 
-    return MeasurementSet(rssd_pairs=pairs, tdoa=tdoa)
+    return MeasurementSet(rss=rss, tdoa=tdoa)

@@ -59,3 +59,7 @@ class WindowOutOfSupport(LocalizationError):
 
 class EmptyInput(LocalizationError):
     pass
+
+
+class UnknownKey(LocalizationError, ValueError):
+    """A scenario file or override names a key the scenario format lacks."""

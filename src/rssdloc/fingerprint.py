@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import ChannelParams, simulate_rss
+from .channel import ChannelParams, centred, simulate_rss
 from .errors import EmptyGrid, LengthMismatch
 from .geometry import (
     BaseStation,
@@ -126,26 +126,19 @@ def build_db(bs: List[BaseStation], area: SearchRegion, grid_step: float,
     return FingerprintDB(np.array(positions), np.array(vectors), ids, grid_step)
 
 
-def _pairwise_differences(v: np.ndarray) -> np.ndarray:
-    """All v_i - v_j with i < j, along the last axis."""
-    n = v.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
-    return v[..., iu] - v[..., ju]
-
-
 def rssd_euclidean(meas: Sequence[float], ref: Sequence[float]) -> float:
     """Euclidean distance between the pairwise-difference expansions.
 
-    Both inputs are absolute per-station RSS vectors; differencing cancels
-    any common (transmit-power) offset before the norm is taken.
+    Both inputs are absolute per-station RSS vectors.  Over all pairs i < j,
+    the norm equals sqrt(N) * ||centred(meas) - centred(ref)||, so any common
+    (transmit-power) offset cancels.
     """
     meas = np.asarray(meas, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if meas.shape != ref.shape or meas.ndim != 1 or meas.size < 2:
         raise LengthMismatch(
             f"need equal-length vectors of >= 2 entries, got {meas.shape} vs {ref.shape}")
-    d = _pairwise_differences(meas) - _pairwise_differences(ref)
-    return float(np.linalg.norm(d))
+    return math.sqrt(meas.size) * float(np.linalg.norm(centred(meas) - centred(ref)))
 
 
 def coarse_estimate(db: FingerprintDB, meas: Sequence[float]) -> Point2D:
@@ -157,8 +150,8 @@ def coarse_estimate(db: FingerprintDB, meas: Sequence[float]) -> Point2D:
         raise LengthMismatch(
             f"measurement length {meas.shape} does not match database "
             f"station count {db.rss.shape[1]}")
-    d = _pairwise_differences(db.rss) - _pairwise_differences(meas)
-    k = int(np.argmin(np.einsum("np,np->n", d, d)))
+    d = centred(db.rss) - centred(meas)
+    k = int(np.argmin(np.einsum("nk,nk->n", d, d)))
     return Point2D(float(db.positions[k, 0]), float(db.positions[k, 1]))
 
 

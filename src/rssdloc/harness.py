@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, simulate_measurements, simulate_rss, tdoa_pair
+from .channel import ChannelParams, simulate_measurements
 from .errors import EmptyInput
 from .fingerprint import FingerprintDB, build_db, circular_track, coarse_estimate, refine_with_tdoa
-from .geometry import SPEED_OF_LIGHT, Point2D, distance
+from .geometry import Point2D, distance
 from .mobility import (
     OrientationState,
     apply_orientation,
@@ -134,20 +134,11 @@ def _run_fp_trial(s: Scenario, trial: int, db: FingerprintDB) -> RunReport:
     positions = circular_track(s.circular)
     records: List[EpochRecord] = []
     start = time.perf_counter()
-    pair = tdoa_pair(s.bs)
     for i, pos in enumerate(positions):
-        rss = simulate_rss(s.bs, pos, s.channel, rng)
-        meas = [rss[j] for j in db.bs_ids]
-        tdoa = None
-        if pair is not None:
-            k, l = pair
-            dt = (distance(pos, k.position) - distance(pos, l.position)) / SPEED_OF_LIGHT
-            if s.tdoa_noise.sigma_tdoa > 0:
-                dt += rng.normal(0.0, s.tdoa_noise.sigma_tdoa)
-            tdoa = (k.id, l.id, dt)
-        est = coarse_estimate(db, meas)
+        m = simulate_measurements(s.bs, pos, s.channel, s.tdoa_noise, rng)
+        est = coarse_estimate(db, [m.rss[j] for j in db.bs_ids])
         if s.mode is Mode.FP_RSSD_TDOA:
-            est = refine_with_tdoa(est, tdoa, s.bs)
+            est = refine_with_tdoa(est, m.tdoa, s.bs)
         records.append(EpochRecord(float(i), pos, est, distance(pos, est)))
     runtime = time.perf_counter() - start
     errors = [r.error for r in records]

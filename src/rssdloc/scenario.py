@@ -8,6 +8,7 @@ set-ups.
 
 from __future__ import annotations
 
+import difflib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -16,6 +17,7 @@ from typing import Any, Dict, List, Optional
 import yaml
 
 from .channel import ChannelParams, ChannelPresets, Preset, TdoaNoiseParams
+from .errors import UnknownKey
 from .fingerprint import CircularTrackParams
 from .geometry import (
     BaseStation,
@@ -135,7 +137,60 @@ def _parse_region(d: Dict[str, Any]) -> SearchRegion:
     )
 
 
+# Every key a scenario file may hold.  A mapping lists its keys, a
+# one-element list describes each entry of a list, and None marks a value.
+_REGION_KEYS = dict.fromkeys(
+    ["x_min", "x_max", "y_min", "y_max", "coarse_step", "refine_iterations"])
+_SCHEMA: Dict[str, Any] = {
+    **dict.fromkeys(["name", "mode", "antenna_model", "preset", "sigma_tdoa",
+                     "seed", "trials"]),
+    "stations": [{
+        **dict.fromkeys(["id", "x", "y", "role", "bias_db"]),
+        "antenna": dict.fromkeys(["gain_db", "orientation_deg"]),  # or "omni"
+    }],
+    "channel": {
+        **dict.fromkeys(["p0", "d0"]),
+        "omni_omni": dict.fromkeys(["alpha", "sigma_beta"]),
+        "omni_dir": dict.fromkeys(["alpha", "sigma_beta"]),
+    },
+    "region": _REGION_KEYS,
+    "waypoint": {
+        **dict.fromkeys(["total_length", "speed", "pause_time", "update_rate"]),
+        "area": _REGION_KEYS,
+    },
+    "circular": dict.fromkeys(["center_x", "center_y", "radius", "count",
+                               "start_angle_deg", "step_angle_deg"]),
+    "fingerprint": {
+        **dict.fromkeys(["grid_step", "db_sigma_beta", "db_file"]),
+        "excluded": [dict.fromkeys(["x", "y"])],
+    },
+}
+
+
+def _unknown_key(path: str, key: str, schema: Any) -> UnknownKey:
+    name = f"{path}.{key}" if path else key
+    if not isinstance(schema, dict):
+        return UnknownKey(f"unknown scenario key '{name}': '{path}' has no sub-keys")
+    near = difflib.get_close_matches(key, list(schema), n=1)
+    hint = (f"did you mean '{path + '.' if path else ''}{near[0]}'?" if near
+            else f"valid keys: {', '.join(sorted(schema))}")
+    return UnknownKey(f"unknown scenario key '{name}'; {hint}")
+
+
+def _check_keys(node: Any, schema: Any, path: str = "") -> None:
+    """Reject any key of node that schema does not list."""
+    if isinstance(schema, dict) and isinstance(node, dict):
+        for key, value in node.items():
+            if key not in schema:
+                raise _unknown_key(path, str(key), schema)
+            _check_keys(value, schema[key], f"{path}.{key}" if path else str(key))
+    elif isinstance(schema, list) and isinstance(node, list):
+        for i, item in enumerate(node):
+            _check_keys(item, schema[0], f"{path}[{i}]")
+
+
 def scenario_from_dict(d: Dict[str, Any]) -> Scenario:
+    _check_keys(d, _SCHEMA)
     region = _parse_region(d["region"])
     waypoint = None
     if "waypoint" in d:
@@ -187,10 +242,18 @@ def scenario_from_dict(d: Dict[str, Any]) -> Scenario:
 
 
 def apply_overrides(d: Dict[str, Any], overrides: Dict[str, Any]) -> Dict[str, Any]:
-    """Apply dotted-path overrides (e.g. 'waypoint.update_rate') to a dict."""
+    """Apply dotted-path overrides (e.g. 'waypoint.update_rate') to a dict.
+
+    A path must name a scenario key, whether or not d holds it yet.
+    """
     for path, value in overrides.items():
-        node = d
         keys = path.split(".")
+        schema = _SCHEMA
+        for depth, k in enumerate(keys):
+            if not isinstance(schema, dict) or k not in schema:
+                raise _unknown_key(".".join(keys[:depth]), k, schema)
+            schema = schema[k]
+        node = d
         for k in keys[:-1]:
             node = node.setdefault(k, {})
         node[keys[-1]] = value

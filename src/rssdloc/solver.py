@@ -1,28 +1,42 @@
 """Position estimation from RSSD measurements.
 
+Station i reads P_i = T - 10 alpha log10(d_i) + g_i + noise, where T is the
+user's unknown transmit power and g_i the directional receive gain toward
+the user (0 for the omni model).  The fit is least squares over the RSS
+differences of all station pairs, which cancel T.  With the model
+m_i = -5 alpha log10(d_i^2) + g_i at a candidate, the residual of pair (i, j)
+is u_i - u_j with u_i = P_i - m_i, and
+
+    sum_{i<j} (u_i - u_j)^2 = N * sum_i (r_i - mean(r))^2,
+    r_i = c_i - m_i,   c_i = P_i - mean(P),
+
+so the objective costs O(N) per candidate instead of O(N^2).  The residual
+is centred by subtraction: N * sum(r^2) - (sum r)^2 would cancel badly near
+the optimum.  The directional gain is the clamped cosine of the off-boresight
+angle, gain * max(0, (dx cos b + dy sin b) / d), with no trigonometry per
+candidate.
+
 Two search strategies:
 
 * unconstrained 2D least squares over a rectangular region, by a coarse grid
-  scan followed by local grid refinement with step halving;
+  scan over cached station-to-grid geometry, followed by local grid
+  refinement with step halving from the best few coarse cells at once;
 * TDOA-constrained 1D least squares along the measured hyperbola (coarse
   scan over y plus golden-section refinement), with the x-coordinate
   recovered from the hyperbola equation.
-
-Both support omni and directional antenna models; in the directional model
-each residual also accounts for the gain each station's current boresight
-gives toward the candidate position.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelParams, MeasurementSet
+from .channel import ChannelParams, MeasurementSet, centred, rss_stations
 from .errors import EmptyRegion, MissingTdoa, SingularCandidate
 from .geometry import (
     BaseStation,
@@ -35,6 +49,7 @@ from .geometry import (
 )
 
 _SINGULAR_TOL = 1e-6  # m; candidates closer than this to a station get inf
+_SINGULAR_TOL2 = _SINGULAR_TOL * _SINGULAR_TOL
 
 
 class AntennaModel(Enum):
@@ -86,82 +101,98 @@ class SolverConfig:
                     )
 
 
+class _Geometry(NamedTuple):
+    """Station-to-candidate geometry: (N, n) tables for N stations, n points."""
+
+    logd2: np.ndarray     # log10 of the squared distance
+    ux: np.ndarray        # unit vector from the station toward the candidate
+    uy: np.ndarray
+    singular: np.ndarray  # (n,) candidate within _SINGULAR_TOL of a station
+
+    @classmethod
+    def of(cls, sx: np.ndarray, sy: np.ndarray, x: np.ndarray, y: np.ndarray
+           ) -> "_Geometry":
+        dx = x - sx[:, None]
+        dy = y - sy[:, None]
+        d2 = dx * dx
+        d2 += dy * dy
+        singular = (d2 < _SINGULAR_TOL2).any(axis=0)
+        # singular candidates evaluate to inf anyway; the clamp only keeps
+        # log10 and the division finite there
+        np.maximum(d2, _SINGULAR_TOL2, out=d2)
+        d = np.sqrt(d2)
+        dx /= d
+        dy /= d
+        return cls(np.log10(d2, out=d2), dx, dy, singular)
+
+
 @dataclass
 class _Model:
-    """Measurement geometry unpacked into arrays for vectorized evaluation."""
+    """One epoch's measurement and antenna state, as per-station arrays."""
 
-    sx: np.ndarray          # station x, indexed by local station index
+    sx: np.ndarray          # station x, ascending station id
     sy: np.ndarray
-    gain: np.ndarray        # peak gain in dB (0 for omni / omni model)
-    boresight: np.ndarray   # radians (unused entries 0)
+    c: np.ndarray           # centred measured RSS, c_i = P_i - mean(P)
+    gcos: Optional[np.ndarray]  # peak gain (dB) times the boresight's cos and
+    gsin: Optional[np.ndarray]  # sin; None for the omni model
     directional: bool
     alpha: float
-    pi: np.ndarray          # local index of station i per pair
-    pj: np.ndarray
-    pij: np.ndarray         # measured RSSD per pair
 
     @classmethod
     def build(cls, cfg: SolverConfig, m: MeasurementSet) -> "_Model":
-        stations = sorted((b for b in cfg.bs if b.role.measures_rss),
-                          key=lambda b: b.id)
-        index = {b.id: k for k, b in enumerate(stations)}
+        stations = [b for b in rss_stations(cfg.bs) if b.id in m.rss]
+        if len(stations) != len(m.rss):
+            unknown = set(m.rss) - {b.id for b in stations}
+            raise ValueError(f"measurement references unknown stations {sorted(unknown)}")
         directional = cfg.antenna_model is AntennaModel.DIRECTIONAL
-        gain = np.zeros(len(stations))
-        bore = np.zeros(len(stations))
+        gcos = gsin = None
         if directional:
-            for k, b in enumerate(stations):
-                gain[k] = b.antenna.gain_db
-                bore[k] = b.antenna.orientation
-        pi, pj, pij = [], [], []
-        for i, j, val in m.rssd_pairs:
-            if i not in index or j not in index:
-                raise ValueError(f"measurement references unknown station pair ({i}, {j})")
-            pi.append(index[i])
-            pj.append(index[j])
-            pij.append(val)
+            gcos = np.array([b.antenna.gain_db * math.cos(b.antenna.orientation)
+                             for b in stations])
+            gsin = np.array([b.antenna.gain_db * math.sin(b.antenna.orientation)
+                             for b in stations])
         return cls(
             sx=np.array([b.position.x for b in stations]),
             sy=np.array([b.position.y for b in stations]),
-            gain=gain,
-            boresight=bore,
+            c=centred(np.array([m.rss[b.id] for b in stations])),
+            gcos=gcos,
+            gsin=gsin,
             directional=directional,
             alpha=cfg.params.alpha,
-            pi=np.array(pi, dtype=int),
-            pj=np.array(pj, dtype=int),
-            pij=np.array(pij),
         )
 
-    def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Sum-of-squared-residuals at each candidate point (vectorized).
+    def evaluate(self, g: _Geometry) -> np.ndarray:
+        """Objective at every candidate of g: N * sum_i (r_i - mean r)^2.
 
         Candidates within _SINGULAR_TOL of a station evaluate to +inf so a
         grid scan stays total.
         """
-        dx = x[None, :] - self.sx[:, None]
-        dy = y[None, :] - self.sy[:, None]
-        d2 = dx * dx + dy * dy
-        singular = (d2 < _SINGULAR_TOL * _SINGULAR_TOL).any(axis=0)
-        with np.errstate(divide="ignore"):
-            logd2 = np.log10(np.where(d2 > 0, d2, 1.0))
-        # 5*alpha*log10(d_j^2/d_i^2) == 10*alpha*log10(d_j/d_i)
-        model = 5.0 * self.alpha * (logd2[self.pj] - logd2[self.pi])
+        # r_i = c_i - m_i, with the model m_i = -5 alpha log10 d_i^2 + g_i
+        r = g.logd2 * (5.0 * self.alpha)
+        r += self.c[:, None]
         if self.directional:
-            phi = np.arctan2(dy, dx) - self.boresight[:, None]
-            phi = np.mod(phi + np.pi, 2.0 * np.pi) - np.pi
-            g = np.where(np.abs(phi) <= np.pi / 2,
-                         self.gain[:, None] * np.cos(phi), 0.0)
-            model = model + g[self.pi] - g[self.pj]
-        resid = self.pij[:, None] - model
-        q = np.einsum("pn,pn->n", resid, resid)
-        q[singular] = np.inf
+            # gain * cos(off-boresight angle), clamped at 0 as antenna_gain
+            gain = g.ux * self.gcos[:, None]
+            gain += g.uy * self.gsin[:, None]
+            np.maximum(gain, 0.0, out=gain)
+            r -= gain
+        n = len(r)
+        r -= r.sum(axis=0) / n
+        q = np.einsum("in,in->n", r, r)
+        q *= n
+        q[g.singular] = np.inf
         return q
+
+    def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Sum-of-squared-residuals at each candidate point (vectorized)."""
+        return self.evaluate(_Geometry.of(self.sx, self.sy, x, y))
 
 
 def rssd_objective(cfg: SolverConfig, m: MeasurementSet, p: Point2D) -> float:
     """Least-squares objective at a single candidate, in dB^2."""
     model = _Model.build(cfg, m)
     d2 = (model.sx - p.x) ** 2 + (model.sy - p.y) ** 2
-    if (d2 < _SINGULAR_TOL * _SINGULAR_TOL).any():
+    if (d2 < _SINGULAR_TOL2).any():
         raise SingularCandidate(f"candidate ({p.x}, {p.y}) coincides with a station")
     return float(model.objective(np.array([p.x]), np.array([p.y]))[0])
 
@@ -174,27 +205,67 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return g
 
 
-def _scan(model: _Model, xs: np.ndarray, ys: np.ndarray) -> Tuple[float, float, float]:
-    """Best point of the tensor grid; ties resolve to smallest (y, x)."""
-    gx, gy = np.meshgrid(xs, ys)  # row-major: y slow, x fast
-    q = model.objective(gx.ravel(), gy.ravel())
-    k = int(np.argmin(q))
-    return float(gx.ravel()[k]), float(gy.ravel()[k]), float(q[k])
+_BLOCK = 4096  # coarse candidates per objective call; keeps temporaries small
 
 
-def _refine(model: _Model, reg: SearchRegion, bx: float, by: float
-            ) -> Tuple[float, float, float]:
+@functools.lru_cache(maxsize=4)
+def _coarse_geometry(sx: Tuple[float, ...], sy: Tuple[float, ...], reg: SearchRegion
+                     ) -> Tuple[np.ndarray, np.ndarray, Tuple[_Geometry, ...]]:
+    """The coarse grid of a region (row-major: y slow, x fast) and its
+    geometry toward the given stations, shared read-only by every epoch.
+
+    The geometry comes in column blocks of _BLOCK candidates.  Evaluating a
+    whole grid at once would allocate several N x G temporaries per call,
+    and allocating (page-faulting) them costs more than the arithmetic.
+    """
+    gx, gy = np.meshgrid(_grid(reg.x_min, reg.x_max, reg.coarse_step),
+                         _grid(reg.y_min, reg.y_max, reg.coarse_step))
+    x, y = gx.ravel(), gy.ravel()
+    sx, sy = np.array(sx), np.array(sy)
+    blocks = tuple(_Geometry.of(sx, sy, x[a:a + _BLOCK], y[a:a + _BLOCK])
+                   for a in range(0, len(x), _BLOCK))
+    for a in (x, y) + tuple(t for g in blocks for t in g):
+        a.setflags(write=False)
+    return x, y, blocks
+
+
+def _smallest(q: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest entries, ties by index: the first k of a
+    stable argsort, without sorting all of q."""
+    if len(q) > k:
+        # everything not above the k-th smallest value (NaN included)
+        q_k = np.partition(q, k - 1)[k - 1]
+        idx = np.flatnonzero(~(q > q_k))
+        return idx[np.argsort(q[idx], kind="stable")[:k]]
+    return np.argsort(q, kind="stable")
+
+
+_STENCIL = np.arange(-2, 3)  # refine offsets, in steps
+_REFINE_SEEDS = 8  # coarse cells kept as refinement starting points
+
+
+def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step-halving refinement of every seed at once.
+
+    Each round scans the 5x5 stencil around each seed's best point, clipped
+    to the region, in one objective call.  Within a stencil the first
+    minimum wins, i.e. the smallest (y, x).
+    """
+    n = len(bx)
+    rows = np.arange(n)
+    bq = np.full(n, math.inf)
     step = reg.coarse_step / 2.0
-    bq = math.inf
     for _ in range(reg.refine_iterations):
-        xs = np.unique(np.clip(bx + step * np.arange(-2, 3), reg.x_min, reg.x_max))
-        ys = np.unique(np.clip(by + step * np.arange(-2, 3), reg.y_min, reg.y_max))
-        bx, by, bq = _scan(model, xs, ys)
+        xs = np.clip(bx[:, None] + step * _STENCIL, reg.x_min, reg.x_max)
+        ys = np.clip(by[:, None] + step * _STENCIL, reg.y_min, reg.y_max)
+        gx = np.repeat(xs[:, None, :], 5, axis=1).reshape(n, 25)  # x fast
+        gy = np.repeat(ys, 5, axis=1)                             # y slow
+        q = model.objective(gx.ravel(), gy.ravel()).reshape(n, 25)
+        k = q.argmin(axis=1)
+        bx, by, bq = gx[rows, k], gy[rows, k], q[rows, k]
         step /= 2.0
     return bx, by, bq
-
-
-_REFINE_SEEDS = 8  # coarse cells kept as refinement starting points
 
 
 def solve_rssd(cfg: SolverConfig, m: MeasurementSet) -> Point2D:
@@ -204,24 +275,18 @@ def solve_rssd(cfg: SolverConfig, m: MeasurementSet) -> Point2D:
     local 5x5 grid with the step halved each round (final resolution
     coarse_step / 2**refine_iterations).  The directional gain clamp can
     carve shallow secondary basins, so refinement starts from the several
-    best coarse cells and keeps the best refined result.
+    best coarse cells and keeps the best refined result, ties going to the
+    smallest (y, x).
     """
     model = _Model.build(cfg, m)
     reg = cfg.region
-    xs = _grid(reg.x_min, reg.x_max, reg.coarse_step)
-    ys = _grid(reg.y_min, reg.y_max, reg.coarse_step)
-    gx, gy = np.meshgrid(xs, ys)
-    q = model.objective(gx.ravel(), gy.ravel())
-    order = np.argsort(q, kind="stable")[:_REFINE_SEEDS]
-
-    best = None
-    for k in order:
-        cand = _refine(model, reg, float(gx.ravel()[k]), float(gy.ravel()[k]))
-        key = (cand[2], cand[1], cand[0])  # objective, then smallest (y, x)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    bx, by, _ = best[1]
-    return Point2D(bx, by)
+    x, y, blocks = _coarse_geometry(tuple(model.sx.tolist()),
+                                    tuple(model.sy.tolist()), reg)
+    q = np.concatenate([model.evaluate(g) for g in blocks])
+    seeds = _smallest(q, _REFINE_SEEDS)
+    bx, by, bq = _refine(model, reg, x[seeds], y[seeds])
+    k = np.lexsort((bx, by, bq))[0]
+    return Point2D(float(bx[k]), float(by[k]))
 
 
 def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet) -> Point2D:

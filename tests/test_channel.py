@@ -99,6 +99,16 @@ class TestSimulateMeasurements:
                                   np.random.default_rng(0))
         assert m.rssd_pairs[0][2] == pytest.approx(0.0, abs=1e-12)
 
+    def test_pairs_derive_from_rss(self):
+        bs = omni_bs([(0, 0), (4, 0), (2, 3)])
+        noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
+        m = simulate_measurements(bs, Point2D(1.0, 1.0), noisy, self.tdoa,
+                                  np.random.default_rng(5))
+        rss = simulate_rss(bs, Point2D(1.0, 1.0), noisy, np.random.default_rng(5))
+        assert m.rss == rss
+        assert m.rssd_pairs == [(1, 2, rss[1] - rss[2]), (1, 3, rss[1] - rss[3]),
+                                (2, 3, rss[2] - rss[3])]
+
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_cycle_consistency(self, seed):
         bs = omni_bs([(0, 0), (4, 0), (2, 3)])

@@ -87,6 +87,15 @@ class TestRssdEuclidean:
         with pytest.raises(LengthMismatch):
             rssd_euclidean([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_matches_pair_expansion(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 4, 8):
+            meas, ref = rng.normal(-60.0, 8.0, (2, n))
+            iu, ju = np.triu_indices(n, k=1)
+            pairs = (meas[iu] - meas[ju]) - (ref[iu] - ref[ju])
+            assert rssd_euclidean(meas, ref) == pytest.approx(
+                float(np.linalg.norm(pairs)), rel=1e-12)
+
 
 class TestCoarseEstimate:
     def test_self_retrieval(self, db):
@@ -109,6 +118,17 @@ class TestCoarseEstimate:
             est = coarse_estimate(db, meas)
             dists = [rssd_euclidean(meas, ref) for ref in db.rss]
             k = int(np.argmin(dists))
+            assert (est.x, est.y) == tuple(db.positions[k])
+
+    def test_matches_pair_expansion_argmin(self, db):
+        rng = np.random.default_rng(9)
+        iu, ju = np.triu_indices(db.rss.shape[1], k=1)
+        ref_pairs = db.rss[:, iu] - db.rss[:, ju]
+        for _ in range(200):
+            meas = db.rss[rng.integers(len(db))] + rng.normal(0.0, 2.0, 4) - 30.0
+            d = ref_pairs - (meas[iu] - meas[ju])
+            k = int(np.argmin(np.einsum("np,np->n", d, d)))
+            est = coarse_estimate(db, meas)
             assert (est.x, est.y) == tuple(db.positions[k])
 
     def test_empty_db(self, db):

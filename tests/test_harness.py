@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from rssdloc.channel import Preset
 from rssdloc.cli import main
-from rssdloc.errors import EmptyInput
+from rssdloc.errors import EmptyInput, UnknownKey
 from rssdloc.geometry import OmniAntenna, Point2D
 from rssdloc.harness import (
     EpochRecord,
@@ -186,6 +187,23 @@ class TestScenarioLoading:
         assert s.seed == 99
         assert s.waypoint.update_rate == 1.0
 
+    def test_override_typo_rejected(self):
+        with pytest.raises(UnknownKey, match=r"did you mean 'waypoint\.update_rate'"):
+            load_scenario(SIM_YAML, {"waypoint.update_rat": 1.0})
+
+    def test_file_typo_rejected(self):
+        d = small_sim_dict()
+        d["stations"][0]["antenna"] = {"gain_db": 6.5, "orientation": 45}
+        with pytest.raises(UnknownKey, match=r"stations\[0\]\.antenna\.orientation_deg"):
+            scenario_from_dict(d)
+
+    def test_override_of_key_absent_from_file(self, tmp_path):
+        path = tmp_path / "small.yaml"
+        path.write_text(yaml.safe_dump(small_sim_dict()))
+        assert "pause_time" not in small_sim_dict()["waypoint"]
+        s = load_scenario(path, {"waypoint.pause_time": 0.5})
+        assert s.waypoint.pause_time == 0.5
+
     def test_mode_requires_matching_track_section(self):
         d = small_sim_dict()
         del d["waypoint"]
@@ -244,6 +262,13 @@ class TestCli:
         with open(tmp_path / "summary.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert [r["mode"] for r in rows] == ["FP_RSSD", "FP_RSSD_TDOA"]
+
+    def test_sweep_rejects_unknown_param(self, tmp_path, capsys):
+        rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",
+                   "--param", "circular.cont", "--values", "12",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "did you mean 'circular.count'" in capsys.readouterr().err
 
     def test_sweep(self, tmp_path, capsys):
         rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rssdloc.channel import ChannelParams, TdoaNoiseParams, simulate_measurements
 from rssdloc.errors import MissingTdoa, SingularCandidate
@@ -18,6 +19,9 @@ from rssdloc.solver import (
     AntennaModel,
     SearchRegion,
     SolverConfig,
+    _coarse_geometry,
+    _grid,
+    _Model,
     solve_rssd,
     solve_rssd_tdoa,
     rssd_objective,
@@ -191,3 +195,140 @@ class TestSolveRssdTdoa:
         m.tdoa = None
         with pytest.raises(MissingTdoa):
             solve_rssd_tdoa(cfg, m)
+
+
+def pair_objective(cfg, m, x, y):
+    """Reference objective: the sum over all station pairs of the squared
+    RSSD residual, with the gain from the wrapped off-boresight angle."""
+    stations = sorted((b for b in cfg.bs if b.role.measures_rss), key=lambda b: b.id)
+    index = {b.id: k for k, b in enumerate(stations)}
+    sx = np.array([b.position.x for b in stations])
+    sy = np.array([b.position.y for b in stations])
+    pairs = m.rssd_pairs
+    pi = np.array([index[i] for i, _, _ in pairs])
+    pj = np.array([index[j] for _, j, _ in pairs])
+    pij = np.array([v for _, _, v in pairs])
+    dx = x[None, :] - sx[:, None]
+    dy = y[None, :] - sy[:, None]
+    d2 = dx * dx + dy * dy
+    singular = (d2 < 1e-12).any(axis=0)
+    with np.errstate(divide="ignore"):
+        logd2 = np.log10(np.where(d2 > 0, d2, 1.0))
+    model = 5.0 * cfg.params.alpha * (logd2[pj] - logd2[pi])
+    if cfg.antenna_model is AntennaModel.DIRECTIONAL:
+        gain = np.array([b.antenna.gain_db for b in stations])
+        bore = np.array([b.antenna.orientation for b in stations])
+        phi = np.arctan2(dy, dx) - bore[:, None]
+        phi = np.mod(phi + np.pi, 2.0 * np.pi) - np.pi
+        g = np.where(np.abs(phi) <= np.pi / 2, gain[:, None] * np.cos(phi), 0.0)
+        model = model + g[pi] - g[pj]
+    resid = pij[:, None] - model
+    q = np.einsum("pn,pn->n", resid, resid)
+    q[singular] = np.inf
+    return q
+
+
+def sequential_solve(cfg, m):
+    """Reference 2D solve: full stable sort of the coarse scan, then each
+    seed refined on its own, one 5x5 scan per round."""
+    model = _Model.build(cfg, m)
+    reg = cfg.region
+    gx, gy = np.meshgrid(_grid(reg.x_min, reg.x_max, reg.coarse_step),
+                         _grid(reg.y_min, reg.y_max, reg.coarse_step))
+    gx, gy = gx.ravel(), gy.ravel()
+    q = model.objective(gx, gy)
+    best = None
+    for k in np.argsort(q, kind="stable")[:8]:
+        bx, by, bq = float(gx[k]), float(gy[k]), math.inf
+        step = reg.coarse_step / 2.0
+        for _ in range(reg.refine_iterations):
+            xs = np.unique(np.clip(bx + step * np.arange(-2, 3), reg.x_min, reg.x_max))
+            ys = np.unique(np.clip(by + step * np.arange(-2, 3), reg.y_min, reg.y_max))
+            sx, sy = np.meshgrid(xs, ys)
+            sq = model.objective(sx.ravel(), sy.ravel())
+            j = int(np.argmin(sq))
+            bx, by, bq = float(sx.ravel()[j]), float(sy.ravel()[j]), float(sq[j])
+            step /= 2.0
+        if best is None or (bq, by, bx) < best:
+            best = (bq, by, bx)
+    return Point2D(best[2], best[1])
+
+
+@st.composite
+def layouts(draw):
+    """A random station layout with a noisy measurement set taken in it."""
+    n = draw(st.integers(3, 8))
+    coord = st.floats(-5.0, 5.0)
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n,
+                              unique=True))
+    directional = draw(st.booleans())
+    bs = []
+    for i, (x, y) in enumerate(positions):
+        antenna = (DirectionalAntenna(draw(st.floats(0.0, 10.0)),
+                                      draw(st.floats(-math.pi, math.pi)))
+                   if directional else OmniAntenna())
+        bs.append(BaseStation(i + 1, Point2D(x, y), Role.RSS_ONLY, antenna))
+    params = ChannelParams(alpha=draw(st.floats(1.5, 4.0)),
+                           sigma_beta=draw(st.floats(0.0, 3.0)))
+    mu = Point2D(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    if min(distance(mu, b.position) for b in bs) < 1e-3:
+        mu = Point2D(mu.x + 0.01, mu.y)
+    region = SearchRegion(-3.5, 3.5, -3.5, 3.5, coarse_step=0.1,
+                          refine_iterations=draw(st.integers(0, 6)))
+    model = AntennaModel.DIRECTIONAL if directional else AntennaModel.OMNI
+    cfg = SolverConfig(params, bs, region, model)
+    m = measure(bs, mu, params, seed=draw(st.integers(0, 2**32 - 1)))
+    return cfg, m
+
+
+class TestAgainstPairForm:
+    @settings(max_examples=60, deadline=None)
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    def test_objective_matches_pair_form(self, layout, seed):
+        cfg, m = layout
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-6.0, 6.0, 64)
+        y = rng.uniform(-6.0, 6.0, 64)
+        # station positions themselves are singular candidates
+        x[:2] = [b.position.x for b in cfg.bs[:2]]
+        y[:2] = [b.position.y for b in cfg.bs[:2]]
+        got = _Model.build(cfg, m).objective(x, y)
+        np.testing.assert_allclose(got, pair_objective(cfg, m, x, y),
+                                   rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(layouts())
+    def test_batched_refine_equals_sequential(self, layout):
+        cfg, m = layout
+        est = solve_rssd(cfg, m)
+        assert est == sequential_solve(cfg, m)
+        assert cfg.region.contains(est)
+
+    def test_layouts_never_share_tables(self):
+        a = make_stations()
+        b = [BaseStation(s.id, Point2D(s.position.x + 0.37, s.position.y), s.role,
+                         s.antenna) for s in a]
+        tables = []
+        for bs in (a, b):
+            sx = tuple(s.position.x for s in bs if s.role.measures_rss)
+            sy = tuple(s.position.y for s in bs if s.role.measures_rss)
+            x, y, blocks = _coarse_geometry(sx, sy, REGION)
+            logd2 = np.concatenate([g.logd2 for g in blocks], axis=1)
+            d2 = (x - np.array(sx)[:, None]) ** 2 + (y - np.array(sy)[:, None]) ** 2
+            np.testing.assert_allclose(logd2, np.log10(d2), rtol=0, atol=1e-12)
+            tables.append(logd2)
+        assert not np.array_equal(tables[0], tables[1])
+
+    def test_boresights_share_tables(self):
+        # re-pointing antennas changes no station position, so every epoch
+        # of a directional run reads the same cached geometry
+        pos = make_stations()
+        sx = tuple(s.position.x for s in pos if s.role.measures_rss)
+        sy = tuple(s.position.y for s in pos if s.role.measures_rss)
+        first = _coarse_geometry(sx, sy, REGION)
+        for target in (Point2D(1, 1), Point2D(-2, 0.5)):
+            bs = make_stations(directional=True, target=target)
+            cfg = SolverConfig(NOISY, bs, REGION, AntennaModel.DIRECTIONAL)
+            solve_rssd(cfg, measure(bs, target, NOISY))
+            assert _coarse_geometry(sx, sy, REGION) is first
+        assert not first[2][0].logd2.flags.writeable
