@@ -18,7 +18,6 @@ from .channel import (
     ChannelParams,
     ChannelPresets,
     MeasurementSet,
-    Preset,
     TdoaNoiseParams,
     antenna_gain,
     received_power,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,11 +27,6 @@ from .geometry import (
 )
 
 _COINCIDENCE_TOL = 1e-9  # m
-
-
-class Preset(Enum):
-    OMNI_OMNI = "OMNI_OMNI"
-    OMNI_DIR = "OMNI_DIR"
 
 
 @dataclass(frozen=True)
@@ -76,9 +70,6 @@ class ChannelPresets:
             raise ValueError("OMNI_DIR alpha must be >= OMNI_OMNI alpha")
         if self.omni_dir.sigma_beta > self.omni_omni.sigma_beta:
             raise ValueError("OMNI_DIR sigma_beta must be <= OMNI_OMNI sigma_beta")
-
-    def select(self, preset: Preset) -> ChannelParams:
-        return self.omni_omni if preset is Preset.OMNI_OMNI else self.omni_dir
 
 
 @dataclass(frozen=True)

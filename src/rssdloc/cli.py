@@ -14,6 +14,8 @@ import math
 import sys
 from pathlib import Path
 
+import yaml
+
 from .errors import LocalizationError
 from .harness import aggregate, run_scenario, scenario_db, write_report_files, write_summary_csv
 from .scenario import Mode, load_scenario
@@ -52,11 +54,8 @@ def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     summaries = []
     for v in values:
-        try:
-            parsed = float(v) if "." in v or v.lstrip("-").isdigit() else v
-        except ValueError:
-            parsed = v
-        s = _load(args, {args.param: parsed})
+        # read as a scenario file would read the value
+        s = _load(args, {args.param: yaml.safe_load(v)})
         summaries.append(aggregate(run_scenario(s)))
         theta = ("-" if summaries[-1].theta_std_median is None
                  else f"{math.degrees(summaries[-1].theta_std_median):.2f} deg")

@@ -17,13 +17,7 @@ import numpy as np
 
 from .channel import ChannelParams, centred, simulate_rss
 from .errors import EmptyGrid, LengthMismatch
-from .geometry import (
-    BaseStation,
-    CanonicalFrame,
-    Hyperbola,
-    Point2D,
-    project_onto_hyperbola,
-)
+from .geometry import BaseStation, Point2D, measured_hyperbola, project_onto_hyperbola
 from .solver import SearchRegion
 
 _EXCLUDE_TOL = 1e-6  # m when matching excluded grid points
@@ -163,9 +157,6 @@ def refine_with_tdoa(coarse: Point2D, tdoa: Tuple[int, int, float],
     The projection runs in the TDOA pair's canonical frame; y_bracket, when
     given, is interpreted in that frame.
     """
-    k_id, l_id, dt = tdoa
-    by_id = {b.id: b for b in bs}
-    frame = CanonicalFrame.from_stations(by_id[k_id].position, by_id[l_id].position)
-    h = Hyperbola.from_tdoa(dt, frame.half_separation)
+    frame, h = measured_hyperbola(tdoa, bs)
     q = project_onto_hyperbola(frame.to_canonical(coarse), h, y_bracket)
     return frame.from_canonical(q)

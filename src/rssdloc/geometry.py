@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class Point2D:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 def distance(a: Point2D, b: Point2D) -> float:
@@ -78,8 +75,8 @@ class OmniAntenna:
 class DirectionalAntenna:
     """Cosine-pattern antenna with peak gain `gain_db` at the boresight."""
 
-    gain_db: float
-    orientation: float  # boresight azimuth, radians
+    gain_db: float = 6.5
+    orientation: float = 0.0  # boresight azimuth, radians
 
     def __post_init__(self):
         if self.gain_db < 0:
@@ -203,9 +200,22 @@ class CanonicalFrame:
         return Point2D(c * dx + s * dy, -s * dx + c * dy)
 
     def from_canonical(self, p: Point2D) -> Point2D:
-        c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
-        return Point2D(self.origin.x + c * p.x - s * p.y,
-                       self.origin.y + s * p.x + c * p.y)
+        return Point2D(*self.from_canonical_xy(p.x, p.y))
 
-    def to_canonical_angle(self, a: float) -> float:
-        return wrap_angle(a - self.axis_angle)
+    def from_canonical_xy(self, x, y):
+        """Scenario coordinates of canonical (x, y); scalars or ndarrays."""
+        c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
+        return self.origin.x + c * x - s * y, self.origin.y + s * x + c * y
+
+
+def measured_hyperbola(tdoa: Tuple[int, int, float], bs: Sequence[BaseStation]
+                       ) -> Tuple[CanonicalFrame, Hyperbola]:
+    """The canonical frame of a TDOA observation's station pair, and the
+    observation's hyperbola in it.
+
+    tdoa is (id_k, id_l, delta_t) as carried by a measurement set.
+    """
+    k_id, l_id, dt = tdoa
+    position = {b.id: b.position for b in bs}
+    frame = CanonicalFrame.from_stations(position[k_id], position[l_id])
+    return frame, Hyperbola.from_tdoa(dt, frame.half_separation)

@@ -9,7 +9,6 @@ direction to the user.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
@@ -33,7 +32,7 @@ _COINCIDENCE_TOL = 1e-9  # m
 @dataclass(frozen=True)
 class WaypointModelParams:
     area: SearchRegion
-    total_length: float        # m of track to generate
+    total_length: float = 18.0  # m of track to generate
     speed: float = 1.0         # m/s
     pause_time: float = 0.0    # s at each reached waypoint
     update_rate: float = 2.0   # localization epochs per second
@@ -53,21 +52,6 @@ class Track:
 
     def __len__(self) -> int:
         return len(self.epochs)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "x", "y"])
-            for t, p in self.epochs:
-                w.writerow([f"{t:.6f}", f"{p.x:.6f}", f"{p.y:.6f}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "Track":
-        epochs = []
-        with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                epochs.append((float(row["t"]), Point2D(float(row["x"]), float(row["y"]))))
-        return cls(epochs)
 
 
 def _draw_point(area: SearchRegion, rng: np.random.Generator) -> Point2D:

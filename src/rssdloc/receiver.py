@@ -8,13 +8,11 @@ mean squared correlation over a fixed window behind the peak.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import signal
 
 from .errors import AliasingSampleRate, TemplateTooLong, WindowOutOfSupport
 
@@ -38,30 +36,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
         self.samples = np.asarray(self.samples, dtype=float)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.samples)) / self.sample_rate
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "amplitude"])
-            for t, a in zip(self.times(), self.samples):
-                w.writerow([f"{t:.12e}", f"{a:.9e}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "Waveform":
-        t, a = [], []
-        with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                t.append(float(row["t"]))
-                a.append(float(row["amplitude"]))
-        rate = (len(t) - 1) / (t[-1] - t[0]) if len(t) > 1 else 1.0
-        return cls(np.array(a), rate, t[0])
 
 
 def default_chips(seed: int = 20120316) -> np.ndarray:
@@ -147,6 +121,7 @@ def transmit_template(spec: SignalSpec,
 
 def bandpass(w: Waveform, band: Tuple[float, float] = DEFAULT_BAND) -> Waveform:
     """Zero-phase Butterworth bandpass, so filtering adds no group delay."""
+    from scipy import signal  # imported on use: it dominates the package import
     sos = signal.butter(_FILTER_ORDER, band, btype="bandpass",
                         fs=w.sample_rate, output="sos")
     return Waveform(signal.sosfiltfilt(sos, w.samples), w.sample_rate, w.t0)
@@ -161,6 +136,8 @@ def correlate_and_detect(r: Waveform, template: Waveform,
     The peak is refined by band-limited (FFT) resampling of a window around
     the strongest correlation sample; ties resolve to the earliest time.
     """
+    from scipy import signal
+
     if upsample_factor < 1:
         raise ValueError("upsample_factor must be >= 1")
     if len(template.samples) > len(r.samples):

@@ -4,6 +4,9 @@ A scenario file describes the station layout, both channel presets, the
 noise models, the mobility model, and the solver settings for one
 experiment.  See the shipped files under scenarios/ for the two canonical
 set-ups.
+
+The parsers below are the file format: a key is valid because a parser
+reads it, and a key a file leaves out takes the dataclass default.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ import difflib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import yaml
 
-from .channel import ChannelParams, ChannelPresets, Preset, TdoaNoiseParams
+from .channel import ChannelParams, ChannelPresets, TdoaNoiseParams
 from .errors import UnknownKey
 from .fingerprint import CircularTrackParams
 from .geometry import (
@@ -27,7 +30,7 @@ from .geometry import (
     Role,
 )
 from .mobility import WaypointModelParams
-from .solver import AntennaModel, SearchRegion
+from .solver import AntennaModel, SearchRegion, SolverConfig
 
 
 class Mode(Enum):
@@ -55,12 +58,19 @@ class FingerprintConfig:
 
 @dataclass
 class Scenario:
+    """One experiment.
+
+    antenna_model is the one antenna switch.  OMNI makes every station omni
+    and runs the omni-omni channel preset; DIRECTIONAL runs the
+    omni-directional preset and needs a directional antenna on every RSS
+    station.
+    """
+
     name: str
     mode: Mode
     bs: List[BaseStation]
     region: SearchRegion
     presets: ChannelPresets = field(default_factory=ChannelPresets)
-    preset: Preset = Preset.OMNI_DIR
     tdoa_noise: TdoaNoiseParams = field(default_factory=TdoaNoiseParams)
     antenna_model: AntennaModel = AntennaModel.DIRECTIONAL
     waypoint: Optional[WaypointModelParams] = None
@@ -78,184 +88,164 @@ class Scenario:
             tdoa_capable = [b for b in self.bs if b.role.measures_tdoa]
             if len(tdoa_capable) != 2:
                 raise ValueError("TDOA modes need exactly two TDOA-capable stations")
+        if self.antenna_model is AntennaModel.OMNI:
+            self.bs = [replace(b, antenna=OmniAntenna()) for b in self.bs]
+        # the solver's own check of the antennas against the model
+        SolverConfig(self.channel, self.bs, self.region, self.antenna_model)
 
     @property
     def channel(self) -> ChannelParams:
-        return self.presets.select(self.preset)
+        """The channel preset of this scenario's antenna combination."""
+        if self.antenna_model is AntennaModel.DIRECTIONAL:
+            return self.presets.omni_dir
+        return self.presets.omni_omni
 
     def with_mode(self, mode: Mode) -> "Scenario":
         return replace(self, mode=mode)
 
-    def with_antenna_model(self, antenna_model: AntennaModel,
-                           preset: Optional[Preset] = None) -> "Scenario":
-        if preset is None:
-            preset = (Preset.OMNI_DIR if antenna_model is AntennaModel.DIRECTIONAL
-                      else Preset.OMNI_OMNI)
-        bs = self.bs
-        if antenna_model is AntennaModel.OMNI:
-            bs = [replace(b, antenna=OmniAntenna()) for b in self.bs]
-        return replace(self, antenna_model=antenna_model, preset=preset, bs=bs)
+    def with_antenna_model(self, antenna_model: AntennaModel) -> "Scenario":
+        return replace(self, antenna_model=antenna_model)
 
 
-def _parse_station(d: Dict[str, Any]) -> BaseStation:
-    antenna_cfg = d.get("antenna", "omni")
-    if antenna_cfg == "omni" or antenna_cfg is None:
-        antenna = OmniAntenna()
-    else:
-        antenna = DirectionalAntenna(
-            gain_db=float(antenna_cfg.get("gain_db", 6.5)),
-            orientation=math.radians(float(antenna_cfg.get("orientation_deg", 0.0))),
-        )
-    return BaseStation(
-        id=int(d["id"]),
-        position=Point2D(float(d["x"]), float(d["y"])),
-        role=Role(d.get("role", "RSS_ONLY")),
-        antenna=antenna,
-        bias_db=float(d.get("bias_db", 0.0)),
-    )
+# A parser is a function of (value, path), path naming the value in the file
+# for error messages.  A mapping parser lists every key it reads.
+Parser = Callable[[Any, str], Any]
 
 
-def _parse_channel(d: Dict[str, Any]) -> ChannelPresets:
-    def params(sub: Dict[str, Any]) -> ChannelParams:
-        return ChannelParams(
-            alpha=float(sub["alpha"]),
-            sigma_beta=float(sub["sigma_beta"]),
-            p0=float(d.get("p0", -40.0)),
-            d0=float(d.get("d0", 1.0)),
-        )
-
-    return ChannelPresets(omni_omni=params(d["omni_omni"]),
-                          omni_dir=params(d["omni_dir"]))
-
-
-def _parse_region(d: Dict[str, Any]) -> SearchRegion:
-    return SearchRegion(
-        x_min=float(d["x_min"]), x_max=float(d["x_max"]),
-        y_min=float(d["y_min"]), y_max=float(d["y_max"]),
-        coarse_step=float(d.get("coarse_step", 0.05)),
-        refine_iterations=int(d.get("refine_iterations", 6)),
-    )
-
-
-# Every key a scenario file may hold.  A mapping lists its keys, a
-# one-element list describes each entry of a list, and None marks a value.
-_REGION_KEYS = dict.fromkeys(
-    ["x_min", "x_max", "y_min", "y_max", "coarse_step", "refine_iterations"])
-_SCHEMA: Dict[str, Any] = {
-    **dict.fromkeys(["name", "mode", "antenna_model", "preset", "sigma_tdoa",
-                     "seed", "trials"]),
-    "stations": [{
-        **dict.fromkeys(["id", "x", "y", "role", "bias_db"]),
-        "antenna": dict.fromkeys(["gain_db", "orientation_deg"]),  # or "omni"
-    }],
-    "channel": {
-        **dict.fromkeys(["p0", "d0"]),
-        "omni_omni": dict.fromkeys(["alpha", "sigma_beta"]),
-        "omni_dir": dict.fromkeys(["alpha", "sigma_beta"]),
-    },
-    "region": _REGION_KEYS,
-    "waypoint": {
-        **dict.fromkeys(["total_length", "speed", "pause_time", "update_rate"]),
-        "area": _REGION_KEYS,
-    },
-    "circular": dict.fromkeys(["center_x", "center_y", "radius", "count",
-                               "start_angle_deg", "step_angle_deg"]),
-    "fingerprint": {
-        **dict.fromkeys(["grid_step", "db_sigma_beta", "db_file"]),
-        "excluded": [dict.fromkeys(["x", "y"])],
-    },
-}
-
-
-def _unknown_key(path: str, key: str, schema: Any) -> UnknownKey:
+def _unknown_key(path: str, key: str, valid: Optional[Mapping]) -> UnknownKey:
     name = f"{path}.{key}" if path else key
-    if not isinstance(schema, dict):
+    if valid is None:
         return UnknownKey(f"unknown scenario key '{name}': '{path}' has no sub-keys")
-    near = difflib.get_close_matches(key, list(schema), n=1)
+    near = difflib.get_close_matches(key, list(valid), n=1)
     hint = (f"did you mean '{path + '.' if path else ''}{near[0]}'?" if near
-            else f"valid keys: {', '.join(sorted(schema))}")
+            else f"valid keys: {', '.join(sorted(valid))}")
     return UnknownKey(f"unknown scenario key '{name}'; {hint}")
 
 
-def _check_keys(node: Any, schema: Any, path: str = "") -> None:
-    """Reject any key of node that schema does not list."""
-    if isinstance(schema, dict) and isinstance(node, dict):
-        for key, value in node.items():
-            if key not in schema:
-                raise _unknown_key(path, str(key), schema)
-            _check_keys(value, schema[key], f"{path}.{key}" if path else str(key))
-    elif isinstance(schema, list) and isinstance(node, list):
-        for i, item in enumerate(node):
-            _check_keys(item, schema[0], f"{path}[{i}]")
+def _mapping(d: Any, path: str, parsers: Mapping[str, Parser]) -> Dict[str, Any]:
+    """Parse the keys of one mapping, leaving out the keys d lacks.
+
+    A key of d that parsers does not list raises UnknownKey.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{path or 'a scenario'} must be a mapping, got {d!r}")
+    for key in d:
+        if key not in parsers:
+            raise _unknown_key(path, str(key), parsers)
+    return {key: parse(d[key], f"{path}.{key}" if path else key)
+            for key, parse in parsers.items() if key in d}
+
+
+def _fields(parsers: Mapping[str, Parser], build: Callable = dict) -> Parser:
+    """Parser of a mapping whose parsed keys are the keyword arguments of build."""
+    return lambda d, path: build(**_mapping(d, path, parsers))
+
+
+def _no_sub_keys(value: Any, path: str) -> None:
+    if isinstance(value, dict):
+        raise _unknown_key(path, str(next(iter(value), "")), None)
+
+
+def _value(convert: Callable[[Any], Any]) -> Parser:
+    def parse(value, path):
+        _no_sub_keys(value, path)
+        return convert(value)
+    return parse
+
+
+def _list(parse_entry: Parser) -> Parser:
+    def parse(value, path):
+        _no_sub_keys(value, path)
+        return [parse_entry(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+_FLOAT, _INT, _STR = _value(float), _value(int), _value(str)
+
+
+def _antenna(value: Any, path: str):
+    if value is None or value == "omni":
+        return OmniAntenna()
+    f = _mapping(value, path, {"gain_db": _FLOAT, "orientation_deg": _FLOAT})
+    if "orientation_deg" in f:
+        f["orientation"] = math.radians(f.pop("orientation_deg"))
+    return DirectionalAntenna(**f)
+
+
+def _station(d: Any, path: str) -> BaseStation:
+    f = _mapping(d, path, {"id": _INT, "x": _FLOAT, "y": _FLOAT,
+                           "role": _value(Role), "antenna": _antenna,
+                           "bias_db": _FLOAT})
+    f["position"] = Point2D(f.pop("x"), f.pop("y"))
+    return BaseStation(**f)
+
+
+def _channel(d: Any, path: str) -> ChannelPresets:
+    preset = _fields({"alpha": _FLOAT, "sigma_beta": _FLOAT})
+    f = _mapping(d, path, {"p0": _FLOAT, "d0": _FLOAT,
+                           "omni_omni": preset, "omni_dir": preset})
+    reference = {k: f[k] for k in ("p0", "d0") if k in f}
+    return ChannelPresets(omni_omni=ChannelParams(**f["omni_omni"], **reference),
+                          omni_dir=ChannelParams(**f["omni_dir"], **reference))
+
+
+def _circular(d: Any, path: str) -> CircularTrackParams:
+    f = _mapping(d, path, {"center_x": _FLOAT, "center_y": _FLOAT,
+                           "radius": _FLOAT, "count": _INT,
+                           "start_angle_deg": _FLOAT, "step_angle_deg": _FLOAT})
+    center = CircularTrackParams.center  # the class attribute is the default
+    f["center"] = Point2D(f.pop("center_x", center.x), f.pop("center_y", center.y))
+    return CircularTrackParams(**f)
+
+
+_region = _fields({**dict.fromkeys(["x_min", "x_max", "y_min", "y_max",
+                                    "coarse_step"], _FLOAT),
+                   "refine_iterations": _INT}, SearchRegion)
+
+_SCENARIO: Dict[str, Parser] = {
+    "name": _STR,
+    "mode": _value(Mode),
+    "antenna_model": _value(AntennaModel),
+    "seed": _INT,
+    "trials": _INT,
+    "sigma_tdoa": _value(lambda v: TdoaNoiseParams(float(v))),
+    "stations": _list(_station),
+    "channel": _channel,
+    "region": _region,
+    # without an area the track moves over the search region
+    "waypoint": _fields({"area": _region, **dict.fromkeys(
+        ["total_length", "speed", "pause_time", "update_rate"], _FLOAT)}),
+    "circular": _circular,
+    "fingerprint": _fields({"grid_step": _FLOAT,
+                            "excluded": _list(_fields({"x": _FLOAT, "y": _FLOAT},
+                                                      Point2D)),
+                            "db_sigma_beta": _FLOAT,
+                            "db_file": _STR}, FingerprintConfig),
+}
+# scenario file key -> Scenario field, where the two differ
+_FIELD = {"stations": "bs", "channel": "presets", "sigma_tdoa": "tdoa_noise"}
 
 
 def scenario_from_dict(d: Dict[str, Any]) -> Scenario:
-    _check_keys(d, _SCHEMA)
-    region = _parse_region(d["region"])
-    waypoint = None
-    if "waypoint" in d:
-        w = d["waypoint"]
-        area = _parse_region(w["area"]) if "area" in w else region
-        waypoint = WaypointModelParams(
-            area=area,
-            total_length=float(w.get("total_length", 18.0)),
-            speed=float(w.get("speed", 1.0)),
-            pause_time=float(w.get("pause_time", 0.0)),
-            update_rate=float(w.get("update_rate", 2.0)),
-        )
-    circular = None
-    if "circular" in d:
-        c = d["circular"]
-        circular = CircularTrackParams(
-            center=Point2D(float(c.get("center_x", 1.5)),
-                           float(c.get("center_y", 1.5))),
-            radius=float(c.get("radius", 1.0)),
-            count=int(c.get("count", 48)),
-            start_angle_deg=float(c.get("start_angle_deg", -90.0)),
-            step_angle_deg=float(c.get("step_angle_deg", 7.5)),
-        )
-    fp = FingerprintConfig()
-    if "fingerprint" in d:
-        f = d["fingerprint"]
-        fp = FingerprintConfig(
-            grid_step=float(f.get("grid_step", 0.25)),
-            excluded=[Point2D(float(e["x"]), float(e["y"]))
-                      for e in f.get("excluded", [])],
-            db_sigma_beta=float(f.get("db_sigma_beta", 0.0)),
-            db_file=f.get("db_file"),
-        )
-    return Scenario(
-        name=str(d.get("name", "scenario")),
-        mode=Mode(d["mode"]),
-        bs=[_parse_station(s) for s in d["stations"]],
-        region=region,
-        presets=_parse_channel(d["channel"]) if "channel" in d else ChannelPresets(),
-        preset=Preset(d.get("preset", "OMNI_DIR")),
-        tdoa_noise=TdoaNoiseParams(float(d.get("sigma_tdoa", 330e-12))),
-        antenna_model=AntennaModel(d.get("antenna_model", "DIRECTIONAL")),
-        waypoint=waypoint,
-        circular=circular,
-        fingerprint=fp,
-        seed=int(d.get("seed", 0)),
-        trials=int(d.get("trials", 1)),
-    )
+    f = _mapping(d, "", _SCENARIO)
+    if "waypoint" in f:
+        f["waypoint"] = WaypointModelParams(**{"area": f["region"], **f["waypoint"]})
+    return Scenario(**{"name": "scenario",
+                       **{_FIELD.get(k, k): v for k, v in f.items()}})
 
 
 def apply_overrides(d: Dict[str, Any], overrides: Dict[str, Any]) -> Dict[str, Any]:
     """Apply dotted-path overrides (e.g. 'waypoint.update_rate') to a dict.
 
-    A path must name a scenario key, whether or not d holds it yet.
+    scenario_from_dict then checks the overridden keys as it checks a file.
     """
     for path, value in overrides.items():
         keys = path.split(".")
-        schema = _SCHEMA
-        for depth, k in enumerate(keys):
-            if not isinstance(schema, dict) or k not in schema:
-                raise _unknown_key(".".join(keys[:depth]), k, schema)
-            schema = schema[k]
         node = d
-        for k in keys[:-1]:
+        for depth, k in enumerate(keys[:-1]):
             node = node.setdefault(k, {})
+            if not isinstance(node, dict):
+                raise _unknown_key(".".join(keys[:depth + 1]), keys[depth + 1], None)
         node[keys[-1]] = value
     return d
 

@@ -40,12 +40,11 @@ from .channel import ChannelParams, MeasurementSet, centred, rss_stations
 from .errors import EmptyRegion, MissingTdoa, SingularCandidate
 from .geometry import (
     BaseStation,
-    CanonicalFrame,
     DirectionalAntenna,
-    Hyperbola,
     Point2D,
     golden_section,
     hyperbola_x_of_y,
+    measured_hyperbola,
 )
 
 _SINGULAR_TOL = 1e-6  # m; candidates closer than this to a station get inf
@@ -292,42 +291,30 @@ def solve_rssd(cfg: SolverConfig, m: MeasurementSet) -> Point2D:
 def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet) -> Point2D:
     """1D argmin along the measured TDOA hyperbola.
 
-    Works in the TDOA pair's canonical frame: the candidate x is given by
-    the hyperbola equation, so the search runs over y only (coarse scan at
+    The hyperbola is parametrized by y in the TDOA pair's canonical frame,
+    where its equation gives x.  The search runs over that y (coarse scan at
     region.coarse_step, then golden-section refinement around the best
-    coarse cell).  The result is mapped back to scenario coordinates.
+    coarse cell), evaluating the objective at the hyperbola points mapped
+    out to scenario coordinates.
     """
     if m.tdoa is None:
         raise MissingTdoa("measurement set carries no TDOA observation")
-    k_id, l_id, dt = m.tdoa
-    by_id = {b.id: b for b in cfg.bs}
-    frame = CanonicalFrame.from_stations(by_id[k_id].position, by_id[l_id].position)
-    h = Hyperbola.from_tdoa(dt, frame.half_separation)
-
-    canon_bs = []
-    for b in cfg.bs:
-        if not b.role.measures_rss:
-            continue
-        pos = frame.to_canonical(b.position)
-        antenna = b.antenna
-        if isinstance(antenna, DirectionalAntenna):
-            antenna = DirectionalAntenna(
-                antenna.gain_db, frame.to_canonical_angle(antenna.orientation))
-        canon_bs.append(BaseStation(b.id, pos, b.role, antenna, b.bias_db))
-    canon_cfg = SolverConfig(cfg.params, canon_bs, cfg.region, cfg.antenna_model)
-    model = _Model.build(canon_cfg, m)
+    frame, h = measured_hyperbola(m.tdoa, cfg.bs)
+    model = _Model.build(cfg, m)
 
     corner_y = [frame.to_canonical(c).y for c in cfg.region.corners()]
     y_lo, y_hi = min(corner_y), max(corner_y)
 
-    def q_of_y(y: np.ndarray) -> np.ndarray:
-        return model.objective(hyperbola_x_of_y(h, y), y)
+    def q_of_y(y):
+        """Objective at canonical height y, a scalar or an ndarray."""
+        return model.objective(*frame.from_canonical_xy(hyperbola_x_of_y(h, y), y))
 
     ys = _grid(y_lo, y_hi, cfg.region.coarse_step)
     qs = q_of_y(ys)
     y0 = float(ys[int(np.argmin(qs))])
     y_star = golden_section(
-        lambda y: float(q_of_y(np.array([y]))[0]),
+        # scalar arithmetic until the objective: cheaper than 1-element arrays
+        lambda y: float(q_of_y(y)[0]),
         max(y_lo, y0 - cfg.region.coarse_step),
         min(y_hi, y0 + cfg.region.coarse_step),
         tol=1e-7,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import yaml
 
-from rssdloc.channel import Preset
 from rssdloc.cli import main
 from rssdloc.errors import EmptyInput, UnknownKey
 from rssdloc.geometry import OmniAntenna, Point2D
@@ -34,7 +33,6 @@ def small_sim_dict(**overrides):
     d = {
         "name": "small",
         "mode": "SIM_RSSD",
-        "preset": "OMNI_DIR",
         "stations": [
             {"id": 1, "x": -3, "y": -3, "role": "RSS_ONLY",
              "antenna": {"gain_db": 6.5, "orientation_deg": 45}},
@@ -111,9 +109,9 @@ class TestSimTrial:
     def test_omni_swap_changes_preset(self):
         s = scenario_from_dict(small_sim_dict())
         omni = s.with_antenna_model(AntennaModel.OMNI)
-        assert omni.preset is Preset.OMNI_OMNI
+        assert omni.channel is omni.presets.omni_omni
         assert all(isinstance(b.antenna, OmniAntenna) for b in omni.bs)
-        assert s.preset is Preset.OMNI_DIR  # the original is untouched
+        assert s.channel is s.presets.omni_dir  # the original is untouched
 
     def test_epoch_spacing_matches_update_rate(self):
         s = scenario_from_dict(small_sim_dict())
@@ -204,6 +202,31 @@ class TestScenarioLoading:
         s = load_scenario(path, {"waypoint.pause_time": 0.5})
         assert s.waypoint.pause_time == 0.5
 
+    def test_override_through_value_key_rejected(self):
+        with pytest.raises(UnknownKey, match=r"'seed' has no sub-keys"):
+            load_scenario(SIM_YAML, {"seed.x": 1})
+
+    def test_antenna_model_is_the_one_antenna_switch(self, tmp_path):
+        path = tmp_path / "small.yaml"
+        path.write_text(yaml.safe_dump(small_sim_dict()))
+        library = scenario_from_dict(small_sim_dict()).with_antenna_model(
+            AntennaModel.OMNI)
+        override = load_scenario(path, {"antenna_model": "OMNI"})
+        path.write_text(yaml.safe_dump(small_sim_dict(antenna_model="OMNI")))
+        in_file = load_scenario(path)
+        assert library == override == in_file
+        assert override.channel is override.presets.omni_omni
+        assert all(isinstance(b.antenna, OmniAntenna) for b in override.bs)
+        assert run_trial(override, 0).errors == run_trial(library, 0).errors
+
+    def test_directional_rejects_omni_rss_station(self):
+        d = small_sim_dict()
+        d["stations"][0]["antenna"] = "omni"
+        with pytest.raises(ValueError, match="station 1"):
+            scenario_from_dict(d)
+        d["antenna_model"] = "OMNI"
+        assert scenario_from_dict(d).antenna_model is AntennaModel.OMNI
+
     def test_mode_requires_matching_track_section(self):
         d = small_sim_dict()
         del d["waypoint"]
@@ -277,3 +300,12 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "circular.count=12" in out and "circular.count=24" in out
+
+    def test_sweep_antenna_model(self, tmp_path, capsys):
+        rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",
+                   "--param", "antenna_model", "--values", "DIRECTIONAL,OMNI",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "summary.csv", newline="") as f:
+            rmse = [float(r["rmse_median"]) for r in csv.DictReader(f)]
+        assert len(rmse) == 2 and rmse[0] != rmse[1]

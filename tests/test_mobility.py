@@ -7,7 +7,6 @@ from rssdloc.errors import CoincidentWithStation
 from rssdloc.geometry import BaseStation, DirectionalAntenna, Point2D, Role, distance
 from rssdloc.mobility import (
     OrientationState,
-    Track,
     WaypointModelParams,
     apply_orientation,
     generate_track,
@@ -65,16 +64,6 @@ class TestGenerateTrack:
         for (tf, pf), (ts, ps) in zip(fast.epochs[::2], slow.epochs):
             assert tf == pytest.approx(ts)
             assert distance(pf, ps) < 1e-9
-
-    def test_csv_round_trip(self, tmp_path):
-        track = generate_track(params(total_length=3.0), np.random.default_rng(5))
-        path = tmp_path / "track.csv"
-        track.to_csv(path)
-        loaded = Track.from_csv(path)
-        assert len(loaded) == len(track)
-        for (t0, p0), (t1, p1) in zip(track.epochs, loaded.epochs):
-            assert t0 == pytest.approx(t1, abs=1e-6)
-            assert distance(p0, p1) < 2e-6
 
 
 def station(bs_id=1, x=0.0, y=0.0, orientation=0.0):

@@ -174,13 +174,3 @@ def test_default_chips_fixed_and_binary():
     assert len(chips) == 128
     assert set(np.unique(chips)) <= {-1.0, 1.0}
     assert np.array_equal(chips, default_chips())
-
-
-def test_waveform_csv_round_trip(tmp_path):
-    w = Waveform(np.sin(np.linspace(0, 6, 50)), 1e9, 2e-9)
-    path = tmp_path / "wave.csv"
-    w.to_csv(path)
-    loaded = Waveform.from_csv(path)
-    assert np.allclose(loaded.samples, w.samples)
-    assert loaded.sample_rate == pytest.approx(w.sample_rate, rel=1e-6)
-    assert loaded.t0 == pytest.approx(w.t0, abs=1e-15)

@@ -188,6 +188,25 @@ class TestSolveRssdTdoa:
             brute = Point2D(float(hyperbola_x_of_y(h, ys[k])), float(ys[k]))
             assert distance(est, brute) < 1e-3
 
+    def test_rotated_shifted_pair(self):
+        # the pair off the x-axis: the search runs in a rotated, shifted
+        # frame; boresights at the origin, not at mu, so that a gain model
+        # rotated with the frame would move the optimum
+        pk, pl = Point2D(-3.0, 1.5), Point2D(2.5, -3.0)
+        mu = Point2D(0.7, 1.3)
+        bs = make_stations(directional=True, target=Point2D(0.0, 0.0))[:-2] + [
+            BaseStation(9, pk, Role.TDOA_ONLY), BaseStation(10, pl, Role.TDOA_ONLY)]
+        cfg = SolverConfig(NOISELESS, bs, REGION, AntennaModel.DIRECTIONAL)
+        assert distance(solve_rssd_tdoa(cfg, measure(bs, mu)), mu) < 1e-3
+        from rssdloc.geometry import SPEED_OF_LIGHT
+        noisy = SolverConfig(NOISY, bs, REGION, AntennaModel.DIRECTIONAL)
+        for seed in range(5):
+            m = measure(bs, mu, NOISY, TdoaNoiseParams(330e-12), seed)
+            est = solve_rssd_tdoa(noisy, m)
+            resid = (distance(est, pk) - distance(est, pl)
+                     - SPEED_OF_LIGHT * m.tdoa[2])
+            assert abs(resid) < 1e-6
+
     def test_missing_tdoa(self):
         bs = make_stations()
         cfg = SolverConfig(NOISELESS, bs, REGION, AntennaModel.OMNI)
