@@ -46,7 +46,8 @@ def _cmd_run(args) -> int:
              else f"{math.degrees(summary.theta_std_median):.2f} deg")
     print(f"{s.name} [{s.mode.value}] trials={summary.trials} "
           f"rmse_median={summary.rmse_median:.4f} m "
-          f"rmse_mean={summary.rmse_mean:.4f} m theta_std={theta}")
+          f"rmse_mean={summary.rmse_mean:.4f} m theta_std={theta} "
+          f"tdoa_fallbacks={summary.tdoa_fallbacks}")
     return 0
 
 

@@ -63,3 +63,7 @@ class EmptyInput(LocalizationError):
 
 class UnknownKey(LocalizationError, ValueError):
     """A scenario file or override names a key the scenario format lacks."""
+
+
+class InvalidScenario(LocalizationError, ValueError):
+    """A scenario lacks a required key, or a value fails its check."""

@@ -4,6 +4,11 @@ One trial walks the mobile user along its track; at every epoch the channel
 is sampled at the true position with the antennas' current boresights, the
 selected solver produces an estimate, and (in directional simulation modes)
 the antennas are re-pointed at that estimate for the next epoch.
+
+An epoch's noisy TDOA can put the measured range difference at or beyond
+the station half-separation, where no hyperbola exists.  Such an epoch
+falls back to the estimate without TDOA (the 2-D RSSD fit, or the coarse
+fingerprint match) and is counted in RunReport.tdoa_fallbacks.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .channel import ChannelParams, simulate_measurements
-from .errors import EmptyInput
+from .errors import DegenerateHyperbola, EmptyInput
 from .fingerprint import FingerprintDB, build_db, circular_track, coarse_estimate, refine_with_tdoa
 from .geometry import Point2D, distance
 from .mobility import (
@@ -52,6 +57,7 @@ class RunReport:
     mean_error: float
     theta_std: Optional[float]  # rad, over all included epochs and antennas
     runtime: float
+    tdoa_fallbacks: int = 0  # TDOA epochs solved without their degenerate TDOA
 
     @property
     def errors(self) -> List[float]:
@@ -84,6 +90,7 @@ def _run_sim_trial(s: Scenario, trial: int) -> RunReport:
     state = OrientationState.initial(s.bs, track.epochs[0][1]) if directional else None
 
     records: List[EpochRecord] = []
+    fallbacks = 0
     start = time.perf_counter()
     for idx, (t, pos) in enumerate(track.epochs):
         bs_now = apply_orientation(s.bs, state) if directional else s.bs
@@ -97,7 +104,11 @@ def _run_sim_trial(s: Scenario, trial: int) -> RunReport:
             m = simulate_measurements(bs_now, pos, s.channel, s.tdoa_noise, rng)
             cfg = SolverConfig(s.channel, bs_now, s.region, s.antenna_model)
             if s.mode is Mode.SIM_RSSD_TDOA:
-                est = solve_rssd_tdoa(cfg, m)
+                try:
+                    est = solve_rssd_tdoa(cfg, m)
+                except DegenerateHyperbola:
+                    est = solve_rssd(cfg, m)
+                    fallbacks += 1
             else:
                 est = solve_rssd(cfg, m)
         records.append(EpochRecord(t, pos, est, distance(pos, est), theta))
@@ -110,6 +121,7 @@ def _run_sim_trial(s: Scenario, trial: int) -> RunReport:
         mean_error=float(np.mean([r.error for r in records[1:]])),
         theta_std=_theta_std(records, exclude_first=True),
         runtime=runtime,
+        tdoa_fallbacks=fallbacks,
     )
 
 
@@ -133,12 +145,16 @@ def _run_fp_trial(s: Scenario, trial: int, db: FingerprintDB) -> RunReport:
     rng = trial_rng(s.seed, trial)
     positions = circular_track(s.circular)
     records: List[EpochRecord] = []
+    fallbacks = 0
     start = time.perf_counter()
     for i, pos in enumerate(positions):
         m = simulate_measurements(s.bs, pos, s.channel, s.tdoa_noise, rng)
         est = coarse_estimate(db, [m.rss[j] for j in db.bs_ids])
         if s.mode is Mode.FP_RSSD_TDOA:
-            est = refine_with_tdoa(est, m.tdoa, s.bs)
+            try:
+                est = refine_with_tdoa(est, m.tdoa, s.bs)
+            except DegenerateHyperbola:
+                fallbacks += 1
         records.append(EpochRecord(float(i), pos, est, distance(pos, est)))
     runtime = time.perf_counter() - start
     errors = [r.error for r in records]
@@ -148,6 +164,7 @@ def _run_fp_trial(s: Scenario, trial: int, db: FingerprintDB) -> RunReport:
         mean_error=float(np.mean(errors)),
         theta_std=None,
         runtime=runtime,
+        tdoa_fallbacks=fallbacks,
     )
 
 
@@ -175,6 +192,7 @@ class Summary:
     rmse_mean: float
     mean_error_mean: float
     theta_std_median: Optional[float]  # rad
+    tdoa_fallbacks: int = 0  # summed over the trials
 
 
 def aggregate(reports: Sequence[RunReport]) -> Summary:
@@ -189,6 +207,7 @@ def aggregate(reports: Sequence[RunReport]) -> Summary:
         rmse_mean=float(np.mean(rmses)),
         mean_error_mean=float(np.mean([r.mean_error for r in reports])),
         theta_std_median=float(np.median(thetas)) if thetas else None,
+        tdoa_fallbacks=sum(r.tdoa_fallbacks for r in reports),
     )
 
 
@@ -216,12 +235,14 @@ def write_theta_csv(report: RunReport, path) -> None:
 def write_summary_csv(summaries: Sequence[Summary], path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["mode", "trials", "rmse_median", "rmse_mean", "theta_std_deg"])
+        w.writerow(["mode", "trials", "rmse_median", "rmse_mean", "theta_std_deg",
+                    "tdoa_fallbacks"])
         for s in summaries:
             theta = ("" if s.theta_std_median is None
                      else f"{math.degrees(s.theta_std_median):.4f}")
             w.writerow([s.mode.value, s.trials,
-                        f"{s.rmse_median:.6f}", f"{s.rmse_mean:.6f}", theta])
+                        f"{s.rmse_median:.6f}", f"{s.rmse_mean:.6f}", theta,
+                        s.tdoa_fallbacks])
 
 
 def write_report_files(reports: Sequence[RunReport], out_dir) -> None:

@@ -6,7 +6,9 @@ experiment.  See the shipped files under scenarios/ for the two canonical
 set-ups.
 
 The parsers below are the file format: a key is valid because a parser
-reads it, and a key a file leaves out takes the dataclass default.
+reads it, and a key a file leaves out takes the dataclass default unless
+the parser requires it.  A missing required key or a value that fails its
+check raises InvalidScenario, which names the key's dotted path.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import difflib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import yaml
 
 from .channel import ChannelParams, ChannelPresets, TdoaNoiseParams
-from .errors import UnknownKey
+from .errors import InvalidScenario, LocalizationError, UnknownKey
 from .fingerprint import CircularTrackParams
 from .geometry import (
     BaseStation,
@@ -81,17 +83,22 @@ class Scenario:
 
     def __post_init__(self):
         if self.mode.is_sim and self.waypoint is None:
-            raise ValueError(f"mode {self.mode.value} requires a waypoint section")
+            raise InvalidScenario(f"mode {self.mode.value} requires a waypoint section")
         if not self.mode.is_sim and self.circular is None:
-            raise ValueError(f"mode {self.mode.value} requires a circular section")
+            raise InvalidScenario(f"mode {self.mode.value} requires a circular section")
         if self.mode.uses_tdoa:
             tdoa_capable = [b for b in self.bs if b.role.measures_tdoa]
             if len(tdoa_capable) != 2:
-                raise ValueError("TDOA modes need exactly two TDOA-capable stations")
+                raise InvalidScenario("TDOA modes need exactly two TDOA-capable stations")
+            if tdoa_capable[0].position == tdoa_capable[1].position:
+                raise InvalidScenario("the two TDOA-capable stations coincide")
         if self.antenna_model is AntennaModel.OMNI:
             self.bs = [replace(b, antenna=OmniAntenna()) for b in self.bs]
         # the solver's own check of the antennas against the model
-        SolverConfig(self.channel, self.bs, self.region, self.antenna_model)
+        try:
+            SolverConfig(self.channel, self.bs, self.region, self.antenna_model)
+        except ValueError as e:
+            raise InvalidScenario(str(e)) from e
 
     @property
     def channel(self) -> ChannelParams:
@@ -112,8 +119,12 @@ class Scenario:
 Parser = Callable[[Any, str], Any]
 
 
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _unknown_key(path: str, key: str, valid: Optional[Mapping]) -> UnknownKey:
-    name = f"{path}.{key}" if path else key
+    name = _join(path, key)
     if valid is None:
         return UnknownKey(f"unknown scenario key '{name}': '{path}' has no sub-keys")
     near = difflib.get_close_matches(key, list(valid), n=1)
@@ -122,23 +133,40 @@ def _unknown_key(path: str, key: str, valid: Optional[Mapping]) -> UnknownKey:
     return UnknownKey(f"unknown scenario key '{name}'; {hint}")
 
 
-def _mapping(d: Any, path: str, parsers: Mapping[str, Parser]) -> Dict[str, Any]:
+def _checked(parse: Parser, value: Any, path: str) -> Any:
+    """parse(value, path), a rejected value raising InvalidScenario."""
+    try:
+        return parse(value, path)
+    except LocalizationError:
+        raise
+    except (ValueError, TypeError) as e:
+        where = f" key '{path}'" if path else ""
+        raise InvalidScenario(f"invalid scenario{where}: {e}") from e
+
+
+def _mapping(d: Any, path: str, parsers: Mapping[str, Parser],
+             required: Sequence[str] = ()) -> Dict[str, Any]:
     """Parse the keys of one mapping, leaving out the keys d lacks.
 
-    A key of d that parsers does not list raises UnknownKey.
+    A key of d that parsers does not list raises UnknownKey; a required key
+    that d lacks raises InvalidScenario.
     """
     if not isinstance(d, dict):
-        raise ValueError(f"{path or 'a scenario'} must be a mapping, got {d!r}")
+        raise InvalidScenario(f"{path or 'a scenario'} must be a mapping, got {d!r}")
     for key in d:
         if key not in parsers:
             raise _unknown_key(path, str(key), parsers)
-    return {key: parse(d[key], f"{path}.{key}" if path else key)
+    for key in required:
+        if key not in d:
+            raise InvalidScenario(f"missing scenario key '{_join(path, key)}'")
+    return {key: _checked(parse, d[key], _join(path, key))
             for key, parse in parsers.items() if key in d}
 
 
-def _fields(parsers: Mapping[str, Parser], build: Callable = dict) -> Parser:
+def _fields(parsers: Mapping[str, Parser], build: Callable = dict,
+            required: Sequence[str] = ()) -> Parser:
     """Parser of a mapping whose parsed keys are the keyword arguments of build."""
-    return lambda d, path: build(**_mapping(d, path, parsers))
+    return lambda d, path: build(**_mapping(d, path, parsers, required))
 
 
 def _no_sub_keys(value: Any, path: str) -> None:
@@ -156,7 +184,7 @@ def _value(convert: Callable[[Any], Any]) -> Parser:
 def _list(parse_entry: Parser) -> Parser:
     def parse(value, path):
         _no_sub_keys(value, path)
-        return [parse_entry(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [_checked(parse_entry, v, f"{path}[{i}]") for i, v in enumerate(value)]
     return parse
 
 
@@ -175,15 +203,17 @@ def _antenna(value: Any, path: str):
 def _station(d: Any, path: str) -> BaseStation:
     f = _mapping(d, path, {"id": _INT, "x": _FLOAT, "y": _FLOAT,
                            "role": _value(Role), "antenna": _antenna,
-                           "bias_db": _FLOAT})
+                           "bias_db": _FLOAT}, required=("id", "x", "y"))
     f["position"] = Point2D(f.pop("x"), f.pop("y"))
     return BaseStation(**f)
 
 
 def _channel(d: Any, path: str) -> ChannelPresets:
-    preset = _fields({"alpha": _FLOAT, "sigma_beta": _FLOAT})
+    preset = _fields({"alpha": _FLOAT, "sigma_beta": _FLOAT},
+                     required=("alpha", "sigma_beta"))
     f = _mapping(d, path, {"p0": _FLOAT, "d0": _FLOAT,
-                           "omni_omni": preset, "omni_dir": preset})
+                           "omni_omni": preset, "omni_dir": preset},
+                 required=("omni_omni", "omni_dir"))
     reference = {k: f[k] for k in ("p0", "d0") if k in f}
     return ChannelPresets(omni_omni=ChannelParams(**f["omni_omni"], **reference),
                           omni_dir=ChannelParams(**f["omni_dir"], **reference))
@@ -198,9 +228,9 @@ def _circular(d: Any, path: str) -> CircularTrackParams:
     return CircularTrackParams(**f)
 
 
-_region = _fields({**dict.fromkeys(["x_min", "x_max", "y_min", "y_max",
-                                    "coarse_step"], _FLOAT),
-                   "refine_iterations": _INT}, SearchRegion)
+_BOUNDS = ("x_min", "x_max", "y_min", "y_max")
+_region = _fields({**dict.fromkeys(_BOUNDS + ("coarse_step",), _FLOAT),
+                   "refine_iterations": _INT}, SearchRegion, required=_BOUNDS)
 
 _SCENARIO: Dict[str, Parser] = {
     "name": _STR,
@@ -218,7 +248,7 @@ _SCENARIO: Dict[str, Parser] = {
     "circular": _circular,
     "fingerprint": _fields({"grid_step": _FLOAT,
                             "excluded": _list(_fields({"x": _FLOAT, "y": _FLOAT},
-                                                      Point2D)),
+                                                      Point2D, required=("x", "y"))),
                             "db_sigma_beta": _FLOAT,
                             "db_file": _STR}, FingerprintConfig),
 }
@@ -226,12 +256,16 @@ _SCENARIO: Dict[str, Parser] = {
 _FIELD = {"stations": "bs", "channel": "presets", "sigma_tdoa": "tdoa_noise"}
 
 
-def scenario_from_dict(d: Dict[str, Any]) -> Scenario:
-    f = _mapping(d, "", _SCENARIO)
+def _scenario(d: Any, path: str) -> Scenario:
+    f = _mapping(d, path, _SCENARIO, required=("mode", "stations", "region"))
     if "waypoint" in f:
         f["waypoint"] = WaypointModelParams(**{"area": f["region"], **f["waypoint"]})
     return Scenario(**{"name": "scenario",
                        **{_FIELD.get(k, k): v for k, v in f.items()}})
+
+
+def scenario_from_dict(d: Dict[str, Any]) -> Scenario:
+    return _checked(_scenario, d, "")
 
 
 def apply_overrides(d: Dict[str, Any], overrides: Dict[str, Any]) -> Dict[str, Any]:

@@ -21,9 +21,10 @@ Two search strategies:
 * unconstrained 2D least squares over a rectangular region, by a coarse grid
   scan over cached station-to-grid geometry, followed by local grid
   refinement with step halving from the best few coarse cells at once;
-* TDOA-constrained 1D least squares along the measured hyperbola (coarse
-  scan over y plus golden-section refinement), with the x-coordinate
-  recovered from the hyperbola equation.
+* TDOA-constrained 1D least squares along the measured hyperbola, by a
+  coarse scan over y followed by bracket scans that evaluate a whole row of
+  heights in one objective call per round, with the x-coordinate recovered
+  from the hyperbola equation.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .geometry import (
     BaseStation,
     DirectionalAntenna,
     Point2D,
-    golden_section,
     hyperbola_x_of_y,
     measured_hyperbola,
 )
@@ -241,6 +241,8 @@ def _smallest(q: np.ndarray, k: int) -> np.ndarray:
 
 _STENCIL = np.arange(-2, 3)  # refine offsets, in steps
 _REFINE_SEEDS = 8  # coarse cells kept as refinement starting points
+_LINE = np.arange(33)  # line-search heights per round, in 1/32 of the bracket
+_LINE_TOL = 1e-7  # m; final bracket width of the line search
 
 
 def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray
@@ -292,10 +294,13 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet) -> Point2D:
     """1D argmin along the measured TDOA hyperbola.
 
     The hyperbola is parametrized by y in the TDOA pair's canonical frame,
-    where its equation gives x.  The search runs over that y (coarse scan at
-    region.coarse_step, then golden-section refinement around the best
-    coarse cell), evaluating the objective at the hyperbola points mapped
-    out to scenario coordinates.
+    where its equation gives x.  The search runs over that y: a coarse scan
+    at region.coarse_step, then bracket scans around the best coarse cell.
+    Each round evaluates 33 evenly spaced heights across the bracket in one
+    objective call and keeps the two cells around the first minimum (the
+    smallest y on ties), clipped at the bracket ends, so the bracket shrinks
+    16x per round until it is _LINE_TOL wide.  The objective is evaluated at
+    the hyperbola points mapped out to scenario coordinates.
     """
     if m.tdoa is None:
         raise MissingTdoa("measurement set carries no TDOA observation")
@@ -305,18 +310,18 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet) -> Point2D:
     corner_y = [frame.to_canonical(c).y for c in cfg.region.corners()]
     y_lo, y_hi = min(corner_y), max(corner_y)
 
-    def q_of_y(y):
-        """Objective at canonical height y, a scalar or an ndarray."""
+    def q_of_y(y: np.ndarray) -> np.ndarray:
+        """Objective at each canonical height of y."""
         return model.objective(*frame.from_canonical_xy(hyperbola_x_of_y(h, y), y))
 
     ys = _grid(y_lo, y_hi, cfg.region.coarse_step)
-    qs = q_of_y(ys)
-    y0 = float(ys[int(np.argmin(qs))])
-    y_star = golden_section(
-        # scalar arithmetic until the objective: cheaper than 1-element arrays
-        lambda y: float(q_of_y(y)[0]),
-        max(y_lo, y0 - cfg.region.coarse_step),
-        min(y_hi, y0 + cfg.region.coarse_step),
-        tol=1e-7,
-    )
+    y0 = float(ys[int(np.argmin(q_of_y(ys)))])
+    lo = max(y_lo, y0 - cfg.region.coarse_step)
+    hi = min(y_hi, y0 + cfg.region.coarse_step)
+    last = len(_LINE) - 1
+    while hi - lo > _LINE_TOL:
+        y = lo + (hi - lo) / last * _LINE
+        k = int(np.argmin(q_of_y(y)))
+        lo, hi = float(y[max(k - 1, 0)]), float(y[min(k + 1, last)])
+    y_star = 0.5 * (lo + hi)
     return frame.from_canonical(Point2D(float(hyperbola_x_of_y(h, y_star)), y_star))

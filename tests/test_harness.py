@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
+from rssdloc import harness
 from rssdloc.cli import main
 from rssdloc.errors import EmptyInput, UnknownKey
-from rssdloc.geometry import OmniAntenna, Point2D
+from rssdloc.geometry import SPEED_OF_LIGHT, OmniAntenna, Point2D
 from rssdloc.harness import (
     EpochRecord,
     RunReport,
@@ -148,6 +149,36 @@ class TestFpTrial:
         assert np.array_equal(a.rss, b.rss)
 
 
+class TestTdoaFallback:
+    # 20 ns of TDOA noise spreads the half range difference r by 3 m, so
+    # some epochs measure |r| beyond the TDOA pair's half-separation (3 m in
+    # the small scenario, 1.5 m in fp_3x3)
+
+    def test_sim_epoch_falls_back_to_rssd(self, monkeypatch):
+        s = scenario_from_dict(small_sim_dict(mode="SIM_RSSD_TDOA", sigma_tdoa=20e-9))
+        fallback = []
+        solve_rssd = harness.solve_rssd
+        monkeypatch.setattr(harness, "solve_rssd",
+                            lambda cfg, m: fallback.append(m) or solve_rssd(cfg, m))
+        reports = run_scenario(s)
+        counts = [r.tdoa_fallbacks for r in reports]
+        assert 0 < sum(counts) < sum(len(r.records) - 1 for r in reports)
+        assert len(fallback) == sum(counts)
+        # half-separation 3 m: the fallback epochs are the degenerate ones
+        assert all(abs(0.5 * SPEED_OF_LIGHT * m.tdoa[2]) >= 3.0 - 1e-9 for m in fallback)
+        assert aggregate(reports).tdoa_fallbacks == sum(counts)
+
+    def test_fp_epoch_keeps_coarse_estimate(self, fp_scenario):
+        db = scenario_db(fp_scenario)
+        assert run_trial(fp_scenario, 0, db).tdoa_fallbacks == 0
+        s = load_scenario(FP_YAML, {"sigma_tdoa": 20e-9})
+        tdoa = run_trial(s, 0, db)
+        coarse = run_trial(s.with_mode(Mode.FP_RSSD), 0, db)
+        kept = sum(a.estimate == b.estimate for a, b in zip(tdoa.records, coarse.records))
+        assert 0 < tdoa.tdoa_fallbacks == kept < len(tdoa.records)
+        assert coarse.tdoa_fallbacks == 0
+
+
 class TestAggregate:
     def make_report(self, rmse, theta_std=None):
         rec = EpochRecord(0.0, Point2D(0, 0), Point2D(0, 0), 0.0)
@@ -260,6 +291,14 @@ class TestReportFiles:
             reports[0].rmse, abs=1e-6)
 
 
+def write_fp_copy(tmp_path, edit):
+    d = yaml.safe_load(FP_YAML.read_text())
+    edit(d)
+    path = tmp_path / "fp.yaml"
+    path.write_text(yaml.safe_dump(d))
+    return path
+
+
 class TestCli:
     def test_run_fp(self, tmp_path, capsys):
         rc = main(["run", "--scenario", str(FP_YAML), "--trials", "1",
@@ -268,6 +307,20 @@ class TestCli:
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "track.csv").exists()
         assert "rmse_median" in capsys.readouterr().out
+
+    def test_run_reports_missing_key(self, tmp_path, capsys):
+        path = write_fp_copy(tmp_path, lambda d: d["region"].pop("x_min"))
+        rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: missing scenario key 'region.x_min'\n"
+
+    def test_run_reports_failed_scenario_check(self, tmp_path, capsys):
+        path = write_fp_copy(tmp_path,
+                             lambda d: d["stations"][0].update(antenna="omni"))
+        rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "RSS station 1" in err
 
     def test_build_db(self, tmp_path):
         out = tmp_path / "db.csv"

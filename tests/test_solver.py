@@ -1,12 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rssdloc.channel import ChannelParams, TdoaNoiseParams, simulate_measurements
-from rssdloc.errors import MissingTdoa, SingularCandidate
+from rssdloc.errors import DegenerateHyperbola, MissingTdoa, SingularCandidate
 from rssdloc.geometry import (
+    SPEED_OF_LIGHT,
     BaseStation,
     DirectionalAntenna,
     OmniAntenna,
@@ -14,7 +16,11 @@ from rssdloc.geometry import (
     Role,
     azimuth,
     distance,
+    golden_section,
+    hyperbola_x_of_y,
+    measured_hyperbola,
 )
+from rssdloc.scenario import load_scenario
 from rssdloc.solver import (
     AntennaModel,
     SearchRegion,
@@ -28,6 +34,8 @@ from rssdloc.solver import (
 )
 
 REGION = SearchRegion(-3.5, 3.5, -3.5, 3.5)
+
+SIM_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "sim_8x8.yaml"
 
 RSS_POSITIONS = [(-2, -4), (2, -4), (4, -2), (4, 2), (2, 4), (-2, 4), (-4, 2), (-4, -2)]
 
@@ -51,6 +59,53 @@ NO_TDOA_NOISE = TdoaNoiseParams(0.0)
 
 def measure(bs, mu, params=NOISELESS, tdoa=NO_TDOA_NOISE, seed=0):
     return simulate_measurements(bs, mu, params, tdoa, np.random.default_rng(seed))
+
+
+@st.composite
+def layouts(draw, tdoa=False):
+    """A random station layout with a noisy measurement set taken in it.
+
+    With tdoa, two TDOA-only stations join the layout and the set carries
+    a noisy TDOA whose range difference has a hyperbola.
+    """
+    n = draw(st.integers(3, 8))
+    coord = st.floats(-5.0, 5.0)
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n,
+                              unique=True))
+    directional = draw(st.booleans())
+    bs = []
+    for i, (x, y) in enumerate(positions):
+        antenna = (DirectionalAntenna(draw(st.floats(0.0, 10.0)),
+                                      draw(st.floats(-math.pi, math.pi)))
+                   if directional else OmniAntenna())
+        bs.append(BaseStation(i + 1, Point2D(x, y), Role.RSS_ONLY, antenna))
+    if tdoa:
+        mid = Point2D(draw(coord), draw(coord))
+        s, a = draw(st.floats(0.5, 5.0)), draw(st.floats(-math.pi, math.pi))
+        bs += [BaseStation(n + 1, Point2D(mid.x - s * math.cos(a), mid.y - s * math.sin(a)),
+                           Role.TDOA_ONLY),
+               BaseStation(n + 2, Point2D(mid.x + s * math.cos(a), mid.y + s * math.sin(a)),
+                           Role.TDOA_ONLY)]
+    params = ChannelParams(alpha=draw(st.floats(1.5, 4.0)),
+                           sigma_beta=draw(st.floats(0.0, 3.0)))
+    # with tdoa, also users outside the region, whose curve minimum may lie
+    # on the region's edge
+    user = st.floats(-5.0, 5.0) if tdoa else st.floats(-3.0, 3.0)
+    mu = Point2D(draw(user), draw(user))
+    if min(distance(mu, b.position) for b in bs) < 1e-3:
+        mu = Point2D(mu.x + 0.01, mu.y)
+    region = SearchRegion(-3.5, 3.5, -3.5, 3.5, coarse_step=0.1,
+                          refine_iterations=draw(st.integers(0, 6)))
+    model = AntennaModel.DIRECTIONAL if directional else AntennaModel.OMNI
+    cfg = SolverConfig(params, bs, region, model)
+    m = measure(bs, mu, params, TdoaNoiseParams(330e-12) if tdoa else NO_TDOA_NOISE,
+                seed=draw(st.integers(0, 2**32 - 1)))
+    if tdoa:
+        try:
+            measured_hyperbola(m.tdoa, bs)
+        except DegenerateHyperbola:
+            assume(False)
+    return cfg, m
 
 
 class TestObjective:
@@ -215,6 +270,66 @@ class TestSolveRssdTdoa:
         with pytest.raises(MissingTdoa):
             solve_rssd_tdoa(cfg, m)
 
+    def test_one_objective_call_per_round(self, monkeypatch):
+        # a sim_8x8 epoch: the coarse scan, then 5 bracket scans take the
+        # +-coarse_step bracket below 1e-7 m
+        calls = []
+        evaluate = _Model.evaluate
+        monkeypatch.setattr(_Model, "evaluate",
+                            lambda model, g: calls.append(g) or evaluate(model, g))
+        s = load_scenario(SIM_YAML)
+        rng = np.random.default_rng(3)
+        for antenna_model in AntennaModel:
+            sc = s.with_antenna_model(antenna_model)
+            cfg = SolverConfig(sc.channel, sc.bs, sc.region, sc.antenna_model)
+            for mu in (Point2D(1.3, -0.8), Point2D(-2.9, 3.1)):
+                m = simulate_measurements(sc.bs, mu, sc.channel, sc.tdoa_noise, rng)
+                calls.clear()
+                solve_rssd_tdoa(cfg, m)
+                assert 2 <= len(calls) <= 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts(tdoa=True))
+    def test_line_search_against_reference(self, layout):
+        cfg, m = layout
+        est = solve_rssd_tdoa(cfg, m)
+        pk, pl = (b.position for b in cfg.bs if b.role.measures_tdoa)
+        resid = distance(est, pk) - distance(est, pl) - SPEED_OF_LIGHT * m.tdoa[2]
+        assert abs(resid) < 1e-6
+
+        # reference path: the same coarse scan and bracket, refined by golden section
+        frame, h = measured_hyperbola(m.tdoa, cfg.bs)
+        model = _Model.build(cfg, m)
+
+        def q_of_y(y):
+            y = np.atleast_1d(np.asarray(y, dtype=float))
+            return model.objective(*frame.from_canonical_xy(hyperbola_x_of_y(h, y), y))
+
+        step = cfg.region.coarse_step
+        corner_y = [frame.to_canonical(c).y for c in cfg.region.corners()]
+        ys = _grid(min(corner_y), max(corner_y), step)
+        y0 = float(ys[int(np.argmin(q_of_y(ys)))])
+        lo, hi = max(min(corner_y), y0 - step), min(max(corner_y), y0 + step)
+        # Golden section and the bracket scan both assume one minimum in the
+        # bracket.  A station near the curve breaks that: its log-distance
+        # singularity splits the bracket into basins of similar depth.
+        dense = np.linspace(lo, hi, 4001)
+        q_dense = q_of_y(dense)
+        k = int(np.argmin(q_dense))
+        slope = np.diff(q_dense)
+        assume((slope[:k] <= 0).all() and (slope[k:] >= 0).all())
+        assert abs(frame.to_canonical(est).y - dense[k]) <= dense[1] - dense[0]
+
+        tol = 1e-7
+        y_ref = golden_section(lambda y: float(q_of_y(y)[0]), lo, hi, tol=tol)
+        # Both searches stop within tol / 2 of the minimizer, so the estimate
+        # is within tol of y_ref and its objective at most the larger one at
+        # y_ref +- tol.  Near a noiseless optimum (q -> 0) that resolution
+        # exceeds 1e-9 relative.
+        q_ref = float(np.max(q_of_y([y_ref - tol, y_ref, y_ref + tol])))
+        q_est = float(model.objective(np.array([est.x]), np.array([est.y]))[0])
+        assert q_est <= q_ref * (1.0 + 1e-9)
+
 
 def pair_objective(cfg, m, x, y):
     """Reference objective: the sum over all station pairs of the squared
@@ -271,33 +386,6 @@ def sequential_solve(cfg, m):
         if best is None or (bq, by, bx) < best:
             best = (bq, by, bx)
     return Point2D(best[2], best[1])
-
-
-@st.composite
-def layouts(draw):
-    """A random station layout with a noisy measurement set taken in it."""
-    n = draw(st.integers(3, 8))
-    coord = st.floats(-5.0, 5.0)
-    positions = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n,
-                              unique=True))
-    directional = draw(st.booleans())
-    bs = []
-    for i, (x, y) in enumerate(positions):
-        antenna = (DirectionalAntenna(draw(st.floats(0.0, 10.0)),
-                                      draw(st.floats(-math.pi, math.pi)))
-                   if directional else OmniAntenna())
-        bs.append(BaseStation(i + 1, Point2D(x, y), Role.RSS_ONLY, antenna))
-    params = ChannelParams(alpha=draw(st.floats(1.5, 4.0)),
-                           sigma_beta=draw(st.floats(0.0, 3.0)))
-    mu = Point2D(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
-    if min(distance(mu, b.position) for b in bs) < 1e-3:
-        mu = Point2D(mu.x + 0.01, mu.y)
-    region = SearchRegion(-3.5, 3.5, -3.5, 3.5, coarse_step=0.1,
-                          refine_iterations=draw(st.integers(0, 6)))
-    model = AntennaModel.DIRECTIONAL if directional else AntennaModel.OMNI
-    cfg = SolverConfig(params, bs, region, model)
-    m = measure(bs, mu, params, seed=draw(st.integers(0, 2**32 - 1)))
-    return cfg, m
 
 
 class TestAgainstPairForm:
