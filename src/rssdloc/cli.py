@@ -18,7 +18,7 @@ import yaml
 
 from .errors import LocalizationError
 from .harness import aggregate, run_scenario, scenario_db, write_report_files, write_summary_csv
-from .scenario import Mode, load_scenario
+from .scenario import load_scenario, parse_mode
 
 
 def _common_args(p: argparse.ArgumentParser) -> None:
@@ -81,7 +81,7 @@ def _cmd_build_db(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    modes = [Mode(m.strip()) for m in args.modes.split(",") if m.strip()]
+    modes = [parse_mode(m.strip()) for m in args.modes.split(",") if m.strip()]
     base = _load(args)
     summaries = []
     for mode in modes:

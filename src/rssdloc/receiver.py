@@ -8,13 +8,14 @@ mean squared correlation over a fixed window behind the peak.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import AliasingSampleRate, TemplateTooLong, WindowOutOfSupport
+from .errors import AliasingSampleRate, EmptyInput, TemplateTooLong, WindowOutOfSupport
 
 DEFAULT_BAND = (2.3e9, 3.9e9)   # Hz, -10 dB band edges
 DEFAULT_PRF = 3e6               # Hz
@@ -24,18 +25,39 @@ DEFAULT_RSS_WINDOW = 70e-9      # s
 _CHIP_COUNT = 128
 _FILTER_ORDER = 4
 _PULSE_SUPPORT_SIGMAS = 6.0
+_SPECTRA_PER_WAVEFORM = 4       # FFT lengths whose template spectrum is kept
 
 
 @dataclass
 class Waveform:
+    """Uniformly sampled real signal; samples[i] is taken at t0 + i / sample_rate.
+
+    samples is stored without a copy and made read-only, so a spectrum
+    memoised for it cannot go stale.  Pass a copy to keep a writable array.
+    """
+
     samples: np.ndarray
     sample_rate: float
     t0: float = 0.0
+    _spectra: Dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
         self.samples = np.asarray(self.samples, dtype=float)
+        self.samples.flags.writeable = False
+
+    def _reversed_spectrum(self, n: int) -> np.ndarray:
+        """rfft of the time-reversed samples at FFT length n, memoised per n."""
+        spectrum = self._spectra.get(n)
+        if spectrum is None:
+            from scipy import fft
+            if len(self._spectra) >= _SPECTRA_PER_WAVEFORM:
+                del self._spectra[next(iter(self._spectra))]
+            spectrum = self._spectra[n] = fft.rfft(self.samples[::-1], n)
+            spectrum.flags.writeable = False
+        return spectrum
 
 
 def default_chips(seed: int = 20120316) -> np.ndarray:
@@ -95,14 +117,13 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
     pad = _PULSE_SUPPORT_SIGMAS * sigma
     duration = delay + (len(spec.chips) - 1) / spec.prf + 2.0 * pad
     n = int(math.ceil(duration * sample_rate)) + 1
-    t = np.arange(n) / sample_rate
     out = np.zeros(n)
     amp = 10.0 ** (attenuation_db / 20.0)
     for k, chip in enumerate(spec.chips):
         tc = delay + pad + k / spec.prf
         lo = max(int((tc - pad) * sample_rate), 0)
         hi = min(int((tc + pad) * sample_rate) + 1, n)
-        tk = t[lo:hi] - tc
+        tk = np.arange(lo, hi) / sample_rate - tc
         out[lo:hi] += (chip * amp * np.exp(-0.5 * (tk / sigma) ** 2)
                        * np.cos(2.0 * math.pi * fc * tk))
     if noise_std > 0:
@@ -119,12 +140,25 @@ def transmit_template(spec: SignalSpec,
                            sample_rate=sample_rate)
 
 
+@functools.lru_cache(maxsize=8)
+def _bandpass_sos(band: Tuple[float, float], sample_rate: float) -> np.ndarray:
+    # left writable: scipy's sosfilt rejects a read-only sos array
+    from scipy import signal  # imported on use: it dominates the package import
+    return signal.butter(_FILTER_ORDER, band, btype="bandpass",
+                         fs=sample_rate, output="sos")
+
+
 def bandpass(w: Waveform, band: Tuple[float, float] = DEFAULT_BAND) -> Waveform:
     """Zero-phase Butterworth bandpass, so filtering adds no group delay."""
-    from scipy import signal  # imported on use: it dominates the package import
-    sos = signal.butter(_FILTER_ORDER, band, btype="bandpass",
-                        fs=w.sample_rate, output="sos")
+    from scipy import signal
+    sos = _bandpass_sos(tuple(band), w.sample_rate)
     return Waveform(signal.sosfiltfilt(sos, w.samples), w.sample_rate, w.t0)
+
+
+def _first_abs_argmax(c: np.ndarray) -> int:
+    """np.argmax(np.abs(c)), the first index of the largest |c|, with no |c| array."""
+    kmax, kmin = int(c.argmax()), int(c.argmin())
+    return kmin if (-c[kmin], -kmin) > (c[kmax], -kmax) else kmax
 
 
 def correlate_and_detect(r: Waveform, template: Waveform,
@@ -133,13 +167,18 @@ def correlate_and_detect(r: Waveform, template: Waveform,
                          ) -> CorrelationResult:
     """Filter, correlate with the template, and read the peak time.
 
-    The peak is refined by band-limited (FFT) resampling of a window around
-    the strongest correlation sample; ties resolve to the earliest time.
+    The full cross-correlation is scipy.signal.correlate's FFT method,
+    irfft(rfft(r, n) * rfft(reversed template, n), n) at its own length n,
+    with the template's spectrum memoised on the template.  The peak is
+    refined by band-limited (FFT) resampling of a window around the
+    strongest correlation sample; ties resolve to the earliest time.
     """
-    from scipy import signal
+    from scipy import fft, signal
 
     if upsample_factor < 1:
         raise ValueError("upsample_factor must be >= 1")
+    if len(template.samples) == 0:
+        raise EmptyInput("template has no samples")
     if len(template.samples) > len(r.samples):
         raise TemplateTooLong(
             f"template ({len(template.samples)}) longer than input "
@@ -148,12 +187,15 @@ def correlate_and_detect(r: Waveform, template: Waveform,
         raise ValueError("input and template sample rates differ")
     fs = r.sample_rate
     filtered = bandpass(r, band) if band is not None else r
-    c = signal.correlate(filtered.samples, template.samples,
-                         mode="full", method="fft")
+    size = len(r.samples) + len(template.samples) - 1
+    n = fft.next_fast_len(size, True)
+    spectrum = fft.rfft(filtered.samples, n)
+    spectrum *= template._reversed_spectrum(n)
+    c = fft.irfft(spectrum, n)[:size]
     t0 = (r.t0 - template.t0) - (len(template.samples) - 1) / fs
     corr = Waveform(c, fs, t0)
 
-    k = int(np.argmax(np.abs(c)))
+    k = _first_abs_argmax(c)
     if upsample_factor == 1:
         return CorrelationResult(corr, t0 + k / fs)
 

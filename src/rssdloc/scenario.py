@@ -17,7 +17,7 @@ import difflib
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type
 
 import yaml
 
@@ -191,6 +191,28 @@ def _list(parse_entry: Parser) -> Parser:
 _FLOAT, _INT, _STR = _value(float), _value(int), _value(str)
 
 
+def _member(cls: Type[Enum], value: Any) -> Enum:
+    """cls(value); an unknown value raises ValueError naming the nearest valid one."""
+    names = [m.value for m in cls]
+    if value not in names:
+        near = difflib.get_close_matches(str(value), names, n=1, cutoff=0.0)[0]
+        raise ValueError(f"unknown {cls.__name__} {value!r}; did you mean '{near}'? "
+                         f"(valid: {', '.join(names)})")
+    return cls(value)
+
+
+def _enum(cls: Type[Enum]) -> Parser:
+    return _value(lambda v: _member(cls, v))
+
+
+def parse_mode(name: str) -> Mode:
+    """The Mode called name; an unknown name raises InvalidScenario naming the nearest."""
+    try:
+        return _member(Mode, name)
+    except ValueError as e:
+        raise InvalidScenario(str(e)) from None
+
+
 def _antenna(value: Any, path: str):
     if value is None or value == "omni":
         return OmniAntenna()
@@ -202,7 +224,7 @@ def _antenna(value: Any, path: str):
 
 def _station(d: Any, path: str) -> BaseStation:
     f = _mapping(d, path, {"id": _INT, "x": _FLOAT, "y": _FLOAT,
-                           "role": _value(Role), "antenna": _antenna,
+                           "role": _enum(Role), "antenna": _antenna,
                            "bias_db": _FLOAT}, required=("id", "x", "y"))
     f["position"] = Point2D(f.pop("x"), f.pop("y"))
     return BaseStation(**f)
@@ -234,8 +256,8 @@ _region = _fields({**dict.fromkeys(_BOUNDS + ("coarse_step",), _FLOAT),
 
 _SCENARIO: Dict[str, Parser] = {
     "name": _STR,
-    "mode": _value(Mode),
-    "antenna_model": _value(AntennaModel),
+    "mode": _enum(Mode),
+    "antenna_model": _enum(AntennaModel),
     "seed": _INT,
     "trials": _INT,
     "sigma_tdoa": _value(lambda v: TdoaNoiseParams(float(v))),
@@ -285,8 +307,19 @@ def apply_overrides(d: Dict[str, Any], overrides: Dict[str, Any]) -> Dict[str, A
 
 
 def load_scenario(path, overrides: Optional[Dict[str, Any]] = None) -> Scenario:
-    with open(path) as f:
-        d = yaml.safe_load(f)
+    """Scenario of a YAML file, with dotted-path overrides applied.
+
+    A file that cannot be read, is not YAML, or does not hold a mapping
+    raises InvalidScenario naming the path.
+    """
+    try:
+        with open(path) as f:
+            d = yaml.safe_load(f)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:
+        raise InvalidScenario(f"cannot read scenario file {str(path)!r}: {e}") from e
+    if not isinstance(d, dict):
+        raise InvalidScenario(f"scenario file {str(path)!r} must hold a mapping, "
+                              f"got {type(d).__name__}")
     if overrides:
         apply_overrides(d, overrides)
     return scenario_from_dict(d)

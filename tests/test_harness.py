@@ -8,7 +8,7 @@ import yaml
 
 from rssdloc import harness
 from rssdloc.cli import main
-from rssdloc.errors import EmptyInput, UnknownKey
+from rssdloc.errors import EmptyInput, InvalidScenario, UnknownKey
 from rssdloc.geometry import SPEED_OF_LIGHT, OmniAntenna, Point2D
 from rssdloc.harness import (
     EpochRecord,
@@ -220,6 +220,21 @@ class TestScenarioLoading:
         with pytest.raises(UnknownKey, match=r"did you mean 'waypoint\.update_rate'"):
             load_scenario(SIM_YAML, {"waypoint.update_rat": 1.0})
 
+    @pytest.mark.parametrize("path, value, near", [
+        ("mode", "SIM_RSD", "SIM_RSSD"),
+        ("antenna_model", "OMINI", "OMNI"),
+        ("stations.0.role", "RSS_TDAO", "RSS_TDOA"),
+    ])
+    def test_enum_typo_names_nearest_value(self, path, value, near):
+        d = small_sim_dict()
+        node, *keys = path.split(".")
+        if keys:
+            d[node][int(keys[0])][keys[1]] = value
+        else:
+            d[node] = value
+        with pytest.raises(InvalidScenario, match=f"unknown .* '{value}'; did you mean '{near}'"):
+            scenario_from_dict(d)
+
     def test_file_typo_rejected(self):
         d = small_sim_dict()
         d["stations"][0]["antenna"] = {"gain_db": 6.5, "orientation": 45}
@@ -338,6 +353,53 @@ class TestCli:
         with open(tmp_path / "summary.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert [r["mode"] for r in rows] == ["FP_RSSD", "FP_RSSD_TDOA"]
+
+    def test_compare_rejects_unknown_mode_before_any_run(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_run(s):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("rssdloc.cli.run_scenario", no_run)
+        rc = main(["compare", "--scenario", str(FP_YAML), "--trials", "1",
+                   "--modes", "FP_RSSD,FP_RSSD_TDAO", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown Mode 'FP_RSSD_TDAO'; "
+                              "did you mean 'FP_RSSD_TDOA'?")
+        rc = main(["compare", "--scenario", str(FP_YAML), "--trials", "1",
+                   "--modes", "FP_RSSD,FOO", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown Mode 'FOO'; did you mean '")
+        assert "valid: SIM_RSSD, SIM_RSSD_TDOA, FP_RSSD, FP_RSSD_TDOA" in err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_run_reports_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "nosuch.yaml"
+        rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read scenario file '{path}'")
+
+    @pytest.mark.parametrize("content", [b"name: [x\n", b"\xff\xfe name: x\n"])
+    def test_run_reports_unparsable_file(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+        rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read scenario file '{path}'")
+
+    @pytest.mark.parametrize("text, kind", [("- 1\n- 2\n", "list"),
+                                            ("", "NoneType"),
+                                            ("just text\n", "str")])
+    def test_run_reports_non_mapping_file(self, tmp_path, capsys, text, kind):
+        path = tmp_path / "flat.yaml"
+        path.write_text(text)
+        rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario file '{path}' must hold a mapping, got {kind}\n")
 
     def test_sweep_rejects_unknown_param(self, tmp_path, capsys):
         rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",

@@ -1,15 +1,26 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings, strategies as st
+from scipy import signal
 
-from rssdloc.errors import AliasingSampleRate, TemplateTooLong, WindowOutOfSupport
+from rssdloc.errors import (
+    AliasingSampleRate,
+    EmptyInput,
+    TemplateTooLong,
+    WindowOutOfSupport,
+)
 from rssdloc.receiver import (
+    DEFAULT_BAND,
     DEFAULT_SAMPLE_RATE,
     DEFAULT_UPSAMPLE,
     CorrelationResult,
     SignalSpec,
     Waveform,
+    _first_abs_argmax,
     correlate_and_detect,
     default_chips,
     estimate_tdoa,
@@ -19,6 +30,66 @@ from rssdloc.receiver import (
 )
 
 UPSAMPLED_PERIOD = 1.0 / (DEFAULT_UPSAMPLE * DEFAULT_SAMPLE_RATE)
+
+
+def reference_signal(spec, delay, attenuation_db, sample_rate=DEFAULT_SAMPLE_RATE,
+                     noise_std=0.0, rng=None):
+    """generate_signal cut from one full-length time axis, as first written."""
+    sigma, fc = spec.pulse_sigma, spec.center_frequency
+    pad = 6.0 * sigma
+    duration = delay + (len(spec.chips) - 1) / spec.prf + 2.0 * pad
+    n = int(math.ceil(duration * sample_rate)) + 1
+    t = np.arange(n) / sample_rate
+    out = np.zeros(n)
+    amp = 10.0 ** (attenuation_db / 20.0)
+    for k, chip in enumerate(spec.chips):
+        tc = delay + pad + k / spec.prf
+        lo = max(int((tc - pad) * sample_rate), 0)
+        hi = min(int((tc + pad) * sample_rate) + 1, n)
+        tk = t[lo:hi] - tc
+        out[lo:hi] += (chip * amp * np.exp(-0.5 * (tk / sigma) ** 2)
+                       * np.cos(2.0 * math.pi * fc * tk))
+    if noise_std > 0:
+        out += rng.normal(0.0, noise_std, size=n)
+    return out
+
+
+def reference_correlate(r, template, upsample_factor, band):
+    """(c, t0, peak_time) by a fresh filter design, signal.correlate and |c|."""
+    fs = r.sample_rate
+    x = r.samples
+    if band is not None:
+        sos = signal.butter(4, band, btype="bandpass", fs=fs, output="sos")
+        x = signal.sosfiltfilt(sos, x)
+    c = signal.correlate(x, template.samples, mode="full", method="fft")
+    t0 = (r.t0 - template.t0) - (len(template.samples) - 1) / fs
+    k = int(np.argmax(np.abs(c)))
+    if upsample_factor == 1:
+        return c, t0, t0 + k / fs
+    half = min(256, k, len(c) - 1 - k)
+    up = signal.resample(c[k - half:k + half + 1], (2 * half + 1) * upsample_factor)
+    center, span = half * upsample_factor, max(upsample_factor, 2)
+    lo, hi = max(center - 2 * span, 0), min(center + 2 * span + 1, len(up))
+    j = lo + int(np.argmax(np.abs(up[lo:hi])))
+    return c, t0, t0 + (k - half) / fs + j / (fs * upsample_factor)
+
+
+def rss_or_error(c):
+    try:
+        return rss_from_correlation(c)
+    except WindowOutOfSupport:
+        return "WindowOutOfSupport"
+
+
+# Short pulse trains (high PRF) keep each example to a few thousand samples.
+SHORT_PRFS = (2e8, 5e8)
+
+
+@functools.lru_cache(maxsize=None)
+def short_template(prf, sample_rate, t0):
+    """One template object per key, so repeated draws reuse its spectrum memo."""
+    t = transmit_template(SignalSpec(prf=prf), sample_rate)
+    return Waveform(t.samples, t.sample_rate, t0)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +138,38 @@ class TestGenerateSignal:
         with pytest.raises(ValueError):
             generate_signal(spec, 0.0, 0.0, noise_std=0.1)
 
+    @settings(max_examples=40, deadline=None)
+    @given(prf=st.sampled_from(SHORT_PRFS),
+           sample_rate=st.sampled_from([10e9, DEFAULT_SAMPLE_RATE]),
+           delay=st.floats(0.0, 50e-9),
+           attenuation=st.floats(-20.0, 0.0),
+           noise_std=st.sampled_from([0.0, 0.01, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_time_axis(self, prf, sample_rate, delay, attenuation,
+                                    noise_std, seed):
+        spec = SignalSpec(prf=prf)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        w = generate_signal(spec, delay, attenuation, sample_rate, noise_std, rng)
+        ref = reference_signal(spec, delay, attenuation, sample_rate, noise_std, ref_rng)
+        assert np.array_equal(w.samples, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_default_spec_matches_full_time_axis(self, spec):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        w = generate_signal(spec, 17.3e-9, -3.0, noise_std=0.1, rng=rng)
+        ref = reference_signal(spec, 17.3e-9, -3.0, noise_std=0.1, rng=ref_rng)
+        assert np.array_equal(w.samples, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestWaveform:
+    def test_samples_reject_writes(self, spec):
+        w = generate_signal(spec, 0.0, 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            w.samples[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            Waveform(np.zeros(4), 1e9).samples += 1.0
+
 
 class TestCorrelateAndDetect:
     def test_zero_delay_peak(self, spec, template):
@@ -99,6 +202,86 @@ class TestCorrelateAndDetect:
         short = Waveform(template.samples[:1000], template.sample_rate)
         with pytest.raises(TemplateTooLong):
             correlate_and_detect(short, template)
+
+    def test_empty_template(self):
+        with pytest.raises(EmptyInput):
+            correlate_and_detect(Waveform(np.ones(10), 1e10), Waveform(np.zeros(0), 1e10),
+                                 band=None)
+
+
+class TestAgainstReferencePath:
+    """correlate_and_detect equals the plain scipy path bit for bit."""
+
+    @staticmethod
+    def assert_same(r, template, upsample_factor, band):
+        res = correlate_and_detect(r, template, upsample_factor, band)
+        c, t0, peak_time = reference_correlate(r, template, upsample_factor, band)
+        assert res.c.samples.shape == c.shape
+        assert np.array_equal(res.c.samples, c)
+        assert res.c.t0 == t0
+        assert res.peak_time == peak_time
+        ref = CorrelationResult(Waveform(c, r.sample_rate, t0), peak_time)
+        assert rss_or_error(res) == rss_or_error(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(prf=st.sampled_from(SHORT_PRFS),
+           sample_rate=st.sampled_from([10e9, DEFAULT_SAMPLE_RATE]),
+           template_t0=st.sampled_from([0.0, 2.5e-9]),
+           r_t0=st.floats(-5e-9, 5e-9),
+           delay=st.floats(0.0, 50e-9),
+           attenuation=st.floats(-20.0, 0.0),
+           noise_std=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+           upsample_factor=st.sampled_from([1, 8]),
+           band=st.sampled_from([DEFAULT_BAND, (2.0e9, 4.2e9), None]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_short_trains(self, prf, sample_rate, template_t0, r_t0, delay,
+                          attenuation, noise_std, upsample_factor, band, seed):
+        spec = SignalSpec(prf=prf)
+        w = generate_signal(spec, delay, attenuation, sample_rate, noise_std,
+                            np.random.default_rng(seed))
+        r = Waveform(w.samples, sample_rate, r_t0)
+        self.assert_same(r, short_template(prf, sample_rate, template_t0),
+                         upsample_factor, band)
+
+    @pytest.mark.parametrize("upsample_factor", [1, 8])
+    def test_default_train(self, spec, template, upsample_factor):
+        w = generate_signal(spec, 23.1e-9, -6.0, noise_std=0.2,
+                            rng=np.random.default_rng(3))
+        self.assert_same(Waveform(w.samples, w.sample_rate, 1e-9), template,
+                         upsample_factor, DEFAULT_BAND)
+
+    def test_template_spectrum_computed_once(self, monkeypatch):
+        spec = SignalSpec(prf=SHORT_PRFS[0])
+        template = transmit_template(spec)
+        rfft = scipy.fft.rfft
+        template_ffts = []
+
+        def counting_rfft(x, n=None, *args, **kwargs):
+            if np.shares_memory(x, template.samples):
+                template_ffts.append(n)
+            return rfft(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
+        for delay in (0.0, 0.1e-9, 0.2e-9):  # one FFT length
+            correlate_and_detect(generate_signal(spec, delay, 0.0), template)
+        assert len(template_ffts) == 1
+        # a much longer input needs another FFT length, computed once too
+        for _ in range(2):
+            correlate_and_detect(generate_signal(spec, 400e-9, 0.0), template)
+        assert len(template_ffts) == 2 and template_ffts[0] != template_ffts[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=12))
+    def test_peak_index_is_first_abs_argmax(self, values):
+        c = np.array(values, dtype=float)
+        assert _first_abs_argmax(c) == int(np.argmax(np.abs(c)))
+
+    @pytest.mark.parametrize("values, k", [([0.0, 3.0, -3.0, 1.0], 1),
+                                           ([0.0, -3.0, 3.0, 1.0], 1),
+                                           ([2.0, -2.0], 0),
+                                           ([-2.0, 2.0], 0)])
+    def test_abs_tie_goes_to_earlier_index(self, values, k):
+        assert _first_abs_argmax(np.array(values)) == k
 
 
 class TestEstimateTdoa:
