@@ -47,7 +47,6 @@ from .fingerprint import (
     circular_track,
     coarse_estimate,
     refine_with_tdoa,
-    rssd_euclidean,
 )
 from .receiver import (
     CorrelationResult,

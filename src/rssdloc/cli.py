@@ -37,35 +37,40 @@ def _load(args, extra_overrides=None):
     return load_scenario(args.scenario, overrides)
 
 
+def _run_all(runs, out_dir, report_files: bool = False) -> int:
+    """Run each (label, scenario), print its summary line and write summary.csv.
+
+    Callers build every scenario first, so a bad one stops before any run.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for label, s in runs:
+        reports = run_scenario(s)
+        if report_files:
+            write_report_files(reports, out)
+        summary = aggregate(reports)
+        rows.append((label, summary))
+        theta = ("-" if summary.theta_std_median is None
+                 else f"{math.degrees(summary.theta_std_median):.2f} deg")
+        print(f"{label}: trials={summary.trials} "
+              f"rmse_median={summary.rmse_median:.4f} m "
+              f"rmse_mean={summary.rmse_mean:.4f} m theta_std={theta} "
+              f"tdoa_fallbacks={summary.tdoa_fallbacks}")
+    write_summary_csv(rows, out / "summary.csv")
+    return 0
+
+
 def _cmd_run(args) -> int:
     s = _load(args)
-    reports = run_scenario(s)
-    write_report_files(reports, args.out)
-    summary = aggregate(reports)
-    theta = ("-" if summary.theta_std_median is None
-             else f"{math.degrees(summary.theta_std_median):.2f} deg")
-    print(f"{s.name} [{s.mode.value}] trials={summary.trials} "
-          f"rmse_median={summary.rmse_median:.4f} m "
-          f"rmse_mean={summary.rmse_mean:.4f} m theta_std={theta} "
-          f"tdoa_fallbacks={summary.tdoa_fallbacks}")
-    return 0
+    return _run_all([(s.name, s)], args.out, report_files=True)
 
 
 def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    summaries = []
-    for v in values:
-        # read as a scenario file would read the value
-        s = _load(args, {args.param: yaml.safe_load(v)})
-        summaries.append(aggregate(run_scenario(s)))
-        theta = ("-" if summaries[-1].theta_std_median is None
-                 else f"{math.degrees(summaries[-1].theta_std_median):.2f} deg")
-        print(f"{args.param}={v}: rmse_median={summaries[-1].rmse_median:.4f} m "
-              f"theta_std={theta}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(summaries, out / "summary.csv")
-    return 0
+    # each value is read as a scenario file would read it
+    return _run_all([(f"{args.param}={v}", _load(args, {args.param: yaml.safe_load(v)}))
+                     for v in values], args.out)
 
 
 def _cmd_build_db(args) -> int:
@@ -83,16 +88,7 @@ def _cmd_build_db(args) -> int:
 def _cmd_compare(args) -> int:
     modes = [parse_mode(m.strip()) for m in args.modes.split(",") if m.strip()]
     base = _load(args)
-    summaries = []
-    for mode in modes:
-        s = base.with_mode(mode)
-        summaries.append(aggregate(run_scenario(s)))
-        print(f"{mode.value}: rmse_median={summaries[-1].rmse_median:.4f} m "
-              f"rmse_mean={summaries[-1].rmse_mean:.4f} m")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(summaries, out / "summary.csv")
-    return 0
+    return _run_all([(mode.value, base.with_mode(mode)) for mode in modes], args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

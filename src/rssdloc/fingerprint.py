@@ -34,7 +34,6 @@ class FingerprintDB:
     positions: np.ndarray
     rss: np.ndarray
     bs_ids: List[int]
-    grid_step: float
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -48,7 +47,7 @@ class FingerprintDB:
                            + [f"{v:.4f}" for v in vec])
 
     @classmethod
-    def from_csv(cls, path, grid_step: float = 0.25) -> "FingerprintDB":
+    def from_csv(cls, path) -> "FingerprintDB":
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader)
@@ -59,7 +58,7 @@ class FingerprintDB:
         arr = np.array(rows)
         order = np.lexsort((arr[:, 0], arr[:, 1]))
         arr = arr[order]
-        return cls(arr[:, :2].copy(), arr[:, 2:].copy(), ids, grid_step)
+        return cls(arr[:, :2].copy(), arr[:, 2:].copy(), ids)
 
 
 @dataclass(frozen=True)
@@ -117,22 +116,7 @@ def build_db(bs: List[BaseStation], area: SearchRegion, grid_step: float,
             vectors.append([rss[i] for i in ids])
     if not positions:
         raise EmptyGrid("every grid point was excluded")
-    return FingerprintDB(np.array(positions), np.array(vectors), ids, grid_step)
-
-
-def rssd_euclidean(meas: Sequence[float], ref: Sequence[float]) -> float:
-    """Euclidean distance between the pairwise-difference expansions.
-
-    Both inputs are absolute per-station RSS vectors.  Over all pairs i < j,
-    the norm equals sqrt(N) * ||centred(meas) - centred(ref)||, so any common
-    (transmit-power) offset cancels.
-    """
-    meas = np.asarray(meas, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    if meas.shape != ref.shape or meas.ndim != 1 or meas.size < 2:
-        raise LengthMismatch(
-            f"need equal-length vectors of >= 2 entries, got {meas.shape} vs {ref.shape}")
-    return math.sqrt(meas.size) * float(np.linalg.norm(centred(meas) - centred(ref)))
+    return FingerprintDB(np.array(positions), np.array(vectors), ids)
 
 
 def coarse_estimate(db: FingerprintDB, meas: Sequence[float]) -> Point2D:

@@ -1,9 +1,11 @@
 """Closed-loop Monte Carlo experiment runner and metrics.
 
-One trial walks the mobile user along its track; at every epoch the channel
-is sampled at the true position with the antennas' current boresights, the
-selected solver produces an estimate, and (in directional simulation modes)
-the antennas are re-pointed at that estimate for the next epoch.
+Every mode runs one epoch loop: the channel is sampled at the true position
+with the antennas' current boresights, the mode's locate step produces an
+estimate, and the estimate is scored.  The mode picks, once per trial, the
+track, whether its start is known and unscored (in simulation), whether the
+antennas are re-pointed at each estimate (directional simulation), and the
+locate step.
 
 An epoch's noisy TDOA can put the measured range difference at or beyond
 the station half-separation, where no hyperbola exists.  Such an epoch
@@ -15,10 +17,9 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,11 +53,10 @@ class EpochRecord:
 class RunReport:
     mode: Mode
     trial: int
-    records: List[EpochRecord]
+    records: List[EpochRecord]  # every epoch, a simulated track's known start too
     rmse: float
     mean_error: float
-    theta_std: Optional[float]  # rad, over all included epochs and antennas
-    runtime: float
+    theta_std: Optional[float]  # rad, over all scored epochs and antennas
     tdoa_fallbacks: int = 0  # TDOA epochs solved without their degenerate TDOA
 
     @property
@@ -64,16 +64,14 @@ class RunReport:
         return [r.error for r in self.records]
 
 
-def compute_rmse(errors: Sequence[float], exclude_first: bool) -> float:
-    errs = list(errors[1:] if exclude_first else errors)
-    if not errs:
+def compute_rmse(errors: Sequence[float]) -> float:
+    if len(errors) == 0:
         raise EmptyInput("no epochs to score")
-    return math.sqrt(sum(e * e for e in errs) / len(errs))
+    return math.sqrt(sum(e * e for e in errors) / len(errors))
 
 
-def _theta_std(records: Sequence[EpochRecord], exclude_first: bool) -> Optional[float]:
-    vals = [th for r in (records[1:] if exclude_first else records)
-            for th in r.theta.values()]
+def _theta_std(records: Sequence[EpochRecord]) -> Optional[float]:
+    vals = [th for r in records for th in r.theta.values()]
     if not vals:
         return None
     return float(np.std(vals))
@@ -83,48 +81,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def _run_sim_trial(s: Scenario, trial: int) -> RunReport:
-    rng = trial_rng(s.seed, trial)
-    track = generate_track(s.waypoint, rng)
-    directional = s.antenna_model is AntennaModel.DIRECTIONAL
-    state = OrientationState.initial(s.bs, track.epochs[0][1]) if directional else None
-
-    records: List[EpochRecord] = []
-    fallbacks = 0
-    start = time.perf_counter()
-    for idx, (t, pos) in enumerate(track.epochs):
-        bs_now = apply_orientation(s.bs, state) if directional else s.bs
-        theta = {}
-        if directional:
-            theta = {b.id: misorientation(state, b, pos)
-                     for b in s.bs if b.id in state.boresights}
-        if idx == 0:
-            est = pos  # the initial position is known
-        else:
-            m = simulate_measurements(bs_now, pos, s.channel, s.tdoa_noise, rng)
-            cfg = SolverConfig(s.channel, bs_now, s.region, s.antenna_model)
-            if s.mode is Mode.SIM_RSSD_TDOA:
-                try:
-                    est = solve_rssd_tdoa(cfg, m)
-                except DegenerateHyperbola:
-                    est = solve_rssd(cfg, m)
-                    fallbacks += 1
-            else:
-                est = solve_rssd(cfg, m)
-        records.append(EpochRecord(t, pos, est, distance(pos, est), theta))
-        if directional:
-            state = update_orientation(state, s.bs, est)
-    runtime = time.perf_counter() - start
-    return RunReport(
-        mode=s.mode, trial=trial, records=records,
-        rmse=compute_rmse([r.error for r in records], exclude_first=True),
-        mean_error=float(np.mean([r.error for r in records[1:]])),
-        theta_std=_theta_std(records, exclude_first=True),
-        runtime=runtime,
-        tdoa_fallbacks=fallbacks,
-    )
-
-
 def scenario_db(s: Scenario) -> FingerprintDB:
     """The fingerprint database a scenario runs against.
 
@@ -132,7 +88,7 @@ def scenario_db(s: Scenario) -> FingerprintDB:
     the channel model with the configured offline fading level.
     """
     if s.fingerprint.db_file:
-        return FingerprintDB.from_csv(s.fingerprint.db_file, s.fingerprint.grid_step)
+        return FingerprintDB.from_csv(s.fingerprint.db_file)
     db_channel = ChannelParams(
         alpha=s.channel.alpha, sigma_beta=s.fingerprint.db_sigma_beta,
         p0=s.channel.p0, d0=s.channel.d0)
@@ -141,41 +97,77 @@ def scenario_db(s: Scenario) -> FingerprintDB:
                     s.fingerprint.excluded, db_channel, rng)
 
 
-def _run_fp_trial(s: Scenario, trial: int, db: FingerprintDB) -> RunReport:
-    rng = trial_rng(s.seed, trial)
-    positions = circular_track(s.circular)
-    records: List[EpochRecord] = []
-    fallbacks = 0
-    start = time.perf_counter()
-    for i, pos in enumerate(positions):
-        m = simulate_measurements(s.bs, pos, s.channel, s.tdoa_noise, rng)
-        est = coarse_estimate(db, [m.rss[j] for j in db.bs_ids])
-        if s.mode is Mode.FP_RSSD_TDOA:
-            try:
-                est = refine_with_tdoa(est, m.tdoa, s.bs)
-            except DegenerateHyperbola:
-                fallbacks += 1
-        records.append(EpochRecord(float(i), pos, est, distance(pos, est)))
-    runtime = time.perf_counter() - start
-    errors = [r.error for r in records]
-    return RunReport(
-        mode=s.mode, trial=trial, records=records,
-        rmse=compute_rmse(errors, exclude_first=False),
-        mean_error=float(np.mean(errors)),
-        theta_std=None,
-        runtime=runtime,
-        tdoa_fallbacks=fallbacks,
-    )
+# The locate step of each mode: (scenario, fingerprint DB, stations as pointed
+# now, measurement) -> (estimate, whether the epoch fell back from its TDOA).
+
+def _rssd(s, db, bs, m):
+    return solve_rssd(SolverConfig(s.channel, bs, s.region, s.antenna_model), m), False
+
+
+def _rssd_tdoa(s, db, bs, m):
+    cfg = SolverConfig(s.channel, bs, s.region, s.antenna_model)
+    try:
+        return solve_rssd_tdoa(cfg, m), False
+    except DegenerateHyperbola:
+        return solve_rssd(cfg, m), True
+
+
+def _match(s, db, bs, m):
+    return coarse_estimate(db, [m.rss[j] for j in db.bs_ids]), False
+
+
+def _match_tdoa(s, db, bs, m):
+    coarse, _ = _match(s, db, bs, m)
+    try:
+        return refine_with_tdoa(coarse, m.tdoa, bs), False
+    except DegenerateHyperbola:
+        return coarse, True
+
+
+_LOCATE = {Mode.SIM_RSSD: _rssd, Mode.SIM_RSSD_TDOA: _rssd_tdoa,
+           Mode.FP_RSSD: _match, Mode.FP_RSSD_TDOA: _match_tdoa}
 
 
 def run_trial(s: Scenario, trial: int,
               db: Optional[FingerprintDB] = None) -> RunReport:
-    """Run one seeded trial of a scenario."""
+    """Run one seeded trial of a scenario.
+
+    A fingerprint mode builds its database when db is None.
+    """
+    rng = trial_rng(s.seed, trial)
     if s.mode.is_sim:
-        return _run_sim_trial(s, trial)
-    if db is None:
-        db = scenario_db(s)
-    return _run_fp_trial(s, trial, db)
+        epochs = generate_track(s.waypoint, rng).epochs
+        known = 1  # the start position is known
+    else:
+        db = scenario_db(s) if db is None else db
+        epochs = [(float(i), pos) for i, pos in enumerate(circular_track(s.circular))]
+        known = 0
+    state = (OrientationState.initial(s.bs, epochs[0][1])
+             if s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL else None)
+    locate = _LOCATE[s.mode]
+
+    records: List[EpochRecord] = []
+    fallbacks = 0
+    for idx, (t, pos) in enumerate(epochs):
+        bs_now, theta = s.bs, {}
+        if state is not None:
+            bs_now = apply_orientation(s.bs, state)
+            theta = {b.id: misorientation(state, b, pos)
+                     for b in s.bs if b.id in state.boresights}
+        if idx < known:
+            est = pos
+        else:
+            m = simulate_measurements(bs_now, pos, s.channel, s.tdoa_noise, rng)
+            est, fell_back = locate(s, db, bs_now, m)
+            fallbacks += fell_back
+        records.append(EpochRecord(t, pos, est, distance(pos, est), theta))
+        if state is not None:
+            state = update_orientation(state, s.bs, est)
+    scored = records[known:]
+    errors = [r.error for r in scored]
+    return RunReport(mode=s.mode, trial=trial, records=records, rmse=compute_rmse(errors),
+                     mean_error=float(np.mean(errors)), theta_std=_theta_std(scored),
+                     tdoa_fallbacks=fallbacks)
 
 
 def run_scenario(s: Scenario) -> List[RunReport]:
@@ -190,7 +182,6 @@ class Summary:
     trials: int
     rmse_median: float
     rmse_mean: float
-    mean_error_mean: float
     theta_std_median: Optional[float]  # rad
     tdoa_fallbacks: int = 0  # summed over the trials
 
@@ -205,7 +196,6 @@ def aggregate(reports: Sequence[RunReport]) -> Summary:
         trials=len(reports),
         rmse_median=float(np.median(rmses)),
         rmse_mean=float(np.mean(rmses)),
-        mean_error_mean=float(np.mean([r.mean_error for r in reports])),
         theta_std_median=float(np.median(thetas)) if thetas else None,
         tdoa_fallbacks=sum(r.tdoa_fallbacks for r in reports),
     )
@@ -232,24 +222,24 @@ def write_theta_csv(report: RunReport, path) -> None:
                             f"{math.degrees(r.theta[bs_id]):.6f}"])
 
 
-def write_summary_csv(summaries: Sequence[Summary], path) -> None:
+def write_summary_csv(rows: Sequence[Tuple[str, Summary]], path) -> None:
+    """One row per (label, summary), the label naming the run it summarizes."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["mode", "trials", "rmse_median", "rmse_mean", "theta_std_deg",
-                    "tdoa_fallbacks"])
-        for s in summaries:
+        w.writerow(["label", "mode", "trials", "rmse_median", "rmse_mean",
+                    "theta_std_deg", "tdoa_fallbacks"])
+        for label, s in rows:
             theta = ("" if s.theta_std_median is None
                      else f"{math.degrees(s.theta_std_median):.4f}")
-            w.writerow([s.mode.value, s.trials,
+            w.writerow([label, s.mode.value, s.trials,
                         f"{s.rmse_median:.6f}", f"{s.rmse_mean:.6f}", theta,
                         s.tdoa_fallbacks])
 
 
 def write_report_files(reports: Sequence[RunReport], out_dir) -> None:
-    """Emit track/theta CSVs for the first trial plus the aggregate summary."""
+    """Emit the track CSV, and the theta CSV when it has rows, of the first trial."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_track_csv(reports[0], out / "track.csv")
     if any(r.theta for r in reports[0].records):
         write_theta_csv(reports[0], out / "theta.csv")
-    write_summary_csv([aggregate(reports)], out / "summary.csv")

@@ -86,8 +86,13 @@ class Scenario:
             raise InvalidScenario(f"mode {self.mode.value} requires a waypoint section")
         if not self.mode.is_sim and self.circular is None:
             raise InvalidScenario(f"mode {self.mode.value} requires a circular section")
+        # every mode draws the one TDOA pair's measurement
+        tdoa_capable = [b for b in self.bs if b.role.measures_tdoa]
+        if len(tdoa_capable) > 2:
+            raise InvalidScenario(
+                f"at most two stations may be TDOA-capable, got stations "
+                f"{', '.join(str(b.id) for b in tdoa_capable)}")
         if self.mode.uses_tdoa:
-            tdoa_capable = [b for b in self.bs if b.role.measures_tdoa]
             if len(tdoa_capable) != 2:
                 raise InvalidScenario("TDOA modes need exactly two TDOA-capable stations")
             if tdoa_capable[0].position == tdoa_capable[1].position:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from rssdloc.fingerprint import (
     circular_track,
     coarse_estimate,
     refine_with_tdoa,
-    rssd_euclidean,
 )
 from rssdloc.geometry import BaseStation, Point2D, Role, distance
 from rssdloc.solver import SearchRegion
@@ -63,38 +60,10 @@ class TestBuildDb:
     def test_csv_round_trip(self, db, tmp_path):
         path = tmp_path / "db.csv"
         db.to_csv(path)
-        loaded = FingerprintDB.from_csv(path, db.grid_step)
+        loaded = FingerprintDB.from_csv(path)
         assert loaded.bs_ids == db.bs_ids
         assert np.allclose(loaded.positions, db.positions, atol=1e-4)
         assert np.allclose(loaded.rss, db.rss, atol=1e-4)
-
-
-class TestRssdEuclidean:
-    def test_identical_vectors(self):
-        assert rssd_euclidean([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_transmit_power_offset_cancels(self):
-        meas = [-50.0, -60.0, -55.0]
-        shifted = [v + 7.3 for v in meas]
-        assert rssd_euclidean(shifted, meas) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_expansion(self):
-        # RSSD expansions (3, 8, 5) vs (5, 6, 1) -> sqrt(4 + 4 + 16)
-        assert rssd_euclidean([0, -3, -8], [0, -5, -6]) == pytest.approx(
-            math.sqrt(24.0))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            rssd_euclidean([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_matches_pair_expansion(self):
-        rng = np.random.default_rng(8)
-        for n in (2, 4, 8):
-            meas, ref = rng.normal(-60.0, 8.0, (2, n))
-            iu, ju = np.triu_indices(n, k=1)
-            pairs = (meas[iu] - meas[ju]) - (ref[iu] - ref[ju])
-            assert rssd_euclidean(meas, ref) == pytest.approx(
-                float(np.linalg.norm(pairs)), rel=1e-12)
 
 
 class TestCoarseEstimate:
@@ -109,15 +78,21 @@ class TestCoarseEstimate:
         assert (est.x, est.y) == tuple(db.positions[k])
 
     def test_off_grid_matches_exhaustive_scan(self, db):
+        from itertools import combinations
+
         from rssdloc.channel import simulate_rss
+
+        def rssd_distance(meas, ref):
+            return sum(((meas[i] - meas[j]) - (ref[i] - ref[j])) ** 2
+                       for i, j in combinations(range(len(meas)), 2))
+
         rng = np.random.default_rng(6)
         for _ in range(10):
             p = Point2D(rng.uniform(0.3, 2.7), rng.uniform(0.3, 2.7))
             rss = simulate_rss(CORNER_BS, p, NOISELESS, rng)
             meas = np.array([rss[i] for i in db.bs_ids])
             est = coarse_estimate(db, meas)
-            dists = [rssd_euclidean(meas, ref) for ref in db.rss]
-            k = int(np.argmin(dists))
+            k = int(np.argmin([rssd_distance(meas, ref) for ref in db.rss]))
             assert (est.x, est.y) == tuple(db.positions[k])
 
     def test_matches_pair_expansion_argmin(self, db):
@@ -132,9 +107,15 @@ class TestCoarseEstimate:
             assert (est.x, est.y) == tuple(db.positions[k])
 
     def test_empty_db(self, db):
-        empty = FingerprintDB(db.positions[:0], db.rss[:0], db.bs_ids, 0.25)
+        empty = FingerprintDB(db.positions[:0], db.rss[:0], db.bs_ids)
         with pytest.raises(EmptyGrid):
             coarse_estimate(empty, db.rss[0])
+
+    def test_length_mismatch(self, db):
+        with pytest.raises(LengthMismatch):
+            coarse_estimate(db, db.rss[0, :3])
+        with pytest.raises(LengthMismatch):
+            coarse_estimate(db, np.append(db.rss[0], -50.0))
 
 
 class TestRefineWithTdoa:

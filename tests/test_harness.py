@@ -20,6 +20,7 @@ from rssdloc.harness import (
     scenario_db,
     trial_rng,
     write_report_files,
+    write_summary_csv,
 )
 from rssdloc.scenario import Mode, load_scenario, scenario_from_dict
 from rssdloc.solver import AntennaModel
@@ -63,15 +64,12 @@ def fp_scenario():
 
 class TestComputeRmse:
     def test_known_values(self):
-        assert compute_rmse([3.0, 4.0], exclude_first=False) == pytest.approx(
-            math.sqrt(12.5))
-        assert compute_rmse([100.0, 1.0, 1.0], exclude_first=True) == 1.0
+        assert compute_rmse([3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
+        assert compute_rmse([1.0, 1.0]) == 1.0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            compute_rmse([], exclude_first=False)
-        with pytest.raises(EmptyInput):
-            compute_rmse([5.0], exclude_first=True)
+            compute_rmse([])
 
 
 class TestTrialRng:
@@ -88,8 +86,8 @@ class TestSimTrial:
         s = scenario_from_dict(small_sim_dict())
         r = run_trial(s, 0)
         assert r.records[0].error == 0.0
-        assert r.rmse == pytest.approx(
-            compute_rmse([e.error for e in r.records], exclude_first=True))
+        assert r.rmse == pytest.approx(compute_rmse([e.error for e in r.records[1:]]))
+        assert r.mean_error == pytest.approx(np.mean([e.error for e in r.records[1:]]))
 
     def test_determinism(self):
         s = scenario_from_dict(small_sim_dict())
@@ -128,7 +126,7 @@ class TestFpTrial:
         assert len(r.records) == 48
         assert r.mode is Mode.FP_RSSD_TDOA
         # every error counts, including the first point
-        assert r.rmse == pytest.approx(compute_rmse(r.errors, exclude_first=False))
+        assert r.rmse == pytest.approx(compute_rmse(r.errors))
 
     def test_noiseless_coarse_error_bounded_by_grid(self, fp_scenario):
         from dataclasses import replace
@@ -182,7 +180,7 @@ class TestTdoaFallback:
 class TestAggregate:
     def make_report(self, rmse, theta_std=None):
         rec = EpochRecord(0.0, Point2D(0, 0), Point2D(0, 0), 0.0)
-        return RunReport(Mode.SIM_RSSD, 0, [rec], rmse, rmse, theta_std, 0.0)
+        return RunReport(Mode.SIM_RSSD, 0, [rec], rmse, rmse, theta_std)
 
     def test_median_and_mean(self):
         s = aggregate([self.make_report(r) for r in (1.0, 2.0, 6.0)])
@@ -285,12 +283,24 @@ class TestScenarioLoading:
         with pytest.raises(ValueError):
             scenario_from_dict(d)
 
+    @pytest.mark.parametrize("source, mode", [
+        ("fp_3x3.yaml", "FP_RSSD"), ("fp_3x3.yaml", "FP_RSSD_TDOA"),
+        ("sim_8x8.yaml", "SIM_RSSD"), ("sim_8x8.yaml", "SIM_RSSD_TDOA"),
+    ])
+    def test_third_tdoa_station_rejected_in_every_mode(self, tmp_path, source, mode):
+        # every mode draws the TDOA pair's measurement, so no mode may have three
+        path = write_copy(tmp_path, third_tdoa_station(mode), SCENARIO_DIR / source)
+        with pytest.raises(InvalidScenario, match="at most two stations may be "
+                                                  "TDOA-capable, got stations"):
+            load_scenario(path)
+
 
 class TestReportFiles:
     def test_csv_outputs(self, tmp_path):
         s = scenario_from_dict(small_sim_dict(trials=1))
         reports = run_scenario(s)
         write_report_files(reports, tmp_path)
+        write_summary_csv([("small", aggregate(reports))], tmp_path / "summary.csv")
         with open(tmp_path / "track.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == len(reports[0].records)
@@ -302,16 +312,24 @@ class TestReportFiles:
         with open(tmp_path / "summary.csv", newline="") as f:
             summary = list(csv.DictReader(f))
         assert len(summary) == 1
+        assert summary[0]["label"] == "small"
         assert float(summary[0]["rmse_median"]) == pytest.approx(
             reports[0].rmse, abs=1e-6)
 
 
-def write_fp_copy(tmp_path, edit):
-    d = yaml.safe_load(FP_YAML.read_text())
+def write_copy(tmp_path, edit, source=FP_YAML):
+    d = yaml.safe_load(source.read_text())
     edit(d)
-    path = tmp_path / "fp.yaml"
+    path = tmp_path / source.name
     path.write_text(yaml.safe_dump(d))
     return path
+
+
+def third_tdoa_station(mode):
+    def edit(d):
+        d["mode"] = mode
+        d["stations"][2]["role"] = "RSS_TDOA"
+    return edit
 
 
 class TestCli:
@@ -321,21 +339,30 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "track.csv").exists()
-        assert "rmse_median" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("fp_3x3: trials=1 rmse_median=")
+        with open(tmp_path / "summary.csv", newline="") as f:
+            assert [r["label"] for r in csv.DictReader(f)] == ["fp_3x3"]
 
     def test_run_reports_missing_key(self, tmp_path, capsys):
-        path = write_fp_copy(tmp_path, lambda d: d["region"].pop("x_min"))
+        path = write_copy(tmp_path, lambda d: d["region"].pop("x_min"))
         rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == "error: missing scenario key 'region.x_min'\n"
 
     def test_run_reports_failed_scenario_check(self, tmp_path, capsys):
-        path = write_fp_copy(tmp_path,
+        path = write_copy(tmp_path,
                              lambda d: d["stations"][0].update(antenna="omni"))
         rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "RSS station 1" in err
+
+    def test_run_reports_third_tdoa_station(self, tmp_path, capsys):
+        path = write_copy(tmp_path, third_tdoa_station("FP_RSSD"))
+        rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: at most two stations may be TDOA-capable, got stations 1, 2, 3\n")
 
     def test_build_db(self, tmp_path):
         out = tmp_path / "db.csv"
@@ -414,7 +441,24 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "circular.count=12" in out and "circular.count=24" in out
+        assert "circular.count=12: trials=1 " in out and "circular.count=24: trials=1 " in out
+        with open(tmp_path / "summary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["label"] for r in rows] == ["circular.count=12", "circular.count=24"]
+
+    def test_sweep_checks_every_value_before_any_run(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_run(s):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("rssdloc.cli.run_scenario", no_run)
+        rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",
+                   "--param", "circular.count", "--values", "12,0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "count must be >= 1" in err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_sweep_antenna_model(self, tmp_path, capsys):
         rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",

@@ -20,11 +20,37 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_benchmark_traced_names_resolve():
-    # perfbench/spans.py wraps these functions for `run.py --trace 1`
+def load_spans():
+    """perfbench/spans.py, the tracer behind `perfbench/run.py --trace 1`."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_traced_names_resolve():
+    # the tracer wraps these functions; a missing one breaks `--trace 1`
+    spans = load_spans()
     for name in spans.TRACED:
         module, function = name.split(".")
         assert callable(getattr(importlib.import_module(f"rssdloc.{module}"), function)), name
+
+
+def test_benchmark_tracer_sees_every_locate_step():
+    # the tracer patches module attributes, so run_trial must look each
+    # traced function up by name at call time, in every mode
+    from rssdloc import harness
+    from rssdloc.scenario import Mode, load_scenario
+
+    spans = load_spans()
+    sim = load_scenario(ROOT / "scenarios" / "sim_8x8.yaml",
+                        {"waypoint.total_length": 2.0, "region.coarse_step": 0.5})
+    fp = load_scenario(ROOT / "scenarios" / "fp_3x3.yaml", {"circular.count": 4})
+    tracer = spans.Tracer()
+    with tracer.installed():
+        for s in (sim.with_mode(Mode.SIM_RSSD), sim, fp.with_mode(Mode.FP_RSSD), fp):
+            harness.run_trial(s, 0)
+    stats = tracer.layer_stats()
+    for name in spans.TRACED:
+        if not name.startswith(("receiver.", "scenario.")):
+            assert stats[name]["calls"] > 0, name
