@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import LocalizationError
+from .errors import EmptyInput, LocalizationError
 from .harness import aggregate, run_scenario, scenario_db, write_report_files, write_summary_csv
 from .scenario import load_scenario, parse_mode
 
@@ -26,6 +26,14 @@ def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--trials", type=int, default=None, help="override the trial count")
     p.add_argument("--out", default="out", help="output directory")
+
+
+def _items(text: str, option: str) -> list:
+    """The comma-separated items of an option's value; none raises EmptyInput."""
+    items = [v.strip() for v in text.split(",") if v.strip()]
+    if not items:
+        raise EmptyInput(f"{option} lists no items: {text!r}")
+    return items
 
 
 def _load(args, extra_overrides=None):
@@ -67,7 +75,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    values = _items(args.values, "--values")
     # each value is read as a scenario file would read it
     return _run_all([(f"{args.param}={v}", _load(args, {args.param: yaml.safe_load(v)}))
                      for v in values], args.out)
@@ -86,7 +94,7 @@ def _cmd_build_db(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    modes = [parse_mode(m.strip()) for m in args.modes.split(",") if m.strip()]
+    modes = [parse_mode(m) for m in _items(args.modes, "--modes")]
     base = _load(args)
     return _run_all([(mode.value, base.with_mode(mode)) for mode in modes], args.out)
 
@@ -124,7 +132,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LocalizationError as e:
+    except (LocalizationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -26,6 +26,8 @@ _CHIP_COUNT = 128
 _FILTER_ORDER = 4
 _PULSE_SUPPORT_SIGMAS = 6.0
 _SPECTRA_PER_WAVEFORM = 4       # FFT lengths whose template spectrum is kept
+_UPSAMPLE_HALF_WIDTH = 256      # samples upsampled either side of the coarse peak
+_FINE_REACH = 2                 # samples either side of it searched for the fine peak
 
 
 @dataclass
@@ -94,7 +96,15 @@ class SignalSpec:
 
 @dataclass
 class CorrelationResult:
-    c: Waveform       # full cross-correlation output
+    """A receive chain's correlation lag window and its sub-sample peak.
+
+    c holds the lags the receiver reads, not the full cross-correlation:
+    from `before` lags ahead of lag 0 to `after` lags past the last
+    full-overlap lag (see correlate_and_detect).  c.t0 is the time of its
+    first sample.
+    """
+
+    c: Waveform
     peak_time: float  # s, sub-sample peak location
 
 
@@ -167,48 +177,67 @@ def correlate_and_detect(r: Waveform, template: Waveform,
                          ) -> CorrelationResult:
     """Filter, correlate with the template, and read the peak time.
 
-    The full cross-correlation is scipy.signal.correlate's FFT method,
-    irfft(rfft(r, n) * rfft(reversed template, n), n) at its own length n,
-    with the template's spectrum memoised on the template.  The peak is
-    refined by band-limited (FFT) resampling of a window around the
-    strongest correlation sample; ties resolve to the earliest time.
+    Lag k pairs r.samples[i + k] with template.samples[i].  The arrival lies
+    in the full-overlap lags [0, len_r - len_t], where the whole template
+    fits in r, so only those lags are searched for the coarse peak; ties
+    resolve to the earliest lag.  If r is exactly as long as the template,
+    that is lag 0 alone.  Lags count samples: r.t0 and template.t0 only
+    shift the times, t0 = (r.t0 - template.t0) - before / fs.
+
+    The result keeps lags [-before, (len_r - len_t) + after], capped at the
+    last lag of the linear correlation, len_r - 1, where
+    before = min(256, len_t - 1) is the half-width of the upsampling window
+    and after = ceil(DEFAULT_RSS_WINDOW * fs) + 2 covers the default RSS
+    window behind a fine peak up to two samples past the coarse peak.  A
+    longer window that runs past them raises WindowOutOfSupport in
+    rss_from_correlation.
+
+    Those lags are cut from a circular correlation,
+    irfft(rfft(r, n) * rfft(reversed template, n), n) with the template's
+    spectrum memoised on the template.  At n >= len_r + max(before, after)
+    no other lag aliases onto them (overlap-save), so for a template about
+    as long as r, n is about half the len_r + len_t - 1 of the full
+    correlation.  The peak is refined by
+    band-limited (FFT) resampling of a window around the coarse peak.
     """
     from scipy import fft, signal
 
+    len_r, len_t = len(r.samples), len(template.samples)
     if upsample_factor < 1:
         raise ValueError("upsample_factor must be >= 1")
-    if len(template.samples) == 0:
+    if len_t == 0:
         raise EmptyInput("template has no samples")
-    if len(template.samples) > len(r.samples):
-        raise TemplateTooLong(
-            f"template ({len(template.samples)}) longer than input "
-            f"({len(r.samples)})")
+    if len_t > len_r:
+        raise TemplateTooLong(f"template ({len_t}) longer than input ({len_r})")
     if r.sample_rate != template.sample_rate:
         raise ValueError("input and template sample rates differ")
     fs = r.sample_rate
+    before = min(_UPSAMPLE_HALF_WIDTH, len_t - 1)
+    after = math.ceil(DEFAULT_RSS_WINDOW * fs) + _FINE_REACH
     filtered = bandpass(r, band) if band is not None else r
-    size = len(r.samples) + len(template.samples) - 1
-    n = fft.next_fast_len(size, True)
+    n = fft.next_fast_len(len_r + max(before, after), True)
     spectrum = fft.rfft(filtered.samples, n)
     spectrum *= template._reversed_spectrum(n)
-    c = fft.irfft(spectrum, n)[:size]
-    t0 = (r.t0 - template.t0) - (len(template.samples) - 1) / fs
+    # circular index len_t - 1 + k holds lag k; the copy lets the n-point output go
+    first = len_t - 1 - before
+    c = fft.irfft(spectrum, n)[first:len_r + min(after, len_t - 1)].copy()
+    t0 = (r.t0 - template.t0) - before / fs
     corr = Waveform(c, fs, t0)
 
-    k = _first_abs_argmax(c)
+    k = before + _first_abs_argmax(c[before:before + len_r - len_t + 1])
     if upsample_factor == 1:
         return CorrelationResult(corr, t0 + k / fs)
 
     # Upsample only a window around the coarse peak; the sub-sample maximum
-    # lies within one sample of it, so search just the central region to
-    # keep FFT edge effects out.
-    half = min(256, k, len(c) - 1 - k)
+    # lies within one sample of it, so search just the central +-_FINE_REACH
+    # samples to keep FFT edge effects out.
+    half = min(_UPSAMPLE_HALF_WIDTH, k, len(c) - 1 - k)
     seg = c[k - half:k + half + 1]
     up = signal.resample(seg, len(seg) * upsample_factor)
     center = half * upsample_factor
-    span = max(upsample_factor, 2)
-    lo = max(center - 2 * span, 0)
-    hi = min(center + 2 * span + 1, len(up))
+    reach = _FINE_REACH * upsample_factor
+    lo = max(center - reach, 0)
+    hi = min(center + reach + 1, len(up))
     j = lo + int(np.argmax(np.abs(up[lo:hi])))
     peak_time = t0 + (k - half) / fs + j / (fs * upsample_factor)
     return CorrelationResult(corr, peak_time)

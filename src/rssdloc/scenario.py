@@ -82,6 +82,8 @@ class Scenario:
     trials: int = 1
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise InvalidScenario(f"trials must be >= 1, got {self.trials}")
         if self.mode.is_sim and self.waypoint is None:
             raise InvalidScenario(f"mode {self.mode.value} requires a waypoint section")
         if not self.mode.is_sim and self.circular is None:

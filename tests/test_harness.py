@@ -271,6 +271,13 @@ class TestScenarioLoading:
         d["antenna_model"] = "OMNI"
         assert scenario_from_dict(d).antenna_model is AntennaModel.OMNI
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(InvalidScenario, match=f"trials must be >= 1, got {trials}"):
+            scenario_from_dict(small_sim_dict(trials=trials))
+        with pytest.raises(InvalidScenario, match="trials must be >= 1"):
+            load_scenario(FP_YAML, {"trials": trials})
+
     def test_mode_requires_matching_track_section(self):
         d = small_sim_dict()
         del d["waypoint"]
@@ -364,6 +371,27 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: at most two stations may be TDOA-capable, got stations 1, 2, 3\n")
 
+    def test_run_reports_zero_trials(self, tmp_path, capsys):
+        rc = main(["run", "--scenario", str(FP_YAML), "--trials", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--param", "circular.count", "--values", "12"],
+        ["compare", "--modes", "FP_RSSD"],
+    ])
+    def test_out_that_is_a_file_reported(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main([*command, "--scenario", str(FP_YAML), "--trials", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
     def test_build_db(self, tmp_path):
         out = tmp_path / "db.csv"
         rc = main(["build-db", "--scenario", str(FP_YAML), "--out", str(out)])
@@ -399,6 +427,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown Mode 'FOO'; did you mean '")
         assert "valid: SIM_RSSD, SIM_RSSD_TDOA, FP_RSSD, FP_RSSD_TDOA" in err
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("modes", [",", " , "])
+    def test_compare_rejects_empty_mode_list(self, tmp_path, capsys, modes):
+        rc = main(["compare", "--scenario", str(FP_YAML), "--trials", "1",
+                   "--modes", modes, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --modes lists no items: {modes!r}\n"
         assert not (tmp_path / "summary.csv").exists()
 
     def test_run_reports_missing_file(self, tmp_path, capsys):
@@ -445,6 +481,14 @@ class TestCli:
         with open(tmp_path / "summary.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert [r["label"] for r in rows] == ["circular.count=12", "circular.count=24"]
+
+    def test_sweep_rejects_empty_value_list(self, tmp_path, capsys):
+        rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",
+                   "--param", "circular.count", "--values", ",",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --values lists no items: ','\n"
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_sweep_checks_every_value_before_any_run(self, tmp_path, capsys,
                                                       monkeypatch):

@@ -15,6 +15,7 @@ from rssdloc.errors import (
 )
 from rssdloc.receiver import (
     DEFAULT_BAND,
+    DEFAULT_RSS_WINDOW,
     DEFAULT_SAMPLE_RATE,
     DEFAULT_UPSAMPLE,
     CorrelationResult,
@@ -55,7 +56,11 @@ def reference_signal(spec, delay, attenuation_db, sample_rate=DEFAULT_SAMPLE_RAT
 
 
 def reference_correlate(r, template, upsample_factor, band):
-    """(c, t0, peak_time) by a fresh filter design, signal.correlate and |c|."""
+    """(c, t0, k, peak_time) by a fresh filter design and signal.correlate.
+
+    c is the full cross-correlation, and k its coarse peak: the first
+    largest |c| over the full-overlap lags.
+    """
     fs = r.sample_rate
     x = r.samples
     if band is not None:
@@ -63,15 +68,23 @@ def reference_correlate(r, template, upsample_factor, band):
         x = signal.sosfiltfilt(sos, x)
     c = signal.correlate(x, template.samples, mode="full", method="fft")
     t0 = (r.t0 - template.t0) - (len(template.samples) - 1) / fs
-    k = int(np.argmax(np.abs(c)))
+    lag0 = len(template.samples) - 1
+    k = lag0 + int(np.argmax(np.abs(c[lag0:len(r.samples)])))
     if upsample_factor == 1:
-        return c, t0, t0 + k / fs
+        return c, t0, k, t0 + k / fs
     half = min(256, k, len(c) - 1 - k)
     up = signal.resample(c[k - half:k + half + 1], (2 * half + 1) * upsample_factor)
     center, span = half * upsample_factor, max(upsample_factor, 2)
     lo, hi = max(center - 2 * span, 0), min(center + 2 * span + 1, len(up))
     j = lo + int(np.argmax(np.abs(up[lo:hi])))
-    return c, t0, t0 + (k - half) / fs + j / (fs * upsample_factor)
+    return c, t0, k, t0 + (k - half) / fs + j / (fs * upsample_factor)
+
+
+def kept_lags(r, template):
+    """The lags correlate_and_detect keeps, as (first, last), per its contract."""
+    len_r, len_t = len(r.samples), len(template.samples)
+    after = math.ceil(DEFAULT_RSS_WINDOW * r.sample_rate) + 2
+    return -min(256, len_t - 1), min(len_r - len_t + after, len_r - 1)
 
 
 def rss_or_error(c):
@@ -79,6 +92,20 @@ def rss_or_error(c):
         return rss_from_correlation(c)
     except WindowOutOfSupport:
         return "WindowOutOfSupport"
+
+
+def record_template_ffts(monkeypatch, template):
+    """Patch scipy.fft.rfft to list the FFT length of each transform of template."""
+    rfft = scipy.fft.rfft
+    lengths = []
+
+    def recording_rfft(x, n=None, *args, **kwargs):
+        if np.shares_memory(x, template.samples):
+            lengths.append(n)
+        return rfft(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfft", recording_rfft)
+    return lengths
 
 
 # Short pulse trains (high PRF) keep each example to a few thousand samples.
@@ -210,18 +237,42 @@ class TestCorrelateAndDetect:
 
 
 class TestAgainstReferencePath:
-    """correlate_and_detect equals the plain scipy path bit for bit."""
+    """correlate_and_detect keeps the plain scipy path's lags and peak.
 
-    @staticmethod
-    def assert_same(r, template, upsample_factor, band):
+    The reference is the full cross-correlation.  Over the kept lags, which
+    hold every sample the upsampling and the RSS readout read, c agrees
+    within C_TOL of max|c| (the kept lags come from a transform of another
+    length, so not bit for bit).  The coarse peak is at the same lag, times
+    agree within TIME_TOL, far below the 10 ps peak grid, and the RSS within
+    RSS_TOL, or both raise WindowOutOfSupport.
+    """
+
+    C_TOL = 1e-12
+    TIME_TOL = 1e-15   # s
+    RSS_TOL = 1e-9
+
+    @classmethod
+    def assert_same(cls, r, template, upsample_factor, band):
         res = correlate_and_detect(r, template, upsample_factor, band)
-        c, t0, peak_time = reference_correlate(r, template, upsample_factor, band)
-        assert res.c.samples.shape == c.shape
-        assert np.array_equal(res.c.samples, c)
-        assert res.c.t0 == t0
-        assert res.peak_time == peak_time
-        ref = CorrelationResult(Waveform(c, r.sample_rate, t0), peak_time)
-        assert rss_or_error(res) == rss_or_error(ref)
+        c, t0, k, peak_time = reference_correlate(r, template, upsample_factor, band)
+        fs = r.sample_rate
+        first, last = kept_lags(r, template)
+        lag0 = len(template.samples) - 1
+        kept = c[lag0 + first:lag0 + last + 1]
+        assert res.c.samples.shape == kept.shape
+        half = min(256, k, len(c) - 1 - k)
+        assert lag0 + first <= k - half and k + half <= lag0 + last
+        assert np.max(np.abs(res.c.samples - kept)) <= cls.C_TOL * np.max(np.abs(c))
+        overlap = res.c.samples[-first:-first + len(r.samples) - lag0]
+        assert _first_abs_argmax(overlap) == k - lag0
+        assert abs(res.c.t0 - (t0 + (lag0 + first) / fs)) <= cls.TIME_TOL
+        assert abs(res.peak_time - peak_time) <= cls.TIME_TOL
+        # the reference reads its RSS from the full correlation
+        expected = rss_or_error(CorrelationResult(Waveform(c, fs, t0), peak_time))
+        if expected == "WindowOutOfSupport":
+            assert rss_or_error(res) == expected
+        else:
+            assert rss_from_correlation(res) == pytest.approx(expected, rel=cls.RSS_TOL)
 
     @settings(max_examples=60, deadline=None)
     @given(prf=st.sampled_from(SHORT_PRFS),
@@ -253,15 +304,7 @@ class TestAgainstReferencePath:
     def test_template_spectrum_computed_once(self, monkeypatch):
         spec = SignalSpec(prf=SHORT_PRFS[0])
         template = transmit_template(spec)
-        rfft = scipy.fft.rfft
-        template_ffts = []
-
-        def counting_rfft(x, n=None, *args, **kwargs):
-            if np.shares_memory(x, template.samples):
-                template_ffts.append(n)
-            return rfft(x, n, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
+        template_ffts = record_template_ffts(monkeypatch, template)
         for delay in (0.0, 0.1e-9, 0.2e-9):  # one FFT length
             correlate_and_detect(generate_signal(spec, delay, 0.0), template)
         assert len(template_ffts) == 1
@@ -269,6 +312,39 @@ class TestAgainstReferencePath:
         for _ in range(2):
             correlate_and_detect(generate_signal(spec, 400e-9, 0.0), template)
         assert len(template_ffts) == 2 and template_ffts[0] != template_ffts[1]
+
+    @pytest.mark.parametrize("upsample_factor", [1, 8])
+    def test_input_as_long_as_template_peaks_at_lag_zero(self, upsample_factor):
+        spec = SignalSpec(prf=SHORT_PRFS[1])
+        template = short_template(SHORT_PRFS[1], DEFAULT_SAMPLE_RATE, 0.0)
+        w = generate_signal(spec, 0.0, -3.0, noise_std=0.3,
+                            rng=np.random.default_rng(11))
+        assert len(w.samples) == len(template.samples)
+        r = Waveform(w.samples, w.sample_rate, 4e-9)
+        res = correlate_and_detect(r, template, upsample_factor)
+        assert abs(res.peak_time - 4e-9) <= UPSAMPLED_PERIOD
+        self.assert_same(r, template, upsample_factor, DEFAULT_BAND)
+
+    @pytest.mark.parametrize("band", [DEFAULT_BAND, None])
+    def test_template_shorter_than_upsampling_window(self, band):
+        rng = np.random.default_rng(4)
+        template = Waveform(rng.normal(size=100), DEFAULT_SAMPLE_RATE, 1e-9)
+        samples = rng.normal(0.0, 0.1, size=3000)
+        samples[1234:1334] += template.samples
+        r = Waveform(samples, DEFAULT_SAMPLE_RATE)
+        res = correlate_and_detect(r, template, band=band)
+        # c starts at lag -(len_t - 1), the first lag of the full correlation
+        assert res.c.t0 == (r.t0 - template.t0) - 99 / DEFAULT_SAMPLE_RATE
+        self.assert_same(r, template, DEFAULT_UPSAMPLE, band)
+
+    def test_default_train_transform_shorter_than_full_correlation(self, monkeypatch,
+                                                                    spec):
+        template = transmit_template(spec)
+        template_ffts = record_template_ffts(monkeypatch, template)
+        w = generate_signal(spec, 23.1e-9, -6.0)
+        correlate_and_detect(w, template)
+        assert len(template_ffts) == 1
+        assert template_ffts[0] < len(w.samples) + len(template.samples) - 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=12))
@@ -343,6 +419,12 @@ class TestRssFromCorrelation:
         b = correlate_and_detect(generate_signal(spec, 47.7e-9, 0.0), template)
         pa, pb = rss_from_correlation(a), rss_from_correlation(b)
         assert abs(10 * math.log10(pa / pb)) < 1.5
+
+    def test_longer_window_past_kept_lags(self, spec, template):
+        res = correlate_and_detect(generate_signal(spec, 48e-9, 0.0), template)
+        rss_from_correlation(res)
+        with pytest.raises(WindowOutOfSupport):
+            rss_from_correlation(res, 2 * DEFAULT_RSS_WINDOW)
 
     def test_window_out_of_support(self):
         c = CorrelationResult(Waveform(np.zeros(100), 1e9, 0.0), 90e-9)
