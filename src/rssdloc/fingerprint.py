@@ -3,7 +3,8 @@
 The offline phase stores a reference RSS vector per grid point; the online
 phase picks the grid point whose pairwise RSS differences are closest (in
 the Euclidean sense) to the measured ones, then optionally refines the
-coarse pick by projecting it onto the measured TDOA hyperbola.
+coarse pick by projecting it onto the measured TDOA hyperbola.  The match
+takes one epoch or a stack of epochs, a stack in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import ChannelParams, centred, simulate_rss
-from .errors import EmptyGrid, LengthMismatch
+from .errors import EmptyGrid, InvalidScenario, LengthMismatch
 from .geometry import BaseStation, Point2D, measured_hyperbola, project_onto_hyperbola
 from .solver import SearchRegion
 
 _EXCLUDE_TOL = 1e-6  # m when matching excluded grid points
+_CHUNK = 8  # epochs per distance table; bounds its (epochs x M x N) temporary
 
 
 @dataclass
@@ -48,11 +50,46 @@ class FingerprintDB:
 
     @classmethod
     def from_csv(cls, path) -> "FingerprintDB":
+        """Read a database in the format to_csv writes.
+
+        A malformed file raises InvalidScenario naming the file and the
+        offending column or line.
+        """
+        def invalid(problem: str) -> InvalidScenario:
+            return InvalidScenario(f"fingerprint file {str(path)!r}: {problem}")
+
         with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            ids = [int(h.split("_", 1)[1]) for h in header[2:]]
-            rows = [[float(v) for v in row] for row in reader if row]
+            try:
+                reader = csv.reader(f)
+                header = next(reader, [])
+                if header[:2] != ["x", "y"]:
+                    raise invalid(f"header must start with x, y, got {header[:2]}")
+                ids = []
+                for col, name in enumerate(header[2:], start=3):
+                    try:
+                        if not name.startswith("P_"):
+                            raise ValueError(name)
+                        ids.append(int(name[2:]))
+                    except ValueError:
+                        raise invalid(f"column {col} is {name!r}, not P_<station id>") from None
+                if len(ids) < 2 or len(set(ids)) != len(ids):
+                    raise invalid(f"needs two or more distinct station columns, got {header[2:]}")
+                rows = []
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != len(header):
+                        raise invalid(f"line {reader.line_num} has {len(row)} fields, "
+                                      f"the header {len(header)}")
+                    try:
+                        values = [float(v) for v in row]
+                    except ValueError as e:
+                        raise invalid(f"line {reader.line_num}: {e}") from None
+                    if not all(map(math.isfinite, values)):
+                        raise invalid(f"line {reader.line_num} holds a non-finite value")
+                    rows.append(values)
+            except (UnicodeDecodeError, csv.Error) as e:
+                raise invalid(f"cannot parse: {e}") from None
         if not rows:
             raise EmptyGrid(f"no fingerprint rows in {path}")
         arr = np.array(rows)
@@ -119,18 +156,29 @@ def build_db(bs: List[BaseStation], area: SearchRegion, grid_step: float,
     return FingerprintDB(np.array(positions), np.array(vectors), ids)
 
 
-def coarse_estimate(db: FingerprintDB, meas: Sequence[float]) -> Point2D:
-    """Grid point with the closest RSSD expansion; ties go to smallest (y, x)."""
+def coarse_estimate(db: FingerprintDB, meas):
+    """Grid point with the closest RSSD expansion; ties go to smallest (y, x).
+
+    meas is one RSS vector in bs_ids order, giving one point, or a (T, N)
+    stack of them, matched in (epochs x M) distance tables of _CHUNK epochs
+    and giving a list of T points.
+    """
     if len(db) == 0:
         raise EmptyGrid("empty fingerprint database")
     meas = np.asarray(meas, dtype=float)
-    if meas.shape != (db.rss.shape[1],):
+    n = db.rss.shape[1]
+    if meas.ndim not in (1, 2) or meas.shape[-1] != n:
         raise LengthMismatch(
-            f"measurement length {meas.shape} does not match database "
-            f"station count {db.rss.shape[1]}")
-    d = centred(db.rss) - centred(meas)
-    k = int(np.argmin(np.einsum("nk,nk->n", d, d)))
-    return Point2D(float(db.positions[k, 0]), float(db.positions[k, 1]))
+            f"measurement shape {meas.shape} does not match database "
+            f"station count {n}")
+    ref, stack = centred(db.rss), np.atleast_2d(centred(meas))
+    k = np.empty(len(stack), dtype=np.intp)
+    for lo in range(0, len(stack), _CHUNK):
+        # one row of station differences per (epoch, grid point), summed alike
+        d = (ref - stack[lo:lo + _CHUNK, None, :]).reshape(-1, n)
+        k[lo:lo + _CHUNK] = np.einsum("nk,nk->n", d, d).reshape(-1, len(db)).argmin(axis=1)
+    points = [Point2D(float(db.positions[i, 0]), float(db.positions[i, 1])) for i in k]
+    return points if meas.ndim == 2 else points[0]
 
 
 def refine_with_tdoa(coarse: Point2D, tdoa: Tuple[int, int, float],

@@ -1,11 +1,17 @@
 """Closed-loop Monte Carlo experiment runner and metrics.
 
-Every mode runs one epoch loop: the channel is sampled at the true position
-with the antennas' current boresights, the mode's locate step produces an
-estimate, and the estimate is scored.  The mode picks, once per trial, the
-track, whether its start is known and unscored (in simulation), whether the
-antennas are re-pointed at each estimate (directional simulation), and the
-locate step.
+Every mode runs one loop over chunks of epochs: the channel is sampled at
+each true position of the chunk with the antennas' current boresights, the
+mode's locate step estimates the whole chunk in one call, and the estimates
+are scored.  The mode picks, once per trial, the track, whether its start
+is known and unscored (in simulation), whether the antennas are re-pointed
+at each estimate (directional simulation), and the locate step.
+
+Re-pointing makes each epoch's measurement depend on the last estimate, so
+a directional simulation runs chunks of one epoch.  Every other trial's
+epochs are independent: its known start aside, the trial is one chunk, and
+its locate step sees the whole stack.  Locating draws no random numbers, so
+the measurements are drawn in the same order either way.
 
 An epoch's noisy TDOA can put the measured range difference at or beyond
 the station half-separation, where no hyperbola exists.  Such an epoch
@@ -24,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import ChannelParams, simulate_measurements
-from .errors import DegenerateHyperbola, EmptyInput
+from .errors import DegenerateHyperbola, EmptyInput, InvalidScenario
 from .fingerprint import FingerprintDB, build_db, circular_track, coarse_estimate, refine_with_tdoa
 from .geometry import Point2D, distance
 from .mobility import (
@@ -85,10 +91,17 @@ def scenario_db(s: Scenario) -> FingerprintDB:
     """The fingerprint database a scenario runs against.
 
     Loaded from fingerprint.db_file when given, otherwise synthesized from
-    the channel model with the configured offline fading level.
+    the channel model with the configured offline fading level.  A loaded
+    database may only hold columns of the scenario's RSS stations.
     """
     if s.fingerprint.db_file:
-        return FingerprintDB.from_csv(s.fingerprint.db_file)
+        db = FingerprintDB.from_csv(s.fingerprint.db_file)
+        unknown = sorted(set(db.bs_ids) - {b.id for b in s.bs if b.role.measures_rss})
+        if unknown:
+            raise InvalidScenario(
+                f"fingerprint file {s.fingerprint.db_file!r}: columns P_"
+                + ", P_".join(map(str, unknown)) + " name no RSS station of the scenario")
+        return db
     db_channel = ChannelParams(
         alpha=s.channel.alpha, sigma_beta=s.fingerprint.db_sigma_beta,
         p0=s.channel.p0, d0=s.channel.d0)
@@ -98,30 +111,39 @@ def scenario_db(s: Scenario) -> FingerprintDB:
 
 
 # The locate step of each mode: (scenario, fingerprint DB, stations as pointed
-# now, measurement) -> (estimate, whether the epoch fell back from its TDOA).
+# now, the measurements of one or more epochs) -> (their estimates, how many
+# of them fell back from their TDOA).
 
-def _rssd(s, db, bs, m):
-    return solve_rssd(SolverConfig(s.channel, bs, s.region, s.antenna_model), m), False
+def _rssd(s, db, bs, ms):
+    return solve_rssd(SolverConfig(s.channel, bs, s.region, s.antenna_model), ms), 0
 
 
-def _rssd_tdoa(s, db, bs, m):
+def _rssd_tdoa(s, db, bs, ms):
     cfg = SolverConfig(s.channel, bs, s.region, s.antenna_model)
-    try:
-        return solve_rssd_tdoa(cfg, m), False
-    except DegenerateHyperbola:
-        return solve_rssd(cfg, m), True
+    estimates, fallbacks = [], 0
+    for m in ms:
+        try:
+            estimates.append(solve_rssd_tdoa(cfg, m))
+        except DegenerateHyperbola:
+            estimates.append(solve_rssd(cfg, m))
+            fallbacks += 1
+    return estimates, fallbacks
 
 
-def _match(s, db, bs, m):
-    return coarse_estimate(db, [m.rss[j] for j in db.bs_ids]), False
+def _match(s, db, bs, ms):
+    return coarse_estimate(db, [[m.rss[j] for j in db.bs_ids] for m in ms]), 0
 
 
-def _match_tdoa(s, db, bs, m):
-    coarse, _ = _match(s, db, bs, m)
-    try:
-        return refine_with_tdoa(coarse, m.tdoa, bs), False
-    except DegenerateHyperbola:
-        return coarse, True
+def _match_tdoa(s, db, bs, ms):
+    coarse, _ = _match(s, db, bs, ms)
+    estimates, fallbacks = [], 0
+    for c, m in zip(coarse, ms):
+        try:
+            estimates.append(refine_with_tdoa(c, m.tdoa, bs))
+        except DegenerateHyperbola:
+            estimates.append(c)
+            fallbacks += 1
+    return estimates, fallbacks
 
 
 _LOCATE = {Mode.SIM_RSSD: _rssd, Mode.SIM_RSSD_TDOA: _rssd_tdoa,
@@ -148,21 +170,33 @@ def run_trial(s: Scenario, trial: int,
 
     records: List[EpochRecord] = []
     fallbacks = 0
-    for idx, (t, pos) in enumerate(epochs):
+    start = 0
+    while start < len(epochs):
+        # The known start is a chunk of its own.  With antenna feedback each
+        # estimate points the antennas for the next epoch, so every epoch is
+        # a chunk; without it the rest of the track is one.
+        stop = start + 1 if start < known or state is not None else len(epochs)
+        chunk = epochs[start:stop]
         bs_now, theta = s.bs, {}
         if state is not None:
+            (_, pos), = chunk
             bs_now = apply_orientation(s.bs, state)
             theta = {b.id: misorientation(state, b, pos)
                      for b in s.bs if b.id in state.boresights}
-        if idx < known:
-            est = pos
+        if start < known:
+            estimates = [pos for _, pos in chunk]
         else:
-            m = simulate_measurements(bs_now, pos, s.channel, s.tdoa_noise, rng)
-            est, fell_back = locate(s, db, bs_now, m)
+            # solving draws nothing, so drawing a chunk's measurements first
+            # keeps the draws in epoch order
+            ms = [simulate_measurements(bs_now, pos, s.channel, s.tdoa_noise, rng)
+                  for _, pos in chunk]
+            estimates, fell_back = locate(s, db, bs_now, ms)
             fallbacks += fell_back
-        records.append(EpochRecord(t, pos, est, distance(pos, est), theta))
+        records += [EpochRecord(t, pos, est, distance(pos, est), dict(theta))
+                    for (t, pos), est in zip(chunk, estimates)]
         if state is not None:
-            state = update_orientation(state, s.bs, est)
+            state = update_orientation(state, s.bs, estimates[-1])
+        start = stop
     scored = records[known:]
     errors = [r.error for r in scored]
     return RunReport(mode=s.mode, trial=trial, records=records, rmse=compute_rmse(errors),

@@ -10,17 +10,25 @@ is u_i - u_j with u_i = P_i - m_i, and
     sum_{i<j} (u_i - u_j)^2 = N * sum_i (r_i - mean(r))^2,
     r_i = c_i - m_i,   c_i = P_i - mean(P),
 
-so the objective costs O(N) per candidate instead of O(N^2).  The residual
-is centred by subtraction: N * sum(r^2) - (sum r)^2 would cancel badly near
-the optimum.  The directional gain is the clamped cosine of the off-boresight
-angle, gain * max(0, (dx cos b + dy sin b) / d), with no trigonometry per
+so the objective costs O(N) per candidate instead of O(N^2): T is profiled
+out, as in separable least squares.  The residual is centred by
+subtraction: N * sum(r^2) - (sum r)^2 would cancel badly near the optimum.
+The directional gain is the clamped cosine of the off-boresight angle,
+gain * max(0, (dx cos b + dy sin b) / d), with no trigonometry per
 candidate.
 
 Two search strategies:
 
 * unconstrained 2D least squares over a rectangular region, by a coarse grid
-  scan over cached station-to-grid geometry, followed by local grid
-  refinement with step halving from the best few coarse cells at once;
+  scan followed by local grid refinement with step halving from the best
+  few coarse cells at once.  The coarse scan expands the square instead:
+  with L_c = log10 d^2 centred over stations and a = 5 alpha, the omni
+  objective is N (c.c + 2a c.L_c + a^2 |L_c|^2), one matrix product of a
+  stack of epochs' c against tables cached per station layout and region.
+  The expansion rounds relative to the whole objective, not to the small
+  residual near the optimum, so it only shortlists coarse cells; the
+  subtraction-centred objective ranks the shortlist, refines the seeds and
+  picks the estimate;
 * TDOA-constrained 1D least squares along the measured hyperbola, by a
   coarse scan over y followed by bracket scans that evaluate a whole row of
   heights in one objective call per round, with the x-coordinate recovered
@@ -31,9 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -127,22 +135,33 @@ class _Geometry(NamedTuple):
 
 @dataclass
 class _Model:
-    """One epoch's measurement and antenna state, as per-station arrays."""
+    """Measurements and antenna state as per-station arrays.
+
+    c holds one column per epoch of a stack (one column for a single
+    epoch), or one per candidate after repeat(); evaluate pairs candidate j
+    with column j, or every candidate with the only column.
+    """
 
     sx: np.ndarray          # station x, ascending station id
     sy: np.ndarray
-    c: np.ndarray           # centred measured RSS, c_i = P_i - mean(P)
+    c: np.ndarray           # (N, columns) centred measured RSS, P_i - mean(P)
     gcos: Optional[np.ndarray]  # peak gain (dB) times the boresight's cos and
     gsin: Optional[np.ndarray]  # sin; None for the omni model
     directional: bool
     alpha: float
 
     @classmethod
-    def build(cls, cfg: SolverConfig, m: MeasurementSet) -> "_Model":
-        stations = [b for b in rss_stations(cfg.bs) if b.id in m.rss]
-        if len(stations) != len(m.rss):
-            unknown = set(m.rss) - {b.id for b in stations}
+    def build(cls, cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementSet]]
+              ) -> "_Model":
+        """The model of one measurement set, or of a non-empty stack of
+        them over the same stations, read with the same antennas."""
+        ms = [m] if isinstance(m, MeasurementSet) else m
+        stations = [b for b in rss_stations(cfg.bs) if b.id in ms[0].rss]
+        if len(stations) != len(ms[0].rss):
+            unknown = set(ms[0].rss) - {b.id for b in stations}
             raise ValueError(f"measurement references unknown stations {sorted(unknown)}")
+        if any(mm.rss.keys() != ms[0].rss.keys() for mm in ms):
+            raise ValueError("a stack's measurements must read the same stations")
         directional = cfg.antenna_model is AntennaModel.DIRECTIONAL
         gcos = gsin = None
         if directional:
@@ -150,15 +169,20 @@ class _Model:
                              for b in stations])
             gsin = np.array([b.antenna.gain_db * math.sin(b.antenna.orientation)
                              for b in stations])
+        rss = np.array([[mm.rss[b.id] for b in stations] for mm in ms])
         return cls(
             sx=np.array([b.position.x for b in stations]),
             sy=np.array([b.position.y for b in stations]),
-            c=centred(np.array([m.rss[b.id] for b in stations])),
+            c=centred(rss).T,
             gcos=gcos,
             gsin=gsin,
             directional=directional,
             alpha=cfg.params.alpha,
         )
+
+    def repeat(self, k: int) -> "_Model":
+        """The model with each column of c repeated for k consecutive candidates."""
+        return replace(self, c=np.repeat(self.c, k, axis=1))
 
     def evaluate(self, g: _Geometry) -> np.ndarray:
         """Objective at every candidate of g: N * sum_i (r_i - mean r)^2.
@@ -168,7 +192,7 @@ class _Model:
         """
         # r_i = c_i - m_i, with the model m_i = -5 alpha log10 d_i^2 + g_i
         r = g.logd2 * (5.0 * self.alpha)
-        r += self.c[:, None]
+        r += self.c
         if self.directional:
             # gain * cos(off-boresight angle), clamped at 0 as antenna_gain
             gain = g.ux * self.gcos[:, None]
@@ -204,50 +228,111 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return g
 
 
-_BLOCK = 4096  # coarse candidates per objective call; keeps temporaries small
+class _Coarse(NamedTuple):
+    """A region's coarse grid (row-major: y slow, x fast) and its geometry
+    toward a station layout, centred over stations for the expanded form."""
+
+    x: np.ndarray         # (G,) candidate coordinates
+    y: np.ndarray
+    lc: np.ndarray        # (N, G) log10 d^2 minus its mean over stations
+    lc2: np.ndarray       # (G,) sum over stations of lc^2
+    ux: np.ndarray        # (N, G) unit vector from the station toward the candidate
+    uy: np.ndarray
+    singular: np.ndarray  # (G,) candidate within _SINGULAR_TOL of a station
 
 
 @functools.lru_cache(maxsize=4)
-def _coarse_geometry(sx: Tuple[float, ...], sy: Tuple[float, ...], reg: SearchRegion
-                     ) -> Tuple[np.ndarray, np.ndarray, Tuple[_Geometry, ...]]:
-    """The coarse grid of a region (row-major: y slow, x fast) and its
-    geometry toward the given stations, shared read-only by every epoch.
-
-    The geometry comes in column blocks of _BLOCK candidates.  Evaluating a
-    whole grid at once would allocate several N x G temporaries per call,
-    and allocating (page-faulting) them costs more than the arithmetic.
-    """
+def _coarse_tables(sx: Tuple[float, ...], sy: Tuple[float, ...], reg: SearchRegion
+                   ) -> _Coarse:
+    """The coarse tables of a region and station layout, shared read-only
+    by every epoch; re-pointing the antennas changes none of them."""
     gx, gy = np.meshgrid(_grid(reg.x_min, reg.x_max, reg.coarse_step),
                          _grid(reg.y_min, reg.y_max, reg.coarse_step))
     x, y = gx.ravel(), gy.ravel()
-    sx, sy = np.array(sx), np.array(sy)
-    blocks = tuple(_Geometry.of(sx, sy, x[a:a + _BLOCK], y[a:a + _BLOCK])
-                   for a in range(0, len(x), _BLOCK))
-    for a in (x, y) + tuple(t for g in blocks for t in g):
+    g = _Geometry.of(np.array(sx), np.array(sy), x, y)
+    lc = g.logd2 - g.logd2.sum(axis=0) / len(sx)
+    tables = _Coarse(x, y, lc, np.einsum("ig,ig->g", lc, lc), g.ux, g.uy, g.singular)
+    for a in tables:
         a.setflags(write=False)
-    return x, y, blocks
-
-
-def _smallest(q: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries, ties by index: the first k of a
-    stable argsort, without sorting all of q."""
-    if len(q) > k:
-        # everything not above the k-th smallest value (NaN included)
-        q_k = np.partition(q, k - 1)[k - 1]
-        idx = np.flatnonzero(~(q > q_k))
-        return idx[np.argsort(q[idx], kind="stable")[:k]]
-    return np.argsort(q, kind="stable")
+    return tables
 
 
 _STENCIL = np.arange(-2, 3)  # refine offsets, in steps
 _REFINE_SEEDS = 8  # coarse cells kept as refinement starting points
+_SHORTLIST = 2 * _REFINE_SEEDS  # coarse cells the expanded form passes on per epoch
+_SEPARATION = 1e-9  # relative margin by which a shortlist must clear its seeds
+_CHUNK = 4  # epochs per coarse product and refinement; bounds their temporaries
+_BLOCK = 4096  # coarse cells per pass of the directional gain; its (N x cells)
+               # temporaries stay small, as page-faulting large ones costs more
+               # than their arithmetic
 _LINE = np.arange(33)  # line-search heights per round, in 1/32 of the bracket
 _LINE_TOL = 1e-7  # m; final bracket width of the line search
 
 
+def _expanded(model: _Model, t: _Coarse, c: np.ndarray) -> np.ndarray:
+    """The objective over the coarse grid for each row of c (epochs x N
+    centred RSS), by the expanded form of the module docstring.
+
+    q / N = |c + a Lc - g_c|^2 with a = 5 alpha and g_c the gain centred
+    over stations.  As c is centred, the omni part is
+    |c|^2 + 2a c.Lc + a^2 |Lc|^2, one matrix product against the cached
+    tables, and the gain adds -2 (c + a Lc).g + |g|^2 - (sum g)^2 / N.
+    Singular cells are +inf.
+    """
+    n = c.shape[1]
+    a = 5.0 * model.alpha
+    q = c @ t.lc
+    q *= 2.0 * a
+    q += np.einsum("ti,ti->t", c, c)[:, None]
+    q += (a * a) * t.lc2
+    if model.directional:
+        for b in range(0, len(t.x), _BLOCK):
+            cols = slice(b, b + _BLOCK)
+            g = t.ux[:, cols] * model.gcos[:, None]
+            g += t.uy[:, cols] * model.gsin[:, None]
+            np.maximum(g, 0.0, out=g)
+            q[:, cols] -= 2.0 * (c @ g + a * np.einsum("ig,ig->g", t.lc[:, cols], g))
+            q[:, cols] += np.einsum("ig,ig->g", g, g) - np.square(g.sum(axis=0)) / n
+    q *= n
+    q[:, t.singular] = np.inf
+    return q
+
+
+def _coarse_seeds(model: _Model, t: _Coarse) -> np.ndarray:
+    """The refinement seeds of every epoch of the model: (T, seeds) grid
+    indices, the first of a stable sort of the evaluate objective over the
+    coarse grid.
+
+    The expanded form shortlists _SHORTLIST cells per epoch, and evaluate
+    ranks the shortlist, ties going to the smaller grid index.  A cell left
+    out has an expanded value at least the last shortlisted one's, so it
+    cannot rank among the seeds when that value clears the last seed's
+    objective by more than the expansion's rounding.  An epoch whose
+    objective is too flat for that (coincident stations) is evaluated over
+    the whole grid instead.
+    """
+    epochs = model.c.shape[1]
+    k = min(_SHORTLIST, len(t.x))
+    q = _expanded(model, t, model.c.T)
+    shortlist = np.argpartition(q, k - 1, axis=1)[:, :k]
+    cutoff = np.take_along_axis(q, shortlist, axis=1).max(axis=1)
+    exact = model.repeat(k).objective(t.x[shortlist].ravel(), t.y[shortlist].ravel())
+    exact = exact.reshape(epochs, k)
+    order = np.lexsort((shortlist, exact), axis=1)[:, :_REFINE_SEEDS]
+    seeds = np.take_along_axis(shortlist, order, axis=1)
+    last = np.take_along_axis(exact, order[:, -1:], axis=1)[:, 0]
+    # the expansion rounds relative to N |c|^2, its largest term near the seeds
+    scale = 1.0 + len(model.c) * np.einsum("it,it->t", model.c, model.c)
+    for e in np.flatnonzero(~(cutoff - last > _SEPARATION * scale)):
+        q = replace(model, c=model.c[:, e:e + 1]).objective(t.x, t.y)
+        seeds[e] = np.argsort(q, kind="stable")[:_REFINE_SEEDS]
+    return seeds
+
+
 def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step-halving refinement of every seed at once.
+    """Step-halving refinement of every seed at once; seed j reads column
+    j of the model's c.
 
     Each round scans the 5x5 stencil around each seed's best point, clipped
     to the region, in one objective call.  Within a stencil the first
@@ -257,6 +342,7 @@ def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray
     rows = np.arange(n)
     bq = np.full(n, math.inf)
     step = reg.coarse_step / 2.0
+    model = model.repeat(len(_STENCIL) ** 2)
     for _ in range(reg.refine_iterations):
         xs = np.clip(bx[:, None] + step * _STENCIL, reg.x_min, reg.x_max)
         ys = np.clip(by[:, None] + step * _STENCIL, reg.y_min, reg.y_max)
@@ -269,25 +355,37 @@ def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray
     return bx, by, bq
 
 
-def solve_rssd(cfg: SolverConfig, m: MeasurementSet) -> Point2D:
+def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementSet]]):
     """2D argmin of the RSSD objective over the search region.
 
+    m is one measurement set, giving one point, or a sequence of them read
+    with the same antennas, solved together and giving a list of points.
     Coarse scan at region.coarse_step, then refine_iterations rounds of a
     local 5x5 grid with the step halved each round (final resolution
     coarse_step / 2**refine_iterations).  The directional gain clamp can
     carve shallow secondary basins, so refinement starts from the several
     best coarse cells and keeps the best refined result, ties going to the
-    smallest (y, x).
+    smallest (y, x).  A stack runs _CHUNK epochs at a time through one
+    coarse product and one refinement of all their seeds; each epoch's
+    estimate is the one it gets alone.
     """
+    single = isinstance(m, MeasurementSet)
+    if not single and len(m) == 0:
+        return []
     model = _Model.build(cfg, m)
     reg = cfg.region
-    x, y, blocks = _coarse_geometry(tuple(model.sx.tolist()),
-                                    tuple(model.sy.tolist()), reg)
-    q = np.concatenate([model.evaluate(g) for g in blocks])
-    seeds = _smallest(q, _REFINE_SEEDS)
-    bx, by, bq = _refine(model, reg, x[seeds], y[seeds])
-    k = np.lexsort((bx, by, bq))[0]
-    return Point2D(float(bx[k]), float(by[k]))
+    t = _coarse_tables(tuple(model.sx.tolist()), tuple(model.sy.tolist()), reg)
+    points = []
+    for lo in range(0, model.c.shape[1], _CHUNK):
+        chunk = replace(model, c=model.c[:, lo:lo + _CHUNK])
+        seeds = _coarse_seeds(chunk, t)
+        epochs, per_epoch = seeds.shape
+        bx, by, bq = (a.reshape(epochs, per_epoch) for a in _refine(
+            chunk.repeat(per_epoch), reg, t.x[seeds].ravel(), t.y[seeds].ravel()))
+        k = np.lexsort((bx, by, bq), axis=1)[:, 0]
+        rows = np.arange(epochs)
+        points += [Point2D(float(x), float(y)) for x, y in zip(bx[rows, k], by[rows, k])]
+    return points[0] if single else points
 
 
 def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet) -> Point2D:

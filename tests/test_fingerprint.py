@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rssdloc.channel import ChannelParams, received_power
-from rssdloc.errors import DegenerateHyperbola, EmptyGrid, LengthMismatch
+from rssdloc.errors import DegenerateHyperbola, EmptyGrid, InvalidScenario, LengthMismatch
 from rssdloc.fingerprint import (
     CircularTrackParams,
     FingerprintDB,
@@ -65,6 +68,20 @@ class TestBuildDb:
         assert np.allclose(loaded.positions, db.positions, atol=1e-4)
         assert np.allclose(loaded.rss, db.rss, atol=1e-4)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("", r"header must start with x, y, got \[\]"),
+        ("x,y,P_1\n0,0,-40\n", r"needs two or more distinct station columns, got \['P_1'\]"),
+        ("x,y,P_1,P_1\n0,0,-40,-41\n", "needs two or more distinct station columns"),
+        ("x,y,P_1,P_2\n0,0,-40,nan\n", "line 2 holds a non-finite value"),
+        ("x,y,P_1,P_2\n0,0,-40,-41\n1,0,-40\n", "line 3 has 3 fields, the header 4"),
+    ], ids=["empty", "one-station", "duplicate-station", "nan", "short-row"])
+    def test_csv_rejects_malformed_file(self, tmp_path, text, problem):
+        path = tmp_path / "db.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidScenario,
+                           match=re.escape(f"fingerprint file '{path}': ") + problem):
+            FingerprintDB.from_csv(path)
+
 
 class TestCoarseEstimate:
     def test_self_retrieval(self, db):
@@ -105,6 +122,28 @@ class TestCoarseEstimate:
             k = int(np.argmin(np.einsum("np,np->n", d, d)))
             est = coarse_estimate(db, meas)
             assert (est.x, est.y) == tuple(db.positions[k])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 164), st.floats(-60.0, 0.0),
+                              st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4)),
+                    min_size=1, max_size=12))
+    def test_stack_equals_rows(self, db, epochs):
+        # up to 12 epochs, so two distance tables; each row as it would be alone
+        meas = np.array([db.rss[k] + offset + np.array(noise)
+                         for k, offset, noise in epochs])
+        assert coarse_estimate(db, meas) == [coarse_estimate(db, row) for row in meas]
+
+    def test_empty_stack(self, db):
+        assert coarse_estimate(db, np.empty((0, 4))) == []
+
+    def test_ties_go_to_first_grid_point(self, db):
+        # grid points 7 and 90 hold the same fingerprint
+        rss = db.rss.copy()
+        rss[90] = rss[7]
+        twin = FingerprintDB(db.positions, rss, db.bs_ids)
+        first = Point2D(*db.positions[7])
+        assert coarse_estimate(twin, rss[7]) == first
+        assert coarse_estimate(twin, [rss[90] + 3.0] * 10) == [first] * 10
 
     def test_empty_db(self, db):
         empty = FingerprintDB(db.positions[:0], db.rss[:0], db.bs_ids)

@@ -5,10 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from rssdloc import harness
+from rssdloc.channel import simulate_measurements
 from rssdloc.cli import main
-from rssdloc.errors import EmptyInput, InvalidScenario, UnknownKey
+from rssdloc.errors import DegenerateHyperbola, EmptyInput, InvalidScenario, UnknownKey
+from rssdloc.fingerprint import circular_track, coarse_estimate, refine_with_tdoa
 from rssdloc.geometry import SPEED_OF_LIGHT, OmniAntenna, Point2D
 from rssdloc.harness import (
     EpochRecord,
@@ -22,8 +25,9 @@ from rssdloc.harness import (
     write_report_files,
     write_summary_csv,
 )
+from rssdloc.mobility import generate_track
 from rssdloc.scenario import Mode, load_scenario, scenario_from_dict
-from rssdloc.solver import AntennaModel
+from rssdloc.solver import AntennaModel, SolverConfig, solve_rssd, solve_rssd_tdoa
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FP_YAML = SCENARIO_DIR / "fp_3x3.yaml"
@@ -145,6 +149,83 @@ class TestFpTrial:
     def test_db_is_deterministic(self, fp_scenario):
         a, b = scenario_db(fp_scenario), scenario_db(fp_scenario)
         assert np.array_equal(a.rss, b.rss)
+
+
+def per_epoch_trial(s, trial, db):
+    """Reference loop of a trial without antenna feedback: each epoch is
+    measured and then located on its own, in the single-epoch forms.
+    Returns the (t, true position, estimate) records and the fallback count."""
+    rng = trial_rng(s.seed, trial)
+    if s.mode.is_sim:
+        epochs, known = generate_track(s.waypoint, rng).epochs, 1
+    else:
+        epochs, known = list(enumerate(circular_track(s.circular))), 0
+    cfg = SolverConfig(s.channel, s.bs, s.region, s.antenna_model)
+    records, fallbacks = [], 0
+    for idx, (t, pos) in enumerate(epochs):
+        est = pos
+        if idx >= known:
+            m = simulate_measurements(s.bs, pos, s.channel, s.tdoa_noise, rng)
+            try:
+                if s.mode is Mode.SIM_RSSD:
+                    est = solve_rssd(cfg, m)
+                elif s.mode is Mode.SIM_RSSD_TDOA:
+                    est = solve_rssd_tdoa(cfg, m)
+                else:
+                    est = coarse_estimate(db, [m.rss[j] for j in db.bs_ids])
+                    if s.mode is Mode.FP_RSSD_TDOA:
+                        est = refine_with_tdoa(est, m.tdoa, s.bs)
+            except DegenerateHyperbola:
+                fallbacks += 1
+                if s.mode.is_sim:
+                    est = solve_rssd(cfg, m)
+        records.append((float(t), pos, est))
+    return records, fallbacks
+
+
+class TestBatchedTrial:
+    # without antenna feedback a trial locates all its scored epochs at once
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(list(Mode)), st.integers(0, 10_000),
+           st.sampled_from([330e-12, 20e-9]))
+    def test_equals_per_epoch_loop(self, fp_scenario, mode, trial, sigma_tdoa):
+        # 20 ns of TDOA noise makes some epochs fall back (TestTdoaFallback)
+        if mode.is_sim:
+            s = scenario_from_dict(small_sim_dict(mode=mode.value, antenna_model="OMNI",
+                                                  sigma_tdoa=sigma_tdoa))
+            db = None
+        else:
+            s = load_scenario(FP_YAML, {"mode": mode.value, "circular.count": 16,
+                                        "sigma_tdoa": sigma_tdoa})
+            db = scenario_db(fp_scenario)
+        r = run_trial(s, trial, db)
+        records, fallbacks = per_epoch_trial(s, trial, db)
+        assert [(e.t, e.true_position, e.estimate) for e in r.records] == records
+        assert r.tdoa_fallbacks == fallbacks
+
+    @pytest.mark.parametrize("mode, antenna_model, name", [
+        (Mode.SIM_RSSD, AntennaModel.OMNI, "solve_rssd"),
+        (Mode.SIM_RSSD, AntennaModel.DIRECTIONAL, "solve_rssd"),
+        (Mode.FP_RSSD, AntennaModel.DIRECTIONAL, "coarse_estimate"),
+        (Mode.FP_RSSD_TDOA, AntennaModel.DIRECTIONAL, "coarse_estimate"),
+    ])
+    def test_locate_step_calls_per_trial(self, monkeypatch, fp_scenario, mode,
+                                         antenna_model, name):
+        calls = []
+        step = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a: calls.append(a) or step(*a))
+        if mode.is_sim:
+            s = scenario_from_dict(small_sim_dict(mode=mode.value,
+                                                  antenna_model=antenna_model.value))
+        else:
+            s = fp_scenario.with_mode(mode)
+        r = run_trial(s, 0, None if mode.is_sim else scenario_db(s))
+        # directional simulation re-points its antennas at every estimate, so
+        # it locates epoch by epoch; any other trial locates once
+        scored = len(r.records) - 1 if mode.is_sim else len(r.records)
+        feedback = s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL
+        assert len(calls) == (scored if feedback else 1)
 
 
 class TestTdoaFallback:
@@ -391,6 +472,36 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda rows: [rows[0].replace("P_4", "P_9")] + rows[1:],
+         "columns P_9 name no RSS station of the scenario"),
+        (lambda rows: [rows[0].replace("P_4", "Q_4")] + rows[1:],
+         "column 6 is 'Q_4', not P_<station id>"),
+        (lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:],
+         "line 4 has 5 fields, the header 6"),
+        (lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0] + ",abc"] + rows[4:],
+         "line 4: could not convert string to float: 'abc'"),
+    ], ids=["unknown-station", "bad-header", "short-row", "not-a-number"])
+    def test_run_reports_bad_fingerprint_file(self, tmp_path, capsys, edit, problem):
+        db_file = tmp_path / "db.csv"
+        assert main(["build-db", "--scenario", str(FP_YAML), "--out", str(db_file)]) == 0
+        db_file.write_text("\n".join(edit(db_file.read_text().splitlines())) + "\n")
+        path = write_copy(tmp_path, lambda d: d["fingerprint"].update(db_file=str(db_file)))
+        capsys.readouterr()
+        rc = main(["run", "--scenario", str(path), "--trials", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: fingerprint file {str(db_file)!r}: {problem}\n"
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_run_fp_from_db_file(self, tmp_path, capsys):
+        # a database written by build-db gives the synthesized one's estimates
+        db_file = tmp_path / "db.csv"
+        assert main(["build-db", "--scenario", str(FP_YAML), "--out", str(db_file)]) == 0
+        path = write_copy(tmp_path, lambda d: d["fingerprint"].update(db_file=str(db_file)))
+        loaded, built = load_scenario(path), load_scenario(FP_YAML)
+        assert run_trial(loaded, 0).errors == run_trial(built, 0).errors
 
     def test_build_db(self, tmp_path):
         out = tmp_path / "db.csv"

@@ -25,7 +25,9 @@ from rssdloc.solver import (
     AntennaModel,
     SearchRegion,
     SolverConfig,
-    _coarse_geometry,
+    _coarse_seeds,
+    _coarse_tables,
+    _expanded,
     _grid,
     _Model,
     solve_rssd,
@@ -106,6 +108,20 @@ def layouts(draw, tdoa=False):
         except DegenerateHyperbola:
             assume(False)
     return cfg, m
+
+
+@st.composite
+def stacks(draw):
+    """A layout and a stack of 1-10 noisy measurements taken in it with the
+    same antennas, the layout's own measurement first."""
+    cfg, m = draw(layouts())
+    ms = [m]
+    for _ in range(draw(st.integers(0, 9))):
+        mu = Point2D(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+        if min(distance(mu, b.position) for b in cfg.bs) < 1e-3:
+            mu = Point2D(mu.x + 0.01, mu.y)
+        ms.append(measure(cfg.bs, mu, cfg.params, seed=draw(st.integers(0, 2**32 - 1))))
+    return cfg, ms
 
 
 class TestObjective:
@@ -411,6 +427,45 @@ class TestAgainstPairForm:
         assert est == sequential_solve(cfg, m)
         assert cfg.region.contains(est)
 
+    @settings(max_examples=30, deadline=None)
+    @given(stacks())
+    def test_stack_equals_per_measurement(self, stack):
+        # up to ten epochs: several coarse-product chunks and one refinement
+        cfg, ms = stack
+        assert solve_rssd(cfg, ms) == [solve_rssd(cfg, m) for m in ms]
+
+    def test_empty_stack(self):
+        assert solve_rssd(SolverConfig(NOISY, make_stations(), REGION), []) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts())
+    def test_expanded_coarse_form_matches_evaluate(self, layout):
+        cfg, m = layout
+        model = _Model.build(cfg, m)
+        t = _coarse_tables(tuple(model.sx.tolist()), tuple(model.sy.tolist()), cfg.region)
+        q = model.objective(t.x, t.y)
+        # the seeds are the evaluate objective's first 8 cells, ties by index
+        assert set(_coarse_seeds(model, t)[0]) == set(np.argsort(q, kind="stable")[:8])
+        expanded = _expanded(model, t, model.c.T)[0]
+        finite = np.isfinite(q)
+        assert np.array_equal(np.isfinite(expanded), finite)
+        # Stations closer than 1 mm make the objective flat up to rounding,
+        # where no relative error is defined (the seeds above still hold).
+        positions = [b.position for b in cfg.bs]
+        assume(min(distance(p, r) for i, p in enumerate(positions)
+                   for r in positions[i + 1:]) >= 1e-3)
+        assert (np.max(np.abs(expanded[finite] - q[finite]))
+                <= 1e-12 * np.max(q[finite]))
+
+    def test_flat_objective_seeds_from_whole_grid(self):
+        # three stations at one point: every cell sees equal distances, so
+        # the shortlist cannot tell the seeds apart and the grid is evaluated
+        bs = [BaseStation(i + 1, Point2D(0.0, y), Role.RSS_ONLY)
+              for i, y in enumerate((0.0, 1e-156, 1e-300))]
+        cfg = SolverConfig(NOISELESS, bs, REGION)
+        m = measure(bs, Point2D(1.0, 1.0))
+        assert solve_rssd(cfg, m) == sequential_solve(cfg, m)
+
     def test_layouts_never_share_tables(self):
         a = make_stations()
         b = [BaseStation(s.id, Point2D(s.position.x + 0.37, s.position.y), s.role,
@@ -419,11 +474,12 @@ class TestAgainstPairForm:
         for bs in (a, b):
             sx = tuple(s.position.x for s in bs if s.role.measures_rss)
             sy = tuple(s.position.y for s in bs if s.role.measures_rss)
-            x, y, blocks = _coarse_geometry(sx, sy, REGION)
-            logd2 = np.concatenate([g.logd2 for g in blocks], axis=1)
-            d2 = (x - np.array(sx)[:, None]) ** 2 + (y - np.array(sy)[:, None]) ** 2
-            np.testing.assert_allclose(logd2, np.log10(d2), rtol=0, atol=1e-12)
-            tables.append(logd2)
+            t = _coarse_tables(sx, sy, REGION)
+            logd2 = np.log10((t.x - np.array(sx)[:, None]) ** 2
+                             + (t.y - np.array(sy)[:, None]) ** 2)
+            np.testing.assert_allclose(t.lc, logd2 - logd2.mean(axis=0), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t.lc2, (t.lc ** 2).sum(axis=0), rtol=1e-12)
+            tables.append(t.lc)
         assert not np.array_equal(tables[0], tables[1])
 
     def test_boresights_share_tables(self):
@@ -432,10 +488,10 @@ class TestAgainstPairForm:
         pos = make_stations()
         sx = tuple(s.position.x for s in pos if s.role.measures_rss)
         sy = tuple(s.position.y for s in pos if s.role.measures_rss)
-        first = _coarse_geometry(sx, sy, REGION)
+        first = _coarse_tables(sx, sy, REGION)
         for target in (Point2D(1, 1), Point2D(-2, 0.5)):
             bs = make_stations(directional=True, target=target)
             cfg = SolverConfig(NOISY, bs, REGION, AntennaModel.DIRECTIONAL)
             solve_rssd(cfg, measure(bs, target, NOISY))
-            assert _coarse_geometry(sx, sy, REGION) is first
-        assert not first[2][0].logd2.flags.writeable
+            assert _coarse_tables(sx, sy, REGION) is first
+        assert not any(a.flags.writeable for a in first)
