@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -174,21 +174,16 @@ def coarse_estimate(db: FingerprintDB, meas):
     ref, stack = centred(db.rss), np.atleast_2d(centred(meas))
     k = np.empty(len(stack), dtype=np.intp)
     for lo in range(0, len(stack), _CHUNK):
-        # one row of station differences per (epoch, grid point), summed alike
-        d = (ref - stack[lo:lo + _CHUNK, None, :]).reshape(-1, n)
-        k[lo:lo + _CHUNK] = np.einsum("nk,nk->n", d, d).reshape(-1, len(db)).argmin(axis=1)
+        d = ref - stack[lo:lo + _CHUNK, None, :]  # (epochs, M, N) differences
+        k[lo:lo + _CHUNK] = np.einsum("emk,emk->em", d, d).argmin(axis=1)
     points = [Point2D(float(db.positions[i, 0]), float(db.positions[i, 1])) for i in k]
     return points if meas.ndim == 2 else points[0]
 
 
 def refine_with_tdoa(coarse: Point2D, tdoa: Tuple[int, int, float],
-                     bs: List[BaseStation],
-                     y_bracket: Optional[Tuple[float, float]] = None) -> Point2D:
-    """Project the coarse estimate onto the measured TDOA hyperbola.
-
-    The projection runs in the TDOA pair's canonical frame; y_bracket, when
-    given, is interpreted in that frame.
-    """
+                     bs: List[BaseStation]) -> Point2D:
+    """Project the coarse estimate onto the measured TDOA hyperbola, in the
+    TDOA pair's canonical frame."""
     frame, h = measured_hyperbola(tdoa, bs)
-    q = project_onto_hyperbola(frame.to_canonical(coarse), h, y_bracket)
+    q = project_onto_hyperbola(frame.to_canonical(coarse), h)
     return frame.from_canonical(q)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -155,23 +155,20 @@ def golden_section(f: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
-def project_onto_hyperbola(p: Point2D, h: Hyperbola,
-                           y_bracket: Optional[tuple] = None) -> Point2D:
+def project_onto_hyperbola(p: Point2D, h: Hyperbola) -> Point2D:
     """Closest point on the hyperbola branch to p, by 1D search over y.
 
     The squared distance to the branch is unimodal in y for points near the
-    curve; the default bracket is generous enough to contain the foot for
-    any point whose |y| is comparable to the bracket width.
+    curve; the bracket is generous enough to contain the foot for any point
+    whose |y| is comparable to the bracket width.
     """
-    if y_bracket is None:
-        w = abs(p.y) + 2.0 * h.half_separation + 1.0
-        y_bracket = (p.y - w, p.y + w)
+    w = abs(p.y) + 2.0 * h.half_separation + 1.0
 
     def sqdist(y: float) -> float:
         x = hyperbola_x_of_y(h, y)
         return (x - p.x) ** 2 + (y - p.y) ** 2
 
-    y_star = golden_section(sqdist, y_bracket[0], y_bracket[1], tol=1e-9)
+    y_star = golden_section(sqdist, p.y - w, p.y + w, tol=1e-9)
     return Point2D(float(hyperbola_x_of_y(h, y_star)), y_star)
 
 

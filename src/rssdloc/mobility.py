@@ -110,7 +110,6 @@ class OrientationState:
     """Current boresight of every directional RSS station, keyed by id."""
 
     boresights: Dict[int, float]
-    last_estimate: Point2D
 
     @classmethod
     def initial(cls, bs: List[BaseStation], position: Point2D) -> "OrientationState":
@@ -119,7 +118,7 @@ class OrientationState:
         for b in bs:
             if b.role.measures_rss and isinstance(b.antenna, DirectionalAntenna):
                 bores[b.id] = azimuth(b.position, position)
-        return cls(bores, position)
+        return cls(bores)
 
 
 def update_orientation(state: OrientationState, bs: List[BaseStation],
@@ -136,7 +135,7 @@ def update_orientation(state: OrientationState, bs: List[BaseStation],
         if distance(b.position, new_estimate) < _COINCIDENCE_TOL:
             continue
         bores[b.id] = azimuth(b.position, new_estimate)
-    return OrientationState(bores, new_estimate)
+    return OrientationState(bores)
 
 
 def apply_orientation(bs: List[BaseStation],

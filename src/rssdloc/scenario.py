@@ -57,6 +57,12 @@ class FingerprintConfig:
     db_sigma_beta: float = 0.0  # shadow fading used while building the DB
     db_file: Optional[str] = None
 
+    def __post_init__(self):
+        if self.grid_step <= 0:
+            raise ValueError(f"grid_step must be > 0, got {self.grid_step}")
+        if self.db_sigma_beta < 0:
+            raise ValueError(f"db_sigma_beta must be >= 0, got {self.db_sigma_beta}")
+
 
 @dataclass
 class Scenario:
@@ -195,7 +201,28 @@ def _list(parse_entry: Parser) -> Parser:
     return parse
 
 
-_FLOAT, _INT, _STR = _value(float), _value(int), _value(str)
+def _finite(value: Any) -> float:
+    """value as a finite float; a boolean, NaN or infinity raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    f = float(value)
+    if not math.isfinite(f):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return f
+
+
+def _whole(value: Any) -> int:
+    """value as an int; a boolean, a non-finite or a non-whole number raises
+    ValueError, and a whole float such as 2.0 reads as 2."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    f = _finite(value)
+    if not f.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(f)
+
+
+_FLOAT, _INT, _STR = _value(_finite), _value(_whole), _value(str)
 
 
 def _member(cls: Type[Enum], value: Any) -> Enum:
@@ -267,13 +294,13 @@ _SCENARIO: Dict[str, Parser] = {
     "antenna_model": _enum(AntennaModel),
     "seed": _INT,
     "trials": _INT,
-    "sigma_tdoa": _value(lambda v: TdoaNoiseParams(float(v))),
+    "sigma_tdoa": _value(lambda v: TdoaNoiseParams(_finite(v))),
     "stations": _list(_station),
     "channel": _channel,
     "region": _region,
-    # without an area the track moves over the search region
-    "waypoint": _fields({"area": _region, **dict.fromkeys(
-        ["total_length", "speed", "pause_time", "update_rate"], _FLOAT)}),
+    # the track moves over the search region
+    "waypoint": _fields(dict.fromkeys(
+        ["total_length", "speed", "pause_time", "update_rate"], _FLOAT)),
     "circular": _circular,
     "fingerprint": _fields({"grid_step": _FLOAT,
                             "excluded": _list(_fields({"x": _FLOAT, "y": _FLOAT},
@@ -288,7 +315,7 @@ _FIELD = {"stations": "bs", "channel": "presets", "sigma_tdoa": "tdoa_noise"}
 def _scenario(d: Any, path: str) -> Scenario:
     f = _mapping(d, path, _SCENARIO, required=("mode", "stations", "region"))
     if "waypoint" in f:
-        f["waypoint"] = WaypointModelParams(**{"area": f["region"], **f["waypoint"]})
+        f["waypoint"] = WaypointModelParams(f["region"], **f["waypoint"])
     return Scenario(**{"name": "scenario",
                        **{_FIELD.get(k, k): v for k, v in f.items()}})
 

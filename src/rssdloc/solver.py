@@ -135,16 +135,12 @@ class _Geometry(NamedTuple):
 
 @dataclass
 class _Model:
-    """Measurements and antenna state as per-station arrays.
-
-    c holds one column per epoch of a stack (one column for a single
-    epoch), or one per candidate after repeat(); evaluate pairs candidate j
-    with column j, or every candidate with the only column.
-    """
+    """Measurements and antenna state as per-station arrays; c holds one
+    column per epoch of a stack (one column for a single epoch)."""
 
     sx: np.ndarray          # station x, ascending station id
     sy: np.ndarray
-    c: np.ndarray           # (N, columns) centred measured RSS, P_i - mean(P)
+    c: np.ndarray           # (N, epochs) centred measured RSS, P_i - mean(P)
     gcos: Optional[np.ndarray]  # peak gain (dB) times the boresight's cos and
     gsin: Optional[np.ndarray]  # sin; None for the omni model
     directional: bool
@@ -180,19 +176,21 @@ class _Model:
             alpha=cfg.params.alpha,
         )
 
-    def repeat(self, k: int) -> "_Model":
-        """The model with each column of c repeated for k consecutive candidates."""
-        return replace(self, c=np.repeat(self.c, k, axis=1))
-
-    def evaluate(self, g: _Geometry) -> np.ndarray:
-        """Objective at every candidate of g: N * sum_i (r_i - mean r)^2.
+    def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Objective N * sum_i (r_i - mean r)^2 at each candidate, in the
+        candidates' shape: (epochs, k) candidates, row e read against epoch
+        e, or (k,) candidates of a one-epoch model.
 
         Candidates within _SINGULAR_TOL of a station evaluate to +inf so a
         grid scan stays total.
         """
-        # r_i = c_i - m_i, with the model m_i = -5 alpha log10 d_i^2 + g_i
+        g = _Geometry.of(self.sx, self.sy, x.ravel(), y.ravel())
+        # r_i = c_i - m_i, with the model m_i = -5 alpha log10 d_i^2 + g_i;
+        # each epoch's column of c is repeated for its k candidates; a
+        # one-epoch model's column is broadcast over (k,) candidates, which
+        # spares the line search's small calls a copy each
         r = g.logd2 * (5.0 * self.alpha)
-        r += self.c
+        r += self.c if x.ndim == 1 else self.c.repeat(x.shape[1], axis=1)
         if self.directional:
             # gain * cos(off-boresight angle), clamped at 0 as antenna_gain
             gain = g.ux * self.gcos[:, None]
@@ -204,11 +202,7 @@ class _Model:
         q = np.einsum("in,in->n", r, r)
         q *= n
         q[g.singular] = np.inf
-        return q
-
-    def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Sum-of-squared-residuals at each candidate point (vectorized)."""
-        return self.evaluate(_Geometry.of(self.sx, self.sy, x, y))
+        return q.reshape(x.shape)
 
 
 def rssd_objective(cfg: SolverConfig, m: MeasurementSet, p: Point2D) -> float:
@@ -269,9 +263,9 @@ _LINE = np.arange(33)  # line-search heights per round, in 1/32 of the bracket
 _LINE_TOL = 1e-7  # m; final bracket width of the line search
 
 
-def _expanded(model: _Model, t: _Coarse, c: np.ndarray) -> np.ndarray:
-    """The objective over the coarse grid for each row of c (epochs x N
-    centred RSS), by the expanded form of the module docstring.
+def _expanded(model: _Model, t: _Coarse) -> np.ndarray:
+    """The (epochs, cells) objective of every epoch of the model over the
+    coarse grid, by the expanded form of the module docstring.
 
     q / N = |c + a Lc - g_c|^2 with a = 5 alpha and g_c the gain centred
     over stations.  As c is centred, the omni part is
@@ -279,6 +273,7 @@ def _expanded(model: _Model, t: _Coarse, c: np.ndarray) -> np.ndarray:
     tables, and the gain adds -2 (c + a Lc).g + |g|^2 - (sum g)^2 / N.
     Singular cells are +inf.
     """
+    c = model.c.T
     n = c.shape[1]
     a = 5.0 * model.alpha
     q = c @ t.lc
@@ -300,10 +295,10 @@ def _expanded(model: _Model, t: _Coarse, c: np.ndarray) -> np.ndarray:
 
 def _coarse_seeds(model: _Model, t: _Coarse) -> np.ndarray:
     """The refinement seeds of every epoch of the model: (T, seeds) grid
-    indices, the first of a stable sort of the evaluate objective over the
-    coarse grid.
+    indices, the first of a stable sort of the objective over the coarse
+    grid.
 
-    The expanded form shortlists _SHORTLIST cells per epoch, and evaluate
+    The expanded form shortlists _SHORTLIST cells per epoch, and objective
     ranks the shortlist, ties going to the smaller grid index.  A cell left
     out has an expanded value at least the last shortlisted one's, so it
     cannot rank among the seeds when that value clears the last seed's
@@ -311,13 +306,11 @@ def _coarse_seeds(model: _Model, t: _Coarse) -> np.ndarray:
     objective is too flat for that (coincident stations) is evaluated over
     the whole grid instead.
     """
-    epochs = model.c.shape[1]
     k = min(_SHORTLIST, len(t.x))
-    q = _expanded(model, t, model.c.T)
+    q = _expanded(model, t)
     shortlist = np.argpartition(q, k - 1, axis=1)[:, :k]
     cutoff = np.take_along_axis(q, shortlist, axis=1).max(axis=1)
-    exact = model.repeat(k).objective(t.x[shortlist].ravel(), t.y[shortlist].ravel())
-    exact = exact.reshape(epochs, k)
+    exact = model.objective(t.x[shortlist], t.y[shortlist])
     order = np.lexsort((shortlist, exact), axis=1)[:, :_REFINE_SEEDS]
     seeds = np.take_along_axis(shortlist, order, axis=1)
     last = np.take_along_axis(exact, order[:, -1:], axis=1)[:, 0]
@@ -331,26 +324,27 @@ def _coarse_seeds(model: _Model, t: _Coarse) -> np.ndarray:
 
 def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step-halving refinement of every seed at once; seed j reads column
-    j of the model's c.
+    """Step-halving refinement of every seed at once: bx and by are
+    (epochs, seeds) starting points, row e refined against epoch e, and the
+    refined points and their objective come back in that shape.
 
     Each round scans the 5x5 stencil around each seed's best point, clipped
     to the region, in one objective call.  Within a stencil the first
     minimum wins, i.e. the smallest (y, x).
     """
-    n = len(bx)
-    rows = np.arange(n)
-    bq = np.full(n, math.inf)
+    epochs, seeds = bx.shape
+    # each seed's first stencil point, as a flat index into a round's scan
+    first = np.arange(0, 25 * bx.size, 25).reshape(bx.shape)
+    bq = np.full(bx.shape, math.inf)
     step = reg.coarse_step / 2.0
-    model = model.repeat(len(_STENCIL) ** 2)
     for _ in range(reg.refine_iterations):
-        xs = np.clip(bx[:, None] + step * _STENCIL, reg.x_min, reg.x_max)
-        ys = np.clip(by[:, None] + step * _STENCIL, reg.y_min, reg.y_max)
-        gx = np.repeat(xs[:, None, :], 5, axis=1).reshape(n, 25)  # x fast
-        gy = np.repeat(ys, 5, axis=1)                             # y slow
-        q = model.objective(gx.ravel(), gy.ravel()).reshape(n, 25)
-        k = q.argmin(axis=1)
-        bx, by, bq = gx[rows, k], gy[rows, k], q[rows, k]
+        xs = np.clip(bx[..., None] + step * _STENCIL, reg.x_min, reg.x_max)
+        ys = np.clip(by[..., None] + step * _STENCIL, reg.y_min, reg.y_max)
+        gx = xs[..., None, :].repeat(5, axis=2).reshape(epochs, -1)  # x fast
+        gy = ys.repeat(5, axis=2).reshape(epochs, -1)                # y slow
+        q = model.objective(gx, gy)
+        k = q.reshape(epochs, seeds, 25).argmin(axis=2) + first
+        bx, by, bq = gx.take(k), gy.take(k), q.take(k)
         step /= 2.0
     return bx, by, bq
 
@@ -379,11 +373,9 @@ def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementS
     for lo in range(0, model.c.shape[1], _CHUNK):
         chunk = replace(model, c=model.c[:, lo:lo + _CHUNK])
         seeds = _coarse_seeds(chunk, t)
-        epochs, per_epoch = seeds.shape
-        bx, by, bq = (a.reshape(epochs, per_epoch) for a in _refine(
-            chunk.repeat(per_epoch), reg, t.x[seeds].ravel(), t.y[seeds].ravel()))
+        bx, by, bq = _refine(chunk, reg, t.x[seeds], t.y[seeds])
         k = np.lexsort((bx, by, bq), axis=1)[:, 0]
-        rows = np.arange(epochs)
+        rows = np.arange(len(k))
         points += [Point2D(float(x), float(y)) for x, y in zip(bx[rows, k], by[rows, k])]
     return points[0] if single else points
 

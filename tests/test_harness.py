@@ -319,6 +319,36 @@ class TestScenarioLoading:
         d["stations"][0]["antenna"] = {"gain_db": 6.5, "orientation": 45}
         with pytest.raises(UnknownKey, match=r"stations\[0\]\.antenna\.orientation_deg"):
             scenario_from_dict(d)
+        # the track moves over the region; there is no area of its own
+        d = small_sim_dict()
+        d["waypoint"]["area"] = d["region"]
+        with pytest.raises(UnknownKey, match=r"unknown scenario key 'waypoint\.area'; "
+                                             r"valid keys: pause_time, speed"):
+            scenario_from_dict(d)
+
+    @pytest.mark.parametrize("path, text, problem", [
+        ("trials", "2.7", "expected a whole number, got 2.7"),
+        ("trials", "true", "expected a number, got True"),
+        ("seed", "1.5", "expected a whole number, got 1.5"),
+        ("circular.count", "false", "expected a number, got False"),
+        ("waypoint.speed", ".nan", "expected a finite number, got nan"),
+        ("waypoint.total_length", ".inf", "expected a finite number, got inf"),
+        ("waypoint.update_rate", "true", "expected a number, got True"),
+        ("region.coarse_step", ".nan", "expected a finite number, got nan"),
+        ("sigma_tdoa", ".inf", "expected a finite number, got inf"),
+        ("sigma_tdoa", "-.inf", "expected a finite number, got -inf"),
+        ("sigma_tdoa", "true", "expected a number, got True"),
+    ])
+    def test_numbers_checked_not_coerced(self, path, text, problem):
+        # each value read as a file or a sweep reads it
+        with pytest.raises(InvalidScenario,
+                           match=rf"invalid scenario key '{path}': {problem}$"):
+            load_scenario(SIM_YAML, {path: yaml.safe_load(text)})
+
+    def test_whole_float_reads_as_int(self):
+        s = load_scenario(SIM_YAML, {"trials": 2.0, "seed": yaml.safe_load("3.0")})
+        assert (s.trials, s.seed) == (2, 3)
+        assert type(s.trials) is int and type(s.seed) is int
 
     def test_override_of_key_absent_from_file(self, tmp_path):
         path = tmp_path / "small.yaml"
@@ -607,13 +637,18 @@ class TestCli:
             raise AssertionError("a run started")
 
         monkeypatch.setattr("rssdloc.cli.run_scenario", no_run)
-        rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",
-                   "--param", "circular.count", "--values", "12,0",
-                   "--out", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "count must be >= 1" in err
-        assert not (tmp_path / "summary.csv").exists()
+        for param, values, problem in [
+                ("circular.count", "12,0", "count must be >= 1"),
+                ("fingerprint.grid_step", "0.25,0", "grid_step must be > 0, got 0.0"),
+                ("fingerprint.db_sigma_beta", "-1", "db_sigma_beta must be >= 0, got -1.0"),
+                ("trials", "2.7,true", "'trials': expected a whole number, got 2.7")]:
+            args = ["--trials", "1"] if param != "trials" else []
+            rc = main(["sweep", "--scenario", str(FP_YAML), *args, "--param", param,
+                       "--values", values, "--out", str(tmp_path)])
+            assert rc == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and problem in err
+            assert not (tmp_path / "summary.csv").exists()
 
     def test_sweep_antenna_model(self, tmp_path, capsys):
         rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",

@@ -290,9 +290,9 @@ class TestSolveRssdTdoa:
         # a sim_8x8 epoch: the coarse scan, then 5 bracket scans take the
         # +-coarse_step bracket below 1e-7 m
         calls = []
-        evaluate = _Model.evaluate
-        monkeypatch.setattr(_Model, "evaluate",
-                            lambda model, g: calls.append(g) or evaluate(model, g))
+        objective = _Model.objective
+        monkeypatch.setattr(_Model, "objective",
+                            lambda model, x, y: calls.append(x) or objective(model, x, y))
         s = load_scenario(SIM_YAML)
         rng = np.random.default_rng(3)
         for antenna_model in AntennaModel:
@@ -434,6 +434,25 @@ class TestAgainstPairForm:
         cfg, ms = stack
         assert solve_rssd(cfg, ms) == [solve_rssd(cfg, m) for m in ms]
 
+    @settings(max_examples=60, deadline=None)
+    @given(stacks(), st.integers(2, 30), st.integers(0, 2**32 - 1))
+    def test_objective_rows_read_their_epochs(self, stack, k, seed):
+        # (epochs, k) candidates: row e is epoch e's objective, bit for bit.
+        # From k = 2: numpy sums a lone candidate's (N, 1) residual column as
+        # a contiguous vector, in another order than a column of a batch.
+        cfg, ms = stack
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-6.0, 6.0, (len(ms), k))
+        y = rng.uniform(-6.0, 6.0, (len(ms), k))
+        # station positions themselves are singular candidates
+        for e in range(len(ms)):
+            p = cfg.bs[e % len(cfg.bs)].position
+            x[e, -1], y[e, -1] = p.x, p.y
+        q = _Model.build(cfg, ms).objective(x, y)
+        assert q.shape == x.shape
+        for e, m in enumerate(ms):
+            np.testing.assert_array_equal(q[e], _Model.build(cfg, m).objective(x[e], y[e]))
+
     def test_empty_stack(self):
         assert solve_rssd(SolverConfig(NOISY, make_stations(), REGION), []) == []
 
@@ -444,9 +463,9 @@ class TestAgainstPairForm:
         model = _Model.build(cfg, m)
         t = _coarse_tables(tuple(model.sx.tolist()), tuple(model.sy.tolist()), cfg.region)
         q = model.objective(t.x, t.y)
-        # the seeds are the evaluate objective's first 8 cells, ties by index
+        # the seeds are the objective's first 8 cells, ties by index
         assert set(_coarse_seeds(model, t)[0]) == set(np.argsort(q, kind="stable")[:8])
-        expanded = _expanded(model, t, model.c.T)[0]
+        expanded = _expanded(model, t)[0]
         finite = np.isfinite(q)
         assert np.array_equal(np.isfinite(expanded), finite)
         # Stations closer than 1 mm make the objective flat up to rounding,
