@@ -36,12 +36,13 @@ def _items(text: str, option: str) -> list:
     return items
 
 
-def _load(args, extra_overrides=None):
-    overrides = dict(extra_overrides or {})
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
+def _load(args, swept=None):
+    """The --scenario file with --seed and --trials applied, then a sweep's
+    own key, so that a swept seed or trials wins over the flag and is
+    checked as the file's value would be."""
+    overrides = {key: value for key, value in (("seed", args.seed), ("trials", args.trials))
+                 if value is not None}
+    overrides.update(swept or {})
     return load_scenario(args.scenario, overrides)
 
 

@@ -16,7 +16,8 @@ the measurements are drawn in the same order either way.
 An epoch's noisy TDOA can put the measured range difference at or beyond
 the station half-separation, where no hyperbola exists.  Such an epoch
 falls back to the estimate without TDOA (the 2-D RSSD fit, or the coarse
-fingerprint match) and is counted in RunReport.tdoa_fallbacks.
+fingerprint match) and is counted in RunReport.tdoa_fallbacks.  The
+simulation's fallback epochs of a chunk are fitted together, in one stack.
 """
 
 from __future__ import annotations
@@ -120,14 +121,12 @@ def _rssd(s, db, bs, ms):
 
 def _rssd_tdoa(s, db, bs, ms):
     cfg = SolverConfig(s.channel, bs, s.region, s.antenna_model)
-    estimates, fallbacks = [], 0
-    for m in ms:
-        try:
-            estimates.append(solve_rssd_tdoa(cfg, m))
-        except DegenerateHyperbola:
-            estimates.append(solve_rssd(cfg, m))
-            fallbacks += 1
-    return estimates, fallbacks
+    estimates = solve_rssd_tdoa(cfg, ms)
+    degenerate = [m for m, e in zip(ms, estimates) if e is None]
+    if degenerate:
+        fallback = iter(solve_rssd(cfg, degenerate))
+        estimates = [next(fallback) if e is None else e for e in estimates]
+    return estimates, len(degenerate)
 
 
 def _match(s, db, bs, ms):

@@ -32,27 +32,31 @@ Two search strategies:
 * TDOA-constrained 1D least squares along the measured hyperbola, by a
   coarse scan over y followed by bracket scans that evaluate a whole row of
   heights in one objective call per round, with the x-coordinate recovered
-  from the hyperbola equation.
+  from the hyperbola equation.  A stack of epochs with one TDOA pair is
+  searched in lockstep, one row of heights per epoch: the coarse scans share
+  the pair's grid of heights, and an epoch whose bracket is narrow enough
+  drops out of the later rounds.  An epoch with no hyperbola is left to the
+  caller.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .channel import ChannelParams, MeasurementSet, centred, rss_stations
-from .errors import EmptyRegion, MissingTdoa, SingularCandidate
+from .errors import DegenerateHyperbola, EmptyRegion, MissingTdoa, SingularCandidate
 from .geometry import (
     BaseStation,
+    CanonicalFrame,
     DirectionalAntenna,
+    Hyperbola,
     Point2D,
-    hyperbola_x_of_y,
-    measured_hyperbola,
 )
 
 _SINGULAR_TOL = 1e-6  # m; candidates closer than this to a station get inf
@@ -112,24 +116,30 @@ class _Geometry(NamedTuple):
     """Station-to-candidate geometry: (N, n) tables for N stations, n points."""
 
     logd2: np.ndarray     # log10 of the squared distance
-    ux: np.ndarray        # unit vector from the station toward the candidate
-    uy: np.ndarray
-    singular: np.ndarray  # (n,) candidate within _SINGULAR_TOL of a station
+    ux: Optional[np.ndarray]  # unit vector from the station toward the
+    uy: Optional[np.ndarray]  # candidate; None unless asked for
+    singular: Optional[np.ndarray]  # (n,) candidate within _SINGULAR_TOL of a
+                                    # station; None when no candidate is
 
     @classmethod
-    def of(cls, sx: np.ndarray, sy: np.ndarray, x: np.ndarray, y: np.ndarray
-           ) -> "_Geometry":
+    def of(cls, sx: np.ndarray, sy: np.ndarray, x: np.ndarray, y: np.ndarray,
+           units: bool = True) -> "_Geometry":
         dx = x - sx[:, None]
         dy = y - sy[:, None]
         d2 = dx * dx
         d2 += dy * dy
-        singular = (d2 < _SINGULAR_TOL2).any(axis=0)
-        # singular candidates evaluate to inf anyway; the clamp only keeps
-        # log10 and the division finite there
-        np.maximum(d2, _SINGULAR_TOL2, out=d2)
-        d = np.sqrt(d2)
-        dx /= d
-        dy /= d
+        singular = None
+        if d2.min() < _SINGULAR_TOL2:
+            singular = (d2 < _SINGULAR_TOL2).any(axis=0)
+            # singular candidates evaluate to inf anyway; the clamp only
+            # keeps log10 and the division finite there
+            np.maximum(d2, _SINGULAR_TOL2, out=d2)
+        if units:
+            d = np.sqrt(d2)
+            dx /= d
+            dy /= d
+        else:
+            dx = dy = None
         return cls(np.log10(d2, out=d2), dx, dy, singular)
 
 
@@ -176,6 +186,11 @@ class _Model:
             alpha=cfg.params.alpha,
         )
 
+    def epochs(self, cols) -> "_Model":
+        """The model of some of its epochs: cols indexes the columns of c."""
+        return _Model(self.sx, self.sy, self.c[:, cols], self.gcos, self.gsin,
+                      self.directional, self.alpha)
+
     def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Objective N * sum_i (r_i - mean r)^2 at each candidate, in the
         candidates' shape: (epochs, k) candidates, row e read against epoch
@@ -184,13 +199,13 @@ class _Model:
         Candidates within _SINGULAR_TOL of a station evaluate to +inf so a
         grid scan stays total.
         """
-        g = _Geometry.of(self.sx, self.sy, x.ravel(), y.ravel())
+        g = _Geometry.of(self.sx, self.sy, x.ravel(), y.ravel(), units=self.directional)
         # r_i = c_i - m_i, with the model m_i = -5 alpha log10 d_i^2 + g_i;
         # each epoch's column of c is repeated for its k candidates; a
-        # one-epoch model's column is broadcast over (k,) candidates, which
+        # one-epoch model's column is broadcast over its candidates, which
         # spares the line search's small calls a copy each
         r = g.logd2 * (5.0 * self.alpha)
-        r += self.c if x.ndim == 1 else self.c.repeat(x.shape[1], axis=1)
+        r += self.c if self.c.shape[1] == 1 else self.c.repeat(x.shape[1], axis=1)
         if self.directional:
             # gain * cos(off-boresight angle), clamped at 0 as antenna_gain
             gain = g.ux * self.gcos[:, None]
@@ -201,7 +216,8 @@ class _Model:
         r -= r.sum(axis=0) / n
         q = np.einsum("in,in->n", r, r)
         q *= n
-        q[g.singular] = np.inf
+        if g.singular is not None:
+            q[g.singular] = np.inf
         return q.reshape(x.shape)
 
 
@@ -245,7 +261,8 @@ def _coarse_tables(sx: Tuple[float, ...], sy: Tuple[float, ...], reg: SearchRegi
     x, y = gx.ravel(), gy.ravel()
     g = _Geometry.of(np.array(sx), np.array(sy), x, y)
     lc = g.logd2 - g.logd2.sum(axis=0) / len(sx)
-    tables = _Coarse(x, y, lc, np.einsum("ig,ig->g", lc, lc), g.ux, g.uy, g.singular)
+    singular = np.zeros(len(x), bool) if g.singular is None else g.singular
+    tables = _Coarse(x, y, lc, np.einsum("ig,ig->g", lc, lc), g.ux, g.uy, singular)
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -259,8 +276,15 @@ _CHUNK = 4  # epochs per coarse product and refinement; bounds their temporaries
 _BLOCK = 4096  # coarse cells per pass of the directional gain; its (N x cells)
                # temporaries stay small, as page-faulting large ones costs more
                # than their arithmetic
-_LINE = np.arange(33)  # line-search heights per round, in 1/32 of the bracket
+# Line-search heights per round as fractions of the bracket: width * (k / 32)
+# rounds as (width / 32) * k does, since dividing by a power of two is exact.
+_LINE = np.arange(33) / 32
+# the bracket after a round whose first minimum is cell k, as fractions of
+# the last one: the cells around k, clipped at the bracket ends
+_AROUND = _LINE[[[max(k - 1, 0), min(k + 1, len(_LINE) - 1)] for k in range(len(_LINE))]]
 _LINE_TOL = 1e-7  # m; final bracket width of the line search
+_LINE_CHUNK = 16  # epochs per lockstep line search; bounds its coarse scan's
+                  # (stations x epochs * heights) temporaries
 
 
 def _expanded(model: _Model, t: _Coarse) -> np.ndarray:
@@ -317,7 +341,7 @@ def _coarse_seeds(model: _Model, t: _Coarse) -> np.ndarray:
     # the expansion rounds relative to N |c|^2, its largest term near the seeds
     scale = 1.0 + len(model.c) * np.einsum("it,it->t", model.c, model.c)
     for e in np.flatnonzero(~(cutoff - last > _SEPARATION * scale)):
-        q = replace(model, c=model.c[:, e:e + 1]).objective(t.x, t.y)
+        q = model.epochs(slice(e, e + 1)).objective(t.x, t.y)
         seeds[e] = np.argsort(q, kind="stable")[:_REFINE_SEEDS]
     return seeds
 
@@ -371,7 +395,7 @@ def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementS
     t = _coarse_tables(tuple(model.sx.tolist()), tuple(model.sy.tolist()), reg)
     points = []
     for lo in range(0, model.c.shape[1], _CHUNK):
-        chunk = replace(model, c=model.c[:, lo:lo + _CHUNK])
+        chunk = model.epochs(slice(lo, lo + _CHUNK))
         seeds = _coarse_seeds(chunk, t)
         bx, by, bq = _refine(chunk, reg, t.x[seeds], t.y[seeds])
         k = np.lexsort((bx, by, bq), axis=1)[:, 0]
@@ -380,8 +404,64 @@ def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementS
     return points[0] if single else points
 
 
-def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet) -> Point2D:
+class _Line(NamedTuple):
+    """A TDOA pair's canonical frame and the heights its line search scans
+    over a region: the coarse grid over the y range of the region's corners,
+    and the first bracket of each coarse cell, +-coarse_step clipped to the
+    range."""
+
+    frame: CanonicalFrame
+    ys: np.ndarray        # (G,) coarse heights
+    brackets: np.ndarray  # (G, 2) bracket ends
+    origin: np.ndarray    # (2, 1, 1) frame origin, and the (2, 1, 1) factors of
+    along: np.ndarray     # canonical x and y in scenario x and y
+    across: np.ndarray
+
+    def points(self, r: np.ndarray, den: np.ndarray, y: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Scenario x and y, each (epochs, heights), of the branches
+        x = r sqrt(1 + y^2 / den) at canonical heights y; r and den are
+        (epochs, 1) columns.  Rounds as hyperbola_x_of_y and
+        frame.from_canonical_xy do: one (2, epochs, heights) array holds
+        (ox + cos x) - sin y and (oy + sin x) + cos y."""
+        x = np.square(y) / den
+        x += 1.0
+        np.sqrt(x, out=x)
+        x *= r
+        xy = self.along * x
+        xy += self.origin
+        xy += self.across * y
+        return xy[0], xy[1]
+
+
+@functools.lru_cache(maxsize=4)
+def _line_tables(pk: Point2D, pl: Point2D, reg: SearchRegion) -> _Line:
+    """The line-search tables of the TDOA pair at pk and pl, shared
+    read-only by every epoch of the pair."""
+    frame = CanonicalFrame.from_stations(pk, pl)
+    corner_y = [frame.to_canonical(c).y for c in reg.corners()]
+    y_lo, y_hi = min(corner_y), max(corner_y)
+    ys = _grid(y_lo, y_hi, reg.coarse_step)
+    brackets = np.stack([np.maximum(y_lo, ys - reg.coarse_step),
+                         np.minimum(y_hi, ys + reg.coarse_step)], axis=1)
+    cos, sin = math.cos(frame.axis_angle), math.sin(frame.axis_angle)
+    origin = np.array([frame.origin.x, frame.origin.y])[:, None, None]
+    along, across = np.array([[cos, sin], [-sin, cos]])[:, :, None, None]
+    t = _Line(frame, ys, brackets, origin, along, across)
+    for a in t[1:]:
+        a.setflags(write=False)
+    return t
+
+
+def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementSet]]):
     """1D argmin along the measured TDOA hyperbola.
+
+    m is one measurement set, giving one point, or a sequence of them read
+    with the same antennas and the same TDOA pair, giving a list with None
+    for each epoch whose range difference has no hyperbola; the
+    single-epoch call raises DegenerateHyperbola there, as does any call
+    whose TDOA stations coincide.  A stack mixing TDOA pairs raises
+    ValueError.
 
     The hyperbola is parametrized by y in the TDOA pair's canonical frame,
     where its equation gives x.  The search runs over that y: a coarse scan
@@ -390,28 +470,62 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet) -> Point2D:
     objective call and keeps the two cells around the first minimum (the
     smallest y on ties), clipped at the bracket ends, so the bracket shrinks
     16x per round until it is _LINE_TOL wide.  The objective is evaluated at
-    the hyperbola points mapped out to scenario coordinates.
+    the hyperbola points mapped out to scenario coordinates.  A stack runs
+    _LINE_CHUNK epochs at a time in lockstep: one objective call for their
+    coarse scans, which share the grid of heights, and one per round for the
+    epochs whose bracket is still wider than _LINE_TOL, so each epoch gets
+    the rounds and the estimate it gets alone.
     """
-    if m.tdoa is None:
+    single = isinstance(m, MeasurementSet)
+    ms = [m] if single else m
+    if not ms:
+        return []
+    if any(mm.tdoa is None for mm in ms):
         raise MissingTdoa("measurement set carries no TDOA observation")
-    frame, h = measured_hyperbola(m.tdoa, cfg.bs)
-    model = _Model.build(cfg, m)
+    k_id, l_id, _ = ms[0].tdoa
+    if any(mm.tdoa[:2] != (k_id, l_id) for mm in ms):
+        raise ValueError("a stack's measurements must share one TDOA pair")
+    position = {b.id: b.position for b in cfg.bs}
+    t = _line_tables(position[k_id], position[l_id], cfg.region)
+    s = t.frame.half_separation
+    r, solved = [], []  # the half range difference of each epoch with a hyperbola
+    for e, mm in enumerate(ms):
+        try:
+            r.append(Hyperbola.from_tdoa(mm.tdoa[2], s).range_difference)
+        except DegenerateHyperbola:
+            if single:
+                raise
+            continue
+        solved.append(e)
+    points: List[Optional[Point2D]] = [None] * len(ms)
+    if not solved:
+        return points
+    model = _Model.build(cfg, [ms[e] for e in solved])
+    r = np.array(r)[:, None]
+    den = s * s - np.square(r)  # each branch is x = r sqrt(1 + y^2 / den)
 
-    corner_y = [frame.to_canonical(c).y for c in cfg.region.corners()]
-    y_lo, y_hi = min(corner_y), max(corner_y)
-
-    def q_of_y(y: np.ndarray) -> np.ndarray:
-        """Objective at each canonical height of y."""
-        return model.objective(*frame.from_canonical_xy(hyperbola_x_of_y(h, y), y))
-
-    ys = _grid(y_lo, y_hi, cfg.region.coarse_step)
-    y0 = float(ys[int(np.argmin(q_of_y(ys)))])
-    lo = max(y_lo, y0 - cfg.region.coarse_step)
-    hi = min(y_hi, y0 + cfg.region.coarse_step)
-    last = len(_LINE) - 1
-    while hi - lo > _LINE_TOL:
-        y = lo + (hi - lo) / last * _LINE
-        k = int(np.argmin(q_of_y(y)))
-        lo, hi = float(y[max(k - 1, 0)]), float(y[min(k + 1, last)])
-    y_star = 0.5 * (lo + hi)
-    return frame.from_canonical(Point2D(float(hyperbola_x_of_y(h, y_star)), y_star))
+    y_star = np.empty((len(solved), 1))
+    for lo in range(0, len(solved), _LINE_CHUNK):
+        rows = slice(lo, lo + _LINE_CHUNK)  # the stack rows still searched
+        sub, rr, dd = model.epochs(rows), r[rows], den[rows]
+        ab = t.brackets[sub.objective(*t.points(rr, dd, t.ys)).argmin(axis=1)]
+        while True:
+            a, width = ab[:, :1], ab[:, 1:] - ab[:, :1]
+            if not width.min() > _LINE_TOL:
+                live = width[:, 0] > _LINE_TOL
+                if not live.any():
+                    y_star[rows] = 0.5 * (a + ab[:, 1:])
+                    break
+                # freeze the finished epochs and drop them from later rounds
+                rows = np.arange(len(solved))[rows]
+                y_star[rows[~live]] = 0.5 * (a[~live] + ab[~live, 1:])
+                rows, a, width, rr, dd = (v[live] for v in (rows, a, width, rr, dd))
+                sub = sub.epochs(live)
+            y = a + width * _LINE
+            k = sub.objective(*t.points(rr, dd, y)).argmin(axis=1)
+            ab = a + width * _AROUND[k]  # the heights of the cells around k
+    # hyperbola_x_of_y in floats, which round as its numpy calls do
+    for e, ri, di, yi in zip(solved, r.ravel().tolist(), den.ravel().tolist(),
+                             y_star.ravel().tolist()):
+        points[e] = t.frame.from_canonical(Point2D(ri * math.sqrt(1.0 + yi * yi / di), yi))
+    return points[0] if single else points

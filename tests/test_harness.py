@@ -207,6 +207,8 @@ class TestBatchedTrial:
     @pytest.mark.parametrize("mode, antenna_model, name", [
         (Mode.SIM_RSSD, AntennaModel.OMNI, "solve_rssd"),
         (Mode.SIM_RSSD, AntennaModel.DIRECTIONAL, "solve_rssd"),
+        (Mode.SIM_RSSD_TDOA, AntennaModel.OMNI, "solve_rssd_tdoa"),
+        (Mode.SIM_RSSD_TDOA, AntennaModel.DIRECTIONAL, "solve_rssd_tdoa"),
         (Mode.FP_RSSD, AntennaModel.DIRECTIONAL, "coarse_estimate"),
         (Mode.FP_RSSD_TDOA, AntennaModel.DIRECTIONAL, "coarse_estimate"),
     ])
@@ -237,8 +239,9 @@ class TestTdoaFallback:
         s = scenario_from_dict(small_sim_dict(mode="SIM_RSSD_TDOA", sigma_tdoa=20e-9))
         fallback = []
         solve_rssd = harness.solve_rssd
+        # the degenerate epochs of a locate step fall back in one stack
         monkeypatch.setattr(harness, "solve_rssd",
-                            lambda cfg, m: fallback.append(m) or solve_rssd(cfg, m))
+                            lambda cfg, ms: fallback.extend(ms) or solve_rssd(cfg, ms))
         reports = run_scenario(s)
         counts = [r.tdoa_fallbacks for r in reports]
         assert 0 < sum(counts) < sum(len(r.records) - 1 for r in reports)
@@ -642,13 +645,24 @@ class TestCli:
                 ("fingerprint.grid_step", "0.25,0", "grid_step must be > 0, got 0.0"),
                 ("fingerprint.db_sigma_beta", "-1", "db_sigma_beta must be >= 0, got -1.0"),
                 ("trials", "2.7,true", "'trials': expected a whole number, got 2.7")]:
-            args = ["--trials", "1"] if param != "trials" else []
-            rc = main(["sweep", "--scenario", str(FP_YAML), *args, "--param", param,
+            # a swept trials key wins over --trials and is checked
+            rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1", "--param", param,
                        "--values", values, "--out", str(tmp_path)])
             assert rc == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and problem in err
             assert not (tmp_path / "summary.csv").exists()
+
+    def test_swept_seed_beats_the_flag(self, tmp_path, capsys, monkeypatch):
+        seeds = []
+        run = harness.run_scenario
+        monkeypatch.setattr("rssdloc.cli.run_scenario", lambda s: seeds.append(s.seed) or run(s))
+        rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1", "--seed", "5",
+                   "--param", "seed", "--values", "1,2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert seeds == [1, 2]
+        out = capsys.readouterr().out
+        assert "seed=1: trials=1 " in out and "seed=2: trials=1 " in out
 
     def test_sweep_antenna_model(self, tmp_path, capsys):
         rc = main(["sweep", "--scenario", str(FP_YAML), "--trials", "1",

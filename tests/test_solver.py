@@ -1,16 +1,20 @@
 import math
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rssdloc import solver
 from rssdloc.channel import ChannelParams, TdoaNoiseParams, simulate_measurements
 from rssdloc.errors import DegenerateHyperbola, MissingTdoa, SingularCandidate
 from rssdloc.geometry import (
     SPEED_OF_LIGHT,
     BaseStation,
     DirectionalAntenna,
+    Hyperbola,
     OmniAntenna,
     Point2D,
     Role,
@@ -29,6 +33,7 @@ from rssdloc.solver import (
     _coarse_tables,
     _expanded,
     _grid,
+    _line_tables,
     _Model,
     solve_rssd,
     solve_rssd_tdoa,
@@ -122,6 +127,27 @@ def stacks(draw):
             mu = Point2D(mu.x + 0.01, mu.y)
         ms.append(measure(cfg.bs, mu, cfg.params, seed=draw(st.integers(0, 2**32 - 1))))
     return cfg, ms
+
+
+@st.composite
+def tdoa_stacks(draw):
+    """A layout with a TDOA pair and a stack of 0-10 noisy measurements
+    taken in it with the same antennas.  With 20 ns of TDOA noise, some
+    epochs measure a range difference that has no hyperbola."""
+    cfg, _ = draw(layouts(tdoa=True))
+    noise = TdoaNoiseParams(draw(st.sampled_from([330e-12, 20e-9])))
+    ms = []
+    for _ in range(draw(st.integers(0, 10))):
+        mu = Point2D(draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))
+        if min(distance(mu, b.position) for b in cfg.bs) < 1e-3:
+            mu = Point2D(mu.x + 0.01, mu.y)
+        ms.append(measure(cfg.bs, mu, cfg.params, noise, seed=draw(st.integers(0, 2**32 - 1))))
+    return cfg, ms
+
+
+def bits(points):
+    """The exact bits of each point's coordinates, None kept."""
+    return [None if p is None else (p.x.hex(), p.y.hex()) for p in points]
 
 
 class TestObjective:
@@ -303,6 +329,74 @@ class TestSolveRssdTdoa:
                 calls.clear()
                 solve_rssd_tdoa(cfg, m)
                 assert 2 <= len(calls) <= 6
+
+    def test_stack_objective_calls_per_chunk(self, monkeypatch):
+        # a stack searches in lockstep: the coarse scan and each bracket
+        # round are one call for a whole chunk of epochs
+        calls = []
+        objective = _Model.objective
+        monkeypatch.setattr(_Model, "objective",
+                            lambda model, x, y: calls.append(x.shape) or objective(model, x, y))
+        s = load_scenario(SIM_YAML)
+        rng = np.random.default_rng(5)
+        for antenna_model in AntennaModel:
+            sc = s.with_antenna_model(antenna_model)
+            cfg = SolverConfig(sc.channel, sc.bs, sc.region, sc.antenna_model)
+            for epochs in (1, solver._LINE_CHUNK, 2 * solver._LINE_CHUNK + 3):
+                ms = [simulate_measurements(sc.bs, Point2D(*rng.uniform(-3.0, 3.0, 2)),
+                                            sc.channel, sc.tdoa_noise, rng)
+                      for _ in range(epochs)]
+                calls.clear()
+                assert None not in solve_rssd_tdoa(cfg, ms)
+                chunks = math.ceil(epochs / solver._LINE_CHUNK)
+                assert 2 * chunks <= len(calls) <= 6 * chunks
+                assert calls[0][0] == min(epochs, solver._LINE_CHUNK)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tdoa_stacks(), st.sampled_from([1, 3, 16]))
+    def test_stack_equals_per_epoch_calls(self, stack, chunk):
+        # bit for bit, with None where the single call raises; small chunks
+        # split the stack, and epochs whose bracket narrows faster freeze
+        cfg, ms = stack
+        alone = []
+        for m in ms:
+            try:
+                alone.append(solve_rssd_tdoa(cfg, m))
+            except DegenerateHyperbola:
+                alone.append(None)
+        with mock.patch.object(solver, "_LINE_CHUNK", chunk):
+            assert bits(solve_rssd_tdoa(cfg, ms)) == bits(alone)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_line_points_round_as_the_frame_does(self, pk, pl, fractions, seed):
+        # the lockstep search maps all its epochs' branch points out of the
+        # frame at once, bit for bit as hyperbola_x_of_y and the frame do
+        pk, pl = Point2D(*pk), Point2D(*pl)
+        assume(distance(pk, pl) > 0.1)
+        t = _line_tables(pk, pl, REGION)
+        s = t.frame.half_separation
+        hs = [Hyperbola(s, f * s) for f in fractions]
+        r = np.array([[h.range_difference] for h in hs])
+        y = np.random.default_rng(seed).uniform(-6.0, 6.0, (len(hs), 9))
+        x_out, y_out = t.points(r, s * s - np.square(r), y)
+        for e, h in enumerate(hs):
+            want = t.frame.from_canonical_xy(hyperbola_x_of_y(h, y[e]), y[e])
+            assert bits(map(Point2D, x_out[e], y_out[e])) == bits(map(Point2D, *want))
+
+    def test_empty_stack(self):
+        assert solve_rssd_tdoa(SolverConfig(NOISY, make_stations(), REGION), []) == []
+
+    def test_stack_of_two_pairs_rejected(self):
+        bs = make_stations() + [BaseStation(11, Point2D(0.0, -4.0), Role.TDOA_ONLY)]
+        cfg = SolverConfig(NOISY, bs, REGION)
+        m = measure(bs[:-1], Point2D(1.0, 1.0), NOISY)
+        other = replace(m, tdoa=(9, 11, m.tdoa[2]))
+        with pytest.raises(ValueError, match="one TDOA pair"):
+            solve_rssd_tdoa(cfg, [m, other])
 
     @settings(max_examples=60, deadline=None)
     @given(layouts(tdoa=True))
