@@ -10,6 +10,7 @@ from .geometry import (
     OmniAntenna,
     Point2D,
     Role,
+    Stations,
     distance,
     hyperbola_x_of_y,
     project_onto_hyperbola,
@@ -19,7 +20,6 @@ from .channel import (
     ChannelPresets,
     MeasurementSet,
     TdoaNoiseParams,
-    antenna_gain,
     received_power,
     simulate_measurements,
     simulate_rss,

@@ -1,30 +1,22 @@
 """Log-distance channel model and synthetic RSSD / TDOA measurement generation.
 
 Received power follows the log-distance law with Gaussian shadow fading;
-directional receive antennas add a cosine-pattern gain term to the link
-budget.  A measurement set carries the per-station RSS vector; its pairwise
-differences cancel the unknown transmit power, so every RSSD value derives
-from that one vector and the pairs are cycle-consistent by construction.
+directional receive antennas add the cosine-pattern gain of
+geometry.cosine_gain to the link budget.  A measurement set carries the
+per-station RSS vector; its pairwise differences cancel the unknown
+transmit power, so every RSSD value derives from that one vector and the
+pairs are cycle-consistent by construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import CoincidentPosition, NonPositiveDistance, TooFewStations
-from .geometry import (
-    SPEED_OF_LIGHT,
-    BaseStation,
-    DirectionalAntenna,
-    Point2D,
-    azimuth,
-    distance,
-    wrap_angle,
-)
+from .geometry import SPEED_OF_LIGHT, Layout, Point2D, Stations, cosine_gain, distance
 
 _COINCIDENCE_TOL = 1e-9  # m
 
@@ -115,69 +107,38 @@ def centred(rss: np.ndarray) -> np.ndarray:
     return rss - rss.sum(axis=-1, keepdims=True) / rss.shape[-1]
 
 
-def received_power(params: ChannelParams, d: float, beta: float) -> float:
-    """Log-distance received power in dBm for a caller-supplied fading draw."""
-    if d <= 0:
-        raise NonPositiveDistance(f"distance must be > 0, got {d}")
-    return params.p0 - 10.0 * params.alpha * math.log10(d / params.d0) + beta
+def received_power(params: ChannelParams, d, beta):
+    """Log-distance received power in dBm for a caller-supplied fading draw.
 
-
-def antenna_gain(gain_db: float, phi: float) -> float:
-    """Cosine radiation pattern in dB, clamped to 0 outside +-pi/2.
-
-    The unclamped pattern would amplify the backlobe without bound; the
-    clamp keeps the model physical outside the small-misorientation regime.
+    d and beta are scalars or arrays that broadcast together.
     """
-    phi = wrap_angle(phi)
-    if abs(phi) > math.pi / 2:
-        return 0.0
-    return gain_db * math.cos(phi)
+    if np.less_equal(d, 0).any():
+        raise NonPositiveDistance(f"distance must be > 0, got {d}")
+    return params.p0 - 10.0 * params.alpha * np.log10(np.divide(d, params.d0)) + beta
 
 
-def station_gain(bs: BaseStation, target: Point2D) -> float:
-    """Receive gain of a station toward a target point, in dB."""
-    if not isinstance(bs.antenna, DirectionalAntenna):
-        return 0.0
-    phi = wrap_angle(azimuth(bs.position, target) - bs.antenna.orientation)
-    return antenna_gain(bs.antenna.gain_db, phi)
-
-
-def rss_stations(bs: List[BaseStation]) -> List[BaseStation]:
-    """RSS-measuring stations in ascending id order."""
-    return sorted((b for b in bs if b.role.measures_rss), key=lambda b: b.id)
-
-
-def tdoa_pair(bs: List[BaseStation]) -> Optional[Tuple[BaseStation, BaseStation]]:
-    """The (lower-id, higher-id) TDOA station pair, or None if not configured."""
-    pair = sorted((b for b in bs if b.role.measures_tdoa), key=lambda b: b.id)
-    if len(pair) < 2:
-        return None
-    if len(pair) > 2:
-        raise ValueError("more than two TDOA-capable stations configured")
-    return pair[0], pair[1]
-
-
-def simulate_rss(bs: List[BaseStation], mu: Point2D, params: ChannelParams,
+def simulate_rss(bs: Layout, mu: Point2D, params: ChannelParams,
                  rng: np.random.Generator) -> Dict[int, float]:
     """Per-station RSS vector at the true MU position, keyed by station id.
 
     Shadow fading is drawn i.i.d. per station in ascending id order, so the
     draw sequence is reproducible and identical across solver modes.
     """
-    stations = rss_stations(bs)
-    if len(stations) < 2:
-        raise TooFewStations(f"need >= 2 RSS stations, got {len(stations)}")
-    out: Dict[int, float] = {}
-    for b in stations:
-        d = distance(mu, b.position)
-        if d < _COINCIDENCE_TOL:
-            raise CoincidentPosition(f"MU coincides with station {b.id}")
-        beta = rng.normal(0.0, params.sigma_beta) if params.sigma_beta > 0 else 0.0
-        out[b.id] = received_power(params, d, beta) + station_gain(b, mu) - b.bias_db
-    return out
+    st = Stations.of(bs)
+    if len(st.ids) < 2:
+        raise TooFewStations(f"need >= 2 RSS stations, got {len(st.ids)}")
+    dx, dy = mu.x - st.x, mu.y - st.y
+    d = np.hypot(dx, dy)
+    if d.min() < _COINCIDENCE_TOL:
+        raise CoincidentPosition(f"MU coincides with station {st.ids[d.argmin()]}")
+    beta = rng.normal(0.0, params.sigma_beta, len(d)) if params.sigma_beta > 0 else 0.0
+    rss = received_power(params, d, beta)
+    rss += cosine_gain(st.gcos, st.gsin, dx / d, dy / d)
+    rss -= st.bias_db
+    return dict(zip(st.ids.tolist(), rss.tolist()))
 
 
-def simulate_measurements(bs: List[BaseStation], mu: Point2D,
+def simulate_measurements(bs: Layout, mu: Point2D,
                           params: ChannelParams,
                           tdoa_params: TdoaNoiseParams,
                           rng: np.random.Generator) -> MeasurementSet:
@@ -186,18 +147,19 @@ def simulate_measurements(bs: List[BaseStation], mu: Point2D,
     The TDOA draw happens after the fading draws whether or not the caller
     uses it, keeping RNG streams aligned across solver modes.
     """
-    rss = simulate_rss(bs, mu, params, rng)
+    st = Stations.of(bs)
+    rss = simulate_rss(st, mu, params, rng)
 
     tdoa = None
-    pair = tdoa_pair(bs)
+    pair = st.pair()
     if pair is not None:
         k, l = pair
-        dk, dl = distance(mu, k.position), distance(mu, l.position)
+        dk, dl = distance(mu, st.tdoa[k]), distance(mu, st.tdoa[l])
         if min(dk, dl) < _COINCIDENCE_TOL:
             raise CoincidentPosition("MU coincides with a TDOA station")
         dt = (dk - dl) / SPEED_OF_LIGHT
         if tdoa_params.sigma_tdoa > 0:
             dt += rng.normal(0.0, tdoa_params.sigma_tdoa)
-        tdoa = (k.id, l.id, dt)
+        tdoa = (k, l, dt)
 
     return MeasurementSet(rss=rss, tdoa=tdoa)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelParams, centred, simulate_rss
 from .errors import EmptyGrid, InvalidScenario, LengthMismatch
-from .geometry import BaseStation, Point2D, measured_hyperbola, project_onto_hyperbola
+from .geometry import Layout, Point2D, Stations, measured_hyperbola, project_onto_hyperbola
 from .solver import SearchRegion
 
 _EXCLUDE_TOL = 1e-6  # m when matching excluded grid points
@@ -124,7 +124,7 @@ def circular_track(params: CircularTrackParams) -> List[Point2D]:
     return pts
 
 
-def build_db(bs: List[BaseStation], area: SearchRegion, grid_step: float,
+def build_db(bs: Layout, area: SearchRegion, grid_step: float,
              excluded: Sequence[Point2D], channel: ChannelParams,
              rng: np.random.Generator) -> FingerprintDB:
     """Synthesize the offline database from the channel model.
@@ -137,7 +137,8 @@ def build_db(bs: List[BaseStation], area: SearchRegion, grid_step: float,
     # floor (with a float-safety nudge) so the grid never leaves the area
     nx = int(math.floor((area.x_max - area.x_min) / grid_step + 1e-9))
     ny = int(math.floor((area.y_max - area.y_min) / grid_step + 1e-9))
-    ids = sorted(b.id for b in bs if b.role.measures_rss)
+    st = Stations.of(bs)
+    ids = st.ids.tolist()
 
     positions, vectors = [], []
     for iy in range(ny + 1):
@@ -148,7 +149,7 @@ def build_db(bs: List[BaseStation], area: SearchRegion, grid_step: float,
             if any(abs(p.x - e.x) < _EXCLUDE_TOL and abs(p.y - e.y) < _EXCLUDE_TOL
                    for e in excluded):
                 continue
-            rss = simulate_rss(bs, p, channel, rng)
+            rss = simulate_rss(st, p, channel, rng)
             positions.append([x, y])
             vectors.append([rss[i] for i in ids])
     if not positions:
@@ -180,8 +181,7 @@ def coarse_estimate(db: FingerprintDB, meas):
     return points if meas.ndim == 2 else points[0]
 
 
-def refine_with_tdoa(coarse: Point2D, tdoa: Tuple[int, int, float],
-                     bs: List[BaseStation]) -> Point2D:
+def refine_with_tdoa(coarse: Point2D, tdoa: Tuple[int, int, float], bs: Layout) -> Point2D:
     """Project the coarse estimate onto the measured TDOA hyperbola, in the
     TDOA pair's canonical frame."""
     frame, h = measured_hyperbola(tdoa, bs)

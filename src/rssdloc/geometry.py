@@ -1,5 +1,10 @@
 """Planar geometry: points, base stations, and the range-difference hyperbola.
 
+A station layout enters the numerics once, as a :class:`Stations` table of
+per-station arrays; the channel, the antenna loop and the solver read that
+table, and :func:`cosine_gain` is the one statement of the directional
+receive antenna.
+
 The two stations of a range-difference (TDOA) pair define a canonical frame
 with the stations on the x-axis at (-s, 0) and (+s, 0).  All hyperbola math
 works in that frame; :class:`CanonicalFrame` maps scenario coordinates in
@@ -9,9 +14,9 @@ and out of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +99,79 @@ class BaseStation:
     role: Role = Role.RSS_ONLY
     antenna: Antenna = OmniAntenna()
     bias_db: float = 0.0  # extra attenuation, e.g. an obstructed station
+
+
+def cosine_gain(gcos, gsin, ux, uy):
+    """Receive gain in dB of cosine-pattern antennas toward unit directions
+    (ux, uy): G max(0, cos(off-boresight angle)), given gcos = G cos b and
+    gsin = G sin b (peak gain G, boresight azimuth b) broadcast against ux
+    and uy.  The clamp keeps the backlobe at 0 dB instead of amplifying it
+    without bound.  An omni antenna is the G = 0 case.
+    """
+    g = ux * gcos
+    g += uy * gsin
+    return np.maximum(g, 0.0, out=g)
+
+
+@dataclass(frozen=True, eq=False)
+class Stations:
+    """A station layout as arrays: the RSS stations in ascending id order,
+    and the positions of the TDOA-capable stations by id.
+
+    gain_db and boresight describe each RSS station's receive antenna, with
+    gain 0 for an omni antenna; gcos and gsin are the G cos b and G sin b
+    of cosine_gain.  replace(table, boresight=...) re-points the antennas.
+    """
+
+    ids: np.ndarray          # (N,) RSS station ids, ascending
+    x: np.ndarray            # (N,) positions
+    y: np.ndarray
+    bias_db: np.ndarray      # (N,) extra attenuation
+    gain_db: np.ndarray      # (N,) peak antenna gain, 0 for an omni antenna
+    boresight: np.ndarray    # (N,) boresight azimuth, rad
+    directional: np.ndarray  # (N,) bool, a directional antenna is configured
+    tdoa: Dict[int, Point2D]  # TDOA-capable stations, ascending id
+    gcos: np.ndarray = field(init=False)
+    gsin: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gcos", self.gain_db * np.cos(self.boresight))
+        object.__setattr__(self, "gsin", self.gain_db * np.sin(self.boresight))
+
+    @classmethod
+    def of(cls, bs: Layout) -> Stations:
+        """The table of a station list; a table comes back unchanged.
+
+        Raises ValueError naming a station id the list holds twice.
+        """
+        if isinstance(bs, Stations):
+            return bs
+        ordered = sorted(bs, key=lambda b: b.id)
+        for a, b in zip(ordered, ordered[1:]):
+            if a.id == b.id:
+                raise ValueError(f"duplicate station id {b.id}")
+        rss = [b for b in ordered if b.role.measures_rss]
+        directional = [isinstance(b.antenna, DirectionalAntenna) for b in rss]
+        x, y, bias_db, gain_db, boresight = np.array(
+            [(b.position.x, b.position.y, b.bias_db)
+             + ((b.antenna.gain_db, b.antenna.orientation) if d else (0.0, 0.0))
+             for b, d in zip(rss, directional)], dtype=float).reshape(-1, 5).T.copy()
+        return cls(ids=np.array([b.id for b in rss], dtype=int), x=x, y=y,
+                   bias_db=bias_db, gain_db=gain_db, boresight=boresight,
+                   directional=np.array(directional, dtype=bool),
+                   tdoa={b.id: b.position for b in ordered if b.role.measures_tdoa})
+
+    def pair(self) -> Optional[Tuple[int, int]]:
+        """The (lower, higher) ids of the TDOA pair, or None.  Every epoch
+        draws the one pair's measurement, so a third raises ValueError."""
+        if len(self.tdoa) > 2:
+            raise ValueError("at most two stations may be TDOA-capable, got stations "
+                             + ", ".join(map(str, self.tdoa)))
+        return tuple(self.tdoa) if len(self.tdoa) == 2 else None
+
+
+# A station list or its table: what every function that reads a layout takes.
+Layout = Union[Stations, Sequence[BaseStation]]
 
 
 @dataclass(frozen=True)
@@ -205,7 +283,7 @@ class CanonicalFrame:
         return self.origin.x + c * x - s * y, self.origin.y + s * x + c * y
 
 
-def measured_hyperbola(tdoa: Tuple[int, int, float], bs: Sequence[BaseStation]
+def measured_hyperbola(tdoa: Tuple[int, int, float], bs: Layout
                        ) -> Tuple[CanonicalFrame, Hyperbola]:
     """The canonical frame of a TDOA observation's station pair, and the
     observation's hyperbola in it.
@@ -213,6 +291,6 @@ def measured_hyperbola(tdoa: Tuple[int, int, float], bs: Sequence[BaseStation]
     tdoa is (id_k, id_l, delta_t) as carried by a measurement set.
     """
     k_id, l_id, dt = tdoa
-    position = {b.id: b.position for b in bs}
+    position = Stations.of(bs).tdoa
     frame = CanonicalFrame.from_stations(position[k_id], position[l_id])
     return frame, Hyperbola.from_tdoa(dt, frame.half_separation)

@@ -97,7 +97,7 @@ def scenario_db(s: Scenario) -> FingerprintDB:
     """
     if s.fingerprint.db_file:
         db = FingerprintDB.from_csv(s.fingerprint.db_file)
-        unknown = sorted(set(db.bs_ids) - {b.id for b in s.bs if b.role.measures_rss})
+        unknown = sorted(set(db.bs_ids) - set(s.stations.ids.tolist()))
         if unknown:
             raise InvalidScenario(
                 f"fingerprint file {s.fingerprint.db_file!r}: columns P_"
@@ -107,13 +107,13 @@ def scenario_db(s: Scenario) -> FingerprintDB:
         alpha=s.channel.alpha, sigma_beta=s.fingerprint.db_sigma_beta,
         p0=s.channel.p0, d0=s.channel.d0)
     rng = np.random.default_rng([s.seed, _DB_STREAM_TAG])
-    return build_db(s.bs, s.region, s.fingerprint.grid_step,
+    return build_db(s.stations, s.region, s.fingerprint.grid_step,
                     s.fingerprint.excluded, db_channel, rng)
 
 
-# The locate step of each mode: (scenario, fingerprint DB, stations as pointed
-# now, the measurements of one or more epochs) -> (their estimates, how many
-# of them fell back from their TDOA).
+# The locate step of each mode: (scenario, fingerprint DB, the station table
+# as pointed now, the measurements of one or more epochs) -> (their
+# estimates, how many of them fell back from their TDOA).
 
 def _rssd(s, db, bs, ms):
     return solve_rssd(SolverConfig(s.channel, bs, s.region, s.antenna_model), ms), 0
@@ -163,8 +163,10 @@ def run_trial(s: Scenario, trial: int,
         db = scenario_db(s) if db is None else db
         epochs = [(float(i), pos) for i, pos in enumerate(circular_track(s.circular))]
         known = 0
-    state = (OrientationState.initial(s.bs, epochs[0][1])
+    stations = s.stations
+    state = (OrientationState.initial(stations, epochs[0][1])
              if s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL else None)
+    ids = stations.ids.tolist()
     locate = _LOCATE[s.mode]
 
     records: List[EpochRecord] = []
@@ -176,25 +178,24 @@ def run_trial(s: Scenario, trial: int,
         # a chunk; without it the rest of the track is one.
         stop = start + 1 if start < known or state is not None else len(epochs)
         chunk = epochs[start:stop]
-        bs_now, theta = s.bs, {}
+        now, theta = stations, {}
         if state is not None:
             (_, pos), = chunk
-            bs_now = apply_orientation(s.bs, state)
-            theta = {b.id: misorientation(state, b, pos)
-                     for b in s.bs if b.id in state.boresights}
+            now = apply_orientation(stations, state)
+            theta = dict(zip(ids, misorientation(state, stations, pos).tolist()))
         if start < known:
             estimates = [pos for _, pos in chunk]
         else:
             # solving draws nothing, so drawing a chunk's measurements first
             # keeps the draws in epoch order
-            ms = [simulate_measurements(bs_now, pos, s.channel, s.tdoa_noise, rng)
+            ms = [simulate_measurements(now, pos, s.channel, s.tdoa_noise, rng)
                   for _, pos in chunk]
-            estimates, fell_back = locate(s, db, bs_now, ms)
+            estimates, fell_back = locate(s, db, now, ms)
             fallbacks += fell_back
         records += [EpochRecord(t, pos, est, distance(pos, est), dict(theta))
                     for (t, pos), est in zip(chunk, estimates)]
         if state is not None:
-            state = update_orientation(state, s.bs, estimates[-1])
+            state = update_orientation(state, stations, estimates[-1])
         start = stop
     scored = records[known:]
     errors = [r.error for r in scored]

@@ -2,28 +2,21 @@
 
 The mobile user walks between uniformly drawn waypoints at a constant
 speed, sampled at the localization update rate.  Directional receive
-antennas are re-pointed toward each new position estimate; the
-misorientation angle is the error between a boresight and the true
-direction to the user.
+antennas are re-pointed toward each new position estimate, one array of
+boresights over a station table's RSS stations; the misorientation angle is
+the error between a boresight and the true direction to the user.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import CoincidentWithStation
-from .geometry import (
-    BaseStation,
-    DirectionalAntenna,
-    Point2D,
-    azimuth,
-    distance,
-    wrap_angle,
-)
+from .geometry import Layout, Point2D, Stations, distance
 from .solver import SearchRegion
 
 _COINCIDENCE_TOL = 1e-9  # m
@@ -105,62 +98,48 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
     return Track(epochs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientationState:
-    """Current boresight of every directional RSS station, keyed by id."""
+    """Current boresight azimuth of every RSS station's antenna, in [-pi, pi],
+    in the order of the station table."""
 
-    boresights: Dict[int, float]
+    boresights: np.ndarray  # (N,) rad
 
     @classmethod
-    def initial(cls, bs: List[BaseStation], position: Point2D) -> "OrientationState":
+    def initial(cls, bs: Layout, position: Point2D) -> "OrientationState":
         """Perfect initial pointing toward a known starting position."""
-        bores = {}
-        for b in bs:
-            if b.role.measures_rss and isinstance(b.antenna, DirectionalAntenna):
-                bores[b.id] = azimuth(b.position, position)
-        return cls(bores)
+        st = Stations.of(bs)
+        return cls(np.arctan2(position.y - st.y, position.x - st.x))
 
 
-def update_orientation(state: OrientationState, bs: List[BaseStation],
+def update_orientation(state: OrientationState, bs: Layout,
                        new_estimate: Point2D) -> OrientationState:
-    """Re-point every directional RSS antenna at the new position estimate.
+    """Re-point every RSS antenna at the new position estimate.
 
     A station coincident with the estimate keeps its previous boresight
     (the azimuth is undefined there).
     """
-    bores = dict(state.boresights)
-    for b in bs:
-        if b.id not in bores:
-            continue
-        if distance(b.position, new_estimate) < _COINCIDENCE_TOL:
-            continue
-        bores[b.id] = azimuth(b.position, new_estimate)
-    return OrientationState(bores)
+    st = Stations.of(bs)
+    dx, dy = new_estimate.x - st.x, new_estimate.y - st.y
+    return OrientationState(np.where(np.hypot(dx, dy) < _COINCIDENCE_TOL,
+                                     state.boresights, np.arctan2(dy, dx)))
 
 
-def apply_orientation(bs: List[BaseStation],
-                      state: OrientationState) -> List[BaseStation]:
-    """Station list with antennas rotated to the state's boresights."""
-    out = []
-    for b in bs:
-        if b.id in state.boresights and isinstance(b.antenna, DirectionalAntenna):
-            out.append(replace(
-                b, antenna=DirectionalAntenna(b.antenna.gain_db,
-                                              state.boresights[b.id])))
-        else:
-            out.append(b)
-    return out
+def apply_orientation(bs: Layout, state: OrientationState) -> Stations:
+    """The station table with its antennas turned to the state's boresights."""
+    return replace(Stations.of(bs), boresight=state.boresights)
 
 
-def misorientation(state: OrientationState, bs: BaseStation,
-                   true_position: Point2D) -> float:
-    """Unsigned angle between a station's boresight and the true direction.
-
-    Returned in [0, pi].
-    """
-    if distance(bs.position, true_position) < _COINCIDENCE_TOL:
-        raise CoincidentWithStation(f"true position coincides with station {bs.id}")
-    if bs.id not in state.boresights:
-        raise KeyError(f"station {bs.id} has no tracked boresight")
-    return abs(wrap_angle(azimuth(bs.position, true_position)
-                          - state.boresights[bs.id]))
+def misorientation(state: OrientationState, bs: Layout,
+                   true_position: Point2D) -> np.ndarray:
+    """Unsigned angle between each station's boresight and the true
+    direction to the user, in [0, pi], in the order of the station table."""
+    st = Stations.of(bs)
+    dx, dy = true_position.x - st.x, true_position.y - st.y
+    coincident = np.hypot(dx, dy) < _COINCIDENCE_TOL
+    if coincident.any():
+        raise CoincidentWithStation(
+            f"true position coincides with station {st.ids[coincident.argmax()]}")
+    # |a - b| % tau and tau minus it are exact, so this is |wrap(a - b)|
+    off = np.abs(np.arctan2(dy, dx) - state.boresights) % math.tau
+    return np.minimum(off, math.tau - off)

@@ -30,6 +30,7 @@ from .geometry import (
     OmniAntenna,
     Point2D,
     Role,
+    Stations,
 )
 from .mobility import WaypointModelParams
 from .solver import AntennaModel, SearchRegion, SolverConfig
@@ -86,6 +87,7 @@ class Scenario:
     fingerprint: FingerprintConfig = field(default_factory=FingerprintConfig)
     seed: int = 0
     trials: int = 1
+    stations: Stations = field(init=False, repr=False, compare=False)  # of bs
 
     def __post_init__(self):
         if self.trials < 1:
@@ -94,24 +96,23 @@ class Scenario:
             raise InvalidScenario(f"mode {self.mode.value} requires a waypoint section")
         if not self.mode.is_sim and self.circular is None:
             raise InvalidScenario(f"mode {self.mode.value} requires a circular section")
-        # every mode draws the one TDOA pair's measurement
-        tdoa_capable = [b for b in self.bs if b.role.measures_tdoa]
-        if len(tdoa_capable) > 2:
-            raise InvalidScenario(
-                f"at most two stations may be TDOA-capable, got stations "
-                f"{', '.join(str(b.id) for b in tdoa_capable)}")
-        if self.mode.uses_tdoa:
-            if len(tdoa_capable) != 2:
-                raise InvalidScenario("TDOA modes need exactly two TDOA-capable stations")
-            if tdoa_capable[0].position == tdoa_capable[1].position:
-                raise InvalidScenario("the two TDOA-capable stations coincide")
+        if self.mode.is_sim and self.waypoint.total_length <= 0:
+            raise InvalidScenario(f"waypoint.total_length must be > 0, got "
+                                  f"{self.waypoint.total_length}")
         if self.antenna_model is AntennaModel.OMNI:
             self.bs = [replace(b, antenna=OmniAntenna()) for b in self.bs]
-        # the solver's own check of the antennas against the model
         try:
-            SolverConfig(self.channel, self.bs, self.region, self.antenna_model)
+            self.stations = Stations.of(self.bs)
+            pair = self.stations.pair()
+            # the solver's own check of the antennas against the model
+            SolverConfig(self.channel, self.stations, self.region, self.antenna_model)
         except ValueError as e:
             raise InvalidScenario(str(e)) from e
+        if self.mode.uses_tdoa:
+            if pair is None:
+                raise InvalidScenario("TDOA modes need exactly two TDOA-capable stations")
+            if len(set(self.stations.tdoa.values())) < 2:
+                raise InvalidScenario("the two TDOA-capable stations coincide")
 
     @property
     def channel(self) -> ChannelParams:

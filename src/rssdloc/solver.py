@@ -13,9 +13,9 @@ is u_i - u_j with u_i = P_i - m_i, and
 so the objective costs O(N) per candidate instead of O(N^2): T is profiled
 out, as in separable least squares.  The residual is centred by
 subtraction: N * sum(r^2) - (sum r)^2 would cancel badly near the optimum.
-The directional gain is the clamped cosine of the off-boresight angle,
-gain * max(0, (dx cos b + dy sin b) / d), with no trigonometry per
-candidate.
+The directional gain is geometry.cosine_gain, the clamped cosine of the
+off-boresight angle, gain * max(0, (dx cos b + dy sin b) / d), with no
+trigonometry per candidate.
 
 Two search strategies:
 
@@ -43,21 +43,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import ChannelParams, MeasurementSet, centred, rss_stations
+from .channel import ChannelParams, MeasurementSet, centred
 from .errors import DegenerateHyperbola, EmptyRegion, MissingTdoa, SingularCandidate
-from .geometry import (
-    BaseStation,
-    CanonicalFrame,
-    DirectionalAntenna,
-    Hyperbola,
-    Point2D,
-)
+from .geometry import CanonicalFrame, Hyperbola, Layout, Point2D, Stations, cosine_gain
 
 _SINGULAR_TOL = 1e-6  # m; candidates closer than this to a station get inf
 _SINGULAR_TOL2 = _SINGULAR_TOL * _SINGULAR_TOL
@@ -85,6 +79,8 @@ class SearchRegion:
             )
         if self.coarse_step <= 0:
             raise ValueError("coarse_step must be > 0")
+        if self.refine_iterations < 0:
+            raise ValueError(f"refine_iterations must be >= 0, got {self.refine_iterations}")
 
     def corners(self) -> List[Point2D]:
         return [Point2D(x, y) for y in (self.y_min, self.y_max)
@@ -97,19 +93,19 @@ class SearchRegion:
 
 @dataclass
 class SolverConfig:
+    """bs is a station list or a Stations table; stations is its table."""
+
     params: ChannelParams
-    bs: List[BaseStation]
+    bs: Layout
     region: SearchRegion
     antenna_model: AntennaModel = AntennaModel.OMNI
+    stations: Stations = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.antenna_model is AntennaModel.DIRECTIONAL:
-            for b in self.bs:
-                if b.role.measures_rss and not isinstance(b.antenna, DirectionalAntenna):
-                    raise ValueError(
-                        f"directional model requires a directional antenna on "
-                        f"RSS station {b.id}"
-                    )
+        st = self.stations = Stations.of(self.bs)
+        if self.antenna_model is AntennaModel.DIRECTIONAL and not st.directional.all():
+            raise ValueError(f"directional model requires a directional antenna on "
+                             f"RSS station {st.ids[~st.directional][0]}")
 
 
 class _Geometry(NamedTuple):
@@ -151,9 +147,8 @@ class _Model:
     sx: np.ndarray          # station x, ascending station id
     sy: np.ndarray
     c: np.ndarray           # (N, epochs) centred measured RSS, P_i - mean(P)
-    gcos: Optional[np.ndarray]  # peak gain (dB) times the boresight's cos and
-    gsin: Optional[np.ndarray]  # sin; None for the omni model
-    directional: bool
+    gcos: Optional[np.ndarray]  # (N, 1) columns of cosine_gain's gcos and
+    gsin: Optional[np.ndarray]  # gsin; None for the omni model
     alpha: float
 
     @classmethod
@@ -162,34 +157,22 @@ class _Model:
         """The model of one measurement set, or of a non-empty stack of
         them over the same stations, read with the same antennas."""
         ms = [m] if isinstance(m, MeasurementSet) else m
-        stations = [b for b in rss_stations(cfg.bs) if b.id in ms[0].rss]
-        if len(stations) != len(ms[0].rss):
-            unknown = set(ms[0].rss) - {b.id for b in stations}
-            raise ValueError(f"measurement references unknown stations {sorted(unknown)}")
-        if any(mm.rss.keys() != ms[0].rss.keys() for mm in ms):
+        st, read = cfg.stations, ms[0].rss
+        rows = [k for k, i in enumerate(st.ids.tolist()) if i in read]
+        ids = st.ids[rows].tolist()
+        if len(ids) != len(read):
+            unknown = sorted(set(read) - set(ids))
+            raise ValueError(f"measurement references unknown stations {unknown}")
+        if any(mm.rss.keys() != read.keys() for mm in ms):
             raise ValueError("a stack's measurements must read the same stations")
-        directional = cfg.antenna_model is AntennaModel.DIRECTIONAL
-        gcos = gsin = None
-        if directional:
-            gcos = np.array([b.antenna.gain_db * math.cos(b.antenna.orientation)
-                             for b in stations])
-            gsin = np.array([b.antenna.gain_db * math.sin(b.antenna.orientation)
-                             for b in stations])
-        rss = np.array([[mm.rss[b.id] for b in stations] for mm in ms])
-        return cls(
-            sx=np.array([b.position.x for b in stations]),
-            sy=np.array([b.position.y for b in stations]),
-            c=centred(rss).T,
-            gcos=gcos,
-            gsin=gsin,
-            directional=directional,
-            alpha=cfg.params.alpha,
-        )
+        gain = ((st.gcos[rows, None], st.gsin[rows, None])
+                if cfg.antenna_model is AntennaModel.DIRECTIONAL else (None, None))
+        rss = np.array([[mm.rss[i] for i in ids] for mm in ms])
+        return cls(st.x[rows], st.y[rows], centred(rss).T, *gain, cfg.params.alpha)
 
     def epochs(self, cols) -> "_Model":
         """The model of some of its epochs: cols indexes the columns of c."""
-        return _Model(self.sx, self.sy, self.c[:, cols], self.gcos, self.gsin,
-                      self.directional, self.alpha)
+        return _Model(self.sx, self.sy, self.c[:, cols], self.gcos, self.gsin, self.alpha)
 
     def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Objective N * sum_i (r_i - mean r)^2 at each candidate, in the
@@ -199,19 +182,16 @@ class _Model:
         Candidates within _SINGULAR_TOL of a station evaluate to +inf so a
         grid scan stays total.
         """
-        g = _Geometry.of(self.sx, self.sy, x.ravel(), y.ravel(), units=self.directional)
+        directional = self.gcos is not None
+        g = _Geometry.of(self.sx, self.sy, x.ravel(), y.ravel(), units=directional)
         # r_i = c_i - m_i, with the model m_i = -5 alpha log10 d_i^2 + g_i;
         # each epoch's column of c is repeated for its k candidates; a
         # one-epoch model's column is broadcast over its candidates, which
         # spares the line search's small calls a copy each
         r = g.logd2 * (5.0 * self.alpha)
         r += self.c if self.c.shape[1] == 1 else self.c.repeat(x.shape[1], axis=1)
-        if self.directional:
-            # gain * cos(off-boresight angle), clamped at 0 as antenna_gain
-            gain = g.ux * self.gcos[:, None]
-            gain += g.uy * self.gsin[:, None]
-            np.maximum(gain, 0.0, out=gain)
-            r -= gain
+        if directional:
+            r -= cosine_gain(self.gcos, self.gsin, g.ux, g.uy)
         n = len(r)
         r -= r.sum(axis=0) / n
         q = np.einsum("in,in->n", r, r)
@@ -304,12 +284,10 @@ def _expanded(model: _Model, t: _Coarse) -> np.ndarray:
     q *= 2.0 * a
     q += np.einsum("ti,ti->t", c, c)[:, None]
     q += (a * a) * t.lc2
-    if model.directional:
+    if model.gcos is not None:
         for b in range(0, len(t.x), _BLOCK):
             cols = slice(b, b + _BLOCK)
-            g = t.ux[:, cols] * model.gcos[:, None]
-            g += t.uy[:, cols] * model.gsin[:, None]
-            np.maximum(g, 0.0, out=g)
+            g = cosine_gain(model.gcos, model.gsin, t.ux[:, cols], t.uy[:, cols])
             q[:, cols] -= 2.0 * (c @ g + a * np.einsum("ig,ig->g", t.lc[:, cols], g))
             q[:, cols] += np.einsum("ig,ig->g", g, g) - np.square(g.sum(axis=0)) / n
     q *= n
@@ -485,8 +463,7 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
     k_id, l_id, _ = ms[0].tdoa
     if any(mm.tdoa[:2] != (k_id, l_id) for mm in ms):
         raise ValueError("a stack's measurements must share one TDOA pair")
-    position = {b.id: b.position for b in cfg.bs}
-    t = _line_tables(position[k_id], position[l_id], cfg.region)
+    t = _line_tables(cfg.stations.tdoa[k_id], cfg.stations.tdoa[l_id], cfg.region)
     s = t.frame.half_separation
     r, solved = [], []  # the half range difference of each epoch with a hyperbola
     for e, mm in enumerate(ms):

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rssdloc.channel import (
     ChannelParams,
     ChannelPresets,
     TdoaNoiseParams,
-    antenna_gain,
     received_power,
     simulate_measurements,
     simulate_rss,
@@ -17,8 +17,11 @@ from rssdloc.geometry import (
     SPEED_OF_LIGHT,
     BaseStation,
     DirectionalAntenna,
+    OmniAntenna,
     Point2D,
     Role,
+    Stations,
+    cosine_gain,
 )
 
 
@@ -46,24 +49,51 @@ class TestReceivedPower:
             received_power(p, 0.0, 0.0)
 
 
+def gain(peak, boresight, phi):
+    """cosine_gain of an antenna with boresight azimuth `boresight` toward
+    the azimuths boresight + phi."""
+    phi = np.asarray(phi, dtype=float)
+    return cosine_gain(peak * math.cos(boresight), peak * math.sin(boresight),
+                       np.cos(boresight + phi), np.sin(boresight + phi))
+
+
+BORESIGHTS = [0.0, 1.0, -2.5, math.pi]
+
+
 class TestAntennaGain:
+    """cosine_gain, the one directional gain formula, at several boresights."""
+
     def test_boresight(self):
-        assert antenna_gain(6.5, 0.0) == 6.5
+        assert gain(6.5, 0.0, [0.0])[0] == 6.5
+        for b in BORESIGHTS:
+            assert gain(6.5, b, [0.0])[0] == pytest.approx(6.5, rel=1e-15)
 
     def test_broadside_zero(self):
-        assert antenna_gain(6.5, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        for b in BORESIGHTS:
+            np.testing.assert_allclose(gain(6.5, b, [math.pi / 2, -math.pi / 2]), 0.0,
+                                       atol=1e-12)
 
     def test_sixty_degrees(self):
-        assert antenna_gain(6.5, math.pi / 3) == pytest.approx(3.25)
+        for b in BORESIGHTS:
+            np.testing.assert_allclose(gain(6.5, b, [math.pi / 3, -math.pi / 3]), 3.25,
+                                       rtol=1e-12)
 
     def test_backlobe_clamped(self):
-        assert antenna_gain(6.5, 0.75 * math.pi) == 0.0
-        assert antenna_gain(6.5, math.pi) == 0.0
+        for b in BORESIGHTS:
+            phi = [0.75 * math.pi, math.pi, -0.75 * math.pi, 0.51 * math.pi]
+            assert (gain(6.5, b, phi) == 0.0).all()
 
     def test_even_and_maximal_at_zero(self):
-        for phi in np.linspace(0, math.pi, 50):
-            assert antenna_gain(6.5, phi) == pytest.approx(antenna_gain(6.5, -phi))
-            assert antenna_gain(6.5, phi) <= 6.5
+        phi = np.linspace(0, math.pi, 50)
+        assert (gain(6.5, 0.0, phi) <= 6.5).all()
+        for b in BORESIGHTS:
+            np.testing.assert_allclose(gain(6.5, b, phi), gain(6.5, b, -phi), rtol=1e-12,
+                                       atol=1e-12)
+            # cos^2 b + sin^2 b rounds to within 2 ulps of 1
+            assert (gain(6.5, b, phi) <= 6.5 * (1 + 4e-16)).all()
+
+    def test_omni_is_zero_gain(self):
+        assert (gain(0.0, 0.7, np.linspace(-math.pi, math.pi, 9)) == 0.0).all()
 
 
 class TestPresets:
@@ -146,12 +176,13 @@ class TestSimulateMeasurements:
             BaseStation(9, Point2D(-2, 0), Role.TDOA_ONLY),
             BaseStation(10, Point2D(2, 0), Role.TDOA_ONLY),
         ]
+        stations = Stations.of(bs)  # built once for the 100,000 draws
         rng = np.random.default_rng(3)
         noise = TdoaNoiseParams(330e-12)
         mu = Point2D(0.5, 1.0)
         true_dt = (math.hypot(2.5, 1) - math.hypot(1.5, 1)) / SPEED_OF_LIGHT
         draws = np.array([
-            simulate_measurements(bs, mu, self.params, noise, rng).tdoa[2] - true_dt
+            simulate_measurements(stations, mu, self.params, noise, rng).tdoa[2] - true_dt
             for _ in range(100_000)
         ])
         assert abs(np.std(draws) / 330e-12 - 1.0) < 0.02
@@ -175,3 +206,82 @@ class TestSimulateMeasurements:
         with pytest.raises(CoincidentPosition):
             simulate_measurements(bs, Point2D(0, 0), self.params, self.tdoa,
                                   np.random.default_rng(0))
+
+
+def scalar_rss(bs, mu, params, rng):
+    """The per-station loop simulate_rss replaced, kept as its reference:
+    stations in ascending id order, one fading draw each, math.log10 path
+    loss and the gain G cos(phi) of the off-boresight angle phi from atan2,
+    0 beyond +-pi/2.  Gives (RSS, sum of the magnitudes of its terms)."""
+    out = {}
+    for b in sorted((b for b in bs if b.role.measures_rss), key=lambda b: b.id):
+        dx, dy = mu.x - b.position.x, mu.y - b.position.y
+        beta = rng.normal(0.0, params.sigma_beta) if params.sigma_beta > 0 else 0.0
+        gain = 0.0
+        if isinstance(b.antenna, DirectionalAntenna):
+            phi = math.remainder(math.atan2(dy, dx) - b.antenna.orientation, math.tau)
+            gain = b.antenna.gain_db * math.cos(phi) if abs(phi) <= math.pi / 2 else 0.0
+        path = 10.0 * params.alpha * math.log10(math.hypot(dx, dy) / params.d0)
+        rss = params.p0 - path + beta + gain - b.bias_db
+        out[b.id] = rss, abs(params.p0) + abs(path) + abs(beta) + abs(gain) + abs(b.bias_db)
+    return out
+
+
+# simulate_rss against scalar_rss, in units of the spacing of the sum of the
+# terms' magnitudes.  The reference's own angle (atan2, the subtraction of the
+# boresight, cos) rounds to within about 10 ulps of G near broadside; the
+# path loss and the sum round to within a few ulps.
+RSS_ULPS = 16
+
+antennas = st.one_of(st.just(OmniAntenna()),
+                     st.builds(DirectionalAntenna, st.floats(0.0, 10.0),
+                               st.floats(-10.0, 10.0)))
+
+
+@st.composite
+def channel_cases(draw):
+    """Random stations (both antenna kinds, biases, any ids, a TDOA-only
+    station among them), channel parameters and a user position."""
+    ids = draw(st.lists(st.integers(1, 99), min_size=2, max_size=8, unique=True))
+    coord = st.floats(-5.0, 5.0)
+    bs = [BaseStation(i, Point2D(draw(coord), draw(coord)),
+                      draw(st.sampled_from([Role.RSS_ONLY, Role.RSS_TDOA])),
+                      draw(antennas), draw(st.floats(-10.0, 10.0)))
+          for i in ids]
+    bs.append(BaseStation(100, Point2D(draw(coord), draw(coord)), Role.TDOA_ONLY))
+    params = ChannelParams(alpha=draw(st.floats(1.5, 4.0)),
+                           sigma_beta=draw(st.one_of(st.just(0.0), st.floats(0.1, 3.0))),
+                           p0=draw(st.floats(-60.0, 0.0)), d0=draw(st.floats(0.5, 2.0)))
+    mu = Point2D(draw(coord), draw(coord))
+    assume(min(math.hypot(mu.x - b.position.x, mu.y - b.position.y) for b in bs) > 1e-3)
+    return bs, mu, params, draw(st.integers(0, 2**32 - 1))
+
+
+class TestVectorChannel:
+    @settings(max_examples=200, deadline=None)
+    @given(channel_cases())
+    def test_within_ulps_of_scalar_loop(self, case):
+        bs, mu, params, seed = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = simulate_rss(bs, mu, params, rng)
+        want = scalar_rss(bs, mu, params, ref_rng)
+        assert list(got) == list(want)  # ascending id, RSS stations only
+        for i, (rss, scale) in want.items():
+            assert abs(got[i] - rss) <= RSS_ULPS * np.spacing(scale), (i, got[i], rss)
+        # one (N,) draw consumes the stream as N scalar draws do, and a
+        # different draw would miss the bound above by far more than ulps
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_vector_draw_equals_scalar_draws(self):
+        for sigma in (0.5, 2.0):
+            a, b = np.random.default_rng(11), np.random.default_rng(11)
+            assert a.normal(0.0, sigma, 8).tolist() == [b.normal(0.0, sigma) for _ in range(8)]
+
+    def test_received_power_takes_arrays(self):
+        p = ChannelParams(alpha=2.0, sigma_beta=0.0, p0=-40.0, d0=1.0)
+        d, beta = np.array([1.0, 10.0, 3.0]), np.array([0.0, 0.0, 1.5])
+        np.testing.assert_allclose(received_power(p, d, beta),
+                                   [received_power(p, di, bi) for di, bi in zip(d, beta)],
+                                   rtol=0, atol=0)
+        with pytest.raises(NonPositiveDistance):
+            received_power(p, np.array([1.0, 0.0]), 0.0)

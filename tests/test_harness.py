@@ -404,6 +404,25 @@ class TestScenarioLoading:
         with pytest.raises(ValueError):
             scenario_from_dict(d)
 
+    def test_negative_refine_iterations_rejected(self):
+        with pytest.raises(InvalidScenario, match=r"invalid scenario key 'region': "
+                                                  r"refine_iterations must be >= 0, got -1$"):
+            load_scenario(SIM_YAML, {"region.refine_iterations": -1})
+        assert load_scenario(SIM_YAML, {"region.refine_iterations": 0}).region.refine_iterations == 0
+
+    @pytest.mark.parametrize("length", [0, -2.5])
+    def test_empty_sim_track_rejected(self, length):
+        # a simulation without track length would end every trial in
+        # "no epochs to score"; a fingerprint scenario does not walk it
+        with pytest.raises(InvalidScenario, match=f"waypoint.total_length must be > 0, "
+                                                  f"got {float(length)}"):
+            load_scenario(SIM_YAML, {"waypoint.total_length": length})
+        d = yaml.safe_load(FP_YAML.read_text())
+        d["waypoint"] = {"total_length": length}
+        scenario = scenario_from_dict(d)
+        with pytest.raises(InvalidScenario, match="waypoint.total_length"):
+            scenario.with_mode(Mode.SIM_RSSD)
+
     @pytest.mark.parametrize("source, mode", [
         ("fp_3x3.yaml", "FP_RSSD"), ("fp_3x3.yaml", "FP_RSSD_TDOA"),
         ("sim_8x8.yaml", "SIM_RSSD"), ("sim_8x8.yaml", "SIM_RSSD_TDOA"),
@@ -484,6 +503,13 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: at most two stations may be TDOA-capable, got stations 1, 2, 3\n")
+
+    def test_run_reports_duplicate_station_id(self, tmp_path, capsys):
+        path = write_copy(tmp_path, lambda d: d["stations"][1].update(id=1), SIM_YAML)
+        rc = main(["run", "--scenario", str(path), "--trials", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: duplicate station id 1\n"
 
     def test_run_reports_zero_trials(self, tmp_path, capsys):
         rc = main(["run", "--scenario", str(FP_YAML), "--trials", "0",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rssdloc.errors import CoincidentWithStation
-from rssdloc.geometry import BaseStation, DirectionalAntenna, Point2D, Role, distance
+from rssdloc.geometry import BaseStation, DirectionalAntenna, Point2D, Role, Stations, distance
 from rssdloc.mobility import (
     OrientationState,
     WaypointModelParams,
@@ -75,62 +75,73 @@ class TestOrientation:
     def test_update_points_at_estimate(self):
         bs = [station()]
         state = OrientationState.initial(bs, Point2D(1, 0))
-        assert state.boresights[1] == pytest.approx(0.0)
+        assert state.boresights[0] == pytest.approx(0.0)
         state = update_orientation(state, bs, Point2D(0, 1))
-        assert state.boresights[1] == pytest.approx(math.pi / 2)
+        assert state.boresights[0] == pytest.approx(math.pi / 2)
 
     def test_tdoa_station_untracked(self):
-        bs = [station(), BaseStation(9, Point2D(2, 2), Role.TDOA_ONLY)]
+        # one boresight per RSS station, in the station table's order; the
+        # TDOA-only station has none
+        bs = [station(2, 2.0, 0.0), BaseStation(9, Point2D(2, 2), Role.TDOA_ONLY), station()]
         state = OrientationState.initial(bs, Point2D(1, 1))
-        assert 9 not in state.boresights
+        np.testing.assert_allclose(state.boresights, [math.pi / 4, 3 * math.pi / 4])
+        state = update_orientation(state, bs, Point2D(1, -1))
+        np.testing.assert_allclose(state.boresights, [-math.pi / 4, -3 * math.pi / 4])
 
     def test_idempotent_for_repeated_estimate(self):
         bs = [station(), station(2, 3.0, 0.0)]
         state = OrientationState.initial(bs, Point2D(1, 1))
         again = update_orientation(state, bs, Point2D(1, 1))
-        assert again.boresights == state.boresights
+        np.testing.assert_array_equal(again.boresights, state.boresights)
 
     def test_coincident_estimate_keeps_boresight(self):
-        bs = [station()]
+        bs = [station(), station(2, 3.0, 0.0)]
         state = OrientationState.initial(bs, Point2D(1, 0))
         state = update_orientation(state, bs, Point2D(0, 0))
-        assert state.boresights[1] == pytest.approx(0.0)
+        np.testing.assert_allclose(state.boresights, [0.0, math.pi], atol=1e-15)
 
     def test_apply_orientation(self):
         bs = [station(orientation=0.3)]
+        table = Stations.of(bs)
         state = OrientationState.initial(bs, Point2D(0, 5))
-        rotated = apply_orientation(bs, state)
-        assert rotated[0].antenna.orientation == pytest.approx(math.pi / 2)
-        assert bs[0].antenna.orientation == pytest.approx(0.3)  # input untouched
+        rotated = apply_orientation(table, state)
+        assert rotated.boresight[0] == pytest.approx(math.pi / 2)
+        assert rotated.gcos[0] == pytest.approx(0.0, abs=1e-12)
+        assert rotated.gsin[0] == pytest.approx(6.5)
+        # inputs untouched
+        assert table.boresight[0] == bs[0].antenna.orientation == pytest.approx(0.3)
+        assert table.gcos[0] == pytest.approx(6.5 * math.cos(0.3))
 
 
 class TestMisorientation:
     def test_zero_when_pointed_at_target(self):
         bs = [station()]
         state = OrientationState.initial(bs, Point2D(2, 3))
-        assert misorientation(state, bs[0], Point2D(2, 3)) == pytest.approx(0.0)
+        assert misorientation(state, bs, Point2D(2, 3))[0] == pytest.approx(0.0)
 
     def test_quarter_turn(self):
         bs = [station()]
         state = OrientationState.initial(bs, Point2D(1, 0))
-        assert misorientation(state, bs[0], Point2D(0, 1)) == pytest.approx(math.pi / 2)
+        assert misorientation(state, bs, Point2D(0, 1))[0] == pytest.approx(math.pi / 2)
 
     def test_matches_atan2_hand_computation(self):
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            b = station(orientation=rng.uniform(-math.pi, math.pi))
-            state = OrientationState({1: b.antenna.orientation})
+        bs = [station(i + 1, *rng.uniform(-5, 5, 2), rng.uniform(-math.pi, math.pi))
+              for i in range(50)]
+        state = OrientationState(np.array([b.antenna.orientation for b in bs]))
+        for _ in range(20):
             target = Point2D(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            if distance(target, b.position) < 1e-6:
+            if min(distance(target, b.position) for b in bs) < 1e-6:
                 continue
-            expected = abs(math.remainder(
-                math.atan2(target.y, target.x) - b.antenna.orientation, math.tau))
-            got = misorientation(state, b, target)
-            assert got == pytest.approx(expected, abs=1e-12)
-            assert 0.0 <= got <= math.pi
+            got = misorientation(state, bs, target)
+            expected = [abs(math.remainder(
+                math.atan2(target.y - b.position.y, target.x - b.position.x)
+                - b.antenna.orientation, math.tau)) for b in bs]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            assert ((0.0 <= got) & (got <= math.pi)).all()
 
     def test_coincident_raises(self):
-        bs = [station()]
+        bs = [station(), station(2, 3.0, 0.0)]
         state = OrientationState.initial(bs, Point2D(1, 0))
-        with pytest.raises(CoincidentWithStation):
-            misorientation(state, bs[0], Point2D(0, 0))
+        with pytest.raises(CoincidentWithStation, match="station 2"):
+            misorientation(state, bs, Point2D(3, 0))
