@@ -11,7 +11,8 @@ pairs are cycle-consistent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -73,17 +74,19 @@ class TdoaNoiseParams:
             raise ValueError("sigma_tdoa must be >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class MeasurementSet:
     """Per-station RSS plus at most one TDOA observation.
 
-    rss maps each RSS station id to its received power in dBm.  The unknown
-    transmit power is still in it; only differences of rss are informative.
+    rss is the (N,) received power in dBm of the RSS stations of a station
+    table, in its order; ids is that table's own ids array.  The unknown
+    transmit power is still in rss; only its differences are informative.
     tdoa, when present, is (id_k, id_l, delta_t) with delta_t the arrival
     time at k minus the arrival time at l.
     """
 
-    rss: Dict[int, float]
+    ids: np.ndarray
+    rss: np.ndarray
     tdoa: Optional[Tuple[int, int, float]] = None
 
     @property
@@ -93,9 +96,8 @@ class MeasurementSet:
         All pairs derive from the one rss vector, so the cycle identity
         P_ij + P_jk = P_ik holds exactly.
         """
-        ids = sorted(self.rss)
-        return [(i, j, self.rss[i] - self.rss[j])
-                for a, i in enumerate(ids) for j in ids[a + 1:]]
+        return [(i, j, p - q) for (i, p), (j, q)
+                in combinations(zip(self.ids.tolist(), self.rss.tolist()), 2)]
 
 
 def centred(rss: np.ndarray) -> np.ndarray:
@@ -118,8 +120,8 @@ def received_power(params: ChannelParams, d, beta):
 
 
 def simulate_rss(bs: Layout, mu: Point2D, params: ChannelParams,
-                 rng: np.random.Generator) -> Dict[int, float]:
-    """Per-station RSS vector at the true MU position, keyed by station id.
+                 rng: np.random.Generator) -> np.ndarray:
+    """The (N,) RSS vector at the true MU position, in the station table's order.
 
     Shadow fading is drawn i.i.d. per station in ascending id order, so the
     draw sequence is reproducible and identical across solver modes.
@@ -135,7 +137,7 @@ def simulate_rss(bs: Layout, mu: Point2D, params: ChannelParams,
     rss = received_power(params, d, beta)
     rss += cosine_gain(st.gcos, st.gsin, dx / d, dy / d)
     rss -= st.bias_db
-    return dict(zip(st.ids.tolist(), rss.tolist()))
+    return rss
 
 
 def simulate_measurements(bs: Layout, mu: Point2D,
@@ -162,4 +164,4 @@ def simulate_measurements(bs: Layout, mu: Point2D,
             dt += rng.normal(0.0, tdoa_params.sigma_tdoa)
         tdoa = (k, l, dt)
 
-    return MeasurementSet(rss=rss, tdoa=tdoa)
+    return MeasurementSet(st.ids, rss, tdoa)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import EmptyInput, LocalizationError
+from .errors import EmptyInput, InvalidScenario, LocalizationError
 from .harness import aggregate, run_scenario, scenario_db, write_report_files, write_summary_csv
 from .scenario import load_scenario, parse_mode
 
@@ -76,10 +76,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = _items(args.values, "--values")
-    # each value is read as a scenario file would read it
-    return _run_all([(f"{args.param}={v}", _load(args, {args.param: yaml.safe_load(v)}))
-                     for v in values], args.out)
+    runs = []
+    for v in _items(args.values, "--values"):
+        try:
+            value = yaml.safe_load(v)  # read as a scenario file would read it
+        except yaml.YAMLError:
+            raise InvalidScenario(f"--values item {v!r} is not a YAML value") from None
+        runs.append((f"{args.param}={v}", _load(args, {args.param: value})))
+    return _run_all(runs, args.out)
 
 
 def _cmd_build_db(args) -> int:

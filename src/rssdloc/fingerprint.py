@@ -138,7 +138,6 @@ def build_db(bs: Layout, area: SearchRegion, grid_step: float,
     nx = int(math.floor((area.x_max - area.x_min) / grid_step + 1e-9))
     ny = int(math.floor((area.y_max - area.y_min) / grid_step + 1e-9))
     st = Stations.of(bs)
-    ids = st.ids.tolist()
 
     positions, vectors = [], []
     for iy in range(ny + 1):
@@ -149,12 +148,11 @@ def build_db(bs: Layout, area: SearchRegion, grid_step: float,
             if any(abs(p.x - e.x) < _EXCLUDE_TOL and abs(p.y - e.y) < _EXCLUDE_TOL
                    for e in excluded):
                 continue
-            rss = simulate_rss(st, p, channel, rng)
             positions.append([x, y])
-            vectors.append([rss[i] for i in ids])
+            vectors.append(simulate_rss(st, p, channel, rng))
     if not positions:
         raise EmptyGrid("every grid point was excluded")
-    return FingerprintDB(np.array(positions), np.array(vectors), ids)
+    return FingerprintDB(np.array(positions), np.array(vectors), st.ids.tolist())
 
 
 def coarse_estimate(db: FingerprintDB, meas):

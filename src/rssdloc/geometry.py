@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -169,6 +169,14 @@ class Stations:
                              + ", ".join(map(str, self.tdoa)))
         return tuple(self.tdoa) if len(self.tdoa) == 2 else None
 
+    def tdoa_positions(self, *ids: int) -> List[Point2D]:
+        """The positions of the TDOA-capable stations with these ids; ids
+        of no TDOA-capable station raise ValueError naming them."""
+        missing = [i for i in ids if i not in self.tdoa]
+        if missing:
+            raise ValueError(f"stations {missing} are not TDOA-capable stations of the layout")
+        return [self.tdoa[i] for i in ids]
+
 
 # A station list or its table: what every function that reads a layout takes.
 Layout = Union[Stations, Sequence[BaseStation]]
@@ -288,9 +296,9 @@ def measured_hyperbola(tdoa: Tuple[int, int, float], bs: Layout
     """The canonical frame of a TDOA observation's station pair, and the
     observation's hyperbola in it.
 
-    tdoa is (id_k, id_l, delta_t) as carried by a measurement set.
+    tdoa is (id_k, id_l, delta_t) as carried by a measurement set; an id
+    of no TDOA-capable station of bs raises ValueError.
     """
     k_id, l_id, dt = tdoa
-    position = Stations.of(bs).tdoa
-    frame = CanonicalFrame.from_stations(position[k_id], position[l_id])
+    frame = CanonicalFrame.from_stations(*Stations.of(bs).tdoa_positions(k_id, l_id))
     return frame, Hyperbola.from_tdoa(dt, frame.half_separation)

@@ -34,13 +34,7 @@ from .channel import ChannelParams, simulate_measurements
 from .errors import DegenerateHyperbola, EmptyInput, InvalidScenario
 from .fingerprint import FingerprintDB, build_db, circular_track, coarse_estimate, refine_with_tdoa
 from .geometry import Point2D, distance
-from .mobility import (
-    OrientationState,
-    apply_orientation,
-    generate_track,
-    misorientation,
-    update_orientation,
-)
+from .mobility import apply_orientation, generate_track, misorientation, update_orientation
 from .scenario import Mode, Scenario
 from .solver import AntennaModel, SolverConfig, solve_rssd, solve_rssd_tdoa
 
@@ -130,7 +124,12 @@ def _rssd_tdoa(s, db, bs, ms):
 
 
 def _match(s, db, bs, ms):
-    return coarse_estimate(db, [[m.rss[j] for j in db.bs_ids] for m in ms]), 0
+    # a loaded database may hold some of the stations, in any column order
+    ids = ms[0].ids
+    cols = np.searchsorted(ids, db.bs_ids)
+    if not np.array_equal(ids.take(cols, mode="clip"), db.bs_ids):
+        raise ValueError(f"fingerprint columns {db.bs_ids} name stations outside {ids.tolist()}")
+    return coarse_estimate(db, np.array([m.rss for m in ms])[:, cols]), 0
 
 
 def _match_tdoa(s, db, bs, ms):
@@ -164,8 +163,9 @@ def run_trial(s: Scenario, trial: int,
         epochs = [(float(i), pos) for i, pos in enumerate(circular_track(s.circular))]
         known = 0
     stations = s.stations
-    state = (OrientationState.initial(stations, epochs[0][1])
-             if s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL else None)
+    # the antennas start pointed at the known start position
+    boresight = (update_orientation(stations.boresight, stations, epochs[0][1])
+                 if s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL else None)
     ids = stations.ids.tolist()
     locate = _LOCATE[s.mode]
 
@@ -176,13 +176,13 @@ def run_trial(s: Scenario, trial: int,
         # The known start is a chunk of its own.  With antenna feedback each
         # estimate points the antennas for the next epoch, so every epoch is
         # a chunk; without it the rest of the track is one.
-        stop = start + 1 if start < known or state is not None else len(epochs)
+        stop = start + 1 if start < known or boresight is not None else len(epochs)
         chunk = epochs[start:stop]
         now, theta = stations, {}
-        if state is not None:
+        if boresight is not None:
             (_, pos), = chunk
-            now = apply_orientation(stations, state)
-            theta = dict(zip(ids, misorientation(state, stations, pos).tolist()))
+            now = apply_orientation(stations, boresight)
+            theta = dict(zip(ids, misorientation(boresight, stations, pos).tolist()))
         if start < known:
             estimates = [pos for _, pos in chunk]
         else:
@@ -194,8 +194,8 @@ def run_trial(s: Scenario, trial: int,
             fallbacks += fell_back
         records += [EpochRecord(t, pos, est, distance(pos, est), dict(theta))
                     for (t, pos), est in zip(chunk, estimates)]
-        if state is not None:
-            state = update_orientation(state, stations, estimates[-1])
+        if boresight is not None:
+            boresight = update_orientation(boresight, stations, estimates[-1])
         start = stop
     scored = records[known:]
     errors = [r.error for r in scored]

@@ -98,39 +98,25 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
     return Track(epochs)
 
 
-@dataclass(frozen=True, eq=False)
-class OrientationState:
-    """Current boresight azimuth of every RSS station's antenna, in [-pi, pi],
-    in the order of the station table."""
+def update_orientation(boresight: np.ndarray, bs: Layout,
+                       new_estimate: Point2D) -> np.ndarray:
+    """The (N,) boresights of the station table's RSS antennas re-pointed
+    at the new position estimate.
 
-    boresights: np.ndarray  # (N,) rad
-
-    @classmethod
-    def initial(cls, bs: Layout, position: Point2D) -> "OrientationState":
-        """Perfect initial pointing toward a known starting position."""
-        st = Stations.of(bs)
-        return cls(np.arctan2(position.y - st.y, position.x - st.x))
-
-
-def update_orientation(state: OrientationState, bs: Layout,
-                       new_estimate: Point2D) -> OrientationState:
-    """Re-point every RSS antenna at the new position estimate.
-
-    A station coincident with the estimate keeps its previous boresight
-    (the azimuth is undefined there).
+    A station coincident with the estimate keeps its boresight (the
+    azimuth is undefined there).
     """
     st = Stations.of(bs)
     dx, dy = new_estimate.x - st.x, new_estimate.y - st.y
-    return OrientationState(np.where(np.hypot(dx, dy) < _COINCIDENCE_TOL,
-                                     state.boresights, np.arctan2(dy, dx)))
+    return np.where(np.hypot(dx, dy) < _COINCIDENCE_TOL, boresight, np.arctan2(dy, dx))
 
 
-def apply_orientation(bs: Layout, state: OrientationState) -> Stations:
-    """The station table with its antennas turned to the state's boresights."""
-    return replace(Stations.of(bs), boresight=state.boresights)
+def apply_orientation(bs: Layout, boresight: np.ndarray) -> Stations:
+    """The station table with its antennas turned to the (N,) boresights."""
+    return replace(Stations.of(bs), boresight=boresight)
 
 
-def misorientation(state: OrientationState, bs: Layout,
+def misorientation(boresight: np.ndarray, bs: Layout,
                    true_position: Point2D) -> np.ndarray:
     """Unsigned angle between each station's boresight and the true
     direction to the user, in [0, pi], in the order of the station table."""
@@ -141,5 +127,5 @@ def misorientation(state: OrientationState, bs: Layout,
         raise CoincidentWithStation(
             f"true position coincides with station {st.ids[coincident.argmax()]}")
     # |a - b| % tau and tau minus it are exact, so this is |wrap(a - b)|
-    off = np.abs(np.arctan2(dy, dx) - state.boresights) % math.tau
+    off = np.abs(np.arctan2(dy, dx) - boresight) % math.tau
     return np.minimum(off, math.tau - off)

@@ -92,6 +92,8 @@ class Scenario:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidScenario(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise InvalidScenario(f"seed must be >= 0, got {self.seed}")
         if self.mode.is_sim and self.waypoint is None:
             raise InvalidScenario(f"mode {self.mode.value} requires a waypoint section")
         if not self.mode.is_sim and self.circular is None:

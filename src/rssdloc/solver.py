@@ -155,20 +155,18 @@ class _Model:
     def build(cls, cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementSet]]
               ) -> "_Model":
         """The model of one measurement set, or of a non-empty stack of
-        them over the same stations, read with the same antennas."""
+        them read with the same antennas; each must be of the config's
+        station table (ValueError otherwise)."""
         ms = [m] if isinstance(m, MeasurementSet) else m
-        st, read = cfg.stations, ms[0].rss
-        rows = [k for k, i in enumerate(st.ids.tolist()) if i in read]
-        ids = st.ids[rows].tolist()
-        if len(ids) != len(read):
-            unknown = sorted(set(read) - set(ids))
-            raise ValueError(f"measurement references unknown stations {unknown}")
-        if any(mm.rss.keys() != read.keys() for mm in ms):
-            raise ValueError("a stack's measurements must read the same stations")
-        gain = ((st.gcos[rows, None], st.gsin[rows, None])
+        st = cfg.stations
+        for mm in ms:
+            if mm.ids is not st.ids and not np.array_equal(mm.ids, st.ids):
+                raise ValueError(f"measurement of stations {mm.ids.tolist()}, not the "
+                                 f"config's RSS stations {st.ids.tolist()}")
+        gain = ((st.gcos[:, None], st.gsin[:, None])
                 if cfg.antenna_model is AntennaModel.DIRECTIONAL else (None, None))
-        rss = np.array([[mm.rss[i] for i in ids] for mm in ms])
-        return cls(st.x[rows], st.y[rows], centred(rss).T, *gain, cfg.params.alpha)
+        return cls(st.x, st.y, centred(np.array([mm.rss for mm in ms])).T, *gain,
+                   cfg.params.alpha)
 
     def epochs(self, cols) -> "_Model":
         """The model of some of its epochs: cols indexes the columns of c."""
@@ -438,8 +436,8 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
     with the same antennas and the same TDOA pair, giving a list with None
     for each epoch whose range difference has no hyperbola; the
     single-epoch call raises DegenerateHyperbola there, as does any call
-    whose TDOA stations coincide.  A stack mixing TDOA pairs raises
-    ValueError.
+    whose TDOA stations coincide.  A stack mixing TDOA pairs, or a pair
+    that is not TDOA-capable in cfg's layout, raises ValueError.
 
     The hyperbola is parametrized by y in the TDOA pair's canonical frame,
     where its equation gives x.  The search runs over that y: a coarse scan
@@ -463,7 +461,7 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
     k_id, l_id, _ = ms[0].tdoa
     if any(mm.tdoa[:2] != (k_id, l_id) for mm in ms):
         raise ValueError("a stack's measurements must share one TDOA pair")
-    t = _line_tables(cfg.stations.tdoa[k_id], cfg.stations.tdoa[l_id], cfg.region)
+    t = _line_tables(*cfg.stations.tdoa_positions(k_id, l_id), cfg.region)
     s = t.frame.half_separation
     r, solved = [], []  # the half range difference of each epoch with a hyperbola
     for e, mm in enumerate(ms):

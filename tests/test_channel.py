@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rssdloc.channel import (
     ChannelParams,
     ChannelPresets,
+    MeasurementSet,
     TdoaNoiseParams,
     received_power,
     simulate_measurements,
@@ -135,9 +136,9 @@ class TestSimulateMeasurements:
         m = simulate_measurements(bs, Point2D(1.0, 1.0), noisy, self.tdoa,
                                   np.random.default_rng(5))
         rss = simulate_rss(bs, Point2D(1.0, 1.0), noisy, np.random.default_rng(5))
-        assert m.rss == rss
-        assert m.rssd_pairs == [(1, 2, rss[1] - rss[2]), (1, 3, rss[1] - rss[3]),
-                                (2, 3, rss[2] - rss[3])]
+        np.testing.assert_array_equal(m.rss, rss)
+        assert m.rssd_pairs == [(1, 2, rss[0] - rss[1]), (1, 3, rss[0] - rss[2]),
+                                (2, 3, rss[1] - rss[2])]
 
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_cycle_consistency(self, seed):
@@ -194,7 +195,7 @@ class TestSimulateMeasurements:
         mu = Point2D(1.0, 1.0)
         r0 = simulate_rss(clean, mu, self.params, np.random.default_rng(0))
         r1 = simulate_rss(biased, mu, self.params, np.random.default_rng(0))
-        assert r1[2] == pytest.approx(r0[2] - 4.0)
+        assert r1[1] == pytest.approx(r0[1] - 4.0)  # station 2
 
     def test_too_few_stations(self):
         with pytest.raises(TooFewStations):
@@ -263,7 +264,8 @@ class TestVectorChannel:
     def test_within_ulps_of_scalar_loop(self, case):
         bs, mu, params, seed = case
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = simulate_rss(bs, mu, params, rng)
+        ids = Stations.of(bs).ids.tolist()
+        got = dict(zip(ids, simulate_rss(bs, mu, params, rng).tolist()))
         want = scalar_rss(bs, mu, params, ref_rng)
         assert list(got) == list(want)  # ascending id, RSS stations only
         for i, (rss, scale) in want.items():
@@ -271,6 +273,20 @@ class TestVectorChannel:
         # one (N,) draw consumes the stream as N scalar draws do, and a
         # different draw would miss the bound above by far more than ulps
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(channel_cases())
+    def test_rssd_pairs_as_from_id_keyed_rss(self, case):
+        bs, mu, params, seed = case
+        table = Stations.of(bs)
+        m = MeasurementSet(table.ids, simulate_rss(table, mu, params, np.random.default_rng(seed)))
+        # the id-keyed dict simulate_rss returned before, and its pairs
+        rss = dict(zip(m.ids.tolist(), m.rss.tolist()))
+        ids = sorted(rss)
+        want = [(i, j, rss[i] - rss[j]) for a, i in enumerate(ids) for j in ids[a + 1:]]
+        got = m.rssd_pairs
+        assert got == want
+        assert [tuple(map(type, p)) for p in got] == [(int, int, float)] * len(want)
 
     def test_vector_draw_equals_scalar_draws(self):
         for sigma in (0.5, 2.0):

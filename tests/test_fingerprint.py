@@ -106,8 +106,7 @@ class TestCoarseEstimate:
         rng = np.random.default_rng(6)
         for _ in range(10):
             p = Point2D(rng.uniform(0.3, 2.7), rng.uniform(0.3, 2.7))
-            rss = simulate_rss(CORNER_BS, p, NOISELESS, rng)
-            meas = np.array([rss[i] for i in db.bs_ids])
+            meas = simulate_rss(CORNER_BS, p, NOISELESS, rng)  # in db.bs_ids order
             est = coarse_estimate(db, meas)
             k = int(np.argmin([rssd_distance(meas, ref) for ref in db.rss]))
             assert (est.x, est.y) == tuple(db.positions[k])

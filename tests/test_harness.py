@@ -11,7 +11,7 @@ from rssdloc import harness
 from rssdloc.channel import simulate_measurements
 from rssdloc.cli import main
 from rssdloc.errors import DegenerateHyperbola, EmptyInput, InvalidScenario, UnknownKey
-from rssdloc.fingerprint import circular_track, coarse_estimate, refine_with_tdoa
+from rssdloc.fingerprint import FingerprintDB, circular_track, coarse_estimate, refine_with_tdoa
 from rssdloc.geometry import SPEED_OF_LIGHT, OmniAntenna, Point2D
 from rssdloc.harness import (
     EpochRecord,
@@ -172,7 +172,7 @@ def per_epoch_trial(s, trial, db):
                 elif s.mode is Mode.SIM_RSSD_TDOA:
                     est = solve_rssd_tdoa(cfg, m)
                 else:
-                    est = coarse_estimate(db, [m.rss[j] for j in db.bs_ids])
+                    est = coarse_estimate(db, m.rss)
                     if s.mode is Mode.FP_RSSD_TDOA:
                         est = refine_with_tdoa(est, m.tdoa, s.bs)
             except DegenerateHyperbola:
@@ -562,6 +562,31 @@ class TestCli:
         loaded, built = load_scenario(path), load_scenario(FP_YAML)
         assert run_trial(loaded, 0).errors == run_trial(built, 0).errors
 
+    @pytest.mark.parametrize("columns", ["reversed", "without-station-2"])
+    def test_run_fp_from_db_file_columns(self, tmp_path, columns):
+        # a loaded database's columns are matched by station id, in any order
+        db = scenario_db(load_scenario(FP_YAML))
+        ids = db.bs_ids[::-1] if columns == "reversed" else [i for i in db.bs_ids if i != 2]
+        cols = [db.bs_ids.index(i) for i in ids]
+        db_file = tmp_path / "db.csv"
+        FingerprintDB(db.positions, db.rss[:, cols], ids).to_csv(db_file)
+        path = write_copy(tmp_path, lambda d: d["fingerprint"].update(db_file=str(db_file)))
+        s = load_scenario(path, {"mode": "FP_RSSD"})
+        loaded = FingerprintDB.from_csv(db_file)  # to_csv rounds to 1e-4 dB
+        rng = trial_rng(s.seed, 0)
+        want = [coarse_estimate(loaded, simulate_measurements(
+                    s.stations, pos, s.channel, s.tdoa_noise, rng).rss[cols])
+                for pos in circular_track(s.circular)]
+        assert [e.estimate for e in run_trial(s, 0).records] == want
+
+    @pytest.mark.parametrize("ids", [[1, 2, 3, 9], [1, 2, 3, 0], [1, 2, 3, 5]])
+    def test_run_trial_rejects_db_of_other_stations(self, fp_scenario, ids):
+        db = scenario_db(fp_scenario)
+        other = FingerprintDB(db.positions, db.rss, ids)
+        with pytest.raises(ValueError, match=r"fingerprint columns \[1, 2, 3, \d\] name stations "
+                                             r"outside \[1, 2, 3, 4\]"):
+            run_trial(fp_scenario, 0, other)
+
     def test_build_db(self, tmp_path):
         out = tmp_path / "db.csv"
         rc = main(["build-db", "--scenario", str(FP_YAML), "--out", str(out)])
@@ -659,6 +684,36 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "error: --values lists no items: ','\n"
         assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("values, item", [("[1", "[1"), ("12, {a: 1", "{a: 1")])
+    def test_sweep_rejects_unparsable_value(self, tmp_path, capsys, monkeypatch,
+                                            values, item):
+        def no_run(s):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("rssdloc.cli.run_scenario", no_run)
+        rc = main(["sweep", "--scenario", str(FP_YAML), "--param", "trials",
+                   "--values", values, "--out", str(tmp_path)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --values item {item!r} is not a YAML value\n"
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("how", ["flag", "file", "sweep"])
+    def test_negative_seed_rejected_at_load(self, tmp_path, capsys, monkeypatch, how):
+        def no_run(s):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("rssdloc.cli.run_scenario", no_run)
+        scenario = str(write_copy(tmp_path, lambda d: d.update(seed=-1)) if how == "file"
+                       else FP_YAML)
+        command = {"flag": ["run", "--seed", "-1"], "file": ["run"],
+                   "sweep": ["sweep", "--param", "seed", "--values", "0,-1"]}[how]
+        rc = main([*command, "--scenario", scenario, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        with pytest.raises(InvalidScenario, match="seed must be >= 0"):
+            load_scenario(FP_YAML, {"seed": -1})
 
     def test_sweep_checks_every_value_before_any_run(self, tmp_path, capsys,
                                                       monkeypatch):

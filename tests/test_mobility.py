@@ -6,7 +6,6 @@ import pytest
 from rssdloc.errors import CoincidentWithStation
 from rssdloc.geometry import BaseStation, DirectionalAntenna, Point2D, Role, Stations, distance
 from rssdloc.mobility import (
-    OrientationState,
     WaypointModelParams,
     apply_orientation,
     generate_track,
@@ -71,40 +70,57 @@ def station(bs_id=1, x=0.0, y=0.0, orientation=0.0):
                        DirectionalAntenna(6.5, orientation))
 
 
+def pointed_at(bs, position):
+    """The boresights of bs pointed at a known position, as a trial points
+    them at its known start."""
+    return update_orientation(Stations.of(bs).boresight, bs, position)
+
+
 class TestOrientation:
+    def test_start_pointing_is_arctan2_pointing(self):
+        rng = np.random.default_rng(12)
+        bs = [station(i + 1, *rng.uniform(-5, 5, 2), rng.uniform(-math.pi, math.pi))
+              for i in range(20)]
+        table = Stations.of(bs)
+        for _ in range(20):
+            start = Point2D(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            np.testing.assert_array_equal(
+                pointed_at(bs, start),
+                np.arctan2(start.y - table.y, start.x - table.x))
+
     def test_update_points_at_estimate(self):
         bs = [station()]
-        state = OrientationState.initial(bs, Point2D(1, 0))
-        assert state.boresights[0] == pytest.approx(0.0)
-        state = update_orientation(state, bs, Point2D(0, 1))
-        assert state.boresights[0] == pytest.approx(math.pi / 2)
+        boresight = pointed_at(bs, Point2D(1, 0))
+        assert boresight[0] == pytest.approx(0.0)
+        boresight = update_orientation(boresight, bs, Point2D(0, 1))
+        assert boresight[0] == pytest.approx(math.pi / 2)
 
     def test_tdoa_station_untracked(self):
         # one boresight per RSS station, in the station table's order; the
         # TDOA-only station has none
         bs = [station(2, 2.0, 0.0), BaseStation(9, Point2D(2, 2), Role.TDOA_ONLY), station()]
-        state = OrientationState.initial(bs, Point2D(1, 1))
-        np.testing.assert_allclose(state.boresights, [math.pi / 4, 3 * math.pi / 4])
-        state = update_orientation(state, bs, Point2D(1, -1))
-        np.testing.assert_allclose(state.boresights, [-math.pi / 4, -3 * math.pi / 4])
+        boresight = pointed_at(bs, Point2D(1, 1))
+        np.testing.assert_allclose(boresight, [math.pi / 4, 3 * math.pi / 4])
+        boresight = update_orientation(boresight, bs, Point2D(1, -1))
+        np.testing.assert_allclose(boresight, [-math.pi / 4, -3 * math.pi / 4])
 
     def test_idempotent_for_repeated_estimate(self):
         bs = [station(), station(2, 3.0, 0.0)]
-        state = OrientationState.initial(bs, Point2D(1, 1))
-        again = update_orientation(state, bs, Point2D(1, 1))
-        np.testing.assert_array_equal(again.boresights, state.boresights)
+        boresight = pointed_at(bs, Point2D(1, 1))
+        again = update_orientation(boresight, bs, Point2D(1, 1))
+        np.testing.assert_array_equal(again, boresight)
 
     def test_coincident_estimate_keeps_boresight(self):
         bs = [station(), station(2, 3.0, 0.0)]
-        state = OrientationState.initial(bs, Point2D(1, 0))
-        state = update_orientation(state, bs, Point2D(0, 0))
-        np.testing.assert_allclose(state.boresights, [0.0, math.pi], atol=1e-15)
+        boresight = pointed_at(bs, Point2D(1, 0))
+        boresight = update_orientation(boresight, bs, Point2D(0, 0))
+        np.testing.assert_allclose(boresight, [0.0, math.pi], atol=1e-15)
 
     def test_apply_orientation(self):
         bs = [station(orientation=0.3)]
         table = Stations.of(bs)
-        state = OrientationState.initial(bs, Point2D(0, 5))
-        rotated = apply_orientation(table, state)
+        boresight = pointed_at(bs, Point2D(0, 5))
+        rotated = apply_orientation(table, boresight)
         assert rotated.boresight[0] == pytest.approx(math.pi / 2)
         assert rotated.gcos[0] == pytest.approx(0.0, abs=1e-12)
         assert rotated.gsin[0] == pytest.approx(6.5)
@@ -116,24 +132,24 @@ class TestOrientation:
 class TestMisorientation:
     def test_zero_when_pointed_at_target(self):
         bs = [station()]
-        state = OrientationState.initial(bs, Point2D(2, 3))
-        assert misorientation(state, bs, Point2D(2, 3))[0] == pytest.approx(0.0)
+        boresight = pointed_at(bs, Point2D(2, 3))
+        assert misorientation(boresight, bs, Point2D(2, 3))[0] == pytest.approx(0.0)
 
     def test_quarter_turn(self):
         bs = [station()]
-        state = OrientationState.initial(bs, Point2D(1, 0))
-        assert misorientation(state, bs, Point2D(0, 1))[0] == pytest.approx(math.pi / 2)
+        boresight = pointed_at(bs, Point2D(1, 0))
+        assert misorientation(boresight, bs, Point2D(0, 1))[0] == pytest.approx(math.pi / 2)
 
     def test_matches_atan2_hand_computation(self):
         rng = np.random.default_rng(8)
         bs = [station(i + 1, *rng.uniform(-5, 5, 2), rng.uniform(-math.pi, math.pi))
               for i in range(50)]
-        state = OrientationState(np.array([b.antenna.orientation for b in bs]))
+        boresight = np.array([b.antenna.orientation for b in bs])
         for _ in range(20):
             target = Point2D(rng.uniform(-5, 5), rng.uniform(-5, 5))
             if min(distance(target, b.position) for b in bs) < 1e-6:
                 continue
-            got = misorientation(state, bs, target)
+            got = misorientation(boresight, bs, target)
             expected = [abs(math.remainder(
                 math.atan2(target.y - b.position.y, target.x - b.position.x)
                 - b.antenna.orientation, math.tau)) for b in bs]
@@ -142,6 +158,6 @@ class TestMisorientation:
 
     def test_coincident_raises(self):
         bs = [station(), station(2, 3.0, 0.0)]
-        state = OrientationState.initial(bs, Point2D(1, 0))
+        boresight = pointed_at(bs, Point2D(1, 0))
         with pytest.raises(CoincidentWithStation, match="station 2"):
-            misorientation(state, bs, Point2D(3, 0))
+            misorientation(boresight, bs, Point2D(3, 0))

@@ -29,11 +29,16 @@ def load_spans():
 
 
 def test_benchmark_traced_names_resolve():
-    # the tracer wraps these functions; a missing one breaks `--trace 1`
+    # the tracer wraps these functions by name; a renamed or moved one
+    # breaks `--trace 1`, whose only other check is the traced CI smoke
     spans = load_spans()
+    assert spans.TRACED
     for name in spans.TRACED:
         module, function = name.split(".")
-        assert callable(getattr(importlib.import_module(f"rssdloc.{module}"), function)), name
+        fn = getattr(importlib.import_module(f"rssdloc.{module}"), function, None)
+        assert callable(fn), name
+        # defined there, not only imported there from another module
+        assert fn.__module__ == f"rssdloc.{module}", name
 
 
 def test_benchmark_tracer_sees_every_locate_step():

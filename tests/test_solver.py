@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rssdloc import solver
 from rssdloc.channel import ChannelParams, TdoaNoiseParams, simulate_measurements
 from rssdloc.errors import DegenerateHyperbola, MissingTdoa, SingularCandidate
+from rssdloc.fingerprint import refine_with_tdoa
 from rssdloc.geometry import (
     SPEED_OF_LIGHT,
     BaseStation,
@@ -237,8 +239,49 @@ class TestSolveRssd:
             brute = Point2D(float(gx.ravel()[k]), float(gy.ravel()[k]))
             assert distance(est, brute) < 0.02
 
+    @pytest.mark.parametrize("layout", ["lacks-station-1", "adds-station-11"])
+    def test_measurement_of_another_layout_rejected(self, layout):
+        # the config must hold exactly the measurement's RSS stations: a
+        # measurement of a station it lacks, or of only part of its stations
+        bs = make_stations()
+        other = (bs[1:] if layout == "lacks-station-1"
+                 else bs + [BaseStation(11, Point2D(0.0, -4.0))])
+        m, elsewhere = measure(bs, Point2D(1.0, 1.0)), measure(other, Point2D(1.0, 1.0))
+        cfg = SolverConfig(NOISELESS, other, REGION)
+        for call in (_Model.build, solve_rssd):
+            with pytest.raises(ValueError, match="not the config's RSS stations"):
+                call(cfg, m)
+        # a stack is checked measurement by measurement
+        with pytest.raises(ValueError, match="not the config's RSS stations"):
+            solve_rssd(SolverConfig(NOISELESS, bs, REGION), [m, elsewhere])
+
+    def test_measurement_reads_the_config_table(self):
+        bs = make_stations()
+        cfg = SolverConfig(NOISELESS, bs, REGION)
+        m = measure(cfg.stations, Point2D(1.0, 1.0))
+        assert m.ids is cfg.stations.ids
+        # a table of the same stations built apart reads the same
+        np.testing.assert_array_equal(_Model.build(cfg, measure(bs, Point2D(1.0, 1.0))).c,
+                                      _Model.build(cfg, m).c)
+
 
 class TestSolveRssdTdoa:
+    @pytest.mark.parametrize("keep, missing", [([], "[9, 10]"), ([9], "[10]")])
+    def test_layout_without_the_tdoa_stations_rejected(self, monkeypatch, keep, missing):
+        def no_tables(*args):
+            raise AssertionError("line tables built")
+
+        monkeypatch.setattr(solver, "_line_tables", no_tables)
+        bs = make_stations()
+        m = measure(bs, Point2D(1.0, 1.0))
+        layout = [b for b in bs if b.role.measures_rss or b.id in keep]
+        cfg = SolverConfig(NOISELESS, layout, REGION)
+        message = f"stations {re.escape(missing)} are not TDOA-capable stations"
+        for call in (lambda: solve_rssd_tdoa(cfg, m), lambda: solve_rssd_tdoa(cfg, [m, m]),
+                     lambda: refine_with_tdoa(Point2D(0.0, 0.0), m.tdoa, layout)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_noiseless_joint_recovery(self):
         bs = make_stations()
         mu = Point2D(1.1, 2.2)
