@@ -10,6 +10,7 @@ pairs are cycle-consistent by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Tuple
@@ -36,12 +37,14 @@ class ChannelParams:
     d0: float = 1.0    # m
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
-        if self.sigma_beta < 0:
+        if not self.sigma_beta >= 0:
             raise ValueError("sigma_beta must be >= 0")
-        if self.d0 <= 0:
+        if not self.d0 > 0:
             raise ValueError("d0 must be > 0")
+        if not math.isfinite(self.p0):
+            raise ValueError("p0 must be finite")
 
 
 # Placeholder constants: the source of the measured propagation constants is
@@ -70,7 +73,7 @@ class TdoaNoiseParams:
     sigma_tdoa: float = 330e-12  # s
 
     def __post_init__(self):
-        if self.sigma_tdoa < 0:
+        if not self.sigma_tdoa >= 0:
             raise ValueError("sigma_tdoa must be >= 0")
 
 

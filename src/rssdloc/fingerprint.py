@@ -3,8 +3,8 @@
 The offline phase stores a reference RSS vector per grid point; the online
 phase picks the grid point whose pairwise RSS differences are closest (in
 the Euclidean sense) to the measured ones, then optionally refines the
-coarse pick by projecting it onto the measured TDOA hyperbola.  The match
-takes one epoch or a stack of epochs, a stack in one vectorized pass.
+coarse pick by projecting it onto the measured TDOA hyperbola.  Both steps
+take one epoch or a stack of epochs, the match in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .channel import ChannelParams, centred, simulate_rss
 from .errors import EmptyGrid, InvalidScenario, LengthMismatch
-from .geometry import Layout, Point2D, Stations, measured_hyperbola, project_onto_hyperbola
+from .geometry import Layout, Point2D, Stations, measured_hyperbolas, project_onto_hyperbola
 from .solver import SearchRegion
 
 _EXCLUDE_TOL = 1e-6  # m when matching excluded grid points
@@ -107,7 +107,7 @@ class CircularTrackParams:
     step_angle_deg: float = 7.5
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be > 0")
         if self.count < 1:
             raise ValueError("count must be >= 1")
@@ -132,7 +132,7 @@ def build_db(bs: Layout, area: SearchRegion, grid_step: float,
     Pass a channel with sigma_beta = 0 for a noiseless (deterministic)
     database.  Excluded positions are dropped from the grid entirely.
     """
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise ValueError("grid_step must be > 0")
     # floor (with a float-safety nudge) so the grid never leaves the area
     nx = int(math.floor((area.x_max - area.x_min) / grid_step + 1e-9))
@@ -179,9 +179,21 @@ def coarse_estimate(db: FingerprintDB, meas):
     return points if meas.ndim == 2 else points[0]
 
 
-def refine_with_tdoa(coarse: Point2D, tdoa: Tuple[int, int, float], bs: Layout) -> Point2D:
-    """Project the coarse estimate onto the measured TDOA hyperbola, in the
-    TDOA pair's canonical frame."""
-    frame, h = measured_hyperbola(tdoa, bs)
-    q = project_onto_hyperbola(frame.to_canonical(coarse), h)
-    return frame.from_canonical(q)
+def refine_with_tdoa(coarse, tdoa, bs: Layout):
+    """Project coarse estimates onto their measured TDOA hyperbolas, each
+    on its own, in the TDOA pair's canonical frame.
+
+    coarse is one point and tdoa its observation, giving one point, or a
+    sequence of points and of their observations, giving a list; the
+    observations are read as by geometry.measured_hyperbolas, with None in
+    the list where the single call raises DegenerateHyperbola.
+    """
+    single = isinstance(coarse, Point2D)
+    points = [coarse] if single else list(coarse)
+    if not points:
+        return []
+    frame, hs = measured_hyperbolas(bs, tdoa if single else list(tdoa))
+    refined = [None if h is None
+               else frame.from_canonical(project_onto_hyperbola(frame.to_canonical(p), h))
+               for p, h in zip(points, hs, strict=True)]
+    return refined[0] if single else refined

@@ -8,7 +8,7 @@ receive antenna.
 The two stations of a range-difference (TDOA) pair define a canonical frame
 with the stations on the x-axis at (-s, 0) and (+s, 0).  All hyperbola math
 works in that frame; :class:`CanonicalFrame` maps scenario coordinates in
-and out of it.
+and out of it, and :func:`measured_hyperbolas` reads TDOA observations into it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DegenerateHyperbola
+from .errors import DegenerateHyperbola, MissingTdoa
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -84,8 +84,10 @@ class DirectionalAntenna:
     orientation: float = 0.0  # boresight azimuth, radians
 
     def __post_init__(self):
-        if self.gain_db < 0:
+        if not self.gain_db >= 0:
             raise ValueError("gain_db must be >= 0")
+        if not math.isfinite(self.orientation):
+            raise ValueError("orientation must be finite")
         object.__setattr__(self, "orientation", wrap_angle(self.orientation))
 
 
@@ -169,14 +171,6 @@ class Stations:
                              + ", ".join(map(str, self.tdoa)))
         return tuple(self.tdoa) if len(self.tdoa) == 2 else None
 
-    def tdoa_positions(self, *ids: int) -> List[Point2D]:
-        """The positions of the TDOA-capable stations with these ids; ids
-        of no TDOA-capable station raise ValueError naming them."""
-        missing = [i for i in ids if i not in self.tdoa]
-        if missing:
-            raise ValueError(f"stations {missing} are not TDOA-capable stations of the layout")
-        return [self.tdoa[i] for i in ids]
-
 
 # A station list or its table: what every function that reads a layout takes.
 Layout = Union[Stations, Sequence[BaseStation]]
@@ -212,14 +206,20 @@ class Hyperbola:
         return cls(half_separation, 0.5 * SPEED_OF_LIGHT * delta_t)
 
 
+def branch_x(r, s, y):
+    """x-coordinate at height y (canonical frame) of the branch with half
+    range difference r of a pair at half-separation s:
+    x = r sqrt(1 + y^2 / (s^2 - r^2)).  Scalars or broadcasting ndarrays.
+    """
+    return r * np.sqrt(1.0 + np.square(y) / (s * s - r * r))
+
+
 def hyperbola_x_of_y(h: Hyperbola, y):
     """x-coordinate of the hyperbola branch at height y (canonical frame).
 
     Accepts a scalar or an ndarray of y values.
     """
-    r = h.range_difference
-    s = h.half_separation
-    return r * np.sqrt(1.0 + np.square(y) / (s * s - r * r))
+    return branch_x(h.range_difference, h.half_separation, y)
 
 
 def golden_section(f: Callable[[float], float], a: float, b: float,
@@ -290,15 +290,43 @@ class CanonicalFrame:
         c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
         return self.origin.x + c * x - s * y, self.origin.y + s * x + c * y
 
+    def branch_xy(self, r, y):
+        """Scenario coordinates of the points at canonical heights y on the
+        branch with half range difference r of the frame's pair: branch_x
+        mapped out by from_canonical_xy.  Scalars or broadcasting ndarrays,
+        e.g. an (epochs, 1) column of r against (epochs, heights) of y."""
+        return self.from_canonical_xy(branch_x(r, self.half_separation, y), y)
 
-def measured_hyperbola(tdoa: Tuple[int, int, float], bs: Layout
-                       ) -> Tuple[CanonicalFrame, Hyperbola]:
-    """The canonical frame of a TDOA observation's station pair, and the
-    observation's hyperbola in it.
 
-    tdoa is (id_k, id_l, delta_t) as carried by a measurement set; an id
-    of no TDOA-capable station of bs raises ValueError.
+def measured_hyperbolas(bs: Layout, tdoa) -> Tuple[CanonicalFrame, List[Optional[Hyperbola]]]:
+    """The canonical frame of a TDOA pair, and the hyperbola in it of each
+    of the pair's observations.
+
+    tdoa is one (id_k, id_l, delta_t) observation, as a measurement set
+    carries it, or a non-empty list of them, a stack.  A stack gives None
+    for each observation with no hyperbola, where one observation raises
+    DegenerateHyperbola, as coincident TDOA stations do.  A missing
+    observation (None) raises MissingTdoa; a stack mixing pairs, or ids of
+    no TDOA-capable station of bs, raise ValueError.
     """
-    k_id, l_id, dt = tdoa
-    frame = CanonicalFrame.from_stations(*Stations.of(bs).tdoa_positions(k_id, l_id))
-    return frame, Hyperbola.from_tdoa(dt, frame.half_separation)
+    single = not isinstance(tdoa, list)
+    stack = [tdoa] if single else tdoa
+    if any(t is None for t in stack):
+        raise MissingTdoa("measurement set carries no TDOA observation")
+    pair = stack[0][:2]
+    if any(t[:2] != pair for t in stack):
+        raise ValueError("a stack's measurements must share one TDOA pair")
+    positions = Stations.of(bs).tdoa
+    missing = [i for i in pair if i not in positions]
+    if missing:
+        raise ValueError(f"stations {missing} are not TDOA-capable stations of the layout")
+    frame = CanonicalFrame.from_stations(*(positions[i] for i in pair))
+    hyperbolas: List[Optional[Hyperbola]] = []
+    for _, _, dt in stack:
+        try:
+            hyperbolas.append(Hyperbola.from_tdoa(dt, frame.half_separation))
+        except DegenerateHyperbola:
+            if single:
+                raise
+            hyperbolas.append(None)
+    return frame, hyperbolas

@@ -16,8 +16,8 @@ the measurements are drawn in the same order either way.
 An epoch's noisy TDOA can put the measured range difference at or beyond
 the station half-separation, where no hyperbola exists.  Such an epoch
 falls back to the estimate without TDOA (the 2-D RSSD fit, or the coarse
-fingerprint match) and is counted in RunReport.tdoa_fallbacks.  The
-simulation's fallback epochs of a chunk are fitted together, in one stack.
+fingerprint match) and is counted in RunReport.tdoa_fallbacks, by one step
+for both modes; the simulation fits a chunk's fallback epochs in one stack.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import ChannelParams, simulate_measurements
-from .errors import DegenerateHyperbola, EmptyInput, InvalidScenario
+from .errors import EmptyInput, InvalidScenario
 from .fingerprint import FingerprintDB, build_db, circular_track, coarse_estimate, refine_with_tdoa
 from .geometry import Point2D, distance
 from .mobility import apply_orientation, generate_track, misorientation, update_orientation
@@ -113,14 +113,20 @@ def _rssd(s, db, bs, ms):
     return solve_rssd(SolverConfig(s.channel, bs, s.region, s.antenna_model), ms), 0
 
 
+def _fall_back(estimates, without_tdoa):
+    """The TDOA estimates of a stack with each None (an epoch without a
+    hyperbola) filled in from without_tdoa(its epochs' indices), the
+    estimates without TDOA, and how many were filled."""
+    gaps = [e for e, p in enumerate(estimates) if p is None]
+    for e, p in zip(gaps, without_tdoa(gaps), strict=True):
+        estimates[e] = p
+    return estimates, len(gaps)
+
+
 def _rssd_tdoa(s, db, bs, ms):
     cfg = SolverConfig(s.channel, bs, s.region, s.antenna_model)
-    estimates = solve_rssd_tdoa(cfg, ms)
-    degenerate = [m for m, e in zip(ms, estimates) if e is None]
-    if degenerate:
-        fallback = iter(solve_rssd(cfg, degenerate))
-        estimates = [next(fallback) if e is None else e for e in estimates]
-    return estimates, len(degenerate)
+    return _fall_back(solve_rssd_tdoa(cfg, ms),
+                      lambda gaps: solve_rssd(cfg, [ms[e] for e in gaps]))
 
 
 def _match(s, db, bs, ms):
@@ -134,14 +140,8 @@ def _match(s, db, bs, ms):
 
 def _match_tdoa(s, db, bs, ms):
     coarse, _ = _match(s, db, bs, ms)
-    estimates, fallbacks = [], 0
-    for c, m in zip(coarse, ms):
-        try:
-            estimates.append(refine_with_tdoa(c, m.tdoa, bs))
-        except DegenerateHyperbola:
-            estimates.append(c)
-            fallbacks += 1
-    return estimates, fallbacks
+    return _fall_back(refine_with_tdoa(coarse, [m.tdoa for m in ms], bs),
+                      lambda gaps: [coarse[e] for e in gaps])
 
 
 _LOCATE = {Mode.SIM_RSSD: _rssd, Mode.SIM_RSSD_TDOA: _rssd_tdoa,

@@ -31,11 +31,11 @@ class WaypointModelParams:
     update_rate: float = 2.0   # localization epochs per second
 
     def __post_init__(self):
-        if self.speed <= 0:
+        if not self.speed > 0:
             raise ValueError("speed must be > 0")
-        if self.pause_time < 0:
+        if not self.pause_time >= 0:
             raise ValueError("pause_time must be >= 0")
-        if self.update_rate <= 0:
+        if not self.update_rate > 0:
             raise ValueError("update_rate must be > 0")
 
 

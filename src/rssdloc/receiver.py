@@ -45,7 +45,7 @@ class Waveform:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise ValueError("sample_rate must be > 0")
         self.samples = np.asarray(self.samples, dtype=float)
         self.samples.flags.writeable = False
@@ -80,8 +80,10 @@ class SignalSpec:
             raise ValueError(f"chip code must have {_CHIP_COUNT} entries")
         if not np.all(np.abs(self.chips) == 1.0):
             raise ValueError("chips must be +-1")
-        if self.band[0] >= self.band[1]:
-            raise ValueError("band must satisfy f_low < f_high")
+        if not (math.isfinite(self.prf) and self.prf > 0):
+            raise ValueError(f"prf must be finite and > 0, got {self.prf}")
+        if not 0 < self.band[0] < self.band[1]:
+            raise ValueError(f"band must satisfy 0 < f_low < f_high, got {self.band}")
 
     @property
     def center_frequency(self) -> float:

@@ -59,9 +59,9 @@ class FingerprintConfig:
     db_file: Optional[str] = None
 
     def __post_init__(self):
-        if self.grid_step <= 0:
+        if not self.grid_step > 0:
             raise ValueError(f"grid_step must be > 0, got {self.grid_step}")
-        if self.db_sigma_beta < 0:
+        if not self.db_sigma_beta >= 0:
             raise ValueError(f"db_sigma_beta must be >= 0, got {self.db_sigma_beta}")
 
 

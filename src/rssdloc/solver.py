@@ -50,8 +50,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .channel import ChannelParams, MeasurementSet, centred
-from .errors import DegenerateHyperbola, EmptyRegion, MissingTdoa, SingularCandidate
-from .geometry import CanonicalFrame, Hyperbola, Layout, Point2D, Stations, cosine_gain
+from .errors import EmptyRegion, SingularCandidate
+from .geometry import CanonicalFrame, Layout, Point2D, Stations, cosine_gain, measured_hyperbolas
 
 _SINGULAR_TOL = 1e-6  # m; candidates closer than this to a station get inf
 _SINGULAR_TOL2 = _SINGULAR_TOL * _SINGULAR_TOL
@@ -72,14 +72,14 @@ class SearchRegion:
     refine_iterations: int = 6
 
     def __post_init__(self):
-        if self.x_min >= self.x_max or self.y_min >= self.y_max:
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise EmptyRegion(
                 f"empty region [{self.x_min}, {self.x_max}] x "
                 f"[{self.y_min}, {self.y_max}]"
             )
-        if self.coarse_step <= 0:
+        if not self.coarse_step > 0:
             raise ValueError("coarse_step must be > 0")
-        if self.refine_iterations < 0:
+        if not self.refine_iterations >= 0:
             raise ValueError(f"refine_iterations must be >= 0, got {self.refine_iterations}")
 
     def corners(self) -> List[Point2D]:
@@ -380,53 +380,21 @@ def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementS
     return points[0] if single else points
 
 
-class _Line(NamedTuple):
-    """A TDOA pair's canonical frame and the heights its line search scans
-    over a region: the coarse grid over the y range of the region's corners,
-    and the first bracket of each coarse cell, +-coarse_step clipped to the
-    range."""
-
-    frame: CanonicalFrame
-    ys: np.ndarray        # (G,) coarse heights
-    brackets: np.ndarray  # (G, 2) bracket ends
-    origin: np.ndarray    # (2, 1, 1) frame origin, and the (2, 1, 1) factors of
-    along: np.ndarray     # canonical x and y in scenario x and y
-    across: np.ndarray
-
-    def points(self, r: np.ndarray, den: np.ndarray, y: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scenario x and y, each (epochs, heights), of the branches
-        x = r sqrt(1 + y^2 / den) at canonical heights y; r and den are
-        (epochs, 1) columns.  Rounds as hyperbola_x_of_y and
-        frame.from_canonical_xy do: one (2, epochs, heights) array holds
-        (ox + cos x) - sin y and (oy + sin x) + cos y."""
-        x = np.square(y) / den
-        x += 1.0
-        np.sqrt(x, out=x)
-        x *= r
-        xy = self.along * x
-        xy += self.origin
-        xy += self.across * y
-        return xy[0], xy[1]
-
-
 @functools.lru_cache(maxsize=4)
-def _line_tables(pk: Point2D, pl: Point2D, reg: SearchRegion) -> _Line:
-    """The line-search tables of the TDOA pair at pk and pl, shared
-    read-only by every epoch of the pair."""
-    frame = CanonicalFrame.from_stations(pk, pl)
+def _line_tables(frame: CanonicalFrame, reg: SearchRegion) -> Tuple[np.ndarray, np.ndarray]:
+    """The heights the line search of the TDOA pair with this canonical
+    frame scans over a region, shared read-only by every epoch of the pair:
+    the (G,) coarse grid over the canonical y range of the region's corners,
+    and the (G, 2) first bracket of each coarse cell, +-coarse_step clipped
+    to the range."""
     corner_y = [frame.to_canonical(c).y for c in reg.corners()]
     y_lo, y_hi = min(corner_y), max(corner_y)
     ys = _grid(y_lo, y_hi, reg.coarse_step)
     brackets = np.stack([np.maximum(y_lo, ys - reg.coarse_step),
                          np.minimum(y_hi, ys + reg.coarse_step)], axis=1)
-    cos, sin = math.cos(frame.axis_angle), math.sin(frame.axis_angle)
-    origin = np.array([frame.origin.x, frame.origin.y])[:, None, None]
-    along, across = np.array([[cos, sin], [-sin, cos]])[:, :, None, None]
-    t = _Line(frame, ys, brackets, origin, along, across)
-    for a in t[1:]:
+    for a in (ys, brackets):
         a.setflags(write=False)
-    return t
+    return ys, brackets
 
 
 def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementSet]]):
@@ -434,10 +402,9 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
 
     m is one measurement set, giving one point, or a sequence of them read
     with the same antennas and the same TDOA pair, giving a list with None
-    for each epoch whose range difference has no hyperbola; the
-    single-epoch call raises DegenerateHyperbola there, as does any call
-    whose TDOA stations coincide.  A stack mixing TDOA pairs, or a pair
-    that is not TDOA-capable in cfg's layout, raises ValueError.
+    for each epoch whose range difference has no hyperbola.  The TDOA
+    observations are read by geometry.measured_hyperbolas, which raises
+    for the single-epoch call there, and for a missing or mixed TDOA pair.
 
     The hyperbola is parametrized by y in the TDOA pair's canonical frame,
     where its equation gives x.  The search runs over that y: a coarse scan
@@ -456,34 +423,21 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
     ms = [m] if single else m
     if not ms:
         return []
-    if any(mm.tdoa is None for mm in ms):
-        raise MissingTdoa("measurement set carries no TDOA observation")
-    k_id, l_id, _ = ms[0].tdoa
-    if any(mm.tdoa[:2] != (k_id, l_id) for mm in ms):
-        raise ValueError("a stack's measurements must share one TDOA pair")
-    t = _line_tables(*cfg.stations.tdoa_positions(k_id, l_id), cfg.region)
-    s = t.frame.half_separation
-    r, solved = [], []  # the half range difference of each epoch with a hyperbola
-    for e, mm in enumerate(ms):
-        try:
-            r.append(Hyperbola.from_tdoa(mm.tdoa[2], s).range_difference)
-        except DegenerateHyperbola:
-            if single:
-                raise
-            continue
-        solved.append(e)
+    frame, hs = measured_hyperbolas(cfg.stations, m.tdoa if single
+                                    else [mm.tdoa for mm in ms])
+    solved = [e for e, h in enumerate(hs) if h is not None]
     points: List[Optional[Point2D]] = [None] * len(ms)
     if not solved:
         return points
     model = _Model.build(cfg, [ms[e] for e in solved])
-    r = np.array(r)[:, None]
-    den = s * s - np.square(r)  # each branch is x = r sqrt(1 + y^2 / den)
+    r = np.array([[hs[e].range_difference] for e in solved])
+    ys, brackets = _line_tables(frame, cfg.region)
 
     y_star = np.empty((len(solved), 1))
     for lo in range(0, len(solved), _LINE_CHUNK):
         rows = slice(lo, lo + _LINE_CHUNK)  # the stack rows still searched
-        sub, rr, dd = model.epochs(rows), r[rows], den[rows]
-        ab = t.brackets[sub.objective(*t.points(rr, dd, t.ys)).argmin(axis=1)]
+        sub, rr = model.epochs(rows), r[rows]
+        ab = brackets[sub.objective(*frame.branch_xy(rr, ys)).argmin(axis=1)]
         while True:
             a, width = ab[:, :1], ab[:, 1:] - ab[:, :1]
             if not width.min() > _LINE_TOL:
@@ -494,13 +448,12 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
                 # freeze the finished epochs and drop them from later rounds
                 rows = np.arange(len(solved))[rows]
                 y_star[rows[~live]] = 0.5 * (a[~live] + ab[~live, 1:])
-                rows, a, width, rr, dd = (v[live] for v in (rows, a, width, rr, dd))
+                rows, a, width, rr = (v[live] for v in (rows, a, width, rr))
                 sub = sub.epochs(live)
             y = a + width * _LINE
-            k = sub.objective(*t.points(rr, dd, y)).argmin(axis=1)
+            k = sub.objective(*frame.branch_xy(rr, y)).argmin(axis=1)
             ab = a + width * _AROUND[k]  # the heights of the cells around k
-    # hyperbola_x_of_y in floats, which round as its numpy calls do
-    for e, ri, di, yi in zip(solved, r.ravel().tolist(), den.ravel().tolist(),
-                             y_star.ravel().tolist()):
-        points[e] = t.frame.from_canonical(Point2D(ri * math.sqrt(1.0 + yi * yi / di), yi))
+    # in floats, which round as a vector call and cost less for one epoch
+    for e, re, ye in zip(solved, r.ravel().tolist(), y_star.ravel().tolist()):
+        points[e] = Point2D(*map(float, frame.branch_xy(re, ye)))
     return points[0] if single else points

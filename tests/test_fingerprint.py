@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -14,7 +15,7 @@ from rssdloc.fingerprint import (
     coarse_estimate,
     refine_with_tdoa,
 )
-from rssdloc.geometry import BaseStation, Point2D, Role, distance
+from rssdloc.geometry import SPEED_OF_LIGHT, BaseStation, CanonicalFrame, Point2D, Role, distance
 from rssdloc.solver import SearchRegion
 
 AREA = SearchRegion(0.0, 3.0, 0.0, 3.0)
@@ -156,6 +157,34 @@ class TestCoarseEstimate:
             coarse_estimate(db, np.append(db.rss[0], -50.0))
 
 
+@st.composite
+def projection_stacks(draw):
+    """A TDOA pair anywhere with an RSS station, and a stack of 0-10
+    coarse points and TDOA observations of the pair, many of whose half
+    range differences lie within 1e-8 m of the pair's half-separation s
+    less the degeneracy margin, the rest in (-1.2 s, 1.2 s)."""
+    coord = st.floats(-5.0, 5.0)
+    mid = Point2D(draw(coord), draw(coord))
+    half, a = draw(st.floats(0.5, 5.0)), draw(st.floats(-math.pi, math.pi))
+    pk = Point2D(mid.x - half * math.cos(a), mid.y - half * math.sin(a))
+    pl = Point2D(mid.x + half * math.cos(a), mid.y + half * math.sin(a))
+    bs = [BaseStation(1, pk, Role.RSS_TDOA), BaseStation(2, pl, Role.TDOA_ONLY),
+          BaseStation(3, mid, Role.RSS_ONLY)]
+    s = CanonicalFrame.from_stations(pk, pl).half_separation
+    edge = st.builds(lambda sign, d: sign * (s - 1e-9 + d),
+                     st.sampled_from([-1.0, 1.0]), st.floats(-1e-8, 1e-8))
+    r = st.one_of(edge, st.floats(-1.2 * s, 1.2 * s))
+    n = draw(st.integers(0, 10))
+    points = [Point2D(draw(coord), draw(coord)) for _ in range(n)]
+    tdoas = [(1, 2, 2.0 * draw(r) / SPEED_OF_LIGHT) for _ in range(n)]
+    return bs, points, tdoas
+
+
+def bits(points):
+    """The exact bits of each point's coordinates, None kept."""
+    return [None if p is None else (p.x.hex(), p.y.hex()) for p in points]
+
+
 class TestRefineWithTdoa:
     def test_point_on_hyperbola_unchanged(self):
         # zero range difference, point already on the bisector
@@ -193,6 +222,28 @@ class TestRefineWithTdoa:
     def test_degenerate_tdoa(self):
         with pytest.raises(DegenerateHyperbola):
             refine_with_tdoa(Point2D(1, 1), (1, 2, 1e-6), CORNER_BS)
+        # in a stack, the epoch without a hyperbola is None
+        refined = refine_with_tdoa([Point2D(1, 1)] * 2, [(1, 2, 1e-6), (1, 2, 0.0)], CORNER_BS)
+        assert refined[0] is None and refined[1] == refine_with_tdoa(Point2D(1, 1), (1, 2, 0.0),
+                                                                       CORNER_BS)
+
+    def test_empty_stack(self):
+        assert refine_with_tdoa([], [], CORNER_BS) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(projection_stacks())
+    def test_stack_equals_per_epoch_calls(self, stack):
+        # bit for bit, with None exactly where the single call raises; the
+        # range differences crowd the half-separation, where a hyperbola
+        # stops existing
+        bs, points, tdoas = stack
+        alone = []
+        for p, tdoa in zip(points, tdoas):
+            try:
+                alone.append(refine_with_tdoa(p, tdoa, bs))
+            except DegenerateHyperbola:
+                alone.append(None)
+        assert bits(refine_with_tdoa(points, tdoas, bs)) == bits(alone)
 
 
 class TestCircularTrack:

@@ -140,6 +140,18 @@ class TestGenerateSignal:
         with pytest.raises(ValueError):
             SignalSpec(chips=np.full(128, 0.5))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"prf": 0.0}, "prf must be"), ({"prf": -3e6}, "prf must be"),
+        ({"prf": math.nan}, "prf must be"), ({"prf": math.inf}, "prf must be"),
+        ({"band": (0.0, 3.9e9)}, "band must"), ({"band": (-1e9, 3.9e9)}, "band must"),
+        ({"band": (3.9e9, 2.3e9)}, "band must"), ({"band": (math.nan, 3.9e9)}, "band must"),
+    ])
+    def test_spec_validation(self, kwargs, message):
+        # rejected when the spec is made, not later in the pulse train or
+        # the Butterworth design
+        with pytest.raises(ValueError, match=message):
+            SignalSpec(**kwargs)
+
     def test_attenuation_halves_amplitude(self, spec):
         full = generate_signal(spec, 0.0, 0.0)
         att = generate_signal(spec, 0.0, -6.0)

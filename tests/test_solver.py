@@ -15,6 +15,7 @@ from rssdloc.fingerprint import refine_with_tdoa
 from rssdloc.geometry import (
     SPEED_OF_LIGHT,
     BaseStation,
+    CanonicalFrame,
     DirectionalAntenna,
     Hyperbola,
     OmniAntenna,
@@ -24,7 +25,7 @@ from rssdloc.geometry import (
     distance,
     golden_section,
     hyperbola_x_of_y,
-    measured_hyperbola,
+    measured_hyperbolas,
 )
 from rssdloc.scenario import load_scenario
 from rssdloc.solver import (
@@ -35,7 +36,6 @@ from rssdloc.solver import (
     _coarse_tables,
     _expanded,
     _grid,
-    _line_tables,
     _Model,
     solve_rssd,
     solve_rssd_tdoa,
@@ -111,7 +111,7 @@ def layouts(draw, tdoa=False):
                 seed=draw(st.integers(0, 2**32 - 1)))
     if tdoa:
         try:
-            measured_hyperbola(m.tdoa, bs)
+            measured_hyperbolas(bs, m.tdoa)
         except DegenerateHyperbola:
             assume(False)
     return cfg, m
@@ -277,9 +277,31 @@ class TestSolveRssdTdoa:
         layout = [b for b in bs if b.role.measures_rss or b.id in keep]
         cfg = SolverConfig(NOISELESS, layout, REGION)
         message = f"stations {re.escape(missing)} are not TDOA-capable stations"
+        p = Point2D(0.0, 0.0)
         for call in (lambda: solve_rssd_tdoa(cfg, m), lambda: solve_rssd_tdoa(cfg, [m, m]),
-                     lambda: refine_with_tdoa(Point2D(0.0, 0.0), m.tdoa, layout)):
+                     lambda: refine_with_tdoa(p, m.tdoa, layout),
+                     lambda: refine_with_tdoa([p, p], [m.tdoa, m.tdoa], layout)):
             with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("stack, error, message", [
+        ("two pairs", ValueError, "one TDOA pair"),
+        ("no TDOA", MissingTdoa, "no TDOA observation"),
+        ("not TDOA-capable", ValueError, r"stations \[3, 4\] are not TDOA-capable"),
+    ])
+    def test_both_tdoa_paths_raise_alike(self, stack, error, message):
+        # the solver and the fingerprint projection read a stack's TDOA
+        # observations through one helper, so they reject a bad stack alike
+        bs = make_stations() + [BaseStation(11, Point2D(0.0, -4.0), Role.TDOA_ONLY)]
+        cfg = SolverConfig(NOISY, bs, REGION)
+        m = measure(bs[:-1], Point2D(1.0, 1.0), NOISY)
+        ms = {"two pairs": [m, replace(m, tdoa=(9, 11, m.tdoa[2]))],
+              "no TDOA": [m, replace(m, tdoa=None)],
+              "not TDOA-capable": [replace(m, tdoa=(3, 4, m.tdoa[2]))] * 2}[stack]
+        points = [Point2D(0.5, 0.5)] * len(ms)
+        for call in (lambda: solve_rssd_tdoa(cfg, ms),
+                     lambda: refine_with_tdoa(points, [mm.tdoa for mm in ms], bs)):
+            with pytest.raises(error, match=message):
                 call()
 
     def test_noiseless_joint_recovery(self):
@@ -417,18 +439,22 @@ class TestSolveRssdTdoa:
            st.integers(0, 2**32 - 1))
     def test_line_points_round_as_the_frame_does(self, pk, pl, fractions, seed):
         # the lockstep search maps all its epochs' branch points out of the
-        # frame at once, bit for bit as hyperbola_x_of_y and the frame do
+        # frame at once, an (epochs, 1) column of range differences against
+        # (epochs, heights), and each estimate alone as floats; both bit for
+        # bit as hyperbola_x_of_y and the frame do one epoch
         pk, pl = Point2D(*pk), Point2D(*pl)
         assume(distance(pk, pl) > 0.1)
-        t = _line_tables(pk, pl, REGION)
-        s = t.frame.half_separation
+        frame = CanonicalFrame.from_stations(pk, pl)
+        s = frame.half_separation
         hs = [Hyperbola(s, f * s) for f in fractions]
         r = np.array([[h.range_difference] for h in hs])
         y = np.random.default_rng(seed).uniform(-6.0, 6.0, (len(hs), 9))
-        x_out, y_out = t.points(r, s * s - np.square(r), y)
+        x_out, y_out = frame.branch_xy(r, y)
         for e, h in enumerate(hs):
-            want = t.frame.from_canonical_xy(hyperbola_x_of_y(h, y[e]), y[e])
+            want = frame.from_canonical_xy(hyperbola_x_of_y(h, y[e]), y[e])
             assert bits(map(Point2D, x_out[e], y_out[e])) == bits(map(Point2D, *want))
+            alone = frame.branch_xy(h.range_difference, float(y[e, 0]))
+            assert bits([Point2D(*map(float, alone))]) == bits([Point2D(x_out[e, 0], y_out[e, 0])])
 
     def test_empty_stack(self):
         assert solve_rssd_tdoa(SolverConfig(NOISY, make_stations(), REGION), []) == []
@@ -451,7 +477,7 @@ class TestSolveRssdTdoa:
         assert abs(resid) < 1e-6
 
         # reference path: the same coarse scan and bracket, refined by golden section
-        frame, h = measured_hyperbola(m.tdoa, cfg.bs)
+        frame, (h,) = measured_hyperbolas(cfg.bs, m.tdoa)
         model = _Model.build(cfg, m)
 
         def q_of_y(y):
