@@ -31,6 +31,8 @@ class WaypointModelParams:
     update_rate: float = 2.0   # localization epochs per second
 
     def __post_init__(self):
+        if not math.isfinite(self.total_length):
+            raise ValueError("total_length must be finite")
         if not self.speed > 0:
             raise ValueError("speed must be > 0")
         if not self.pause_time >= 0:

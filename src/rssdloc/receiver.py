@@ -4,6 +4,15 @@ Pipeline per receive chain: bandpass filter, correlate with the known
 transmit template, band-limited upsampling around the correlation peak,
 peak-time readout.  TDOA is the difference of two peak times; RSS is the
 mean squared correlation over a fixed window behind the peak.
+
+The filter and the correlation are computed as one step.  The zero-phase
+bandpass is folded into the template once: the template correlated with
+the filter's impulse response is kept on the template over its support,
+the runs around its non-zero samples (the 128 pulses of the default
+train).  Each call correlates only those runs' windows of the received
+signal, in one batched small FFT, and corrects the few hundred samples at
+each end of the signal where the filter's padding differs from plain
+convolution.
 """
 
 from __future__ import annotations
@@ -25,7 +34,10 @@ DEFAULT_RSS_WINDOW = 70e-9      # s
 _CHIP_COUNT = 128
 _FILTER_ORDER = 4
 _PULSE_SUPPORT_SIGMAS = 6.0
-_SPECTRA_PER_WAVEFORM = 4       # FFT lengths whose template spectrum is kept
+_SPECTRA_PER_WAVEFORM = 4       # keys each template-side memo keeps
+# |h| below this fraction of its peak is dropped, about a twentieth of the
+# peak's double-precision rounding
+_IMPULSE_CUT = 1e-17
 _UPSAMPLE_HALF_WIDTH = 256      # samples upsampled either side of the coarse peak
 _FINE_REACH = 2                 # samples either side of it searched for the fine peak
 
@@ -34,14 +46,15 @@ _FINE_REACH = 2                 # samples either side of it searched for the fin
 class Waveform:
     """Uniformly sampled real signal; samples[i] is taken at t0 + i / sample_rate.
 
-    samples is stored without a copy and made read-only, so a spectrum
-    memoised for it cannot go stale.  Pass a copy to keep a writable array.
+    samples is stored without a copy and made read-only, so what is
+    memoised for it as a correlation template cannot go stale.  Pass a
+    copy to keep a writable array.
     """
 
     samples: np.ndarray
     sample_rate: float
     t0: float = 0.0
-    _spectra: Dict[int, np.ndarray] = field(
+    _runs: Dict[tuple, "_Runs"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -49,17 +62,6 @@ class Waveform:
             raise ValueError("sample_rate must be > 0")
         self.samples = np.asarray(self.samples, dtype=float)
         self.samples.flags.writeable = False
-
-    def _reversed_spectrum(self, n: int) -> np.ndarray:
-        """rfft of the time-reversed samples at FFT length n, memoised per n."""
-        spectrum = self._spectra.get(n)
-        if spectrum is None:
-            from scipy import fft
-            if len(self._spectra) >= _SPECTRA_PER_WAVEFORM:
-                del self._spectra[next(iter(self._spectra))]
-            spectrum = self._spectra[n] = fft.rfft(self.samples[::-1], n)
-            spectrum.flags.writeable = False
-        return spectrum
 
 
 def default_chips(seed: int = 20120316) -> np.ndarray:
@@ -117,13 +119,19 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
     """Sampled bi-phase pulse train seen at one receiver.
 
     Each chip is a Gaussian-modulated sinusoid at the band center; the whole
-    train is shifted by `delay` (any real value, not only whole samples),
+    train is shifted by `delay` (finite and >= 0, not only whole samples),
     scaled by the dB attenuation, and optionally buried in white noise.
     """
     if sample_rate < 2.0 * spec.band[1]:
         raise AliasingSampleRate(
             f"sample_rate {sample_rate:.3g} Hz below Nyquist for "
             f"{spec.band[1]:.3g} Hz")
+    if not (math.isfinite(delay) and delay >= 0):
+        raise ValueError(f"delay must be finite and >= 0, got {delay}")
+    if not math.isfinite(attenuation_db):
+        raise ValueError(f"attenuation_db must be finite, got {attenuation_db}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     sigma = spec.pulse_sigma
     fc = spec.center_frequency
     pad = _PULSE_SUPPORT_SIGMAS * sigma
@@ -167,6 +175,139 @@ def bandpass(w: Waveform, band: Tuple[float, float] = DEFAULT_BAND) -> Waveform:
     return Waveform(signal.sosfiltfilt(sos, w.samples), w.sample_rate, w.t0)
 
 
+@functools.lru_cache(maxsize=8)
+def _impulse_response(band: Optional[Tuple[float, float]],
+                      sample_rate: float) -> np.ndarray:
+    """h such that bandpass(x) = h * x away from the ends of x; [1.0] for no band.
+
+    h is the zero-phase response to a unit impulse, h[len(h) // 2] at lag
+    0, cut where it falls below _IMPULSE_CUT of its peak.  Its tail decays
+    as rho ** m for the largest pole radius rho, so the impulse sits
+    2 * reach samples from each end of a zero signal, with rho ** reach at
+    the cut, and reach doubles until the cut lies within reach of it.
+    """
+    if band is None:
+        h = np.ones(1)
+    else:
+        from scipy import signal
+        sos = _bandpass_sos(band, sample_rate)
+        rho = np.abs(signal.sos2zpk(sos)[1]).max()
+        reach = math.ceil(math.log(_IMPULSE_CUT) / math.log(rho))
+        while True:
+            impulse = np.zeros(4 * reach + 1)
+            impulse[2 * reach] = 1.0
+            full = signal.sosfiltfilt(sos, impulse)
+            kept = np.flatnonzero(np.abs(full) >= _IMPULSE_CUT * np.abs(full).max())
+            half = max(2 * reach - kept[0], kept[-1] - 2 * reach)
+            if half < reach:
+                break
+            reach *= 2
+        h = full[2 * reach - half:2 * reach + half + 1]
+    h.flags.writeable = False
+    return h
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """A template correlated with h, kept over its support.
+
+    u[q] = sum_m h[m] t[q + m - half] is non-zero only within half samples
+    of a non-zero template sample.  Each run of non-zero samples is widened
+    by half on both sides, and runs fewer than `extra` samples apart are
+    merged: every row is transformed at its width plus the kept lags, at
+    least `extra`, so one row across such a gap is shorter than two rows.
+    Row i holds u[starts[i]:starts[i] + len(rows[i])], q counted in template
+    samples; width is the longest row.  Their spectra are memoised per FFT
+    length.
+    """
+
+    starts: np.ndarray
+    rows: Tuple[np.ndarray, ...]
+    width: int
+    _spectra: Dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, t: np.ndarray, h: np.ndarray, extra: int) -> "_Runs":
+        half = len(h) // 2
+        # an all-zero template is one zero run
+        nz = np.flatnonzero(t) if t.any() else np.zeros(1, dtype=int)
+        # widened runs around neighbouring non-zero samples a < b lie
+        # b - a - 1 - 2 * half samples apart
+        groups = np.split(nz, np.flatnonzero(np.diff(nz) - 1 - 2 * half >= extra) + 1)
+        rows = tuple(np.convolve(t[g[0]:g[-1] + 1], h[::-1]) for g in groups)
+        starts = np.array([g[0] - half for g in groups])
+        return cls(starts, rows, max(map(len, rows)))
+
+    def spectra(self, n: int) -> np.ndarray:
+        """Conjugated rfft of each row at length n, one row per run."""
+        return _memoised(self._spectra, n, lambda: self._transform(n))
+
+    def _transform(self, n: int) -> np.ndarray:
+        from scipy import fft
+        buf = np.zeros((len(self.rows), n))
+        for b, row in zip(buf, self.rows):
+            b[:len(row)] = row
+        spectra = np.conj(fft.rfft(buf, axis=-1, overwrite_x=True))
+        spectra.flags.writeable = False
+        return spectra
+
+
+def _fft_length(m: int) -> int:
+    """The least n >= max(m, 4) of the form 2^k, 3 * 2^k or 5 * 2^k.
+
+    Three lengths an octave, where 5-smooth lengths lie a few percent
+    apart, so the few spectra memoised per template serve a wide spread of
+    input lengths; n overshoots m by at most a third.
+    """
+    q = 1 << max((m - 1).bit_length() - 3, 0)
+    return next(k * q for k in (4, 5, 6, 8) if k * q >= m)
+
+
+def _memoised(memo: dict, key, build):
+    """build(), kept in memo per key; past _SPECTRA_PER_WAVEFORM keys the oldest goes."""
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= _SPECTRA_PER_WAVEFORM:
+            del memo[next(iter(memo))]
+        value = memo[key] = build()
+    return value
+
+
+def _filter_error(r: Waveform, h: np.ndarray, band: Tuple[float, float],
+                  j0: int, j1: int) -> np.ndarray:
+    """bandpass(r) - h * r over samples [j0, j1), each read as 0 outside r.
+
+    bandpass pads r's ends and starts its passes from initial conditions,
+    so the two differ only within len(h) // 2 samples of r's ends, where
+    their start-up transients have decayed below h's cut; h * r also spills
+    that far past them.  bandpass is run on r[lo:hi] alone, the samples that
+    reach [j0, j1) through h: the transients of that cut die out over the
+    same half-length, so inside [j0, j1) it reads as bandpass(r).
+    """
+    half = len(h) // 2
+    x = r.samples
+    lo, hi = max(j0 - half, 0), min(j1 + half, len(x))
+    seg = Waveform(x[lo:hi], r.sample_rate)
+    d = -np.convolve(seg.samples, h)[j0 - lo + half:j1 - lo + half]
+    a, b = max(j0, 0), min(j1, len(x))
+    d[a - j0:b - j0] += bandpass(seg, band).samples[a - lo:b - lo]
+    return d
+
+
+def _correlate_into(c: np.ndarray, first: int, d: np.ndarray, j0: int,
+                    t: np.ndarray) -> None:
+    """c[k - first] += sum_j d[j - j0] * t[j - k] at every lag k that c holds."""
+    lo = max(first, j0 - len(t) + 1)
+    hi = min(first + len(c), j0 + len(d))
+    if lo >= hi:
+        return
+    # template samples j - k over those lags and d's span, 0 outside t
+    i0, i1 = j0 - hi + 1, j0 + len(d) - lo
+    seg = np.pad(t[max(i0, 0):min(i1, len(t))], (max(-i0, 0), max(i1 - len(t), 0)))
+    c[lo - first:hi - first] += np.correlate(seg, d, "valid")[::-1]
+
+
 def _first_abs_argmax(c: np.ndarray) -> int:
     """np.argmax(np.abs(c)), the first index of the largest |c|, with no |c| array."""
     kmax, kmin = int(c.argmax()), int(c.argmin())
@@ -194,13 +335,23 @@ def correlate_and_detect(r: Waveform, template: Waveform,
     longer window that runs past them raises WindowOutOfSupport in
     rss_from_correlation.
 
-    Those lags are cut from a circular correlation,
-    irfft(rfft(r, n) * rfft(reversed template, n), n) with the template's
-    spectrum memoised on the template.  At n >= len_r + max(before, after)
-    no other lag aliases onto them (overlap-save), so for a template about
-    as long as r, n is about half the len_r + len_t - 1 of the full
-    correlation.  The peak is refined by
-    band-limited (FFT) resampling of a window around the coarse peak.
+    The bandpass is folded into the template: away from r's ends,
+    bandpass(r) is h * r for the filter's zero-phase impulse response h
+    (_impulse_response), so c is r correlated with u, the template
+    correlated with h.  u is non-zero only around the template's non-zero
+    runs, each widened by h's half-length (_Runs, memoised on the template
+    per band and sample rate).  Each run's window of r is correlated with
+    it at one FFT length n >= longest run + kept lags - 1 (_fft_length), in
+    one batched rfft against the runs' spectra (memoised per n), summed over
+    runs and brought back by one irfft; no lag aliases onto the kept ones
+    (overlap-save).  Runs closer than the kept lags' fixed part are merged,
+    so a dense train is one run.  Near r's ends
+    bandpass(r) - h * r is computed on short end segments (_filter_error)
+    and correlated with the template directly.  With band=None h is [1]
+    and there is no end term.  Over the kept lags c matches the full
+    correlation of bandpass(r) with the template within rounding.  The
+    peak is refined by band-limited (FFT) resampling of a window around
+    the coarse peak.
     """
     from scipy import fft, signal
 
@@ -216,13 +367,31 @@ def correlate_and_detect(r: Waveform, template: Waveform,
     fs = r.sample_rate
     before = min(_UPSAMPLE_HALF_WIDTH, len_t - 1)
     after = math.ceil(DEFAULT_RSS_WINDOW * fs) + _FINE_REACH
-    filtered = bandpass(r, band) if band is not None else r
-    n = fft.next_fast_len(len_r + max(before, after), True)
-    spectrum = fft.rfft(filtered.samples, n)
-    spectrum *= template._reversed_spectrum(n)
-    # circular index len_t - 1 + k holds lag k; the copy lets the n-point output go
-    first = len_t - 1 - before
-    c = fft.irfft(spectrum, n)[first:len_r + min(after, len_t - 1)].copy()
+    first = -before
+    extra = before + min(after, len_t - 1) + 1  # kept lags past the full-overlap ones
+    lags = len_r - len_t + extra
+    band = None if band is None else tuple(band)
+    h = _impulse_response(band, fs)
+    runs = _memoised(template._runs, (band, fs),
+                     lambda: _Runs.of(template.samples, h, extra))
+    n = _fft_length(runs.width + lags - 1)
+
+    # row i is r[starts[i] + first:][:n], read as 0 outside r
+    windows = np.zeros((len(runs.rows), n))
+    for row, s in zip(windows, runs.starts + first):
+        lo, hi = max(s, 0), min(s + n, len_r)
+        if lo < hi:
+            row[lo - s:hi - s] = r.samples[lo:hi]
+    spectrum = fft.rfft(windows, axis=-1, overwrite_x=True)
+    spectrum *= runs.spectra(n)
+    c = fft.irfft(spectrum.sum(axis=0), n)[:lags]
+    if band is not None:
+        edge = len(h) // 2
+        a = min(edge, len_r)
+        b = max(len_r - edge, a)
+        for j0, j1 in ((-edge, a), (b, len_r + edge)):
+            _correlate_into(c, first, _filter_error(r, h, band, j0, j1), j0,
+                            template.samples)
     t0 = (r.t0 - template.t0) - before / fs
     corr = Waveform(c, fs, t0)
 
@@ -257,8 +426,8 @@ def rss_from_correlation(c: CorrelationResult,
     Trapezoidal approximation of the time-normalized energy integral; the
     window rides on the detected peak, so the value is delay-invariant.
     """
-    if window <= 0:
-        raise WindowOutOfSupport("window must be > 0")
+    if not (window > 0 and math.isfinite(window)):
+        raise WindowOutOfSupport(f"window must be finite and > 0, got {window}")
     fs = c.c.sample_rate
     ia = int(math.ceil((c.peak_time - c.c.t0) * fs - 1e-9))
     ib = int(math.floor((c.peak_time + window - c.c.t0) * fs + 1e-9))

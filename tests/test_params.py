@@ -28,6 +28,7 @@ CHECKED = [
      ValueError),
     (DirectionalAntenna, {}, "gain_db", ValueError),
     (DirectionalAntenna, {}, "orientation", ValueError),
+    (WaypointModelParams, {"area": REGION}, "total_length", ValueError),
     (WaypointModelParams, {"area": REGION}, "speed", ValueError),
     (WaypointModelParams, {"area": REGION}, "pause_time", ValueError),
     (WaypointModelParams, {"area": REGION}, "update_rate", ValueError),
@@ -45,3 +46,10 @@ def test_nan_rejected(cls, kwargs, name, error):
     cls(**kwargs)
     with pytest.raises(error):
         cls(**{**kwargs, name: math.nan})
+
+
+@pytest.mark.parametrize("total_length", [math.inf, -math.inf])
+def test_infinite_track_length_rejected(total_length):
+    # +inf would never end generate_track's loop
+    with pytest.raises(ValueError, match="total_length"):
+        WaypointModelParams(area=REGION, total_length=total_length)

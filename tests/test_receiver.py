@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import signal
 
+from rssdloc import receiver
 from rssdloc.errors import (
     AliasingSampleRate,
     EmptyInput,
@@ -21,6 +22,7 @@ from rssdloc.receiver import (
     CorrelationResult,
     SignalSpec,
     Waveform,
+    _fft_length,
     _first_abs_argmax,
     correlate_and_detect,
     default_chips,
@@ -94,18 +96,52 @@ def rss_or_error(c):
         return "WindowOutOfSupport"
 
 
-def record_template_ffts(monkeypatch, template):
-    """Patch scipy.fft.rfft to list the FFT length of each transform of template."""
-    rfft = scipy.fft.rfft
-    lengths = []
+def record_template_builds(monkeypatch):
+    """Patch the template side's builders to list what each call builds.
 
-    def recording_rfft(x, n=None, *args, **kwargs):
-        if np.shares_memory(x, template.samples):
-            lengths.append(n)
-        return rfft(x, n, *args, **kwargs)
+    Entries are ("runs", len(h)) for a template's filtered runs and
+    ("spectra", n) for their spectra at FFT length n.
+    """
+    built = []
+    runs_of, transform = receiver._Runs.of.__func__, receiver._Runs._transform
+
+    def recording_runs_of(cls, t, h, extra):
+        built.append(("runs", len(h)))
+        return runs_of(cls, t, h, extra)
+
+    def recording_transform(self, n):
+        built.append(("spectra", n))
+        return transform(self, n)
+
+    monkeypatch.setattr(receiver._Runs, "of", classmethod(recording_runs_of))
+    monkeypatch.setattr(receiver._Runs, "_transform", recording_transform)
+    return built
+
+
+def record_rfft_shapes(monkeypatch):
+    """Patch scipy.fft.rfft to list the shape of each transform it makes."""
+    rfft = scipy.fft.rfft
+    shapes = []
+
+    def recording_rfft(x, n=None, axis=-1, *args, **kwargs):
+        shape = list(np.shape(x))
+        if n is not None:
+            shape[axis] = n
+        shapes.append(tuple(shape))
+        return rfft(x, n, axis, *args, **kwargs)
 
     monkeypatch.setattr(scipy.fft, "rfft", recording_rfft)
-    return lengths
+    return shapes
+
+
+def sparse_train(pulses, rng):
+    """Random pulses of the given lengths, each after its gap of zeros but the first."""
+    parts = []
+    for i, (length, gap) in enumerate(pulses):
+        if i:
+            parts.append(np.zeros(gap))
+        parts.append(rng.normal(size=length))
+    return np.concatenate(parts)
 
 
 # Short pulse trains (high PRF) keep each example to a few thousand samples.
@@ -172,6 +208,18 @@ class TestGenerateSignal:
         above = freqs[spectrum >= 0.1 * peak]
         assert abs(above.min() - 2.3e9) < 0.2e9
         assert abs(above.max() - 3.9e9) < 0.2e9
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"delay": -5e-9}, "delay"), ({"delay": math.nan}, "delay"),
+        ({"delay": math.inf}, "delay"), ({"attenuation_db": math.nan}, "attenuation_db"),
+        ({"attenuation_db": math.inf}, "attenuation_db"),
+        ({"noise_std": math.nan}, "noise_std"), ({"noise_std": -0.1}, "noise_std"),
+    ])
+    def test_argument_validation(self, spec, kwargs, name):
+        args = {"delay": 10e-9, "attenuation_db": -3.0, "noise_std": 0.1,
+                "rng": np.random.default_rng(0), **kwargs}
+        with pytest.raises(ValueError, match=name):
+            generate_signal(spec, **args)
 
     def test_noise_requires_rng(self, spec):
         with pytest.raises(ValueError):
@@ -313,17 +361,50 @@ class TestAgainstReferencePath:
         self.assert_same(Waveform(w.samples, w.sample_rate, 1e-9), template,
                          upsample_factor, DEFAULT_BAND)
 
-    def test_template_spectrum_computed_once(self, monkeypatch):
+    @settings(max_examples=60, deadline=None)
+    @given(pulses=st.lists(st.tuples(st.integers(1, 60),
+                                     st.integers(0, 1200) | st.integers(2000, 6000)),
+                           min_size=1, max_size=5),
+           extra=st.integers(0, 700),
+           flush_last=st.booleans(),
+           noise_std=st.sampled_from([0.0, 0.3]),
+           upsample_factor=st.sampled_from([1, 8]),
+           band=st.sampled_from([DEFAULT_BAND, (2.0e9, 4.2e9), None]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sparse_trains(self, pulses, extra, flush_last, noise_std,
+                           upsample_factor, band, seed):
+        # short gaps, over which the widened pulses meet or lie closer than
+        # the kept lags past full overlap (at most 1,134) and are merged,
+        # and gaps of more than that plus twice the filters' half-lengths
+        # (268 and 214 samples), over which they stay separate runs; the
+        # arrival starts at r's first sample or ends at its last
+        rng = np.random.default_rng(seed)
+        t = sparse_train(pulses, rng)
+        assume(len(t) + extra > 30)  # sosfiltfilt's padding needs 28 samples
+        samples = rng.normal(0.0, noise_std, size=len(t) + extra)
+        offset = extra if flush_last else 0
+        samples[offset:offset + len(t)] += t
+        self.assert_same(Waveform(samples, DEFAULT_SAMPLE_RATE),
+                         Waveform(t, DEFAULT_SAMPLE_RATE), upsample_factor, band)
+
+    def test_template_side_built_once(self, monkeypatch):
         spec = SignalSpec(prf=SHORT_PRFS[0])
         template = transmit_template(spec)
-        template_ffts = record_template_ffts(monkeypatch, template)
+        built = record_template_builds(monkeypatch)
         for delay in (0.0, 0.1e-9, 0.2e-9):  # one FFT length
             correlate_and_detect(generate_signal(spec, delay, 0.0), template)
-        assert len(template_ffts) == 1
-        # a much longer input needs another FFT length, computed once too
+        assert [b[0] for b in built] == ["runs", "spectra"]
+        # a much longer input needs another FFT length: its spectra are built
+        # once, from the same runs
         for _ in range(2):
             correlate_and_detect(generate_signal(spec, 400e-9, 0.0), template)
-        assert len(template_ffts) == 2 and template_ffts[0] != template_ffts[1]
+        assert [b[0] for b in built] == ["runs", "spectra", "spectra"]
+        assert built[1][1] != built[2][1]
+        # another band has its own runs
+        for _ in range(2):
+            correlate_and_detect(generate_signal(spec, 0.0, 0.0), template,
+                                 band=(2.0e9, 4.2e9))
+        assert [b[0] for b in built] == ["runs", "spectra", "spectra", "runs", "spectra"]
 
     @pytest.mark.parametrize("upsample_factor", [1, 8])
     def test_input_as_long_as_template_peaks_at_lag_zero(self, upsample_factor):
@@ -349,14 +430,31 @@ class TestAgainstReferencePath:
         assert res.c.t0 == (r.t0 - template.t0) - 99 / DEFAULT_SAMPLE_RATE
         self.assert_same(r, template, DEFAULT_UPSAMPLE, band)
 
-    def test_default_train_transform_shorter_than_full_correlation(self, monkeypatch,
-                                                                    spec):
+    def test_default_train_transforms_at_most_4096_points(self, monkeypatch, spec):
         template = transmit_template(spec)
-        template_ffts = record_template_ffts(monkeypatch, template)
-        w = generate_signal(spec, 23.1e-9, -6.0)
-        correlate_and_detect(w, template)
-        assert len(template_ffts) == 1
-        assert template_ffts[0] < len(w.samples) + len(template.samples) - 1
+        correlate_and_detect(generate_signal(spec, 23.1e-9, -6.0), template)
+        shapes = record_rfft_shapes(monkeypatch)
+        correlate_and_detect(generate_signal(spec, 23.1e-9, -6.0), template)
+        # one batched transform of the 128 pulses' windows, and the
+        # upsampling window's
+        assert len(shapes) == 2 and shapes[0][0] == 128
+        assert max(shape[-1] for shape in shapes) <= 4096
+
+    @pytest.mark.parametrize("band", [DEFAULT_BAND, None])
+    def test_close_pulses_transformed_as_one_run(self, monkeypatch, band):
+        # pulses 5 ns (62.5 samples) apart: one row across the gaps is
+        # shorter than a row per pulse
+        spec = SignalSpec(prf=SHORT_PRFS[0])
+        template = transmit_template(spec)
+        correlate_and_detect(generate_signal(spec, 3e-9, 0.0), template, band=band)
+        shapes = record_rfft_shapes(monkeypatch)
+        correlate_and_detect(generate_signal(spec, 3e-9, 0.0), template, band=band)
+        assert shapes[0][0] == 1
+
+    @given(st.integers(1, 2**20))
+    def test_fft_length_is_least_power_of_two_times_1_3_or_5(self, m):
+        grid = sorted(k << e for k in (1, 3, 5) for e in range(23))
+        assert _fft_length(m) == next(n for n in grid if n >= max(m, 4))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=12))
@@ -442,8 +540,9 @@ class TestRssFromCorrelation:
         c = CorrelationResult(Waveform(np.zeros(100), 1e9, 0.0), 90e-9)
         with pytest.raises(WindowOutOfSupport):
             rss_from_correlation(c, 70e-9)
-        with pytest.raises(WindowOutOfSupport):
-            rss_from_correlation(c, -1e-9)
+        for window in (-1e-9, 0.0, math.nan, math.inf):
+            with pytest.raises(WindowOutOfSupport):
+                rss_from_correlation(c, window)
 
 
 def test_default_chips_fixed_and_binary():
