@@ -13,6 +13,10 @@ train).  Each call correlates only those runs' windows of the received
 signal, in one batched small FFT, and corrects the few hundred samples at
 each end of the signal where the filter's padding differs from plain
 convolution.
+
+The receiver runs on numpy alone.  The Butterworth design, the zero-phase
+filter and the peak's band-limited upsampling follow scipy.signal's
+butter, sosfiltfilt and resample, and match them within rounding.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AliasingSampleRate, EmptyInput, TemplateTooLong, WindowOutOfSupport
 
@@ -33,6 +38,9 @@ DEFAULT_UPSAMPLE = 8
 DEFAULT_RSS_WINDOW = 70e-9      # s
 _CHIP_COUNT = 128
 _FILTER_ORDER = 4
+# samples of odd extension at each end, sosfiltfilt's default for
+# _FILTER_ORDER sections: 3 * (2 * sections + 1)
+_PADLEN = 3 * (2 * _FILTER_ORDER + 1)
 _PULSE_SUPPORT_SIGMAS = 6.0
 _SPECTRA_PER_WAVEFORM = 4       # keys each template-side memo keeps
 # |h| below this fraction of its peak is dropped, about a twentieth of the
@@ -139,13 +147,18 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
     n = int(math.ceil(duration * sample_rate)) + 1
     out = np.zeros(n)
     amp = 10.0 ** (attenuation_db / 20.0)
-    for k, chip in enumerate(spec.chips):
-        tc = delay + pad + k / spec.prf
-        lo = max(int((tc - pad) * sample_rate), 0)
-        hi = min(int((tc + pad) * sample_rate) + 1, n)
-        tk = np.arange(lo, hi) / sample_rate - tc
-        out[lo:hi] += (chip * amp * np.exp(-0.5 * (tk / sigma) ** 2)
-                       * np.cos(2.0 * math.pi * fc * tk))
+    # pulse k covers samples lo[k] + j for j < hi[k] - lo[k]
+    tc = delay + pad + np.arange(len(spec.chips)) / spec.prf
+    lo = np.maximum(((tc - pad) * sample_rate).astype(int), 0)
+    hi = np.minimum(((tc + pad) * sample_rate).astype(int) + 1, n)
+    j = np.arange((hi - lo).max())
+    idx = lo[:, None] + j
+    tk = idx / sample_rate - tc[:, None]
+    pulses = (spec.chips[:, None] * amp * np.exp(-0.5 * (tk / sigma) ** 2)
+              * np.cos(2.0 * math.pi * fc * tk))
+    within = j < (hi - lo)[:, None]
+    # in chip order, where the pulses of a high-PRF train overlap
+    np.add.at(out, idx[within], pulses[within])
     if noise_std > 0:
         if rng is None:
             raise ValueError("noise_std > 0 requires an rng")
@@ -160,19 +173,109 @@ def transmit_template(spec: SignalSpec,
                            sample_rate=sample_rate)
 
 
+def _butter_bandpass(band: Tuple[float, float], sample_rate: float
+                     ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Zeros, poles and gain of the order-4 digital Butterworth bandpass.
+
+    scipy.signal.butter's recipe: the analog lowpass prototype's poles on
+    the left half of the unit circle, moved onto the pre-warped band by the
+    lowpass-to-bandpass map, then into z by the bilinear map at a
+    normalised sample rate of 2.  The band's _FILTER_ORDER zeros at s = 0
+    map to z = 1, and the bilinear map puts as many at z = -1.
+    """
+    n = _FILTER_ORDER
+    warped = 4.0 * np.tan(np.pi * np.asarray(band, dtype=float) / sample_rate)
+    bw = warped[1] - warped[0]
+    p_lp = -np.exp(1j * np.pi * np.arange(1 - n, n, 2) / (2 * n)) * bw / 2
+    root = np.sqrt(p_lp ** 2 - warped[0] * warped[1])
+    p_s = np.concatenate([p_lp + root, p_lp - root])
+    z = np.concatenate([np.ones(n), -np.ones(n)])
+    k = bw ** n * float((4.0 ** n / np.prod(4.0 - p_s)).real)
+    return z, (4.0 + p_s) / (4.0 - p_s), k
+
+
+def _causal_response(band: Tuple[float, float], sample_rate: float,
+                     n: int) -> np.ndarray:
+    """The first n samples of the filter's impulse response from rest.
+
+    The filter is a cascade of second-order sections, one per conjugate
+    pole pair (p, p*), each with one zero at z = 1 and one at z = -1:
+    (1 - z^-2) / (1 - 2 Re(p) z^-1 + |p|^2 z^-2), after the gain.  Each
+    runs in transposed direct form II, as scipy's sosfilt does, so the
+    response keeps its relative precision down its decaying tail.
+    """
+    _, p, k = _butter_bandpass(band, sample_rate)
+    g = [k] + [0.0] * (n - 1)
+    for q in p[p.imag > 0]:
+        a1, a2 = -2.0 * float(q.real), float(abs(q)) ** 2
+        s1 = s2 = 0.0
+        for i, v in enumerate(g):
+            y = v + s1
+            s1 = s2 - a1 * y
+            s2 = -v - a2 * y
+            g[i] = y
+    return np.array(g)
+
+
+def _zero_phase(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy.signal.sosfiltfilt of x along axis 0, given the causal response g.
+
+    Like sosfiltfilt, x gets an odd extension of _PADLEN samples at each
+    end, and each pass starts in the steady state of a constant input
+    equal to its first sample.  The bandpass blocks DC, so that state
+    outputs nothing, and a pass is the filter of v - v[0] from rest: the
+    lower-triangular Toeplitz matrix of g times it, column by column.  The
+    backward pass, which reverses, filters and reverses back, is the
+    product with its transpose, started from the last sample.
+    """
+    ext = np.concatenate([2 * x[0] - x[_PADLEN:0:-1], x,
+                          2 * x[-1] - x[-2:-_PADLEN - 2:-1]])
+    m = len(ext)
+    # causal[i, j] = g[i - j], 0 above the diagonal
+    causal = np.ascontiguousarray(
+        sliding_window_view(np.concatenate([np.zeros(m - 1), g[:m]]), m)[:, ::-1])
+    ext -= ext[0]
+    y = causal @ ext
+    y -= y[-1]
+    np.matmul(causal.T, y, out=ext)  # ext's buffer takes the backward pass
+    return ext[_PADLEN:m - _PADLEN]
+
+
 @functools.lru_cache(maxsize=8)
-def _bandpass_sos(band: Tuple[float, float], sample_rate: float) -> np.ndarray:
-    # left writable: scipy's sosfilt rejects a read-only sos array
-    from scipy import signal  # imported on use: it dominates the package import
-    return signal.butter(_FILTER_ORDER, band, btype="bandpass",
-                         fs=sample_rate, output="sos")
+def _end_operator(band: Tuple[float, float], sample_rate: float,
+                  length: int) -> np.ndarray:
+    """B with B @ x == bandpass(x) for every x of this length, read-only."""
+    if length <= _PADLEN:
+        raise ValueError(f"bandpass needs more than {_PADLEN} samples, got {length}")
+    b = _zero_phase(_causal_response(band, sample_rate, length + 2 * _PADLEN),
+                    np.eye(length))
+    b.flags.writeable = False
+    return b
 
 
 def bandpass(w: Waveform, band: Tuple[float, float] = DEFAULT_BAND) -> Waveform:
-    """Zero-phase Butterworth bandpass, so filtering adds no group delay."""
-    from scipy import signal
-    sos = _bandpass_sos(tuple(band), w.sample_rate)
-    return Waveform(signal.sosfiltfilt(sos, w.samples), w.sample_rate, w.t0)
+    """Zero-phase Butterworth bandpass, so filtering adds no group delay.
+
+    The output is scipy.signal.sosfiltfilt's for the same order-4 design,
+    within rounding: h * x by direct convolution, plus the end terms within
+    h's half-length of either end (_filter_error).  It is not a fast path
+    for a per-call filtering loop.  The end terms apply an end operator
+    that costs O(length^3) to build, once per (band, sample rate, segment
+    length), with 8 kept: tens of ms for the default band's 536 samples,
+    paid again by each new input length up to that.  A long input runs
+    the direct convolution, a few times slower than sosfiltfilt's
+    recursion.
+    """
+    band = tuple(band)
+    x = w.samples
+    h = _impulse_response(band, w.sample_rate)
+    half = len(h) // 2
+    y = np.convolve(x, h)[half:half + len(x)]
+    a = min(half, len(x))
+    b = max(len(x) - half, a)
+    for j0, j1 in ((0, a), (b, len(x))):
+        y[j0:j1] += _filter_error(w, h, band, j0, j1)
+    return Waveform(y, w.sample_rate, w.t0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -181,28 +284,25 @@ def _impulse_response(band: Optional[Tuple[float, float]],
     """h such that bandpass(x) = h * x away from the ends of x; [1.0] for no band.
 
     h is the zero-phase response to a unit impulse, h[len(h) // 2] at lag
-    0, cut where it falls below _IMPULSE_CUT of its peak.  Its tail decays
-    as rho ** m for the largest pole radius rho, so the impulse sits
-    2 * reach samples from each end of a zero signal, with rho ** reach at
-    the cut, and reach doubles until the cut lies within reach of it.
+    0, cut where it falls below _IMPULSE_CUT of its peak: the forward and
+    the backward pass make h[m] = sum_i g[i] g[i + |m|], the causal
+    response correlated with itself.  g decays as rho ** i for the largest
+    pole radius rho, so it is taken to 4 * reach samples, with rho ** reach
+    at the cut, and reach doubles until the cut lies within reach.
     """
     if band is None:
         h = np.ones(1)
     else:
-        from scipy import signal
-        sos = _bandpass_sos(band, sample_rate)
-        rho = np.abs(signal.sos2zpk(sos)[1]).max()
+        rho = np.abs(_butter_bandpass(band, sample_rate)[1]).max()
         reach = math.ceil(math.log(_IMPULSE_CUT) / math.log(rho))
         while True:
-            impulse = np.zeros(4 * reach + 1)
-            impulse[2 * reach] = 1.0
-            full = signal.sosfiltfilt(sos, impulse)
-            kept = np.flatnonzero(np.abs(full) >= _IMPULSE_CUT * np.abs(full).max())
-            half = max(2 * reach - kept[0], kept[-1] - 2 * reach)
+            g = _causal_response(band, sample_rate, 4 * reach)
+            side = np.correlate(g, g, "full")[len(g) - 1:]
+            half = np.flatnonzero(np.abs(side) >= _IMPULSE_CUT * side[0])[-1]
             if half < reach:
                 break
             reach *= 2
-        h = full[2 * reach - half:2 * reach + half + 1]
+        h = np.concatenate([side[half:0:-1], side[:half + 1]])
     h.flags.writeable = False
     return h
 
@@ -244,11 +344,10 @@ class _Runs:
         return _memoised(self._spectra, n, lambda: self._transform(n))
 
     def _transform(self, n: int) -> np.ndarray:
-        from scipy import fft
         buf = np.zeros((len(self.rows), n))
         for b, row in zip(buf, self.rows):
             b[:len(row)] = row
-        spectra = np.conj(fft.rfft(buf, axis=-1, overwrite_x=True))
+        spectra = np.conj(np.fft.rfft(buf))
         spectra.flags.writeable = False
         return spectra
 
@@ -281,17 +380,18 @@ def _filter_error(r: Waveform, h: np.ndarray, band: Tuple[float, float],
     bandpass pads r's ends and starts its passes from initial conditions,
     so the two differ only within len(h) // 2 samples of r's ends, where
     their start-up transients have decayed below h's cut; h * r also spills
-    that far past them.  bandpass is run on r[lo:hi] alone, the samples that
-    reach [j0, j1) through h: the transients of that cut die out over the
+    that far past them.  bandpass is applied to r[lo:hi] alone, the
+    samples that reach [j0, j1) through h, as the rows of its end operator
+    that fall in [j0, j1): the transients of that cut die out over the
     same half-length, so inside [j0, j1) it reads as bandpass(r).
     """
     half = len(h) // 2
     x = r.samples
     lo, hi = max(j0 - half, 0), min(j1 + half, len(x))
-    seg = Waveform(x[lo:hi], r.sample_rate)
-    d = -np.convolve(seg.samples, h)[j0 - lo + half:j1 - lo + half]
+    seg = x[lo:hi]
+    d = -np.convolve(seg, h)[j0 - lo + half:j1 - lo + half]
     a, b = max(j0, 0), min(j1, len(x))
-    d[a - j0:b - j0] += bandpass(seg, band).samples[a - lo:b - lo]
+    d[a - j0:b - j0] += _end_operator(band, r.sample_rate, hi - lo)[a - lo:b - lo] @ seg
     return d
 
 
@@ -345,16 +445,14 @@ def correlate_and_detect(r: Waveform, template: Waveform,
     one batched rfft against the runs' spectra (memoised per n), summed over
     runs and brought back by one irfft; no lag aliases onto the kept ones
     (overlap-save).  Runs closer than the kept lags' fixed part are merged,
-    so a dense train is one run.  Near r's ends
-    bandpass(r) - h * r is computed on short end segments (_filter_error)
-    and correlated with the template directly.  With band=None h is [1]
-    and there is no end term.  Over the kept lags c matches the full
-    correlation of bandpass(r) with the template within rounding.  The
-    peak is refined by band-limited (FFT) resampling of a window around
-    the coarse peak.
+    so a dense train is one run.  Near r's ends bandpass(r) - h * r is
+    computed on short end segments through the filter's precomputed end
+    operator (_filter_error) and correlated with the template directly.
+    With band=None h is [1] and there is no end term.  Over the kept lags
+    c matches the full correlation of bandpass(r) with the template within
+    rounding.  The peak is refined by band-limited (FFT) resampling of a
+    window around the coarse peak.
     """
-    from scipy import fft, signal
-
     len_r, len_t = len(r.samples), len(template.samples)
     if upsample_factor < 1:
         raise ValueError("upsample_factor must be >= 1")
@@ -376,15 +474,22 @@ def correlate_and_detect(r: Waveform, template: Waveform,
                      lambda: _Runs.of(template.samples, h, extra))
     n = _fft_length(runs.width + lags - 1)
 
-    # row i is r[starts[i] + first:][:n], read as 0 outside r
-    windows = np.zeros((len(runs.rows), n))
-    for row, s in zip(windows, runs.starts + first):
+    # row i is r[starts[i]:][:n], read as 0 outside r: one strided take of
+    # the rows wholly inside r, and the rows across its ends by hand
+    x = r.samples
+    starts = runs.starts + first
+    inside = (starts >= 0) & (starts <= len_r - n)
+    windows = np.zeros((len(starts), n))
+    if inside.any():
+        windows[inside] = sliding_window_view(x, n)[starts[inside]]
+    for i in np.flatnonzero(~inside):
+        s = starts[i]
         lo, hi = max(s, 0), min(s + n, len_r)
         if lo < hi:
-            row[lo - s:hi - s] = r.samples[lo:hi]
-    spectrum = fft.rfft(windows, axis=-1, overwrite_x=True)
+            windows[i, lo - s:hi - s] = x[lo:hi]
+    spectrum = np.fft.rfft(windows)
     spectrum *= runs.spectra(n)
-    c = fft.irfft(spectrum.sum(axis=0), n)[:lags]
+    c = np.fft.irfft(spectrum.sum(axis=0), n)[:lags]
     if band is not None:
         edge = len(h) // 2
         a = min(edge, len_r)
@@ -401,10 +506,13 @@ def correlate_and_detect(r: Waveform, template: Waveform,
 
     # Upsample only a window around the coarse peak; the sub-sample maximum
     # lies within one sample of it, so search just the central +-_FINE_REACH
-    # samples to keep FFT edge effects out.
+    # samples to keep FFT edge effects out.  The FFT resampling is
+    # scipy.signal.resample's, scaled as it scales; seg has an odd length,
+    # so no Nyquist bin is split.
     half = min(_UPSAMPLE_HALF_WIDTH, k, len(c) - 1 - k)
     seg = c[k - half:k + half + 1]
-    up = signal.resample(seg, len(seg) * upsample_factor)
+    num = len(seg) * upsample_factor
+    up = np.fft.irfft(np.fft.rfft(seg) / (len(seg) / num), num)
     center = half * upsample_factor
     reach = _FINE_REACH * upsample_factor
     lo = max(center - reach, 0)

@@ -9,15 +9,30 @@ import rssdloc
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_import_does_not_load_scipy():
-    # only the receiver uses scipy; it imports it on first use
+def loads_scipy(code):
+    """Whether running code after importing rssdloc, in a new process, loads scipy."""
     src = str(Path(rssdloc.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, {src!r}); import rssdloc; "
+         f"import sys; sys.path.insert(0, {src!r}); import rssdloc; {code}; "
          "print('scipy' in sys.modules)"],
         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_import_does_not_load_scipy():
+    assert not loads_scipy("pass")
+
+
+def test_receiver_chain_does_not_load_scipy():
+    # scipy is a test dependency only, the oracle of the receiver's tests
+    assert not loads_scipy(
+        "import numpy as np; from rssdloc import receiver as rx; "
+        "spec = rx.SignalSpec(); template = rx.transmit_template(spec); "
+        "r = rx.generate_signal(spec, 12e-9, -3.0, noise_std=0.1, "
+        "rng=np.random.default_rng(0)); "
+        "rx.rss_from_correlation(rx.correlate_and_detect(r, template)); "
+        "rx.bandpass(r)")
 
 
 def load_spans():

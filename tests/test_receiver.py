@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import assume, given, settings, strategies as st
 from scipy import signal
 
@@ -119,8 +118,8 @@ def record_template_builds(monkeypatch):
 
 
 def record_rfft_shapes(monkeypatch):
-    """Patch scipy.fft.rfft to list the shape of each transform it makes."""
-    rfft = scipy.fft.rfft
+    """Patch numpy.fft.rfft to list the shape of each transform it makes."""
+    rfft = np.fft.rfft
     shapes = []
 
     def recording_rfft(x, n=None, axis=-1, *args, **kwargs):
@@ -130,7 +129,7 @@ def record_rfft_shapes(monkeypatch):
         shapes.append(tuple(shape))
         return rfft(x, n, axis, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfft", recording_rfft)
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
     return shapes
 
 
@@ -256,6 +255,42 @@ class TestWaveform:
             w.samples[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             Waveform(np.zeros(4), 1e9).samples += 1.0
+
+
+class TestBandpass:
+    """The in-package filter design and zero-phase filter against scipy.signal."""
+
+    @pytest.mark.parametrize("band", [DEFAULT_BAND, (2.0e9, 4.2e9)])
+    @pytest.mark.parametrize("sample_rate", [10e9, DEFAULT_SAMPLE_RATE])
+    def test_design_matches_butter(self, band, sample_rate):
+        z, p, k = receiver._butter_bandpass(band, sample_rate)
+        z0, p0, k0 = signal.butter(4, band, btype="bandpass", fs=sample_rate,
+                                   output="zpk")
+        assert np.allclose(np.sort_complex(z), np.sort_complex(z0), rtol=0, atol=1e-12)
+        assert np.allclose(np.sort_complex(p), np.sort_complex(p0), rtol=0, atol=1e-12)
+        assert k == pytest.approx(k0, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(28, 600) | st.integers(601, 4000),
+           band=st.sampled_from([DEFAULT_BAND, (2.0e9, 4.2e9)]),
+           sample_rate=st.sampled_from([10e9, DEFAULT_SAMPLE_RATE]),
+           t0=st.floats(-5e-9, 5e-9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_sosfiltfilt(self, length, band, sample_rate, t0, seed):
+        # h * x and the two end terms; up to twice h's half-length (536
+        # samples on the default band at 12.5 GHz) the end terms overlap or
+        # meet and read one end operator of the input's whole length
+        x = np.random.default_rng(seed).normal(size=length)
+        sos = signal.butter(4, band, btype="bandpass", fs=sample_rate, output="sos")
+        expected = signal.sosfiltfilt(sos, x)
+        w = receiver.bandpass(Waveform(x, sample_rate, t0), band)
+        assert (w.sample_rate, w.t0) == (sample_rate, t0)
+        assert np.max(np.abs(w.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_input_within_padding_rejected(self):
+        # sosfiltfilt's odd extension takes 27 samples at each end
+        with pytest.raises(ValueError, match="more than 27 samples"):
+            receiver.bandpass(Waveform(np.ones(27), DEFAULT_SAMPLE_RATE))
 
 
 class TestCorrelateAndDetect:
