@@ -268,6 +268,13 @@ class CanonicalFrame:
     origin: Point2D       # midpoint of the pair, scenario coordinates
     axis_angle: float     # azimuth of the k -> l direction
     half_separation: float
+    # cos and sin of axis_angle, computed once per frame
+    cos: float = field(init=False, repr=False, compare=False)
+    sin: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cos", math.cos(self.axis_angle))
+        object.__setattr__(self, "sin", math.sin(self.axis_angle))
 
     @classmethod
     def from_stations(cls, pos_k: Point2D, pos_l: Point2D) -> "CanonicalFrame":
@@ -279,7 +286,7 @@ class CanonicalFrame:
 
     def to_canonical(self, p: Point2D) -> Point2D:
         dx, dy = p.x - self.origin.x, p.y - self.origin.y
-        c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
+        c, s = self.cos, self.sin
         return Point2D(c * dx + s * dy, -s * dx + c * dy)
 
     def from_canonical(self, p: Point2D) -> Point2D:
@@ -287,7 +294,7 @@ class CanonicalFrame:
 
     def from_canonical_xy(self, x, y):
         """Scenario coordinates of canonical (x, y); scalars or ndarrays."""
-        c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
+        c, s = self.cos, self.sin
         return self.origin.x + c * x - s * y, self.origin.y + s * x + c * y
 
     def branch_xy(self, r, y):

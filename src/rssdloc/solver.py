@@ -26,9 +26,12 @@ Two search strategies:
   objective is N (c.c + 2a c.L_c + a^2 |L_c|^2), one matrix product of a
   stack of epochs' c against tables cached per station layout and region.
   The expansion rounds relative to the whole objective, not to the small
-  residual near the optimum, so it only shortlists coarse cells; the
-  subtraction-centred objective ranks the shortlist, refines the seeds and
-  picks the estimate;
+  residual near the optimum, so it only shortlists coarse cells, and runs
+  in float32.  The float64 subtraction-centred objective ranks the
+  shortlist, refines the seeds and picks the estimate.  A shortlist counts
+  only when its gap to the seeds clears a rounding bound derived from the
+  expansion's term magnitudes; otherwise the whole grid is ranked, so every
+  estimate is the one the float64 objective alone gives;
 * TDOA-constrained 1D least squares along the measured hyperbola, by a
   coarse scan over y followed by bracket scans that evaluate a whole row of
   heights in one objective call per round, with the x-coordinate recovered
@@ -182,11 +185,13 @@ class _Model:
         """
         directional = self.gcos is not None
         g = _Geometry.of(self.sx, self.sy, x.ravel(), y.ravel(), units=directional)
-        # r_i = c_i - m_i, with the model m_i = -5 alpha log10 d_i^2 + g_i;
-        # each epoch's column of c is repeated for its k candidates; a
-        # one-epoch model's column is broadcast over its candidates, which
-        # spares the line search's small calls a copy each
-        r = g.logd2 * (5.0 * self.alpha)
+        # r_i = c_i - m_i, with the model m_i = -5 alpha log10 d_i^2 + g_i,
+        # built in place of the geometry's log table; each epoch's column of
+        # c is repeated for its k candidates; a one-epoch model's column is
+        # broadcast over its candidates, which spares the line search's small
+        # calls a copy each
+        r = g.logd2
+        r *= 5.0 * self.alpha
         r += self.c if self.c.shape[1] == 1 else self.c.repeat(x.shape[1], axis=1)
         if directional:
             r -= cosine_gain(self.gcos, self.gsin, g.ux, g.uy)
@@ -218,7 +223,8 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 class _Coarse(NamedTuple):
     """A region's coarse grid (row-major: y slow, x fast) and its geometry
-    toward a station layout, centred over stations for the expanded form."""
+    toward a station layout, centred over stations for the expanded form.
+    The (N, G) tables are float32: they only feed the shortlist."""
 
     x: np.ndarray         # (G,) candidate coordinates
     y: np.ndarray
@@ -226,6 +232,7 @@ class _Coarse(NamedTuple):
     lc2: np.ndarray       # (G,) sum over stations of lc^2
     ux: np.ndarray        # (N, G) unit vector from the station toward the candidate
     uy: np.ndarray
+    lc_max: np.float64    # largest |lc| column norm over the non-singular cells
     singular: np.ndarray  # (G,) candidate within _SINGULAR_TOL of a station
 
 
@@ -233,14 +240,22 @@ class _Coarse(NamedTuple):
 def _coarse_tables(sx: Tuple[float, ...], sy: Tuple[float, ...], reg: SearchRegion
                    ) -> _Coarse:
     """The coarse tables of a region and station layout, shared read-only
-    by every epoch; re-pointing the antennas changes none of them."""
+    by every epoch; re-pointing the antennas changes none of them.  Each
+    table is the float32 rounding of its float64 value."""
     gx, gy = np.meshgrid(_grid(reg.x_min, reg.x_max, reg.coarse_step),
                          _grid(reg.y_min, reg.y_max, reg.coarse_step))
     x, y = gx.ravel(), gy.ravel()
-    g = _Geometry.of(np.array(sx), np.array(sy), x, y)
-    lc = g.logd2 - g.logd2.sum(axis=0) / len(sx)
-    singular = np.zeros(len(x), bool) if g.singular is None else g.singular
-    tables = _Coarse(x, y, lc, np.einsum("ig,ig->g", lc, lc), g.ux, g.uy, singular)
+    lc, ux, uy, singular = _Geometry.of(np.array(sx), np.array(sy), x, y)
+    lc -= lc.sum(axis=0) / len(sx)
+    lc2 = np.einsum("ig,ig->g", lc, lc)
+    singular = np.zeros(len(x), bool) if singular is None else singular
+    lc_max = np.sqrt(lc2.max(initial=0.0, where=~singular))
+    # rebinding each name frees its float64 table before the next is
+    # rounded, so the float64 and float32 tables never coexist in full
+    lc = lc.astype(np.float32)
+    ux = ux.astype(np.float32)
+    uy = uy.astype(np.float32)
+    tables = _Coarse(x, y, lc, lc2.astype(np.float32), ux, uy, lc_max, singular)
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -249,11 +264,15 @@ def _coarse_tables(sx: Tuple[float, ...], sy: Tuple[float, ...], reg: SearchRegi
 _STENCIL = np.arange(-2, 3)  # refine offsets, in steps
 _REFINE_SEEDS = 8  # coarse cells kept as refinement starting points
 _SHORTLIST = 2 * _REFINE_SEEDS  # coarse cells the expanded form passes on per epoch
-_SEPARATION = 1e-9  # relative margin by which a shortlist must clear its seeds
-_CHUNK = 4  # epochs per coarse product and refinement; bounds their temporaries
-_BLOCK = 4096  # coarse cells per pass of the directional gain; its (N x cells)
-               # temporaries stay small, as page-faulting large ones costs more
-               # than their arithmetic
+_U32 = 2.0 ** -24  # unit roundoff of float32
+_CHUNK = 4  # epochs per coarse product and refinement; bounds their temporaries,
+            # and keeps the float32 coarse product below the size at which
+            # OpenBLAS splits it over threads: from 16 epochs that split made
+            # it 20-40x slower on a 2-vCPU machine (CHANGES.md FOUND)
+_BLOCK = 4096  # coarse cells per pass of the directional gain: its (N x cells)
+               # float32 temporaries (128 KiB at N = 8) stay small, as
+               # page-faulting large ones costs more than their arithmetic;
+               # in situ 4,096-8,192 cells were best and 1,024 35 % slower
 # Line-search heights per round as fractions of the bracket: width * (k / 32)
 # rounds as (width / 32) * k does, since dividing by a power of two is exact.
 _LINE = np.arange(33) / 32
@@ -267,15 +286,16 @@ _LINE_CHUNK = 16  # epochs per lockstep line search; bounds its coarse scan's
 
 def _expanded(model: _Model, t: _Coarse) -> np.ndarray:
     """The (epochs, cells) objective of every epoch of the model over the
-    coarse grid, by the expanded form of the module docstring.
+    coarse grid, by the expanded form of the module docstring, in float32.
 
     q / N = |c + a Lc - g_c|^2 with a = 5 alpha and g_c the gain centred
     over stations.  As c is centred, the omni part is
     |c|^2 + 2a c.Lc + a^2 |Lc|^2, one matrix product against the cached
     tables, and the gain adds -2 (c + a Lc).g + |g|^2 - (sum g)^2 / N.
-    Singular cells are +inf.
+    Every product and sum runs on float32 copies of c and the gains; the
+    error this leaves is at most _rounding_bound.  Singular cells are +inf.
     """
-    c = model.c.T
+    c = model.c.T.astype(np.float32)
     n = c.shape[1]
     a = 5.0 * model.alpha
     q = c @ t.lc
@@ -283,9 +303,10 @@ def _expanded(model: _Model, t: _Coarse) -> np.ndarray:
     q += np.einsum("ti,ti->t", c, c)[:, None]
     q += (a * a) * t.lc2
     if model.gcos is not None:
+        gcos, gsin = model.gcos.astype(np.float32), model.gsin.astype(np.float32)
         for b in range(0, len(t.x), _BLOCK):
             cols = slice(b, b + _BLOCK)
-            g = cosine_gain(model.gcos, model.gsin, t.ux[:, cols], t.uy[:, cols])
+            g = cosine_gain(gcos, gsin, t.ux[:, cols], t.uy[:, cols])
             q[:, cols] -= 2.0 * (c @ g + a * np.einsum("ig,ig->g", t.lc[:, cols], g))
             q[:, cols] += np.einsum("ig,ig->g", g, g) - np.square(g.sum(axis=0)) / n
     q *= n
@@ -293,30 +314,56 @@ def _expanded(model: _Model, t: _Coarse) -> np.ndarray:
     return q
 
 
+def _rounding_bound(model: _Model, t: _Coarse) -> np.ndarray:
+    """(epochs,) bounds on |_expanded - objective| over the finite cells.
+
+    Each of the six terms of q / N is a sum over the N stations of products
+    of float32-rounded factors, so by the inner-product bound
+    |fl(x.y) - x.y| <= gamma_n |x|.|y|, gamma_n = n u / (1 - n u), u = 2^-24
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.1), q errs by at most N gamma_(2N+16) times the sum of the
+    terms' magnitudes.  Squaring sum(g) doubles its N; the 16 covers, with
+    room to spare, the rounding of the factors, of the scalars 2a and a^2,
+    of the gain's operations, of the additions of the terms, of the scaling
+    by N and the float64 objective's own.  By Cauchy-Schwarz the magnitudes
+    sum to at most (|c| + a max|Lc| + G sqrt N)^2 + (G sqrt N)^2, with
+    max|Lc| over the finite cells and G the largest peak gain.  The bound
+    holds for any order of summation, so for whichever kernel the BLAS
+    picks.
+    """
+    n = len(model.c)
+    gain = 0.0 if model.gcos is None else math.sqrt(n) * float(
+        np.hypot(model.gcos, model.gsin).max())
+    span = np.sqrt(np.einsum("it,it->t", model.c, model.c))
+    span += 5.0 * model.alpha * t.lc_max + gain
+    nu = (2 * n + 16) * _U32
+    return (n * nu / (1.0 - nu)) * (span * span + gain * gain)
+
+
 def _coarse_seeds(model: _Model, t: _Coarse) -> np.ndarray:
     """The refinement seeds of every epoch of the model: (T, seeds) grid
     indices, the first of a stable sort of the objective over the coarse
     grid.
 
-    The expanded form shortlists _SHORTLIST cells per epoch, and objective
-    ranks the shortlist, ties going to the smaller grid index.  A cell left
-    out has an expanded value at least the last shortlisted one's, so it
-    cannot rank among the seeds when that value clears the last seed's
-    objective by more than the expansion's rounding.  An epoch whose
-    objective is too flat for that (coincident stations) is evaluated over
-    the whole grid instead.
+    The float32 expanded form shortlists _SHORTLIST cells per epoch, and
+    the float64 objective ranks the shortlist, ties going to the smaller
+    grid index, so the seeds are those of the objective alone.  A cell
+    left out has an expanded value at least the last shortlisted one's,
+    and an objective at least that minus _rounding_bound, so it cannot rank
+    among the seeds when that value clears the last seed's objective by
+    more than the bound.  An epoch whose objective is too flat for that
+    (coincident stations) is evaluated over the whole grid instead.
     """
     k = min(_SHORTLIST, len(t.x))
     q = _expanded(model, t)
     shortlist = np.argpartition(q, k - 1, axis=1)[:, :k]
-    cutoff = np.take_along_axis(q, shortlist, axis=1).max(axis=1)
+    rows = np.arange(len(q))[:, None]
+    cutoff = q[rows, shortlist].max(axis=1)
     exact = model.objective(t.x[shortlist], t.y[shortlist])
     order = np.lexsort((shortlist, exact), axis=1)[:, :_REFINE_SEEDS]
-    seeds = np.take_along_axis(shortlist, order, axis=1)
-    last = np.take_along_axis(exact, order[:, -1:], axis=1)[:, 0]
-    # the expansion rounds relative to N |c|^2, its largest term near the seeds
-    scale = 1.0 + len(model.c) * np.einsum("it,it->t", model.c, model.c)
-    for e in np.flatnonzero(~(cutoff - last > _SEPARATION * scale)):
+    seeds = shortlist[rows, order]
+    last = exact[rows[:, 0], order[:, -1]]
+    for e in np.flatnonzero(~(cutoff - last > _rounding_bound(model, t))):
         q = model.epochs(slice(e, e + 1)).objective(t.x, t.y)
         seeds[e] = np.argsort(q, kind="stable")[:_REFINE_SEEDS]
     return seeds
@@ -336,13 +383,16 @@ def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray
     # each seed's first stencil point, as a flat index into a round's scan
     first = np.arange(0, 25 * bx.size, 25).reshape(bx.shape)
     bq = np.full(bx.shape, math.inf)
+    gx = np.empty((epochs, seeds, 5, 5))  # a round's stencils: x fast, y slow
+    gy = np.empty_like(gx)
     step = reg.coarse_step / 2.0
     for _ in range(reg.refine_iterations):
-        xs = np.clip(bx[..., None] + step * _STENCIL, reg.x_min, reg.x_max)
-        ys = np.clip(by[..., None] + step * _STENCIL, reg.y_min, reg.y_max)
-        gx = xs[..., None, :].repeat(5, axis=2).reshape(epochs, -1)  # x fast
-        gy = ys.repeat(5, axis=2).reshape(epochs, -1)                # y slow
-        q = model.objective(gx, gy)
+        offsets = step * _STENCIL
+        np.add(bx[..., None, None], offsets, out=gx)
+        np.add(by[..., None, None], offsets[:, None], out=gy)
+        np.minimum(np.maximum(gx, reg.x_min, out=gx), reg.x_max, out=gx)
+        np.minimum(np.maximum(gy, reg.y_min, out=gy), reg.y_max, out=gy)
+        q = model.objective(gx.reshape(epochs, -1), gy.reshape(epochs, -1))
         k = q.reshape(epochs, seeds, 25).argmin(axis=2) + first
         bx, by, bq = gx.take(k), gy.take(k), q.take(k)
         step /= 2.0

@@ -37,6 +37,7 @@ from rssdloc.solver import (
     _expanded,
     _grid,
     _Model,
+    _rounding_bound,
     solve_rssd,
     solve_rssd_tdoa,
     rssd_objective,
@@ -118,12 +119,12 @@ def layouts(draw, tdoa=False):
 
 
 @st.composite
-def stacks(draw):
-    """A layout and a stack of 1-10 noisy measurements taken in it with the
-    same antennas, the layout's own measurement first."""
+def stacks(draw, max_epochs=10):
+    """A layout and a stack of 1 to max_epochs noisy measurements taken in
+    it with the same antennas, the layout's own measurement first."""
     cfg, m = draw(layouts())
     ms = [m]
-    for _ in range(draw(st.integers(0, 9))):
+    for _ in range(draw(st.integers(0, max_epochs - 1))):
         mu = Point2D(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
         if min(distance(mu, b.position) for b in cfg.bs) < 1e-3:
             mu = Point2D(mu.x + 0.01, mu.y)
@@ -620,24 +621,21 @@ class TestAgainstPairForm:
         assert solve_rssd(SolverConfig(NOISY, make_stations(), REGION), []) == []
 
     @settings(max_examples=60, deadline=None)
-    @given(layouts())
-    def test_expanded_coarse_form_matches_evaluate(self, layout):
-        cfg, m = layout
-        model = _Model.build(cfg, m)
+    @given(stacks(max_epochs=5))
+    def test_expanded_coarse_form_matches_evaluate(self, stack):
+        cfg, ms = stack
+        model = _Model.build(cfg, ms)
         t = _coarse_tables(tuple(model.sx.tolist()), tuple(model.sy.tolist()), cfg.region)
-        q = model.objective(t.x, t.y)
-        # the seeds are the objective's first 8 cells, ties by index
-        assert set(_coarse_seeds(model, t)[0]) == set(np.argsort(q, kind="stable")[:8])
-        expanded = _expanded(model, t)[0]
-        finite = np.isfinite(q)
-        assert np.array_equal(np.isfinite(expanded), finite)
-        # Stations closer than 1 mm make the objective flat up to rounding,
-        # where no relative error is defined (the seeds above still hold).
-        positions = [b.position for b in cfg.bs]
-        assume(min(distance(p, r) for i, p in enumerate(positions)
-                   for r in positions[i + 1:]) >= 1e-3)
-        assert (np.max(np.abs(expanded[finite] - q[finite]))
-                <= 1e-12 * np.max(q[finite]))
+        seeds, expanded = _coarse_seeds(model, t), _expanded(model, t)
+        bound = _rounding_bound(model, t)
+        for e in range(len(ms)):
+            q = model.epochs(slice(e, e + 1)).objective(t.x, t.y)
+            # the seeds are the objective's first 8 cells in order, ties by index
+            assert seeds[e].tolist() == np.argsort(q, kind="stable")[:8].tolist()
+            finite = np.isfinite(q)
+            assert np.array_equal(np.isfinite(expanded[e]), finite)
+            # the float32 form errs by no more than the bound its shortlist clears
+            assert np.max(np.abs(expanded[e][finite] - q[finite]), initial=0.0) <= bound[e]
 
     def test_flat_objective_seeds_from_whole_grid(self):
         # three stations at one point: every cell sees equal distances, so
@@ -648,6 +646,24 @@ class TestAgainstPairForm:
         m = measure(bs, Point2D(1.0, 1.0))
         assert solve_rssd(cfg, m) == sequential_solve(cfg, m)
 
+    def test_flat_directional_objective_seeds_from_whole_grid(self, monkeypatch):
+        # three directional stations at one point: every cell on the ray
+        # toward the user has the gains and distances of the user, so the
+        # shortlist's gap is rounding, below the bound, and the grid is
+        # evaluated
+        bs = [BaseStation(i + 1, Point2D(0.0, y), Role.RSS_ONLY, DirectionalAntenna(6.5, b))
+              for i, (y, b) in enumerate(((0.0, 0.0), (1e-156, 2.0), (1e-300, -2.0)))]
+        cfg = SolverConfig(NOISELESS, bs, REGION, AntennaModel.DIRECTIONAL)
+        m = measure(bs, Point2D(1.0, 1.0))
+        shapes = []
+        objective = _Model.objective
+        monkeypatch.setattr(_Model, "objective",
+                            lambda model, x, y: shapes.append(x.shape) or objective(model, x, y))
+        est = solve_rssd(cfg, m)
+        t = _coarse_tables(tuple(cfg.stations.x.tolist()), tuple(cfg.stations.y.tolist()), REGION)
+        assert t.x.shape in shapes
+        assert est == sequential_solve(cfg, m)
+
     def test_layouts_never_share_tables(self):
         a = make_stations()
         b = [BaseStation(s.id, Point2D(s.position.x + 0.37, s.position.y), s.role,
@@ -657,10 +673,15 @@ class TestAgainstPairForm:
             sx = tuple(s.position.x for s in bs if s.role.measures_rss)
             sy = tuple(s.position.y for s in bs if s.role.measures_rss)
             t = _coarse_tables(sx, sy, REGION)
-            logd2 = np.log10((t.x - np.array(sx)[:, None]) ** 2
-                             + (t.y - np.array(sy)[:, None]) ** 2)
-            np.testing.assert_allclose(t.lc, logd2 - logd2.mean(axis=0), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(t.lc2, (t.lc ** 2).sum(axis=0), rtol=1e-12)
+            dx, dy = t.x - np.array(sx)[:, None], t.y - np.array(sy)[:, None]
+            d2 = dx ** 2 + dy ** 2
+            logd2 = np.log10(d2)
+            lc = logd2 - logd2.mean(axis=0)
+            # each table is the float32 rounding of its float64 value
+            for got, want in ((t.lc, lc), (t.lc2, np.einsum("ig,ig->g", lc, lc)),
+                              (t.ux, dx / np.sqrt(d2)), (t.uy, dy / np.sqrt(d2))):
+                assert got.dtype == np.float32
+                np.testing.assert_array_equal(got, want.astype(np.float32))
             tables.append(t.lc)
         assert not np.array_equal(tables[0], tables[1])
 
