@@ -408,12 +408,6 @@ def _correlate_into(c: np.ndarray, first: int, d: np.ndarray, j0: int,
     c[lo - first:hi - first] += np.correlate(seg, d, "valid")[::-1]
 
 
-def _first_abs_argmax(c: np.ndarray) -> int:
-    """np.argmax(np.abs(c)), the first index of the largest |c|, with no |c| array."""
-    kmax, kmin = int(c.argmax()), int(c.argmin())
-    return kmin if (-c[kmin], -kmin) > (c[kmax], -kmax) else kmax
-
-
 def correlate_and_detect(r: Waveform, template: Waveform,
                          upsample_factor: int = DEFAULT_UPSAMPLE,
                          band: Optional[Tuple[float, float]] = DEFAULT_BAND
@@ -474,19 +468,13 @@ def correlate_and_detect(r: Waveform, template: Waveform,
                      lambda: _Runs.of(template.samples, h, extra))
     n = _fft_length(runs.width + lags - 1)
 
-    # row i is r[starts[i]:][:n], read as 0 outside r: one strided take of
-    # the rows wholly inside r, and the rows across its ends by hand
+    # row i is r[starts[i]:][:n], read as 0 outside r
     x = r.samples
-    starts = runs.starts + first
-    inside = (starts >= 0) & (starts <= len_r - n)
-    windows = np.zeros((len(starts), n))
-    if inside.any():
-        windows[inside] = sliding_window_view(x, n)[starts[inside]]
-    for i in np.flatnonzero(~inside):
-        s = starts[i]
+    windows = np.zeros((len(runs.starts), n))
+    for row, s in zip(windows, (runs.starts + first).tolist()):
         lo, hi = max(s, 0), min(s + n, len_r)
         if lo < hi:
-            windows[i, lo - s:hi - s] = x[lo:hi]
+            row[lo - s:hi - s] = x[lo:hi]
     spectrum = np.fft.rfft(windows)
     spectrum *= runs.spectra(n)
     c = np.fft.irfft(spectrum.sum(axis=0), n)[:lags]
@@ -500,7 +488,7 @@ def correlate_and_detect(r: Waveform, template: Waveform,
     t0 = (r.t0 - template.t0) - before / fs
     corr = Waveform(c, fs, t0)
 
-    k = before + _first_abs_argmax(c[before:before + len_r - len_t + 1])
+    k = before + int(np.argmax(np.abs(c[before:before + len_r - len_t + 1])))
     if upsample_factor == 1:
         return CorrelationResult(corr, t0 + k / fs)
 

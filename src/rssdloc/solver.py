@@ -37,8 +37,8 @@ Two search strategies:
   heights in one objective call per round, with the x-coordinate recovered
   from the hyperbola equation.  A stack of epochs with one TDOA pair is
   searched in lockstep, one row of heights per epoch: the coarse scans share
-  the pair's grid of heights, and an epoch whose bracket is narrow enough
-  drops out of the later rounds.  An epoch with no hyperbola is left to the
+  the pair's grid of heights, and every epoch runs the same count of
+  rounds, fixed by the region.  An epoch with no hyperbola is left to the
   caller.
 """
 
@@ -205,7 +205,12 @@ class _Model:
 
 
 def rssd_objective(cfg: SolverConfig, m: MeasurementSet, p: Point2D) -> float:
-    """Least-squares objective at a single candidate, in dB^2."""
+    """Least-squares objective at a single candidate, in dB^2.
+
+    A lone candidate's residual is summed in another order than a batch's,
+    so the value can differ in the last ulp from the one the solver ranked
+    at the same point.
+    """
     model = _Model.build(cfg, m)
     d2 = (model.sx - p.x) ** 2 + (model.sy - p.y) ** 2
     if (d2 < _SINGULAR_TOL2).any():
@@ -431,12 +436,13 @@ def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementS
 
 
 @functools.lru_cache(maxsize=4)
-def _line_tables(frame: CanonicalFrame, reg: SearchRegion) -> Tuple[np.ndarray, np.ndarray]:
+def _line_tables(frame: CanonicalFrame, reg: SearchRegion) -> Tuple[np.ndarray, np.ndarray, int]:
     """The heights the line search of the TDOA pair with this canonical
     frame scans over a region, shared read-only by every epoch of the pair:
     the (G,) coarse grid over the canonical y range of the region's corners,
-    and the (G, 2) first bracket of each coarse cell, +-coarse_step clipped
-    to the range."""
+    the (G, 2) first bracket of each coarse cell, +-coarse_step clipped to
+    the range, and the count of bracket rounds, the least that takes the
+    widest first bracket to _LINE_TOL at 16x per round."""
     corner_y = [frame.to_canonical(c).y for c in reg.corners()]
     y_lo, y_hi = min(corner_y), max(corner_y)
     ys = _grid(y_lo, y_hi, reg.coarse_step)
@@ -444,7 +450,11 @@ def _line_tables(frame: CanonicalFrame, reg: SearchRegion) -> Tuple[np.ndarray, 
                          np.minimum(y_hi, ys + reg.coarse_step)], axis=1)
     for a in (ys, brackets):
         a.setflags(write=False)
-    return ys, brackets
+    width, rounds = float((brackets[:, 1] - brackets[:, 0]).max()), 0
+    while width > _LINE_TOL:
+        width /= 16.0  # exact: a power of two
+        rounds += 1
+    return ys, brackets, rounds
 
 
 def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementSet]]):
@@ -462,12 +472,15 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
     Each round evaluates 33 evenly spaced heights across the bracket in one
     objective call and keeps the two cells around the first minimum (the
     smallest y on ties), clipped at the bracket ends, so the bracket shrinks
-    16x per round until it is _LINE_TOL wide.  The objective is evaluated at
-    the hyperbola points mapped out to scenario coordinates.  A stack runs
-    _LINE_CHUNK epochs at a time in lockstep: one objective call for their
-    coarse scans, which share the grid of heights, and one per round for the
-    epochs whose bracket is still wider than _LINE_TOL, so each epoch gets
-    the rounds and the estimate it gets alone.
+    at least 16x per round.  Every epoch runs the same R rounds, the least
+    count that takes the region's widest first bracket to _LINE_TOL at 16x
+    per round (R = 5 on both shipped scenarios, whose widest bracket is
+    2 * coarse_step = 0.1 m), and its estimate is the middle of its last
+    bracket.  The objective is evaluated at the hyperbola points mapped out
+    to scenario coordinates.  A stack runs _LINE_CHUNK epochs at a time in
+    lockstep: one objective call for their coarse scans, which share the
+    grid of heights, and one per round, 1 + R calls in all, so each epoch
+    gets the estimate it gets alone.
     """
     single = isinstance(m, MeasurementSet)
     ms = [m] if single else m
@@ -481,29 +494,19 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
         return points
     model = _Model.build(cfg, [ms[e] for e in solved])
     r = np.array([[hs[e].range_difference] for e in solved])
-    ys, brackets = _line_tables(frame, cfg.region)
+    ys, brackets, rounds = _line_tables(frame, cfg.region)
 
-    y_star = np.empty((len(solved), 1))
+    y_star: List[float] = []
     for lo in range(0, len(solved), _LINE_CHUNK):
-        rows = slice(lo, lo + _LINE_CHUNK)  # the stack rows still searched
+        rows = slice(lo, lo + _LINE_CHUNK)
         sub, rr = model.epochs(rows), r[rows]
         ab = brackets[sub.objective(*frame.branch_xy(rr, ys)).argmin(axis=1)]
-        while True:
+        for _ in range(rounds):
             a, width = ab[:, :1], ab[:, 1:] - ab[:, :1]
-            if not width.min() > _LINE_TOL:
-                live = width[:, 0] > _LINE_TOL
-                if not live.any():
-                    y_star[rows] = 0.5 * (a + ab[:, 1:])
-                    break
-                # freeze the finished epochs and drop them from later rounds
-                rows = np.arange(len(solved))[rows]
-                y_star[rows[~live]] = 0.5 * (a[~live] + ab[~live, 1:])
-                rows, a, width, rr = (v[live] for v in (rows, a, width, rr))
-                sub = sub.epochs(live)
-            y = a + width * _LINE
-            k = sub.objective(*frame.branch_xy(rr, y)).argmin(axis=1)
+            k = sub.objective(*frame.branch_xy(rr, a + width * _LINE)).argmin(axis=1)
             ab = a + width * _AROUND[k]  # the heights of the cells around k
+        y_star += (0.5 * (ab[:, 0] + ab[:, 1])).tolist()
     # in floats, which round as a vector call and cost less for one epoch
-    for e, re, ye in zip(solved, r.ravel().tolist(), y_star.ravel().tolist()):
+    for e, re, ye in zip(solved, r.ravel().tolist(), y_star):
         points[e] = Point2D(*map(float, frame.branch_xy(re, ye)))
     return points[0] if single else points

@@ -418,11 +418,73 @@ class TestSolveRssdTdoa:
                 assert 2 * chunks <= len(calls) <= 6 * chunks
                 assert calls[0][0] == min(epochs, solver._LINE_CHUNK)
 
+    def test_each_chunk_makes_one_plus_rounds_calls(self, monkeypatch):
+        # every epoch runs the region's R bracket rounds, 5 on sim_8x8: each
+        # chunk makes its coarse scan and R rounds, each one call over all
+        # its epochs, whatever their brackets
+        shapes = []
+        objective = _Model.objective
+        monkeypatch.setattr(_Model, "objective",
+                            lambda model, x, y: shapes.append(x.shape) or objective(model, x, y))
+        s = load_scenario(SIM_YAML)
+        rng = np.random.default_rng(11)
+        for antenna_model in AntennaModel:
+            sc = s.with_antenna_model(antenna_model)
+            cfg = SolverConfig(sc.channel, sc.bs, sc.region, sc.antenna_model)
+            for epochs in (1, 16, 35):
+                ms = [simulate_measurements(sc.bs, Point2D(*rng.uniform(-3.0, 3.0, 2)),
+                                            sc.channel, sc.tdoa_noise, rng)
+                      for _ in range(epochs)]
+                frame, _ = measured_hyperbolas(cfg.stations, ms[0].tdoa)
+                ys, _, rounds = solver._line_tables(frame, sc.region)
+                assert rounds == 5
+                shapes.clear()
+                assert None not in solve_rssd_tdoa(cfg, ms)
+                sizes = [min(solver._LINE_CHUNK, epochs - lo)
+                         for lo in range(0, epochs, solver._LINE_CHUNK)]
+                assert shapes == [shape for n in sizes
+                                  for shape in [(n, len(ys))] + [(n, 33)] * rounds]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+           st.floats(0.01, 0.5), st.data())
+    def test_rounds_take_the_widest_bracket_to_tolerance(self, pk, pl, corner, size,
+                                                         coarse_step, data):
+        # R rounds of the line search's bracket arithmetic take the widest
+        # first bracket to _LINE_TOL whichever cells they keep, and R - 1
+        # rounds of interior cells, which shrink it 16x each, do not;
+        # rounding may move the final width by 1e-9 of the first one
+        pk, pl = Point2D(*pk), Point2D(*pl)
+        assume(distance(pk, pl) > 0.1)
+        frame = CanonicalFrame.from_stations(pk, pl)
+        reg = SearchRegion(corner[0], corner[0] + size[0], corner[1], corner[1] + size[1],
+                           coarse_step)
+        _, brackets, rounds = solver._line_tables(frame, reg)
+        widths = brackets[:, 1] - brackets[:, 0]
+        first = brackets[int(np.argmax(widths))]
+        slack = 1e-9 * widths.max()
+
+        def narrowed(picks):
+            ab = first
+            for k in picks:
+                a, width = ab[:1], ab[1:] - ab[:1]
+                ab = a + width * solver._AROUND[k]
+            return float(ab[1] - ab[0])
+
+        assert rounds >= 1
+        cells = st.lists(st.integers(0, 32), min_size=rounds, max_size=rounds)
+        assert narrowed(data.draw(cells)) <= solver._LINE_TOL + slack
+        interior = st.lists(st.integers(1, 31), min_size=rounds - 1, max_size=rounds - 1)
+        assert narrowed(data.draw(interior)) > solver._LINE_TOL - slack
+
     @settings(max_examples=80, deadline=None)
     @given(tdoa_stacks(), st.sampled_from([1, 3, 16]))
     def test_stack_equals_per_epoch_calls(self, stack, chunk):
         # bit for bit, with None where the single call raises; small chunks
-        # split the stack, and epochs whose bracket narrows faster freeze
+        # split the stack
         cfg, ms = stack
         alone = []
         for m in ms:
