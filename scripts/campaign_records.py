@@ -1,10 +1,12 @@
-"""Dump and compare the epoch records of the four acceptance campaigns.
+"""Dump and compare the epoch records of the six acceptance campaigns.
 
 The acceptance campaigns (tests/test_acceptance.py) run sim_8x8 under each
 antenna model (DIRECTIONAL, OMNI) and each solver mode (SIM_RSSD,
-SIM_RSSD_TDOA) on paired trial seeds.  `dump` runs them for a seed and a
-trial count with the rssdloc package found on the import path, and writes
-every epoch's estimate, bit for bit, and each campaign's tdoa_fallbacks.
+SIM_RSSD_TDOA) on paired trial seeds, and fp_3x3 in each fingerprint mode
+(FP_RSSD, FP_RSSD_TDOA) against one database.  `dump` runs them for a seed
+and a trial count with the rssdloc package found on the import path, and
+writes every epoch's estimate, bit for bit, and each campaign's
+tdoa_fallbacks.
 `compare` reads two dumps and prints, per campaign, how many records moved,
 the largest move in metres, and whether tdoa_fallbacks agree.
 
@@ -22,28 +24,33 @@ import math
 import sys
 from pathlib import Path
 
-SIM_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "sim_8x8.yaml"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def dump(seed: int, trials: int) -> dict:
     """{campaign: {"records": [[trial, epoch, x, y], ...], "tdoa_fallbacks": n}},
     x and y as float.hex strings."""
-    from rssdloc.harness import run_trial
+    from rssdloc.harness import run_trial, scenario_db
     from rssdloc.scenario import Mode, load_scenario
     from rssdloc.solver import AntennaModel
 
-    base = load_scenario(SIM_YAML, {"seed": seed, "trials": trials})
-    out = {}
-    for antenna in (AntennaModel.DIRECTIONAL, AntennaModel.OMNI):
-        for mode in (Mode.SIM_RSSD, Mode.SIM_RSSD_TDOA):
-            s = base.with_antenna_model(antenna).with_mode(mode)
-            reports = [run_trial(s, k) for k in range(trials)]
-            out[f"{antenna.value}/{mode.value}"] = {
-                "records": [[k, e, r.estimate.x.hex(), r.estimate.y.hex()]
+    def campaign(s, db=None) -> dict:
+        reports = [run_trial(s, k, db) for k in range(trials)]
+        return {"records": [[k, e, r.estimate.x.hex(), r.estimate.y.hex()]
                             for k, rep in enumerate(reports)
                             for e, r in enumerate(rep.records)],
-                "tdoa_fallbacks": sum(rep.tdoa_fallbacks for rep in reports),
-            }
+                "tdoa_fallbacks": sum(rep.tdoa_fallbacks for rep in reports)}
+
+    overrides = {"seed": seed, "trials": trials}
+    sim = load_scenario(SCENARIOS / "sim_8x8.yaml", overrides)
+    out = {f"{antenna.value}/{mode.value}":
+           campaign(sim.with_antenna_model(antenna).with_mode(mode))
+           for antenna in (AntennaModel.DIRECTIONAL, AntennaModel.OMNI)
+           for mode in (Mode.SIM_RSSD, Mode.SIM_RSSD_TDOA)}
+    fp = load_scenario(SCENARIOS / "fp_3x3.yaml", overrides)
+    db = scenario_db(fp)
+    for mode in (Mode.FP_RSSD, Mode.FP_RSSD_TDOA):
+        out[f"fp_3x3/{mode.value}"] = campaign(fp.with_mode(mode), db)
     return out
 
 

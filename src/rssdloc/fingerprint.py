@@ -179,9 +179,9 @@ def coarse_estimate(db: FingerprintDB, meas):
     return points if meas.ndim == 2 else points[0]
 
 
-def refine_with_tdoa(coarse, tdoa, bs: Layout):
+def refine_with_tdoa(coarse, tdoa, bs: Layout, region: SearchRegion):
     """Project coarse estimates onto their measured TDOA hyperbolas, each
-    on its own, in the TDOA pair's canonical frame.
+    on its own, over the region's heights in the TDOA pair's canonical frame.
 
     coarse is one point and tdoa its observation, giving one point, or a
     sequence of points and of their observations, giving a list; the
@@ -193,7 +193,8 @@ def refine_with_tdoa(coarse, tdoa, bs: Layout):
     if not points:
         return []
     frame, hs = measured_hyperbolas(bs, tdoa if single else list(tdoa))
+    lo, hi = region.heights(frame)
     refined = [None if h is None
-               else frame.from_canonical(project_onto_hyperbola(frame.to_canonical(p), h))
+               else frame.from_canonical(project_onto_hyperbola(frame.to_canonical(p), h, lo, hi))
                for p, h in zip(points, hs, strict=True)]
     return refined[0] if single else refined

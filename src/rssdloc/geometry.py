@@ -241,20 +241,15 @@ def golden_section(f: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
-def project_onto_hyperbola(p: Point2D, h: Hyperbola) -> Point2D:
-    """Closest point on the hyperbola branch to p, by 1D search over y.
-
-    The squared distance to the branch is unimodal in y for points near the
-    curve; the bracket is generous enough to contain the foot for any point
-    whose |y| is comparable to the bracket width.
-    """
-    w = abs(p.y) + 2.0 * h.half_separation + 1.0
-
+def project_onto_hyperbola(p: Point2D, h: Hyperbola, lo: float, hi: float) -> Point2D:
+    """Closest point to p on the hyperbola branch between canonical heights
+    lo and hi, by golden-section search over y, which assumes the squared
+    distance unimodal there, as it is for points near the curve."""
     def sqdist(y: float) -> float:
         x = hyperbola_x_of_y(h, y)
         return (x - p.x) ** 2 + (y - p.y) ** 2
 
-    y_star = golden_section(sqdist, p.y - w, p.y + w, tol=1e-9)
+    y_star = golden_section(sqdist, lo, hi, tol=1e-9)
     return Point2D(float(hyperbola_x_of_y(h, y_star)), y_star)
 
 

@@ -140,7 +140,7 @@ def _match(s, db, bs, ms):
 
 def _match_tdoa(s, db, bs, ms):
     coarse, _ = _match(s, db, bs, ms)
-    return _fall_back(refine_with_tdoa(coarse, [m.tdoa for m in ms], bs),
+    return _fall_back(refine_with_tdoa(coarse, [m.tdoa for m in ms], bs, s.region),
                       lambda gaps: [coarse[e] for e in gaps])
 
 

@@ -85,13 +85,16 @@ class SearchRegion:
         if not self.refine_iterations >= 0:
             raise ValueError(f"refine_iterations must be >= 0, got {self.refine_iterations}")
 
-    def corners(self) -> List[Point2D]:
-        return [Point2D(x, y) for y in (self.y_min, self.y_max)
-                for x in (self.x_min, self.x_max)]
-
     def contains(self, p: Point2D, margin: float = 0.0) -> bool:
         return (self.x_min - margin <= p.x <= self.x_max + margin
                 and self.y_min - margin <= p.y <= self.y_max + margin)
+
+    def heights(self, frame: CanonicalFrame) -> Tuple[float, float]:
+        """The least and greatest canonical y of the region's corners in a
+        TDOA pair's frame: the heights both TDOA paths search its branch over."""
+        ys = [frame.to_canonical(Point2D(x, y)).y for y in (self.y_min, self.y_max)
+              for x in (self.x_min, self.x_max)]
+        return min(ys), max(ys)
 
 
 @dataclass
@@ -439,12 +442,11 @@ def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementS
 def _line_tables(frame: CanonicalFrame, reg: SearchRegion) -> Tuple[np.ndarray, np.ndarray, int]:
     """The heights the line search of the TDOA pair with this canonical
     frame scans over a region, shared read-only by every epoch of the pair:
-    the (G,) coarse grid over the canonical y range of the region's corners,
-    the (G, 2) first bracket of each coarse cell, +-coarse_step clipped to
-    the range, and the count of bracket rounds, the least that takes the
+    the (G,) coarse grid over the region's heights in the frame, the (G, 2)
+    first bracket of each coarse cell, +-coarse_step clipped to those
+    heights, and the count of bracket rounds, the least that takes the
     widest first bracket to _LINE_TOL at 16x per round."""
-    corner_y = [frame.to_canonical(c).y for c in reg.corners()]
-    y_lo, y_hi = min(corner_y), max(corner_y)
+    y_lo, y_hi = reg.heights(frame)
     ys = _grid(y_lo, y_hi, reg.coarse_step)
     brackets = np.stack([np.maximum(y_lo, ys - reg.coarse_step),
                          np.minimum(y_hi, ys + reg.coarse_step)], axis=1)
@@ -467,8 +469,9 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
     for the single-epoch call there, and for a missing or mixed TDOA pair.
 
     The hyperbola is parametrized by y in the TDOA pair's canonical frame,
-    where its equation gives x.  The search runs over that y: a coarse scan
-    at region.coarse_step, then bracket scans around the best coarse cell.
+    where its equation gives x.  The search runs over that y, between the
+    region's heights: a coarse scan at region.coarse_step, then bracket
+    scans around the best coarse cell.
     Each round evaluates 33 evenly spaced heights across the bracket in one
     objective call and keeps the two cells around the first minimum (the
     smallest y on ties), clipped at the bracket ends, so the bracket shrinks

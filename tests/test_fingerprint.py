@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rssdloc.channel import ChannelParams, received_power
 from rssdloc.errors import DegenerateHyperbola, EmptyGrid, InvalidScenario, LengthMismatch
@@ -15,7 +15,16 @@ from rssdloc.fingerprint import (
     coarse_estimate,
     refine_with_tdoa,
 )
-from rssdloc.geometry import SPEED_OF_LIGHT, BaseStation, CanonicalFrame, Point2D, Role, distance
+from rssdloc.geometry import (
+    SPEED_OF_LIGHT,
+    BaseStation,
+    CanonicalFrame,
+    Hyperbola,
+    Point2D,
+    Role,
+    distance,
+    hyperbola_x_of_y,
+)
 from rssdloc.solver import SearchRegion
 
 AREA = SearchRegion(0.0, 3.0, 0.0, 3.0)
@@ -180,6 +189,28 @@ def projection_stacks(draw):
     return bs, points, tdoas
 
 
+@st.composite
+def region_projections(draw):
+    """A TDOA pair anywhere, a search region anywhere, a coarse point in
+    the region, and one TDOA observation of the pair whose half range
+    difference lies in (-0.95 s, 0.95 s)."""
+    coord = st.floats(-5.0, 5.0)
+    mid = Point2D(draw(coord), draw(coord))
+    half, a = draw(st.floats(0.5, 5.0)), draw(st.floats(-math.pi, math.pi))
+    pk = Point2D(mid.x - half * math.cos(a), mid.y - half * math.sin(a))
+    pl = Point2D(mid.x + half * math.cos(a), mid.y + half * math.sin(a))
+    bs = [BaseStation(1, pk, Role.RSS_TDOA), BaseStation(2, pl, Role.TDOA_ONLY),
+          BaseStation(3, mid, Role.RSS_ONLY)]
+    x0, y0 = draw(coord), draw(coord)
+    region = SearchRegion(x0, x0 + draw(st.floats(0.5, 6.0)),
+                          y0, y0 + draw(st.floats(0.5, 6.0)))
+    coarse = Point2D(draw(st.floats(region.x_min, region.x_max)),
+                     draw(st.floats(region.y_min, region.y_max)))
+    s = CanonicalFrame.from_stations(pk, pl).half_separation
+    r = draw(st.floats(-0.95 * s, 0.95 * s))
+    return bs, region, coarse, (1, 2, 2.0 * r / SPEED_OF_LIGHT)
+
+
 def bits(points):
     """The exact bits of each point's coordinates, None kept."""
     return [None if p is None else (p.x.hex(), p.y.hex()) for p in points]
@@ -188,11 +219,11 @@ def bits(points):
 class TestRefineWithTdoa:
     def test_point_on_hyperbola_unchanged(self):
         # zero range difference, point already on the bisector
-        refined = refine_with_tdoa(Point2D(1.5, 1.0), (1, 2, 0.0), CORNER_BS)
+        refined = refine_with_tdoa(Point2D(1.5, 1.0), (1, 2, 0.0), CORNER_BS, AREA)
         assert distance(refined, Point2D(1.5, 1.0)) < 1e-6
 
     def test_bisector_projection(self):
-        refined = refine_with_tdoa(Point2D(2.0, 1.0), (1, 2, 0.0), CORNER_BS)
+        refined = refine_with_tdoa(Point2D(2.0, 1.0), (1, 2, 0.0), CORNER_BS, AREA)
         assert refined.x == pytest.approx(1.5, abs=1e-9)
         assert refined.y == pytest.approx(1.0, abs=1e-6)
 
@@ -201,7 +232,7 @@ class TestRefineWithTdoa:
             SPEED_OF_LIGHT, CanonicalFrame, Hyperbola, hyperbola_x_of_y)
         dt = 2e-9
         coarse = Point2D(2.2, 1.3)
-        refined = refine_with_tdoa(coarse, (1, 2, dt), CORNER_BS)
+        refined = refine_with_tdoa(coarse, (1, 2, dt), CORNER_BS, AREA)
         frame = CanonicalFrame.from_stations(Point2D(0, 0), Point2D(3, 0))
         h = Hyperbola.from_tdoa(dt, 1.5)
         ys = np.arange(-3.0, 6.0, 1e-4)
@@ -214,21 +245,49 @@ class TestRefineWithTdoa:
     def test_residual_after_refinement(self):
         from rssdloc.geometry import SPEED_OF_LIGHT
         dt = -3.3e-9
-        refined = refine_with_tdoa(Point2D(0.7, 2.4), (1, 2, dt), CORNER_BS)
+        refined = refine_with_tdoa(Point2D(0.7, 2.4), (1, 2, dt), CORNER_BS, AREA)
         resid = (distance(refined, Point2D(0, 0)) - distance(refined, Point2D(3, 0))
                  - SPEED_OF_LIGHT * dt)
         assert abs(resid) < 1e-6
 
+    @settings(max_examples=150, deadline=None)
+    @given(region_projections())
+    def test_nearest_branch_point_within_heights(self, case):
+        bs, region, coarse, tdoa = case
+        refined = refine_with_tdoa(coarse, tdoa, bs, region)
+        pk, pl = bs[0].position, bs[1].position
+        resid = distance(refined, pk) - distance(refined, pl) - SPEED_OF_LIGHT * tdoa[2]
+        assert abs(resid) < 1e-6
+        frame = CanonicalFrame.from_stations(pk, pl)
+        lo, hi = region.heights(frame)
+        assert lo - 1e-9 <= frame.to_canonical(refined).y <= hi + 1e-9
+        # against a dense scan of the branch over the same heights, ends
+        # included.  Golden section finds the nearest point when the
+        # distance has one minimum there; a point on the branch's concave
+        # side, past its centre of curvature, can see two.
+        h = Hyperbola.from_tdoa(tdoa[2], frame.half_separation)
+        ys = np.linspace(lo, hi, 20_001)
+        pc = frame.to_canonical(coarse)
+        d = np.hypot(hyperbola_x_of_y(h, ys) - pc.x, ys - pc.y)
+        k = int(np.argmin(d))
+        slope = np.diff(d)
+        assume((slope[:k] <= 0).all() and (slope[k:] >= 0).all())
+        # the search stops within 1e-9 of the nearest height, and the
+        # branch's slope |dx/dy| stays below r / sqrt(s^2 - r^2) < 3.1 at
+        # |r| < 0.95 s, so the distance exceeds its minimum by below 1e-8 m
+        assert distance(refined, coarse) <= float(d[k]) + 1e-8
+
     def test_degenerate_tdoa(self):
         with pytest.raises(DegenerateHyperbola):
-            refine_with_tdoa(Point2D(1, 1), (1, 2, 1e-6), CORNER_BS)
+            refine_with_tdoa(Point2D(1, 1), (1, 2, 1e-6), CORNER_BS, AREA)
         # in a stack, the epoch without a hyperbola is None
-        refined = refine_with_tdoa([Point2D(1, 1)] * 2, [(1, 2, 1e-6), (1, 2, 0.0)], CORNER_BS)
+        refined = refine_with_tdoa([Point2D(1, 1)] * 2, [(1, 2, 1e-6), (1, 2, 0.0)], CORNER_BS,
+                                   AREA)
         assert refined[0] is None and refined[1] == refine_with_tdoa(Point2D(1, 1), (1, 2, 0.0),
-                                                                       CORNER_BS)
+                                                                       CORNER_BS, AREA)
 
     def test_empty_stack(self):
-        assert refine_with_tdoa([], [], CORNER_BS) == []
+        assert refine_with_tdoa([], [], CORNER_BS, AREA) == []
 
     @settings(max_examples=80, deadline=None)
     @given(projection_stacks())
@@ -240,10 +299,10 @@ class TestRefineWithTdoa:
         alone = []
         for p, tdoa in zip(points, tdoas):
             try:
-                alone.append(refine_with_tdoa(p, tdoa, bs))
+                alone.append(refine_with_tdoa(p, tdoa, bs, AREA))
             except DegenerateHyperbola:
                 alone.append(None)
-        assert bits(refine_with_tdoa(points, tdoas, bs)) == bits(alone)
+        assert bits(refine_with_tdoa(points, tdoas, bs, AREA)) == bits(alone)
 
 
 class TestCircularTrack:

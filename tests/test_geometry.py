@@ -95,18 +95,24 @@ class TestProjection:
     def test_fixed_point(self):
         h = Hyperbola(2.0, 1.0)
         p = Point2D(float(hyperbola_x_of_y(h, 0.7)), 0.7)
-        q = project_onto_hyperbola(p, h)
+        q = project_onto_hyperbola(p, h, -5.0, 5.0)
         assert distance(p, q) < 1e-6
 
     def test_bisector_projection(self):
-        q = project_onto_hyperbola(Point2D(2.0, 1.0), Hyperbola(2.0, 0.0))
+        q = project_onto_hyperbola(Point2D(2.0, 1.0), Hyperbola(2.0, 0.0), -5.0, 5.0)
         assert q.x == pytest.approx(0.0, abs=1e-9)
         assert q.y == pytest.approx(1.0, abs=1e-6)
+
+    def test_foot_outside_interval_gives_nearer_end(self):
+        # the bisector's foot from (2, 1) is at y = 1, below the heights
+        q = project_onto_hyperbola(Point2D(2.0, 1.0), Hyperbola(2.0, 0.0), 2.0, 5.0)
+        assert q.x == pytest.approx(0.0, abs=1e-9)
+        assert 2.0 <= q.y <= 2.0 + 1e-9
 
     def test_against_dense_scan(self):
         h = Hyperbola(2.0, 1.0)
         p = Point2D(1.5, 0.8)
-        q = project_onto_hyperbola(p, h)
+        q = project_onto_hyperbola(p, h, -5.0, 5.0)
         ys = np.arange(-5.0, 5.0, 1e-4)
         xs = hyperbola_x_of_y(h, ys)
         d2 = (xs - p.x) ** 2 + (ys - p.y) ** 2
@@ -120,7 +126,7 @@ class TestProjection:
         xs = hyperbola_x_of_y(h, ys)
         for _ in range(5):
             p = Point2D(rng.uniform(-4, 4), rng.uniform(-4, 4))
-            q = project_onto_hyperbola(p, h)
+            q = project_onto_hyperbola(p, h, -8.0, 8.0)
             dq = distance(p, q)
             dmin = float(np.min(np.hypot(xs - p.x, ys - p.y)))
             assert dq <= dmin + 1e-6

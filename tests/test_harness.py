@@ -146,6 +146,14 @@ class TestFpTrial:
         assert max(r.errors) <= 0.25 * math.sqrt(2) + 1e-9
         assert r.rmse < 0.2
 
+    def test_tdoa_estimates_stay_in_region(self, fp_scenario):
+        # the projection onto the hyperbola searches the region's heights,
+        # and on fp_3x3 the TDOA pair's axis is the region's x axis
+        db = scenario_db(fp_scenario)
+        for trial in range(10):
+            for r in run_trial(fp_scenario, trial, db).records:
+                assert fp_scenario.region.contains(r.estimate, 1e-9), (trial, r.estimate)
+
     def test_db_is_deterministic(self, fp_scenario):
         a, b = scenario_db(fp_scenario), scenario_db(fp_scenario)
         assert np.array_equal(a.rss, b.rss)
@@ -174,7 +182,7 @@ def per_epoch_trial(s, trial, db):
                 else:
                     est = coarse_estimate(db, m.rss)
                     if s.mode is Mode.FP_RSSD_TDOA:
-                        est = refine_with_tdoa(est, m.tdoa, s.bs)
+                        est = refine_with_tdoa(est, m.tdoa, s.bs, s.region)
             except DegenerateHyperbola:
                 fallbacks += 1
                 if s.mode.is_sim:

@@ -266,6 +266,19 @@ class TestSolveRssd:
                                       _Model.build(cfg, m).c)
 
 
+class TestSearchRegionHeights:
+    def test_axis_aligned_pair(self):
+        frame = CanonicalFrame.from_stations(Point2D(0.0, 0.0), Point2D(3.0, 0.0))
+        assert SearchRegion(0.0, 3.0, 0.5, 2.0).heights(frame) == (0.5, 2.0)
+
+    def test_rotated_pair_spans_the_corners(self):
+        # a pair along the diagonal y = x: canonical y = (y - x) / sqrt 2
+        frame = CanonicalFrame.from_stations(Point2D(-1.0, -1.0), Point2D(1.0, 1.0))
+        lo, hi = SearchRegion(0.0, 2.0, 0.0, 1.0).heights(frame)
+        assert lo == pytest.approx(-2.0 / math.sqrt(2.0), abs=1e-12)
+        assert hi == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+
+
 class TestSolveRssdTdoa:
     @pytest.mark.parametrize("keep, missing", [([], "[9, 10]"), ([9], "[10]")])
     def test_layout_without_the_tdoa_stations_rejected(self, monkeypatch, keep, missing):
@@ -280,8 +293,8 @@ class TestSolveRssdTdoa:
         message = f"stations {re.escape(missing)} are not TDOA-capable stations"
         p = Point2D(0.0, 0.0)
         for call in (lambda: solve_rssd_tdoa(cfg, m), lambda: solve_rssd_tdoa(cfg, [m, m]),
-                     lambda: refine_with_tdoa(p, m.tdoa, layout),
-                     lambda: refine_with_tdoa([p, p], [m.tdoa, m.tdoa], layout)):
+                     lambda: refine_with_tdoa(p, m.tdoa, layout, REGION),
+                     lambda: refine_with_tdoa([p, p], [m.tdoa, m.tdoa], layout, REGION)):
             with pytest.raises(ValueError, match=message):
                 call()
 
@@ -301,7 +314,7 @@ class TestSolveRssdTdoa:
               "not TDOA-capable": [replace(m, tdoa=(3, 4, m.tdoa[2]))] * 2}[stack]
         points = [Point2D(0.5, 0.5)] * len(ms)
         for call in (lambda: solve_rssd_tdoa(cfg, ms),
-                     lambda: refine_with_tdoa(points, [mm.tdoa for mm in ms], bs)):
+                     lambda: refine_with_tdoa(points, [mm.tdoa for mm in ms], bs, REGION)):
             with pytest.raises(error, match=message):
                 call()
 
@@ -548,7 +561,9 @@ class TestSolveRssdTdoa:
             return model.objective(*frame.from_canonical_xy(hyperbola_x_of_y(h, y), y))
 
         step = cfg.region.coarse_step
-        corner_y = [frame.to_canonical(c).y for c in cfg.region.corners()]
+        reg = cfg.region
+        corner_y = [frame.to_canonical(Point2D(x, y)).y for x in (reg.x_min, reg.x_max)
+                    for y in (reg.y_min, reg.y_max)]
         ys = _grid(min(corner_y), max(corner_y), step)
         y0 = float(ys[int(np.argmin(q_of_y(ys)))])
         lo, hi = max(min(corner_y), y0 - step), min(max(corner_y), y0 + step)
