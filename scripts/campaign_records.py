@@ -6,16 +6,20 @@ SIM_RSSD_TDOA) on paired trial seeds, and fp_3x3 in each fingerprint mode
 (FP_RSSD, FP_RSSD_TDOA) against one database.  `dump` runs them for a seed
 and a trial count with the rssdloc package found on the import path, and
 writes every epoch's estimate, bit for bit, and each campaign's
-tdoa_fallbacks.
+tdoa_fallbacks.  It also runs as many receive chains as trials: the
+default pulse train at a delay drawn from the seed and the chain's index,
+in white noise of 0.1 per sample, correlated with the default template;
+it writes each chain's peak time and RSS, bit for bit.
 `compare` reads two dumps and prints, per campaign, how many records moved,
-the largest move in metres, and whether tdoa_fallbacks agree.
+the largest move in metres, and whether tdoa_fallbacks agree; and how many
+receive chains moved, with the largest peak-time and relative RSS moves.
 
     PYTHONPATH=src python scripts/campaign_records.py dump --seed 1 --trials 100 new.json
     PYTHONPATH=<other tree>/src python scripts/campaign_records.py dump --seed 1 --trials 100 old.json
     python scripts/campaign_records.py compare old.json new.json
 
 `compare` exits with status 1 when the dumps do not hold the same
-campaigns and epochs, and 0 otherwise, moved records or not.
+campaigns, epochs and chain count, and 0 otherwise, moved records or not.
 """
 
 import argparse
@@ -25,11 +29,30 @@ import sys
 from pathlib import Path
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+CHAIN_NOISE_STD = 0.1       # per sample, unit-amplitude pulses
+CHAIN_MAX_DELAY = 26e-9     # s
+
+
+def receiver_chains(seed: int, count: int) -> list:
+    """[[chain, peak_time, rss], ...], peak_time and rss as float.hex strings."""
+    import numpy as np
+    from rssdloc import receiver
+
+    spec = receiver.SignalSpec()
+    template = receiver.transmit_template(spec)
+    out = []
+    for k in range(count):
+        rng = np.random.default_rng([seed, k])
+        r = receiver.generate_signal(spec, rng.uniform(0.0, CHAIN_MAX_DELAY), 0.0,
+                                     noise_std=CHAIN_NOISE_STD, rng=rng)
+        c = receiver.correlate_and_detect(r, template)
+        out.append([k, c.peak_time.hex(), receiver.rss_from_correlation(c).hex()])
+    return out
 
 
 def dump(seed: int, trials: int) -> dict:
     """{campaign: {"records": [[trial, epoch, x, y], ...], "tdoa_fallbacks": n}},
-    x and y as float.hex strings."""
+    x and y as float.hex strings, and "receiver": receiver_chains(seed, trials)."""
     from rssdloc.harness import run_trial, scenario_db
     from rssdloc.scenario import Mode, load_scenario
     from rssdloc.solver import AntennaModel
@@ -51,6 +74,7 @@ def dump(seed: int, trials: int) -> dict:
     db = scenario_db(fp)
     for mode in (Mode.FP_RSSD, Mode.FP_RSSD_TDOA):
         out[f"fp_3x3/{mode.value}"] = campaign(fp.with_mode(mode), db)
+    out["receiver"] = receiver_chains(seed, trials)
     return out
 
 
@@ -60,7 +84,7 @@ def compare(a: dict, b: dict) -> bool:
         print(f"campaigns differ: {sorted(a)} against {sorted(b)}")
         return False
     aligned = True
-    for name in a:
+    for name in (n for n in a if n != "receiver"):
         ra, rb = a[name]["records"], b[name]["records"]
         if [r[:2] for r in ra] != [r[:2] for r in rb]:
             print(f"{name}: the epochs differ ({len(ra)} against {len(rb)} records)")
@@ -72,7 +96,21 @@ def compare(a: dict, b: dict) -> bool:
         print(f"{name}: {len(moves)} of {len(ra)} records moved, "
               f"largest move {max(moves, default=0.0):.3g} m; tdoa_fallbacks {fa} and {fb}"
               f" {'agree' if fa == fb else 'DIFFER'}")
-    return aligned
+    return compare_chains(a["receiver"], b["receiver"]) and aligned
+
+
+def compare_chains(a: list, b: list) -> bool:
+    """Print one line for the receive chains; False when their counts differ."""
+    if len(a) != len(b):
+        print(f"receiver: the chains differ ({len(a)} against {len(b)})")
+        return False
+    moved = [(abs(float.fromhex(p[1]) - float.fromhex(q[1])),
+              abs(float.fromhex(p[2]) / float.fromhex(q[2]) - 1.0))
+             for p, q in zip(a, b) if p[1:] != q[1:]]
+    print(f"receiver: {len(moved)} of {len(a)} chains moved, largest peak-time move "
+          f"{max((m[0] for m in moved), default=0.0):.3g} s, largest relative RSS move "
+          f"{max((m[1] for m in moved), default=0.0):.3g}")
+    return True
 
 
 def main(argv=None) -> int:

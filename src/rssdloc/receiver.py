@@ -15,8 +15,9 @@ each end of the signal where the filter's padding differs from plain
 convolution.
 
 The receiver runs on numpy alone.  The Butterworth design, the zero-phase
-filter and the peak's band-limited upsampling follow scipy.signal's
-butter, sosfiltfilt and resample, and match them within rounding.
+filter (two convolutions with the filter's causal response) and the
+peak's band-limited upsampling follow scipy.signal's butter, sosfiltfilt
+and resample, and match them within rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AliasingSampleRate, EmptyInput, TemplateTooLong, WindowOutOfSupport
 
@@ -183,6 +183,9 @@ def _butter_bandpass(band: Tuple[float, float], sample_rate: float
     normalised sample rate of 2.  The band's _FILTER_ORDER zeros at s = 0
     map to z = 1, and the bilinear map puts as many at z = -1.
     """
+    if not 0 < band[0] < band[1] < sample_rate / 2:
+        raise ValueError(f"band must satisfy 0 < f_low < f_high < sample_rate / 2 "
+                         f"= {sample_rate / 2:.4g} Hz, got {band}")
     n = _FILTER_ORDER
     warped = 4.0 * np.tan(np.pi * np.asarray(band, dtype=float) / sample_rate)
     bw = warped[1] - warped[0]
@@ -218,80 +221,52 @@ def _causal_response(band: Tuple[float, float], sample_rate: float,
 
 
 def _zero_phase(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """scipy.signal.sosfiltfilt of x along axis 0, given the causal response g.
+    """scipy.signal.sosfiltfilt of x, given the filter's causal response g.
 
-    Like sosfiltfilt, x gets an odd extension of _PADLEN samples at each
-    end, and each pass starts in the steady state of a constant input
-    equal to its first sample.  The bandpass blocks DC, so that state
-    outputs nothing, and a pass is the filter of v - v[0] from rest: the
-    lower-triangular Toeplitz matrix of g times it, column by column.  The
-    backward pass, which reverses, filters and reverses back, is the
-    product with its transpose, started from the last sample.
+    As there, x gets an odd extension of _PADLEN samples at each end, and
+    each pass starts in the steady state of a constant input equal to its
+    first sample.  The bandpass blocks DC, so that state outputs nothing,
+    and a pass is the filter of v - v[0] from rest: its convolution with
+    g.  The backward pass reverses, filters and reverses back, started
+    from the last sample.
     """
+    if len(x) <= _PADLEN:
+        raise ValueError(f"bandpass needs more than {_PADLEN} samples, got {len(x)}")
     ext = np.concatenate([2 * x[0] - x[_PADLEN:0:-1], x,
                           2 * x[-1] - x[-2:-_PADLEN - 2:-1]])
     m = len(ext)
-    # causal[i, j] = g[i - j], 0 above the diagonal
-    causal = np.ascontiguousarray(
-        sliding_window_view(np.concatenate([np.zeros(m - 1), g[:m]]), m)[:, ::-1])
     ext -= ext[0]
-    y = causal @ ext
+    y = np.convolve(ext, g)[:m]
     y -= y[-1]
-    np.matmul(causal.T, y, out=ext)  # ext's buffer takes the backward pass
-    return ext[_PADLEN:m - _PADLEN]
-
-
-@functools.lru_cache(maxsize=8)
-def _end_operator(band: Tuple[float, float], sample_rate: float,
-                  length: int) -> np.ndarray:
-    """B with B @ x == bandpass(x) for every x of this length, read-only."""
-    if length <= _PADLEN:
-        raise ValueError(f"bandpass needs more than {_PADLEN} samples, got {length}")
-    b = _zero_phase(_causal_response(band, sample_rate, length + 2 * _PADLEN),
-                    np.eye(length))
-    b.flags.writeable = False
-    return b
+    y = np.convolve(y[::-1], g)[:m][::-1]
+    return y[_PADLEN:m - _PADLEN]
 
 
 def bandpass(w: Waveform, band: Tuple[float, float] = DEFAULT_BAND) -> Waveform:
     """Zero-phase Butterworth bandpass, so filtering adds no group delay.
 
-    The output is scipy.signal.sosfiltfilt's for the same order-4 design,
-    within rounding: h * x by direct convolution, plus the end terms within
-    h's half-length of either end (_filter_error).  It is not a fast path
-    for a per-call filtering loop.  The end terms apply an end operator
-    that costs O(length^3) to build, once per (band, sample rate, segment
-    length), with 8 kept: tens of ms for the default band's 536 samples,
-    paid again by each new input length up to that.  A long input runs
-    the direct convolution, a few times slower than sosfiltfilt's
-    recursion.
+    Two convolutions with the filter's causal response (_zero_phase), at
+    any input length of more than _PADLEN samples.
     """
-    band = tuple(band)
-    x = w.samples
-    h = _impulse_response(band, w.sample_rate)
-    half = len(h) // 2
-    y = np.convolve(x, h)[half:half + len(x)]
-    a = min(half, len(x))
-    b = max(len(x) - half, a)
-    for j0, j1 in ((0, a), (b, len(x))):
-        y[j0:j1] += _filter_error(w, h, band, j0, j1)
-    return Waveform(y, w.sample_rate, w.t0)
+    g, _ = _responses(tuple(band), w.sample_rate)
+    return Waveform(_zero_phase(g, w.samples), w.sample_rate, w.t0)
 
 
 @functools.lru_cache(maxsize=8)
-def _impulse_response(band: Optional[Tuple[float, float]],
-                      sample_rate: float) -> np.ndarray:
-    """h such that bandpass(x) = h * x away from the ends of x; [1.0] for no band.
+def _responses(band: Optional[Tuple[float, float]],
+               sample_rate: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The filter's causal response g and zero-phase response h; [1.0] for no band.
 
-    h is the zero-phase response to a unit impulse, h[len(h) // 2] at lag
-    0, cut where it falls below _IMPULSE_CUT of its peak: the forward and
-    the backward pass make h[m] = sum_i g[i] g[i + |m|], the causal
-    response correlated with itself.  g decays as rho ** i for the largest
-    pole radius rho, so it is taken to 4 * reach samples, with rho ** reach
-    at the cut, and reach doubles until the cut lies within reach.
+    Each is cut where it falls below _IMPULSE_CUT of its peak.  h is
+    the zero-phase response to a unit impulse, h[len(h) // 2] at lag 0, so
+    that bandpass(x) = h * x away from the ends of x: the forward and the
+    backward pass make h[m] = sum_i g[i] g[i + |m|], the causal response
+    correlated with itself.  g decays as rho ** i for the largest pole
+    radius rho, so it is taken to 4 * reach samples, with rho ** reach at
+    the cut, and reach doubles until h's cut lies within reach.
     """
     if band is None:
-        h = np.ones(1)
+        g = h = np.ones(1)
     else:
         rho = np.abs(_butter_bandpass(band, sample_rate)[1]).max()
         reach = math.ceil(math.log(_IMPULSE_CUT) / math.log(rho))
@@ -302,9 +277,10 @@ def _impulse_response(band: Optional[Tuple[float, float]],
             if half < reach:
                 break
             reach *= 2
+        g = g[:np.flatnonzero(np.abs(g) >= _IMPULSE_CUT * np.abs(g).max())[-1] + 1]
         h = np.concatenate([side[half:0:-1], side[:half + 1]])
-    h.flags.writeable = False
-    return h
+    g.flags.writeable = h.flags.writeable = False
+    return g, h
 
 
 @dataclass(frozen=True)
@@ -373,7 +349,7 @@ def _memoised(memo: dict, key, build):
     return value
 
 
-def _filter_error(r: Waveform, h: np.ndarray, band: Tuple[float, float],
+def _filter_error(r: Waveform, g: np.ndarray, h: np.ndarray,
                   j0: int, j1: int) -> np.ndarray:
     """bandpass(r) - h * r over samples [j0, j1), each read as 0 outside r.
 
@@ -381,9 +357,9 @@ def _filter_error(r: Waveform, h: np.ndarray, band: Tuple[float, float],
     so the two differ only within len(h) // 2 samples of r's ends, where
     their start-up transients have decayed below h's cut; h * r also spills
     that far past them.  bandpass is applied to r[lo:hi] alone, the
-    samples that reach [j0, j1) through h, as the rows of its end operator
-    that fall in [j0, j1): the transients of that cut die out over the
-    same half-length, so inside [j0, j1) it reads as bandpass(r).
+    samples that reach [j0, j1) through h: the transients of that cut die
+    out over the same half-length, so inside [j0, j1) it reads as
+    bandpass(r).
     """
     half = len(h) // 2
     x = r.samples
@@ -391,7 +367,7 @@ def _filter_error(r: Waveform, h: np.ndarray, band: Tuple[float, float],
     seg = x[lo:hi]
     d = -np.convolve(seg, h)[j0 - lo + half:j1 - lo + half]
     a, b = max(j0, 0), min(j1, len(x))
-    d[a - j0:b - j0] += _end_operator(band, r.sample_rate, hi - lo)[a - lo:b - lo] @ seg
+    d[a - j0:b - j0] += _zero_phase(g, seg)[a - lo:b - lo]
     return d
 
 
@@ -431,7 +407,7 @@ def correlate_and_detect(r: Waveform, template: Waveform,
 
     The bandpass is folded into the template: away from r's ends,
     bandpass(r) is h * r for the filter's zero-phase impulse response h
-    (_impulse_response), so c is r correlated with u, the template
+    (_responses), so c is r correlated with u, the template
     correlated with h.  u is non-zero only around the template's non-zero
     runs, each widened by h's half-length (_Runs, memoised on the template
     per band and sample rate).  Each run's window of r is correlated with
@@ -440,8 +416,8 @@ def correlate_and_detect(r: Waveform, template: Waveform,
     runs and brought back by one irfft; no lag aliases onto the kept ones
     (overlap-save).  Runs closer than the kept lags' fixed part are merged,
     so a dense train is one run.  Near r's ends bandpass(r) - h * r is
-    computed on short end segments through the filter's precomputed end
-    operator (_filter_error) and correlated with the template directly.
+    computed by filtering short end segments (_filter_error) and
+    correlated with the template directly.
     With band=None h is [1] and there is no end term.  Over the kept lags
     c matches the full correlation of bandpass(r) with the template within
     rounding.  The peak is refined by band-limited (FFT) resampling of a
@@ -463,7 +439,7 @@ def correlate_and_detect(r: Waveform, template: Waveform,
     extra = before + min(after, len_t - 1) + 1  # kept lags past the full-overlap ones
     lags = len_r - len_t + extra
     band = None if band is None else tuple(band)
-    h = _impulse_response(band, fs)
+    g, h = _responses(band, fs)
     runs = _memoised(template._runs, (band, fs),
                      lambda: _Runs.of(template.samples, h, extra))
     n = _fft_length(runs.width + lags - 1)
@@ -483,7 +459,7 @@ def correlate_and_detect(r: Waveform, template: Waveform,
         a = min(edge, len_r)
         b = max(len_r - edge, a)
         for j0, j1 in ((-edge, a), (b, len_r + edge)):
-            _correlate_into(c, first, _filter_error(r, h, band, j0, j1), j0,
+            _correlate_into(c, first, _filter_error(r, g, h, j0, j1), j0,
                             template.samples)
     t0 = (r.t0 - template.t0) - before / fs
     corr = Waveform(c, fs, t0)

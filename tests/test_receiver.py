@@ -276,15 +276,35 @@ class TestBandpass:
            t0=st.floats(-5e-9, 5e-9),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_sosfiltfilt(self, length, band, sample_rate, t0, seed):
-        # h * x and the two end terms; up to twice h's half-length (536
-        # samples on the default band at 12.5 GHz) the end terms overlap or
-        # meet and read one end operator of the input's whole length
+        # one path at every length: two convolutions with the filter's
+        # causal response, short and long inputs alike
         x = np.random.default_rng(seed).normal(size=length)
         sos = signal.butter(4, band, btype="bandpass", fs=sample_rate, output="sos")
         expected = signal.sosfiltfilt(sos, x)
         w = receiver.bandpass(Waveform(x, sample_rate, t0), band)
         assert (w.sample_rate, w.t0) == (sample_rate, t0)
         assert np.max(np.abs(w.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_default_train_length_matches_sosfiltfilt(self, spec):
+        # the noisy default train, 529,213 samples
+        x = generate_signal(spec, 0.0, 0.0, noise_std=0.1,
+                            rng=np.random.default_rng(0)).samples
+        assert len(x) == 529_213
+        sos = signal.butter(4, DEFAULT_BAND, btype="bandpass", fs=DEFAULT_SAMPLE_RATE,
+                            output="sos")
+        expected = signal.sosfiltfilt(sos, x)
+        w = receiver.bandpass(Waveform(x, DEFAULT_SAMPLE_RATE))
+        assert np.max(np.abs(w.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("band", [(2.0e9, 7.0e9), (3.9e9, 2.3e9),
+                                      (2.3e9, 6.25e9), (0.0, 3.9e9)])
+    def test_band_outside_nyquist_rejected(self, band):
+        # 0 < f_low < f_high < fs / 2 = 6.25 GHz, checked in the filter design
+        w = Waveform(np.ones(100), DEFAULT_SAMPLE_RATE)
+        with pytest.raises(ValueError, match="band must satisfy"):
+            receiver.bandpass(w, band)
+        with pytest.raises(ValueError, match="band must satisfy"):
+            correlate_and_detect(w, Waveform(np.ones(10), DEFAULT_SAMPLE_RATE), band=band)
 
     def test_input_within_padding_rejected(self):
         # sosfiltfilt's odd extension takes 27 samples at each end

@@ -391,50 +391,11 @@ class TestSolveRssdTdoa:
         with pytest.raises(MissingTdoa):
             solve_rssd_tdoa(cfg, m)
 
-    def test_one_objective_call_per_round(self, monkeypatch):
-        # a sim_8x8 epoch: the coarse scan, then 5 bracket scans take the
-        # +-coarse_step bracket below 1e-7 m
-        calls = []
-        objective = _Model.objective
-        monkeypatch.setattr(_Model, "objective",
-                            lambda model, x, y: calls.append(x) or objective(model, x, y))
-        s = load_scenario(SIM_YAML)
-        rng = np.random.default_rng(3)
-        for antenna_model in AntennaModel:
-            sc = s.with_antenna_model(antenna_model)
-            cfg = SolverConfig(sc.channel, sc.bs, sc.region, sc.antenna_model)
-            for mu in (Point2D(1.3, -0.8), Point2D(-2.9, 3.1)):
-                m = simulate_measurements(sc.bs, mu, sc.channel, sc.tdoa_noise, rng)
-                calls.clear()
-                solve_rssd_tdoa(cfg, m)
-                assert 2 <= len(calls) <= 6
-
-    def test_stack_objective_calls_per_chunk(self, monkeypatch):
-        # a stack searches in lockstep: the coarse scan and each bracket
-        # round are one call for a whole chunk of epochs
-        calls = []
-        objective = _Model.objective
-        monkeypatch.setattr(_Model, "objective",
-                            lambda model, x, y: calls.append(x.shape) or objective(model, x, y))
-        s = load_scenario(SIM_YAML)
-        rng = np.random.default_rng(5)
-        for antenna_model in AntennaModel:
-            sc = s.with_antenna_model(antenna_model)
-            cfg = SolverConfig(sc.channel, sc.bs, sc.region, sc.antenna_model)
-            for epochs in (1, solver._LINE_CHUNK, 2 * solver._LINE_CHUNK + 3):
-                ms = [simulate_measurements(sc.bs, Point2D(*rng.uniform(-3.0, 3.0, 2)),
-                                            sc.channel, sc.tdoa_noise, rng)
-                      for _ in range(epochs)]
-                calls.clear()
-                assert None not in solve_rssd_tdoa(cfg, ms)
-                chunks = math.ceil(epochs / solver._LINE_CHUNK)
-                assert 2 * chunks <= len(calls) <= 6 * chunks
-                assert calls[0][0] == min(epochs, solver._LINE_CHUNK)
-
     def test_each_chunk_makes_one_plus_rounds_calls(self, monkeypatch):
         # every epoch runs the region's R bracket rounds, 5 on sim_8x8: each
         # chunk makes its coarse scan and R rounds, each one call over all
-        # its epochs, whatever their brackets
+        # its epochs, whatever their brackets; a single MeasurementSet is
+        # one chunk of one epoch
         shapes = []
         objective = _Model.objective
         monkeypatch.setattr(_Model, "objective",
@@ -457,6 +418,9 @@ class TestSolveRssdTdoa:
                          for lo in range(0, epochs, solver._LINE_CHUNK)]
                 assert shapes == [shape for n in sizes
                                   for shape in [(n, len(ys))] + [(n, 33)] * rounds]
+            shapes.clear()
+            assert isinstance(solve_rssd_tdoa(cfg, ms[0]), Point2D)
+            assert shapes == [(1, len(ys))] + [(1, 33)] * rounds
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
