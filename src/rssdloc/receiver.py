@@ -5,14 +5,14 @@ transmit template, band-limited upsampling around the correlation peak,
 peak-time readout.  TDOA is the difference of two peak times; RSS is the
 mean squared correlation over a fixed window behind the peak.
 
-The filter and the correlation are computed as one step.  The zero-phase
-bandpass is folded into the template once: the template correlated with
-the filter's impulse response is kept on the template over its support,
-the runs around its non-zero samples (the 128 pulses of the default
-train).  Each call correlates only those runs' windows of the received
-signal, in one batched small FFT, and corrects the few hundred samples at
-each end of the signal where the filter's padding differs from plain
-convolution.
+Every chain filters at DEFAULT_BAND and upsamples by DEFAULT_UPSAMPLE,
+and the filter and the correlation are one step.  The template correlated
+with the filter's impulse response is kept on the template over the runs
+around its non-zero samples (the 128 pulses of the default train), with
+their spectra at one FFT length.  Each call correlates those runs'
+windows of the received signal in one batched transform of fixed-size
+overlap-save blocks, and corrects the few hundred samples at each end of
+the signal where the filter's padding differs from plain convolution.
 
 The receiver runs on numpy alone.  The Butterworth design, the zero-phase
 filter (two convolutions with the filter's causal response) and the
@@ -42,7 +42,6 @@ _FILTER_ORDER = 4
 # _FILTER_ORDER sections: 3 * (2 * sections + 1)
 _PADLEN = 3 * (2 * _FILTER_ORDER + 1)
 _PULSE_SUPPORT_SIGMAS = 6.0
-_SPECTRA_PER_WAVEFORM = 4       # keys each template-side memo keeps
 # |h| below this fraction of its peak is dropped, about a twentieth of the
 # peak's double-precision rounding
 _IMPULSE_CUT = 1e-17
@@ -62,7 +61,7 @@ class Waveform:
     samples: np.ndarray
     sample_rate: float
     t0: float = 0.0
-    _runs: Dict[tuple, "_Runs"] = field(
+    _runs: Dict[float, "_Runs"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -130,10 +129,7 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
     train is shifted by `delay` (finite and >= 0, not only whole samples),
     scaled by the dB attenuation, and optionally buried in white noise.
     """
-    if sample_rate < 2.0 * spec.band[1]:
-        raise AliasingSampleRate(
-            f"sample_rate {sample_rate:.3g} Hz below Nyquist for "
-            f"{spec.band[1]:.3g} Hz")
+    _require_nyquist(spec.band[1], sample_rate)
     if not (math.isfinite(delay) and delay >= 0):
         raise ValueError(f"delay must be finite and >= 0, got {delay}")
     if not math.isfinite(attenuation_db):
@@ -164,6 +160,12 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
             raise ValueError("noise_std > 0 requires an rng")
         out += rng.normal(0.0, noise_std, size=n)
     return Waveform(out, sample_rate, 0.0)
+
+
+def _require_nyquist(f_high: float, sample_rate: float) -> None:
+    """Raise AliasingSampleRate unless sample_rate > 2 * f_high, as the filter design needs."""
+    if not sample_rate > 2.0 * f_high:
+        raise AliasingSampleRate(f"sample_rate {sample_rate:.4g} Hz must exceed 2 * {f_high:.4g} Hz")
 
 
 def transmit_template(spec: SignalSpec,
@@ -253,9 +255,9 @@ def bandpass(w: Waveform, band: Tuple[float, float] = DEFAULT_BAND) -> Waveform:
 
 
 @functools.lru_cache(maxsize=8)
-def _responses(band: Optional[Tuple[float, float]],
+def _responses(band: Tuple[float, float],
                sample_rate: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The filter's causal response g and zero-phase response h; [1.0] for no band.
+    """The filter's causal response g and its zero-phase response h.
 
     Each is cut where it falls below _IMPULSE_CUT of its peak.  h is
     the zero-phase response to a unit impulse, h[len(h) // 2] at lag 0, so
@@ -265,20 +267,17 @@ def _responses(band: Optional[Tuple[float, float]],
     radius rho, so it is taken to 4 * reach samples, with rho ** reach at
     the cut, and reach doubles until h's cut lies within reach.
     """
-    if band is None:
-        g = h = np.ones(1)
-    else:
-        rho = np.abs(_butter_bandpass(band, sample_rate)[1]).max()
-        reach = math.ceil(math.log(_IMPULSE_CUT) / math.log(rho))
-        while True:
-            g = _causal_response(band, sample_rate, 4 * reach)
-            side = np.correlate(g, g, "full")[len(g) - 1:]
-            half = np.flatnonzero(np.abs(side) >= _IMPULSE_CUT * side[0])[-1]
-            if half < reach:
-                break
-            reach *= 2
-        g = g[:np.flatnonzero(np.abs(g) >= _IMPULSE_CUT * np.abs(g).max())[-1] + 1]
-        h = np.concatenate([side[half:0:-1], side[:half + 1]])
+    rho = np.abs(_butter_bandpass(band, sample_rate)[1]).max()
+    reach = math.ceil(math.log(_IMPULSE_CUT) / math.log(rho))
+    while True:
+        g = _causal_response(band, sample_rate, 4 * reach)
+        side = np.correlate(g, g, "full")[len(g) - 1:]
+        half = np.flatnonzero(np.abs(side) >= _IMPULSE_CUT * side[0])[-1]
+        if half < reach:
+            break
+        reach *= 2
+    g = g[:np.flatnonzero(np.abs(g) >= _IMPULSE_CUT * np.abs(g).max())[-1] + 1]
+    h = np.concatenate([side[half:0:-1], side[:half + 1]])
     g.flags.writeable = h.flags.writeable = False
     return g, h
 
@@ -290,18 +289,17 @@ class _Runs:
     u[q] = sum_m h[m] t[q + m - half] is non-zero only within half samples
     of a non-zero template sample.  Each run of non-zero samples is widened
     by half on both sides, and runs fewer than `extra` samples apart are
-    merged: every row is transformed at its width plus the kept lags, at
-    least `extra`, so one row across such a gap is shorter than two rows.
-    Row i holds u[starts[i]:starts[i] + len(rows[i])], q counted in template
-    samples; width is the longest row.  Their spectra are memoised per FFT
-    length.
+    merged: every row is transformed with at least `extra` lags past its
+    width, so one row across such a gap is shorter than two rows.  Row i
+    holds u[starts[i]:starts[i] + len(rows[i])], q counted in template
+    samples; width is the longest row.  n, the least power of two
+    >= width + extra - 1, is the FFT length of every row and window.
     """
 
     starts: np.ndarray
     rows: Tuple[np.ndarray, ...]
     width: int
-    _spectra: Dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    n: int
 
     @classmethod
     def of(cls, t: np.ndarray, h: np.ndarray, extra: int) -> "_Runs":
@@ -313,40 +311,22 @@ class _Runs:
         groups = np.split(nz, np.flatnonzero(np.diff(nz) - 1 - 2 * half >= extra) + 1)
         rows = tuple(np.convolve(t[g[0]:g[-1] + 1], h[::-1]) for g in groups)
         starts = np.array([g[0] - half for g in groups])
-        return cls(starts, rows, max(map(len, rows)))
+        width = max(map(len, rows))
+        return cls(starts, rows, width, 1 << (width + extra - 2).bit_length())
 
-    def spectra(self, n: int) -> np.ndarray:
-        """Conjugated rfft of each row at length n, one row per run."""
-        return _memoised(self._spectra, n, lambda: self._transform(n))
+    @functools.cached_property
+    def spectra(self) -> np.ndarray:
+        """Conjugated rfft of each row at length n, one row per run.
 
-    def _transform(self, n: int) -> np.ndarray:
-        buf = np.zeros((len(self.rows), n))
+        Built at first use, after that call's windows are transformed: built
+        before them, the long-lived array was measured to slow later calls.
+        """
+        buf = np.zeros((len(self.rows), self.n))
         for b, row in zip(buf, self.rows):
             b[:len(row)] = row
         spectra = np.conj(np.fft.rfft(buf))
         spectra.flags.writeable = False
         return spectra
-
-
-def _fft_length(m: int) -> int:
-    """The least n >= max(m, 4) of the form 2^k, 3 * 2^k or 5 * 2^k.
-
-    Three lengths an octave, where 5-smooth lengths lie a few percent
-    apart, so the few spectra memoised per template serve a wide spread of
-    input lengths; n overshoots m by at most a third.
-    """
-    q = 1 << max((m - 1).bit_length() - 3, 0)
-    return next(k * q for k in (4, 5, 6, 8) if k * q >= m)
-
-
-def _memoised(memo: dict, key, build):
-    """build(), kept in memo per key; past _SPECTRA_PER_WAVEFORM keys the oldest goes."""
-    value = memo.get(key)
-    if value is None:
-        if len(memo) >= _SPECTRA_PER_WAVEFORM:
-            del memo[next(iter(memo))]
-        value = memo[key] = build()
-    return value
 
 
 def _filter_error(r: Waveform, g: np.ndarray, h: np.ndarray,
@@ -384,10 +364,7 @@ def _correlate_into(c: np.ndarray, first: int, d: np.ndarray, j0: int,
     c[lo - first:hi - first] += np.correlate(seg, d, "valid")[::-1]
 
 
-def correlate_and_detect(r: Waveform, template: Waveform,
-                         upsample_factor: int = DEFAULT_UPSAMPLE,
-                         band: Optional[Tuple[float, float]] = DEFAULT_BAND
-                         ) -> CorrelationResult:
+def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     """Filter, correlate with the template, and read the peak time.
 
     Lag k pairs r.samples[i + k] with template.samples[i].  The arrival lies
@@ -405,69 +382,67 @@ def correlate_and_detect(r: Waveform, template: Waveform,
     longer window that runs past them raises WindowOutOfSupport in
     rss_from_correlation.
 
-    The bandpass is folded into the template: away from r's ends,
-    bandpass(r) is h * r for the filter's zero-phase impulse response h
-    (_responses), so c is r correlated with u, the template
-    correlated with h.  u is non-zero only around the template's non-zero
-    runs, each widened by h's half-length (_Runs, memoised on the template
-    per band and sample rate).  Each run's window of r is correlated with
-    it at one FFT length n >= longest run + kept lags - 1 (_fft_length), in
-    one batched rfft against the runs' spectra (memoised per n), summed over
-    runs and brought back by one irfft; no lag aliases onto the kept ones
-    (overlap-save).  Runs closer than the kept lags' fixed part are merged,
-    so a dense train is one run.  Near r's ends bandpass(r) - h * r is
-    computed by filtering short end segments (_filter_error) and
-    correlated with the template directly.
-    With band=None h is [1] and there is no end term.  Over the kept lags
-    c matches the full correlation of bandpass(r) with the template within
-    rounding.  The peak is refined by band-limited (FFT) resampling of a
-    window around the coarse peak.
+    r is filtered at DEFAULT_BAND, so it needs more than _PADLEN samples
+    and a sample rate above twice the band's upper edge.  The bandpass is
+    folded into the template: away from r's ends, bandpass(r) is h * r for
+    the filter's zero-phase impulse response h (_responses), so c is r
+    correlated with u, the template correlated with h, kept over the
+    template's widened non-zero runs (_Runs, one per sample rate on the
+    template).  The runs are correlated with their windows of r in one
+    batched rfft at the runs' FFT length n, against their spectra, summed
+    over runs and brought back by one irfft.  A window yields n - width + 1
+    lags onto which no other lag aliases (overlap-save), so the kept lags
+    take one such block on the default train for delays up to about 26 ns.
+    Near r's ends bandpass(r) - h * r is computed by filtering short end
+    segments (_filter_error) and correlated with the template directly.
+    Over the kept lags c matches the full correlation of bandpass(r) with
+    the template within rounding.  The peak is refined by band-limited
+    (FFT) resampling, by DEFAULT_UPSAMPLE, of a window around the coarse
+    peak.
     """
     len_r, len_t = len(r.samples), len(template.samples)
-    if upsample_factor < 1:
-        raise ValueError("upsample_factor must be >= 1")
     if len_t == 0:
         raise EmptyInput("template has no samples")
+    if len_r <= _PADLEN:
+        raise EmptyInput(f"input has {len_r} samples; filtering needs at least {_PADLEN + 1}")
     if len_t > len_r:
         raise TemplateTooLong(f"template ({len_t}) longer than input ({len_r})")
     if r.sample_rate != template.sample_rate:
         raise ValueError("input and template sample rates differ")
     fs = r.sample_rate
+    _require_nyquist(DEFAULT_BAND[1], fs)
     before = min(_UPSAMPLE_HALF_WIDTH, len_t - 1)
     after = math.ceil(DEFAULT_RSS_WINDOW * fs) + _FINE_REACH
     first = -before
     extra = before + min(after, len_t - 1) + 1  # kept lags past the full-overlap ones
     lags = len_r - len_t + extra
-    band = None if band is None else tuple(band)
-    g, h = _responses(band, fs)
-    runs = _memoised(template._runs, (band, fs),
-                     lambda: _Runs.of(template.samples, h, extra))
-    n = _fft_length(runs.width + lags - 1)
+    g, h = _responses(DEFAULT_BAND, fs)
+    runs = template._runs.get(fs)
+    if runs is None:
+        runs = template._runs[fs] = _Runs.of(template.samples, h, extra)
+    n = runs.n
+    step = n - runs.width + 1  # lags per block
+    blocks = -(-lags // step)
 
-    # row i is r[starts[i]:][:n], read as 0 outside r
+    # row (i, b) is r[starts[i] + first + b * step:][:n], read as 0 outside r
     x = r.samples
-    windows = np.zeros((len(runs.starts), n))
-    for row, s in zip(windows, (runs.starts + first).tolist()):
+    windows = np.zeros((len(runs.starts), blocks, n))
+    offsets = runs.starts[:, None] + first + step * np.arange(blocks)
+    for row, s in zip(windows.reshape(-1, n), offsets.ravel().tolist()):
         lo, hi = max(s, 0), min(s + n, len_r)
         if lo < hi:
             row[lo - s:hi - s] = x[lo:hi]
     spectrum = np.fft.rfft(windows)
-    spectrum *= runs.spectra(n)
-    c = np.fft.irfft(spectrum.sum(axis=0), n)[:lags]
-    if band is not None:
-        edge = len(h) // 2
-        a = min(edge, len_r)
-        b = max(len_r - edge, a)
-        for j0, j1 in ((-edge, a), (b, len_r + edge)):
-            _correlate_into(c, first, _filter_error(r, g, h, j0, j1), j0,
-                            template.samples)
+    spectrum *= runs.spectra[:, None]
+    c = np.fft.irfft(spectrum.sum(axis=0), n)[:, :step].ravel()[:lags]
+    edge = len(h) // 2
+    a = min(edge, len_r)
+    b = max(len_r - edge, a)
+    for j0, j1 in ((-edge, a), (b, len_r + edge)):
+        _correlate_into(c, first, _filter_error(r, g, h, j0, j1), j0, template.samples)
     t0 = (r.t0 - template.t0) - before / fs
-    corr = Waveform(c, fs, t0)
 
     k = before + int(np.argmax(np.abs(c[before:before + len_r - len_t + 1])))
-    if upsample_factor == 1:
-        return CorrelationResult(corr, t0 + k / fs)
-
     # Upsample only a window around the coarse peak; the sub-sample maximum
     # lies within one sample of it, so search just the central +-_FINE_REACH
     # samples to keep FFT edge effects out.  The FFT resampling is
@@ -475,15 +450,15 @@ def correlate_and_detect(r: Waveform, template: Waveform,
     # so no Nyquist bin is split.
     half = min(_UPSAMPLE_HALF_WIDTH, k, len(c) - 1 - k)
     seg = c[k - half:k + half + 1]
-    num = len(seg) * upsample_factor
+    num = len(seg) * DEFAULT_UPSAMPLE
     up = np.fft.irfft(np.fft.rfft(seg) / (len(seg) / num), num)
-    center = half * upsample_factor
-    reach = _FINE_REACH * upsample_factor
+    center = half * DEFAULT_UPSAMPLE
+    reach = _FINE_REACH * DEFAULT_UPSAMPLE
     lo = max(center - reach, 0)
     hi = min(center + reach + 1, len(up))
     j = lo + int(np.argmax(np.abs(up[lo:hi])))
-    peak_time = t0 + (k - half) / fs + j / (fs * upsample_factor)
-    return CorrelationResult(corr, peak_time)
+    peak_time = t0 + (k - half) / fs + j / (fs * DEFAULT_UPSAMPLE)
+    return CorrelationResult(Waveform(c, fs, t0), peak_time)
 
 
 def estimate_tdoa(a: CorrelationResult, b: CorrelationResult) -> float:

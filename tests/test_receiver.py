@@ -21,7 +21,6 @@ from rssdloc.receiver import (
     CorrelationResult,
     SignalSpec,
     Waveform,
-    _fft_length,
     correlate_and_detect,
     default_chips,
     estimate_tdoa,
@@ -55,29 +54,25 @@ def reference_signal(spec, delay, attenuation_db, sample_rate=DEFAULT_SAMPLE_RAT
     return out
 
 
-def reference_correlate(r, template, upsample_factor, band):
+def reference_correlate(r, template):
     """(c, t0, k, peak_time) by a fresh filter design and signal.correlate.
 
-    c is the full cross-correlation, and k its coarse peak: the first
-    largest |c| over the full-overlap lags.
+    c is the full cross-correlation of the input filtered at DEFAULT_BAND,
+    and k its coarse peak: the first largest |c| over the full-overlap lags.
     """
     fs = r.sample_rate
-    x = r.samples
-    if band is not None:
-        sos = signal.butter(4, band, btype="bandpass", fs=fs, output="sos")
-        x = signal.sosfiltfilt(sos, x)
+    sos = signal.butter(4, DEFAULT_BAND, btype="bandpass", fs=fs, output="sos")
+    x = signal.sosfiltfilt(sos, r.samples)
     c = signal.correlate(x, template.samples, mode="full", method="fft")
     t0 = (r.t0 - template.t0) - (len(template.samples) - 1) / fs
     lag0 = len(template.samples) - 1
     k = lag0 + int(np.argmax(np.abs(c[lag0:len(r.samples)])))
-    if upsample_factor == 1:
-        return c, t0, k, t0 + k / fs
     half = min(256, k, len(c) - 1 - k)
-    up = signal.resample(c[k - half:k + half + 1], (2 * half + 1) * upsample_factor)
-    center, span = half * upsample_factor, max(upsample_factor, 2)
+    up = signal.resample(c[k - half:k + half + 1], (2 * half + 1) * DEFAULT_UPSAMPLE)
+    center, span = half * DEFAULT_UPSAMPLE, DEFAULT_UPSAMPLE
     lo, hi = max(center - 2 * span, 0), min(center + 2 * span + 1, len(up))
     j = lo + int(np.argmax(np.abs(up[lo:hi])))
-    return c, t0, k, t0 + (k - half) / fs + j / (fs * upsample_factor)
+    return c, t0, k, t0 + (k - half) / fs + j / (fs * DEFAULT_UPSAMPLE)
 
 
 def kept_lags(r, template):
@@ -94,25 +89,16 @@ def rss_or_error(c):
         return "WindowOutOfSupport"
 
 
-def record_template_builds(monkeypatch):
-    """Patch the template side's builders to list what each call builds.
-
-    Entries are ("runs", len(h)) for a template's filtered runs and
-    ("spectra", n) for their spectra at FFT length n.
-    """
+def record_runs_builds(monkeypatch):
+    """Patch _Runs.of to list the template length of each _Runs it builds."""
     built = []
-    runs_of, transform = receiver._Runs.of.__func__, receiver._Runs._transform
+    runs_of = receiver._Runs.of.__func__
 
     def recording_runs_of(cls, t, h, extra):
-        built.append(("runs", len(h)))
+        built.append(len(t))
         return runs_of(cls, t, h, extra)
 
-    def recording_transform(self, n):
-        built.append(("spectra", n))
-        return transform(self, n)
-
     monkeypatch.setattr(receiver._Runs, "of", classmethod(recording_runs_of))
-    monkeypatch.setattr(receiver._Runs, "_transform", recording_transform)
     return built
 
 
@@ -144,11 +130,14 @@ def sparse_train(pulses, rng):
 
 # Short pulse trains (high PRF) keep each example to a few thousand samples.
 SHORT_PRFS = (2e8, 5e8)
+# Delays of the noisy default train whose kept lags take 1, 2 and 5
+# overlap-save blocks of 1,466 lags each.
+DEFAULT_TRAIN_DELAYS = {1: 23.1e-9, 2: 48e-9, 5: 400e-9}
 
 
 @functools.lru_cache(maxsize=None)
 def short_template(prf, sample_rate, t0):
-    """One template object per key, so repeated draws reuse its spectrum memo."""
+    """One template object per key, so repeated draws reuse its prepared runs."""
     t = transmit_template(SignalSpec(prf=prf), sample_rate)
     return Waveform(t.samples, t.sample_rate, t0)
 
@@ -165,8 +154,11 @@ def template(spec):
 
 class TestGenerateSignal:
     def test_aliasing_guard(self, spec):
-        with pytest.raises(AliasingSampleRate):
-            generate_signal(spec, 0.0, 0.0, sample_rate=5e9)
+        # fs must exceed 2 * f_high, as the filter design requires: 7.8 GHz
+        # on the default band is rejected too
+        for sample_rate, text in ((5e9, "5e\\+09"), (7.8e9, "7.8e\\+09")):
+            with pytest.raises(AliasingSampleRate, match=text):
+                generate_signal(spec, 0.0, 0.0, sample_rate=sample_rate)
 
     def test_chip_code_validation(self):
         with pytest.raises(ValueError):
@@ -303,8 +295,6 @@ class TestBandpass:
         w = Waveform(np.ones(100), DEFAULT_SAMPLE_RATE)
         with pytest.raises(ValueError, match="band must satisfy"):
             receiver.bandpass(w, band)
-        with pytest.raises(ValueError, match="band must satisfy"):
-            correlate_and_detect(w, Waveform(np.ones(10), DEFAULT_SAMPLE_RATE), band=band)
 
     def test_input_within_padding_rejected(self):
         # sosfiltfilt's odd extension takes 27 samples at each end
@@ -345,9 +335,27 @@ class TestCorrelateAndDetect:
             correlate_and_detect(short, template)
 
     def test_empty_template(self):
-        with pytest.raises(EmptyInput):
-            correlate_and_detect(Waveform(np.ones(10), 1e10), Waveform(np.zeros(0), 1e10),
-                                 band=None)
+        with pytest.raises(EmptyInput, match="template"):
+            correlate_and_detect(Waveform(np.ones(100), 1e10), Waveform(np.zeros(0), 1e10))
+
+    @pytest.mark.parametrize("length", [4, 27])
+    def test_input_too_short_to_filter(self, length):
+        # sosfiltfilt's odd extension takes 27 samples at each end
+        template = Waveform(np.ones(3), DEFAULT_SAMPLE_RATE)
+        with pytest.raises(EmptyInput, match=f"input has {length} samples.* at least 28"):
+            correlate_and_detect(Waveform(np.ones(length), DEFAULT_SAMPLE_RATE), template)
+
+    def test_shortest_filterable_input(self):
+        rng = np.random.default_rng(6)
+        TestAgainstReferencePath.assert_same(
+            Waveform(rng.normal(size=28), DEFAULT_SAMPLE_RATE),
+            Waveform(rng.normal(size=3), DEFAULT_SAMPLE_RATE))
+
+    def test_sample_rate_at_twice_band_edge_rejected(self):
+        # DEFAULT_BAND's 3.9 GHz edge needs fs > 7.8 GHz
+        w = Waveform(np.random.default_rng(0).normal(size=1000), 7.8e9)
+        with pytest.raises(AliasingSampleRate, match="7.8e\\+09"):
+            correlate_and_detect(w, Waveform(w.samples[:100], 7.8e9))
 
 
 class TestAgainstReferencePath:
@@ -366,9 +374,9 @@ class TestAgainstReferencePath:
     RSS_TOL = 1e-9
 
     @classmethod
-    def assert_same(cls, r, template, upsample_factor, band):
-        res = correlate_and_detect(r, template, upsample_factor, band)
-        c, t0, k, peak_time = reference_correlate(r, template, upsample_factor, band)
+    def assert_same(cls, r, template):
+        res = correlate_and_detect(r, template)
+        c, t0, k, peak_time = reference_correlate(r, template)
         fs = r.sample_rate
         first, last = kept_lags(r, template)
         lag0 = len(template.samples) - 1
@@ -396,24 +404,26 @@ class TestAgainstReferencePath:
            delay=st.floats(0.0, 50e-9),
            attenuation=st.floats(-20.0, 0.0),
            noise_std=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
-           upsample_factor=st.sampled_from([1, 8]),
-           band=st.sampled_from([DEFAULT_BAND, (2.0e9, 4.2e9), None]),
            seed=st.integers(0, 2**32 - 1))
     def test_short_trains(self, prf, sample_rate, template_t0, r_t0, delay,
-                          attenuation, noise_std, upsample_factor, band, seed):
+                          attenuation, noise_std, seed):
         spec = SignalSpec(prf=prf)
         w = generate_signal(spec, delay, attenuation, sample_rate, noise_std,
                             np.random.default_rng(seed))
         r = Waveform(w.samples, sample_rate, r_t0)
-        self.assert_same(r, short_template(prf, sample_rate, template_t0),
-                         upsample_factor, band)
+        self.assert_same(r, short_template(prf, sample_rate, template_t0))
 
-    @pytest.mark.parametrize("upsample_factor", [1, 8])
-    def test_default_train(self, spec, template, upsample_factor):
-        w = generate_signal(spec, 23.1e-9, -6.0, noise_std=0.2,
+    @pytest.mark.parametrize("blocks", sorted(DEFAULT_TRAIN_DELAYS))
+    def test_default_train(self, monkeypatch, spec, template, blocks):
+        w = generate_signal(spec, DEFAULT_TRAIN_DELAYS[blocks], -6.0, noise_std=0.2,
                             rng=np.random.default_rng(3))
-        self.assert_same(Waveform(w.samples, w.sample_rate, 1e-9), template,
-                         upsample_factor, DEFAULT_BAND)
+        r = Waveform(w.samples, w.sample_rate, 1e-9)
+        shapes = record_rfft_shapes(monkeypatch)
+        correlate_and_detect(r, template)
+        # the 128 pulses' windows, one row per block
+        assert shapes[0] == (128, blocks, 2048)
+        monkeypatch.undo()
+        self.assert_same(r, template)
 
     @settings(max_examples=60, deadline=None)
     @given(pulses=st.lists(st.tuples(st.integers(1, 60),
@@ -422,16 +432,13 @@ class TestAgainstReferencePath:
            extra=st.integers(0, 700),
            flush_last=st.booleans(),
            noise_std=st.sampled_from([0.0, 0.3]),
-           upsample_factor=st.sampled_from([1, 8]),
-           band=st.sampled_from([DEFAULT_BAND, (2.0e9, 4.2e9), None]),
            seed=st.integers(0, 2**32 - 1))
-    def test_sparse_trains(self, pulses, extra, flush_last, noise_std,
-                           upsample_factor, band, seed):
+    def test_sparse_trains(self, pulses, extra, flush_last, noise_std, seed):
         # short gaps, over which the widened pulses meet or lie closer than
         # the kept lags past full overlap (at most 1,134) and are merged,
-        # and gaps of more than that plus twice the filters' half-lengths
-        # (268 and 214 samples), over which they stay separate runs; the
-        # arrival starts at r's first sample or ends at its last
+        # and gaps of more than that plus twice the filter's half-length
+        # (268 samples), over which they stay separate runs; the arrival
+        # starts at r's first sample or ends at its last
         rng = np.random.default_rng(seed)
         t = sparse_train(pulses, rng)
         assume(len(t) + extra > 30)  # sosfiltfilt's padding needs 28 samples
@@ -439,76 +446,64 @@ class TestAgainstReferencePath:
         offset = extra if flush_last else 0
         samples[offset:offset + len(t)] += t
         self.assert_same(Waveform(samples, DEFAULT_SAMPLE_RATE),
-                         Waveform(t, DEFAULT_SAMPLE_RATE), upsample_factor, band)
+                         Waveform(t, DEFAULT_SAMPLE_RATE))
 
-    def test_template_side_built_once(self, monkeypatch):
-        spec = SignalSpec(prf=SHORT_PRFS[0])
+    def test_template_side_built_once(self, monkeypatch, spec):
+        # one _Runs and one spectrum build serve inputs of every length, the
+        # 400 ns one of five blocks included
         template = transmit_template(spec)
-        built = record_template_builds(monkeypatch)
-        for delay in (0.0, 0.1e-9, 0.2e-9):  # one FFT length
+        built = record_runs_builds(monkeypatch)
+        shapes = record_rfft_shapes(monkeypatch)
+        for delay in (0.0, 23.1e-9, 400e-9, 48e-9, 0.0, 400e-9):
             correlate_and_detect(generate_signal(spec, delay, 0.0), template)
-        assert [b[0] for b in built] == ["runs", "spectra"]
-        # a much longer input needs another FFT length: its spectra are built
-        # once, from the same runs
-        for _ in range(2):
-            correlate_and_detect(generate_signal(spec, 400e-9, 0.0), template)
-        assert [b[0] for b in built] == ["runs", "spectra", "spectra"]
-        assert built[1][1] != built[2][1]
-        # another band has its own runs
-        for _ in range(2):
-            correlate_and_detect(generate_signal(spec, 0.0, 0.0), template,
-                                 band=(2.0e9, 4.2e9))
-        assert [b[0] for b in built] == ["runs", "spectra", "spectra", "runs", "spectra"]
+        assert built == [len(template.samples)]
+        assert list(template._runs) == [DEFAULT_SAMPLE_RATE]
+        # the runs' spectra are the one two-dimensional transform: the
+        # windows are (runs, blocks, n) and the upsampling window is 1-D
+        assert [s for s in shapes if len(s) == 2] == [(128, 2048)]
+        assert [s[1] for s in shapes if len(s) == 3] == [1, 1, 5, 2, 1, 5]
 
-    @pytest.mark.parametrize("upsample_factor", [1, 8])
-    def test_input_as_long_as_template_peaks_at_lag_zero(self, upsample_factor):
+    def test_input_as_long_as_template_peaks_at_lag_zero(self):
         spec = SignalSpec(prf=SHORT_PRFS[1])
         template = short_template(SHORT_PRFS[1], DEFAULT_SAMPLE_RATE, 0.0)
         w = generate_signal(spec, 0.0, -3.0, noise_std=0.3,
                             rng=np.random.default_rng(11))
         assert len(w.samples) == len(template.samples)
         r = Waveform(w.samples, w.sample_rate, 4e-9)
-        res = correlate_and_detect(r, template, upsample_factor)
+        res = correlate_and_detect(r, template)
         assert abs(res.peak_time - 4e-9) <= UPSAMPLED_PERIOD
-        self.assert_same(r, template, upsample_factor, DEFAULT_BAND)
+        self.assert_same(r, template)
 
-    @pytest.mark.parametrize("band", [DEFAULT_BAND, None])
-    def test_template_shorter_than_upsampling_window(self, band):
+    def test_template_shorter_than_upsampling_window(self):
         rng = np.random.default_rng(4)
         template = Waveform(rng.normal(size=100), DEFAULT_SAMPLE_RATE, 1e-9)
         samples = rng.normal(0.0, 0.1, size=3000)
         samples[1234:1334] += template.samples
         r = Waveform(samples, DEFAULT_SAMPLE_RATE)
-        res = correlate_and_detect(r, template, band=band)
+        res = correlate_and_detect(r, template)
         # c starts at lag -(len_t - 1), the first lag of the full correlation
         assert res.c.t0 == (r.t0 - template.t0) - 99 / DEFAULT_SAMPLE_RATE
-        self.assert_same(r, template, DEFAULT_UPSAMPLE, band)
+        self.assert_same(r, template)
 
     def test_default_train_transforms_at_most_4096_points(self, monkeypatch, spec):
         template = transmit_template(spec)
         correlate_and_detect(generate_signal(spec, 23.1e-9, -6.0), template)
         shapes = record_rfft_shapes(monkeypatch)
         correlate_and_detect(generate_signal(spec, 23.1e-9, -6.0), template)
-        # one batched transform of the 128 pulses' windows, and the
-        # upsampling window's
-        assert len(shapes) == 2 and shapes[0][0] == 128
+        # one batched transform of the 128 pulses' windows in one block, and
+        # the upsampling window's
+        assert len(shapes) == 2 and shapes[0] == (128, 1, 2048)
         assert max(shape[-1] for shape in shapes) <= 4096
 
-    @pytest.mark.parametrize("band", [DEFAULT_BAND, None])
-    def test_close_pulses_transformed_as_one_run(self, monkeypatch, band):
+    def test_close_pulses_transformed_as_one_run(self, monkeypatch):
         # pulses 5 ns (62.5 samples) apart: one row across the gaps is
         # shorter than a row per pulse
         spec = SignalSpec(prf=SHORT_PRFS[0])
         template = transmit_template(spec)
-        correlate_and_detect(generate_signal(spec, 3e-9, 0.0), template, band=band)
+        correlate_and_detect(generate_signal(spec, 3e-9, 0.0), template)
         shapes = record_rfft_shapes(monkeypatch)
-        correlate_and_detect(generate_signal(spec, 3e-9, 0.0), template, band=band)
+        correlate_and_detect(generate_signal(spec, 3e-9, 0.0), template)
         assert shapes[0][0] == 1
-
-    @given(st.integers(1, 2**20))
-    def test_fft_length_is_least_power_of_two_times_1_3_or_5(self, m):
-        grid = sorted(k << e for k in (1, 3, 5) for e in range(23))
-        assert _fft_length(m) == next(n for n in grid if n >= max(m, 4))
 
 
 class TestEstimateTdoa:
