@@ -130,9 +130,9 @@ def sparse_train(pulses, rng):
 
 # Short pulse trains (high PRF) keep each example to a few thousand samples.
 SHORT_PRFS = (2e8, 5e8)
-# Delays of the noisy default train whose kept lags take 1, 2 and 5
+# Delays of the noisy default train whose kept lags take 1, 2, 5 and 8
 # overlap-save blocks of 1,466 lags each.
-DEFAULT_TRAIN_DELAYS = {1: 23.1e-9, 2: 48e-9, 5: 400e-9}
+DEFAULT_TRAIN_DELAYS = {1: 23.1e-9, 2: 48e-9, 5: 400e-9, 8: 800e-9}
 
 
 @functools.lru_cache(maxsize=None)
