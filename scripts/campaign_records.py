@@ -78,6 +78,25 @@ def dump(seed: int, trials: int) -> dict:
     return out
 
 
+def record_moves(ra: list, rb: list):
+    """How far each moved record of one campaign moved, in metres; None
+    when the two dumps' trials and epochs differ."""
+    if [r[:2] for r in ra] != [r[:2] for r in rb]:
+        return None
+    return [math.dist(map(float.fromhex, p[2:]), map(float.fromhex, q[2:]))
+            for p, q in zip(ra, rb) if p[2:] != q[2:]]
+
+
+def chain_moves(a: list, b: list):
+    """(peak-time move in s, relative RSS move) of each moved receive chain;
+    None when the chain counts differ."""
+    if len(a) != len(b):
+        return None
+    return [(abs(float.fromhex(p[1]) - float.fromhex(q[1])),
+             abs(float.fromhex(p[2]) / float.fromhex(q[2]) - 1.0))
+            for p, q in zip(a, b) if p[1:] != q[1:]]
+
+
 def compare(a: dict, b: dict) -> bool:
     """Print one line per campaign; False when the dumps do not line up."""
     if a.keys() != b.keys():
@@ -86,12 +105,11 @@ def compare(a: dict, b: dict) -> bool:
     aligned = True
     for name in (n for n in a if n != "receiver"):
         ra, rb = a[name]["records"], b[name]["records"]
-        if [r[:2] for r in ra] != [r[:2] for r in rb]:
+        moves = record_moves(ra, rb)
+        if moves is None:
             print(f"{name}: the epochs differ ({len(ra)} against {len(rb)} records)")
             aligned = False
             continue
-        moves = [math.dist(map(float.fromhex, p[2:]), map(float.fromhex, q[2:]))
-                 for p, q in zip(ra, rb) if p[2:] != q[2:]]
         fa, fb = a[name]["tdoa_fallbacks"], b[name]["tdoa_fallbacks"]
         print(f"{name}: {len(moves)} of {len(ra)} records moved, "
               f"largest move {max(moves, default=0.0):.3g} m; tdoa_fallbacks {fa} and {fb}"
@@ -101,12 +119,10 @@ def compare(a: dict, b: dict) -> bool:
 
 def compare_chains(a: list, b: list) -> bool:
     """Print one line for the receive chains; False when their counts differ."""
-    if len(a) != len(b):
+    moved = chain_moves(a, b)
+    if moved is None:
         print(f"receiver: the chains differ ({len(a)} against {len(b)})")
         return False
-    moved = [(abs(float.fromhex(p[1]) - float.fromhex(q[1])),
-              abs(float.fromhex(p[2]) / float.fromhex(q[2]) - 1.0))
-             for p, q in zip(a, b) if p[1:] != q[1:]]
     print(f"receiver: {len(moved)} of {len(a)} chains moved, largest peak-time move "
           f"{max((m[0] for m in moved), default=0.0):.3g} s, largest relative RSS move "
           f"{max((m[1] for m in moved), default=0.0):.3g}")
