@@ -348,10 +348,10 @@ def _rounding_bound(model: _Model, t: _Coarse) -> np.ndarray:
     return (n * nu / (1.0 - nu)) * (span * span + gain * gain)
 
 
-def _coarse_seeds(model: _Model, t: _Coarse) -> np.ndarray:
+def _coarse_seeds(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:
     """The refinement seeds of every epoch of the model: (T, seeds) grid
     indices, the first of a stable sort of the objective over the coarse
-    grid.
+    grid, and their objective values.
 
     The float32 expanded form shortlists _SHORTLIST cells per epoch, and
     the float64 objective ranks the shortlist, ties going to the smaller
@@ -369,19 +369,20 @@ def _coarse_seeds(model: _Model, t: _Coarse) -> np.ndarray:
     cutoff = q[rows, shortlist].max(axis=1)
     exact = model.objective(t.x[shortlist], t.y[shortlist])
     order = np.lexsort((shortlist, exact), axis=1)[:, :_REFINE_SEEDS]
-    seeds = shortlist[rows, order]
-    last = exact[rows[:, 0], order[:, -1]]
-    for e in np.flatnonzero(~(cutoff - last > _rounding_bound(model, t))):
+    seeds, sq = shortlist[rows, order], exact[rows, order]
+    for e in np.flatnonzero(~(cutoff - sq[:, -1] > _rounding_bound(model, t))):
         q = model.epochs(slice(e, e + 1)).objective(t.x, t.y)
         seeds[e] = np.argsort(q, kind="stable")[:_REFINE_SEEDS]
-    return seeds
+        sq[e] = q[seeds[e]]
+    return seeds, sq
 
 
-def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray
-            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray,
+            bq: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step-halving refinement of every seed at once: bx and by are
-    (epochs, seeds) starting points, row e refined against epoch e, and the
-    refined points and their objective come back in that shape.
+    (epochs, seeds) starting points with objective values bq, row e refined
+    against epoch e, and the refined points and their objective come back
+    in that shape; with no rounds, the starting points themselves.
 
     Each round scans the 5x5 stencil around each seed's best point, clipped
     to the region, in one objective call.  Within a stencil the first
@@ -390,7 +391,6 @@ def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray
     epochs, seeds = bx.shape
     # each seed's first stencil point, as a flat index into a round's scan
     first = np.arange(0, 25 * bx.size, 25).reshape(bx.shape)
-    bq = np.full(bx.shape, math.inf)
     gx = np.empty((epochs, seeds, 5, 5))  # a round's stencils: x fast, y slow
     gy = np.empty_like(gx)
     step = reg.coarse_step / 2.0
@@ -430,8 +430,8 @@ def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementS
     points = []
     for lo in range(0, model.c.shape[1], _CHUNK):
         chunk = model.epochs(slice(lo, lo + _CHUNK))
-        seeds = _coarse_seeds(chunk, t)
-        bx, by, bq = _refine(chunk, reg, t.x[seeds], t.y[seeds])
+        seeds, sq = _coarse_seeds(chunk, t)
+        bx, by, bq = _refine(chunk, reg, t.x[seeds], t.y[seeds], sq)
         k = np.lexsort((bx, by, bq), axis=1)[:, 0]
         rows = np.arange(len(k))
         points += [Point2D(float(x), float(y)) for x, y in zip(bx[rows, k], by[rows, k])]

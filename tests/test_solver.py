@@ -240,6 +240,22 @@ class TestSolveRssd:
             brute = Point2D(float(gx.ravel()[k]), float(gy.ravel()[k]))
             assert distance(est, brute) < 0.02
 
+    @pytest.mark.parametrize("model", [AntennaModel.OMNI, AntennaModel.DIRECTIONAL])
+    def test_no_refine_rounds_gives_first_coarse_minimum(self, model):
+        # refine_iterations 0: the estimate is the coarse grid's first
+        # minimum, not whichever seed has the smallest (y, x)
+        mu = Point2D(1.234, -0.567)
+        bs = make_stations(model is AntennaModel.DIRECTIONAL, mu)
+        region = replace(REGION, refine_iterations=0)
+        cfg = SolverConfig(NOISY, bs, region, model)
+        ms = [measure(bs, mu, NOISY, seed=seed) for seed in range(6)]
+        gx, gy = np.meshgrid(_grid(region.x_min, region.x_max, region.coarse_step),
+                             _grid(region.y_min, region.y_max, region.coarse_step))
+        gx, gy = gx.ravel(), gy.ravel()
+        for est, m in zip(solve_rssd(cfg, ms), ms):
+            k = int(np.argmin(_Model.build(cfg, m).objective(gx, gy)))
+            assert est == Point2D(float(gx[k]), float(gy[k]))
+
     @pytest.mark.parametrize("layout", ["lacks-station-1", "adds-station-11"])
     def test_measurement_of_another_layout_rejected(self, layout):
         # the config must hold exactly the measurement's RSS stations: a
@@ -594,7 +610,7 @@ def sequential_solve(cfg, m):
     q = model.objective(gx, gy)
     best = None
     for k in np.argsort(q, kind="stable")[:8]:
-        bx, by, bq = float(gx[k]), float(gy[k]), math.inf
+        bx, by, bq = float(gx[k]), float(gy[k]), float(q[k])
         step = reg.coarse_step / 2.0
         for _ in range(reg.refine_iterations):
             xs = np.unique(np.clip(bx + step * np.arange(-2, 3), reg.x_min, reg.x_max))
@@ -667,12 +683,14 @@ class TestAgainstPairForm:
         cfg, ms = stack
         model = _Model.build(cfg, ms)
         t = _coarse_tables(tuple(model.sx.tolist()), tuple(model.sy.tolist()), cfg.region)
-        seeds, expanded = _coarse_seeds(model, t), _expanded(model, t)
+        (seeds, sq), expanded = _coarse_seeds(model, t), _expanded(model, t)
         bound = _rounding_bound(model, t)
         for e in range(len(ms)):
             q = model.epochs(slice(e, e + 1)).objective(t.x, t.y)
-            # the seeds are the objective's first 8 cells in order, ties by index
+            # the seeds are the objective's first 8 cells in order, ties by
+            # index, with their objective values
             assert seeds[e].tolist() == np.argsort(q, kind="stable")[:8].tolist()
+            np.testing.assert_array_equal(sq[e], q[seeds[e]])
             finite = np.isfinite(q)
             assert np.array_equal(np.isfinite(expanded[e]), finite)
             # the float32 form errs by no more than the bound its shortlist clears
