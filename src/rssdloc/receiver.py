@@ -5,19 +5,20 @@ transmit template, band-limited upsampling around the correlation peak,
 peak-time readout.  TDOA is the difference of two peak times; RSS is the
 mean squared correlation over a fixed window behind the peak.
 
-Every chain filters at DEFAULT_BAND and upsamples by DEFAULT_UPSAMPLE,
-and the filter and the correlation are one step.  The template correlated
-with the filter's impulse response is kept on the template over the runs
-around its non-zero samples (the 128 pulses of the default train), with
-their spectra at one FFT length.  Each call correlates those runs'
-windows of the received signal in one batched transform of fixed-size
-overlap-save blocks, and corrects the few hundred samples at each end of
-the signal where the filter's padding differs from plain convolution.
+Every chain filters at DEFAULT_BAND and upsamples by DEFAULT_UPSAMPLE.
+The filtered signal is h * r: the received signal r, read as 0 outside
+its samples, convolved with h, the zero-phase impulse response of an
+order-4 Butterworth bandpass.  The filter and the correlation are one
+step.  The template correlated with h is kept on the template over the
+runs around its non-zero samples (the 128 pulses of the default train),
+with their spectra at one FFT length.  Each call correlates those runs'
+windows of r in one batched transform of fixed-size overlap-save blocks.
 
-The receiver runs on numpy alone.  The Butterworth design, the zero-phase
-filter (two convolutions with the filter's causal response) and the
-peak's band-limited upsampling follow scipy.signal's butter, sosfiltfilt
-and resample, and match them within rounding.
+The receiver runs on numpy alone.  The Butterworth design follows
+scipy.signal.butter, h is scipy.signal.sosfiltfilt's response to a unit
+impulse far from its input's ends, and the peak's band-limited upsampling
+follows scipy.signal.resample; each matches its scipy counterpart within
+rounding.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ DEFAULT_UPSAMPLE = 8
 DEFAULT_RSS_WINDOW = 70e-9      # s
 _CHIP_COUNT = 128
 _FILTER_ORDER = 4
-# samples of odd extension at each end, sosfiltfilt's default for
-# _FILTER_ORDER sections: 3 * (2 * sections + 1)
-_PADLEN = 3 * (2 * _FILTER_ORDER + 1)
 _PULSE_SUPPORT_SIGMAS = 6.0
 # |h| below this fraction of its peak is dropped, about a twentieth of the
 # peak's double-precision rounding
@@ -222,50 +220,16 @@ def _causal_response(band: Tuple[float, float], sample_rate: float,
     return np.array(g)
 
 
-def _zero_phase(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """scipy.signal.sosfiltfilt of x, given the filter's causal response g.
-
-    As there, x gets an odd extension of _PADLEN samples at each end, and
-    each pass starts in the steady state of a constant input equal to its
-    first sample.  The bandpass blocks DC, so that state outputs nothing,
-    and a pass is the filter of v - v[0] from rest: its convolution with
-    g.  The backward pass reverses, filters and reverses back, started
-    from the last sample.
-    """
-    if len(x) <= _PADLEN:
-        raise ValueError(f"bandpass needs more than {_PADLEN} samples, got {len(x)}")
-    ext = np.concatenate([2 * x[0] - x[_PADLEN:0:-1], x,
-                          2 * x[-1] - x[-2:-_PADLEN - 2:-1]])
-    m = len(ext)
-    ext -= ext[0]
-    y = np.convolve(ext, g)[:m]
-    y -= y[-1]
-    y = np.convolve(y[::-1], g)[:m][::-1]
-    return y[_PADLEN:m - _PADLEN]
-
-
-def bandpass(w: Waveform, band: Tuple[float, float] = DEFAULT_BAND) -> Waveform:
-    """Zero-phase Butterworth bandpass, so filtering adds no group delay.
-
-    Two convolutions with the filter's causal response (_zero_phase), at
-    any input length of more than _PADLEN samples.
-    """
-    g, _ = _responses(tuple(band), w.sample_rate)
-    return Waveform(_zero_phase(g, w.samples), w.sample_rate, w.t0)
-
-
 @functools.lru_cache(maxsize=8)
-def _responses(band: Tuple[float, float],
-               sample_rate: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The filter's causal response g and its zero-phase response h.
+def _responses(band: Tuple[float, float], sample_rate: float) -> np.ndarray:
+    """The filter's zero-phase impulse response h, h[len(h) // 2] at lag 0.
 
-    Each is cut where it falls below _IMPULSE_CUT of its peak.  h is
-    the zero-phase response to a unit impulse, h[len(h) // 2] at lag 0, so
-    that bandpass(x) = h * x away from the ends of x: the forward and the
-    backward pass make h[m] = sum_i g[i] g[i + |m|], the causal response
-    correlated with itself.  g decays as rho ** i for the largest pole
-    radius rho, so it is taken to 4 * reach samples, with rho ** reach at
-    the cut, and reach doubles until h's cut lies within reach.
+    A forward and a backward pass of the filter make h[m] = sum_i g[i]
+    g[i + |m|], the causal response g (_causal_response) correlated with
+    itself; h is cut where it falls below _IMPULSE_CUT of its peak.  g
+    decays as rho ** i for the largest pole radius rho, so it is taken to
+    4 * reach samples, with rho ** reach at the cut, and reach doubles
+    until h's cut lies within reach.
     """
     rho = np.abs(_butter_bandpass(band, sample_rate)[1]).max()
     reach = math.ceil(math.log(_IMPULSE_CUT) / math.log(rho))
@@ -276,10 +240,23 @@ def _responses(band: Tuple[float, float],
         if half < reach:
             break
         reach *= 2
-    g = g[:np.flatnonzero(np.abs(g) >= _IMPULSE_CUT * np.abs(g).max())[-1] + 1]
     h = np.concatenate([side[half:0:-1], side[:half + 1]])
-    g.flags.writeable = h.flags.writeable = False
-    return g, h
+    h.flags.writeable = False
+    return h
+
+
+def bandpass(w: Waveform) -> Waveform:
+    """The receiver's filter at DEFAULT_BAND: h * w, w read as 0 outside
+    its samples and h the zero-phase response (_responses), so filtering
+    adds no group delay.
+
+    The result covers the full support, len(w) + len(h) - 1 samples, and
+    starts len(h) // 2 samples before w's first.  correlate_and_detect's c is
+    this correlated with the template.
+    """
+    h = _responses(DEFAULT_BAND, w.sample_rate)
+    return Waveform(np.convolve(w.samples, h), w.sample_rate,
+                    w.t0 - (len(h) // 2) / w.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -329,41 +306,6 @@ class _Runs:
         return spectra
 
 
-def _filter_error(r: Waveform, g: np.ndarray, h: np.ndarray,
-                  j0: int, j1: int) -> np.ndarray:
-    """bandpass(r) - h * r over samples [j0, j1), each read as 0 outside r.
-
-    bandpass pads r's ends and starts its passes from initial conditions,
-    so the two differ only within len(h) // 2 samples of r's ends, where
-    their start-up transients have decayed below h's cut; h * r also spills
-    that far past them.  bandpass is applied to r[lo:hi] alone, the
-    samples that reach [j0, j1) through h: the transients of that cut die
-    out over the same half-length, so inside [j0, j1) it reads as
-    bandpass(r).
-    """
-    half = len(h) // 2
-    x = r.samples
-    lo, hi = max(j0 - half, 0), min(j1 + half, len(x))
-    seg = x[lo:hi]
-    d = -np.convolve(seg, h)[j0 - lo + half:j1 - lo + half]
-    a, b = max(j0, 0), min(j1, len(x))
-    d[a - j0:b - j0] += _zero_phase(g, seg)[a - lo:b - lo]
-    return d
-
-
-def _correlate_into(c: np.ndarray, first: int, d: np.ndarray, j0: int,
-                    t: np.ndarray) -> None:
-    """c[k - first] += sum_j d[j - j0] * t[j - k] at every lag k that c holds."""
-    lo = max(first, j0 - len(t) + 1)
-    hi = min(first + len(c), j0 + len(d))
-    if lo >= hi:
-        return
-    # template samples j - k over those lags and d's span, 0 outside t
-    i0, i1 = j0 - hi + 1, j0 + len(d) - lo
-    seg = np.pad(t[max(i0, 0):min(i1, len(t))], (max(-i0, 0), max(i1 - len(t), 0)))
-    c[lo - first:hi - first] += np.correlate(seg, d, "valid")[::-1]
-
-
 def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     """Filter, correlate with the template, and read the peak time.
 
@@ -382,29 +324,23 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     longer window that runs past them raises WindowOutOfSupport in
     rss_from_correlation.
 
-    r is filtered at DEFAULT_BAND, so it needs more than _PADLEN samples
-    and a sample rate above twice the band's upper edge.  The bandpass is
-    folded into the template: away from r's ends, bandpass(r) is h * r for
-    the filter's zero-phase impulse response h (_responses), so c is r
-    correlated with u, the template correlated with h, kept over the
+    r is filtered at DEFAULT_BAND, so its sample rate must exceed twice
+    the band's upper edge.  The filtered input is h * r (bandpass), so c is
+    r correlated with u, the template correlated with h, kept over the
     template's widened non-zero runs (_Runs, one per sample rate on the
-    template).  The runs are correlated with their windows of r in one
-    batched rfft at the runs' FFT length n, against their spectra, summed
-    over runs and brought back by one irfft.  A window yields n - width + 1
-    lags onto which no other lag aliases (overlap-save), so the kept lags
-    take one such block on the default train for delays up to about 26 ns.
-    Near r's ends bandpass(r) - h * r is computed by filtering short end
-    segments (_filter_error) and correlated with the template directly.
-    Over the kept lags c matches the full correlation of bandpass(r) with
-    the template within rounding.  The peak is refined by band-limited
-    (FFT) resampling, by DEFAULT_UPSAMPLE, of a window around the coarse
-    peak.
+    template).  The runs are correlated with their windows of r, read as 0
+    outside its samples, in one batched rfft at the runs' FFT length n,
+    against their spectra, summed over runs and brought back by one irfft.
+    A window yields n - width + 1 lags onto which no other lag aliases
+    (overlap-save), so the kept lags take one such block on the default
+    train for delays up to about 26 ns.  Over the kept lags c is
+    bandpass(r) correlated with the template, within rounding.  The peak is
+    refined by band-limited (FFT) resampling, by DEFAULT_UPSAMPLE, of a
+    window around the coarse peak.
     """
     len_r, len_t = len(r.samples), len(template.samples)
     if len_t == 0:
         raise EmptyInput("template has no samples")
-    if len_r <= _PADLEN:
-        raise EmptyInput(f"input has {len_r} samples; filtering needs at least {_PADLEN + 1}")
     if len_t > len_r:
         raise TemplateTooLong(f"template ({len_t}) longer than input ({len_r})")
     if r.sample_rate != template.sample_rate:
@@ -416,9 +352,9 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     first = -before
     extra = before + min(after, len_t - 1) + 1  # kept lags past the full-overlap ones
     lags = len_r - len_t + extra
-    g, h = _responses(DEFAULT_BAND, fs)
     runs = template._runs.get(fs)
     if runs is None:
+        h = _responses(DEFAULT_BAND, fs)
         runs = template._runs[fs] = _Runs.of(template.samples, h, extra)
     n = runs.n
     step = n - runs.width + 1  # lags per block
@@ -435,11 +371,6 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     spectrum = np.fft.rfft(windows)
     spectrum *= runs.spectra[:, None]
     c = np.fft.irfft(spectrum.sum(axis=0), n)[:, :step].ravel()[:lags]
-    edge = len(h) // 2
-    a = min(edge, len_r)
-    b = max(len_r - edge, a)
-    for j0, j1 in ((-edge, a), (b, len_r + edge)):
-        _correlate_into(c, first, _filter_error(r, g, h, j0, j1), j0, template.samples)
     t0 = (r.t0 - template.t0) - before / fs
 
     k = before + int(np.argmax(np.abs(c[before:before + len_r - len_t + 1])))

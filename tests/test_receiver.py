@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import signal
 
 from rssdloc import receiver
@@ -54,16 +54,33 @@ def reference_signal(spec, delay, attenuation_db, sample_rate=DEFAULT_SAMPLE_RAT
     return out
 
 
+# half-length of the reference zero-phase response, past the package's own
+# (268 samples at 12.5 GHz, where its tail falls below 1e-17 of its peak)
+REF_HALF = 1024
+
+
+@functools.lru_cache(maxsize=None)
+def zero_phase_response(band, sample_rate):
+    """h_ref: sosfiltfilt's response to a unit impulse far from the ends of
+    its input, over lags -REF_HALF..REF_HALF, from a fresh filter design."""
+    sos = signal.butter(4, band, btype="bandpass", fs=sample_rate, output="sos")
+    impulse = np.zeros(4 * REF_HALF + 1)
+    impulse[2 * REF_HALF] = 1.0
+    return signal.sosfiltfilt(sos, impulse)[REF_HALF:3 * REF_HALF + 1]
+
+
 def reference_correlate(r, template):
     """(c, t0, k, peak_time) by a fresh filter design and signal.correlate.
 
-    c is the full cross-correlation of the input filtered at DEFAULT_BAND,
-    and k its coarse peak: the first largest |c| over the full-overlap lags.
+    The input is filtered as h_ref * r, r read as 0 outside its samples,
+    and c is its cross-correlation with the template over the lags of r's
+    own full correlation, -(len_t - 1) to len_r - 1; k is the coarse peak,
+    the first largest |c| over the full-overlap lags.
     """
     fs = r.sample_rate
-    sos = signal.butter(4, DEFAULT_BAND, btype="bandpass", fs=fs, output="sos")
-    x = signal.sosfiltfilt(sos, r.samples)
+    x = signal.fftconvolve(r.samples, zero_phase_response(DEFAULT_BAND, fs))
     c = signal.correlate(x, template.samples, mode="full", method="fft")
+    c = c[REF_HALF:REF_HALF + len(r.samples) + len(template.samples) - 1]
     t0 = (r.t0 - template.t0) - (len(template.samples) - 1) / fs
     lag0 = len(template.samples) - 1
     k = lag0 + int(np.argmax(np.abs(c[lag0:len(r.samples)])))
@@ -261,45 +278,77 @@ class TestBandpass:
         assert np.allclose(np.sort_complex(p), np.sort_complex(p0), rtol=0, atol=1e-12)
         assert k == pytest.approx(k0, rel=1e-12)
 
+    @pytest.mark.parametrize("band", [DEFAULT_BAND, (2.0e9, 4.2e9)])
+    @pytest.mark.parametrize("sample_rate", [10e9, DEFAULT_SAMPLE_RATE])
+    def test_zero_phase_response_matches_sosfiltfilt(self, band, sample_rate):
+        # h is sosfiltfilt's response to a unit impulse far from the ends
+        h = receiver._responses(band, sample_rate)
+        expected = zero_phase_response(band, sample_rate)
+        half = len(h) // 2
+        assert len(h) == 2 * half + 1 and half < REF_HALF
+        got = np.zeros_like(expected)
+        got[REF_HALF - half:REF_HALF + half + 1] = h
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @staticmethod
+    def assert_filters(x, sample_rate, t0=0.0):
+        """bandpass(x) is h_ref * x over its full support and, where h's
+        reach stays inside x, sosfiltfilt(x)."""
+        w = receiver.bandpass(Waveform(x, sample_rate, t0))
+        h_ref = zero_phase_response(DEFAULT_BAND, sample_rate)
+        half = (len(w.samples) - len(x)) // 2
+        assert len(w.samples) == len(x) + 2 * half
+        assert w.sample_rate == sample_rate
+        assert w.t0 == t0 - half / sample_rate
+        full = signal.fftconvolve(x, h_ref)[REF_HALF - half:REF_HALF + half + len(x)]
+        assert np.max(np.abs(w.samples - full)) <= 1e-12 * np.max(np.abs(full))
+        if len(x) > 2 * half:
+            sos = signal.butter(4, DEFAULT_BAND, btype="bandpass", fs=sample_rate,
+                                output="sos")
+            expected = signal.sosfiltfilt(sos, x)[half:len(x) - half]
+            inside = w.samples[2 * half:len(x)]
+            assert np.max(np.abs(inside - expected)) <= 1e-12 * np.max(np.abs(full))
+
     @settings(max_examples=60, deadline=None)
-    @given(length=st.integers(28, 600) | st.integers(601, 4000),
-           band=st.sampled_from([DEFAULT_BAND, (2.0e9, 4.2e9)]),
+    @given(length=st.integers(1, 600) | st.integers(601, 4000),
            sample_rate=st.sampled_from([10e9, DEFAULT_SAMPLE_RATE]),
            t0=st.floats(-5e-9, 5e-9),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_sosfiltfilt(self, length, band, sample_rate, t0, seed):
-        # one path at every length: two convolutions with the filter's
-        # causal response, short and long inputs alike
+    def test_matches_sosfiltfilt(self, length, sample_rate, t0, seed):
+        # one path at every length, inputs shorter than the filter's reach
+        # included
         x = np.random.default_rng(seed).normal(size=length)
-        sos = signal.butter(4, band, btype="bandpass", fs=sample_rate, output="sos")
-        expected = signal.sosfiltfilt(sos, x)
-        w = receiver.bandpass(Waveform(x, sample_rate, t0), band)
-        assert (w.sample_rate, w.t0) == (sample_rate, t0)
-        assert np.max(np.abs(w.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
+        self.assert_filters(x, sample_rate, t0)
 
     def test_default_train_length_matches_sosfiltfilt(self, spec):
         # the noisy default train, 529,213 samples
         x = generate_signal(spec, 0.0, 0.0, noise_std=0.1,
                             rng=np.random.default_rng(0)).samples
         assert len(x) == 529_213
-        sos = signal.butter(4, DEFAULT_BAND, btype="bandpass", fs=DEFAULT_SAMPLE_RATE,
-                            output="sos")
-        expected = signal.sosfiltfilt(sos, x)
-        w = receiver.bandpass(Waveform(x, DEFAULT_SAMPLE_RATE))
-        assert np.max(np.abs(w.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
+        self.assert_filters(x, DEFAULT_SAMPLE_RATE)
+
+    def test_correlation_reads_bandpass(self):
+        # c over the kept lags is bandpass(r) correlated with the template
+        spec = SignalSpec(prf=SHORT_PRFS[1])
+        template = short_template(SHORT_PRFS[1], DEFAULT_SAMPLE_RATE, 0.0)
+        r = generate_signal(spec, 7e-9, -3.0, noise_std=0.3, rng=np.random.default_rng(2))
+        x = receiver.bandpass(r)
+        half = (len(x.samples) - len(r.samples)) // 2
+        full = signal.correlate(x.samples, template.samples, mode="full", method="direct")
+        first, last = kept_lags(r, template)
+        lag0 = len(template.samples) - 1 + half  # index of lag 0 in full
+        res = correlate_and_detect(r, template)
+        expected = full[lag0 + first:lag0 + last + 1]
+        assert np.max(np.abs(res.c.samples - expected)) <= 1e-12 * np.max(np.abs(full))
+        assert res.c.t0 == pytest.approx(x.t0 - template.t0 + (half + first) / x.sample_rate,
+                                         abs=1e-21)
 
     @pytest.mark.parametrize("band", [(2.0e9, 7.0e9), (3.9e9, 2.3e9),
                                       (2.3e9, 6.25e9), (0.0, 3.9e9)])
     def test_band_outside_nyquist_rejected(self, band):
         # 0 < f_low < f_high < fs / 2 = 6.25 GHz, checked in the filter design
-        w = Waveform(np.ones(100), DEFAULT_SAMPLE_RATE)
         with pytest.raises(ValueError, match="band must satisfy"):
-            receiver.bandpass(w, band)
-
-    def test_input_within_padding_rejected(self):
-        # sosfiltfilt's odd extension takes 27 samples at each end
-        with pytest.raises(ValueError, match="more than 27 samples"):
-            receiver.bandpass(Waveform(np.ones(27), DEFAULT_SAMPLE_RATE))
+            receiver._butter_bandpass(band, DEFAULT_SAMPLE_RATE)
 
 
 class TestCorrelateAndDetect:
@@ -339,17 +388,19 @@ class TestCorrelateAndDetect:
             correlate_and_detect(Waveform(np.ones(100), 1e10), Waveform(np.zeros(0), 1e10))
 
     @pytest.mark.parametrize("length", [4, 27])
-    def test_input_too_short_to_filter(self, length):
-        # sosfiltfilt's odd extension takes 27 samples at each end
-        template = Waveform(np.ones(3), DEFAULT_SAMPLE_RATE)
-        with pytest.raises(EmptyInput, match=f"input has {length} samples.* at least 28"):
-            correlate_and_detect(Waveform(np.ones(length), DEFAULT_SAMPLE_RATE), template)
+    def test_short_input_matches_reference(self, length):
+        # inputs far shorter than the filter's reach filter like any other
+        rng = np.random.default_rng(length)
+        TestAgainstReferencePath.assert_same(
+            Waveform(rng.normal(size=length), DEFAULT_SAMPLE_RATE),
+            Waveform(rng.normal(size=3), DEFAULT_SAMPLE_RATE))
 
     def test_shortest_filterable_input(self):
+        # one sample against a one-sample template
         rng = np.random.default_rng(6)
         TestAgainstReferencePath.assert_same(
-            Waveform(rng.normal(size=28), DEFAULT_SAMPLE_RATE),
-            Waveform(rng.normal(size=3), DEFAULT_SAMPLE_RATE))
+            Waveform(rng.normal(size=1), DEFAULT_SAMPLE_RATE),
+            Waveform(rng.normal(size=1), DEFAULT_SAMPLE_RATE))
 
     def test_sample_rate_at_twice_band_edge_rejected(self):
         # DEFAULT_BAND's 3.9 GHz edge needs fs > 7.8 GHz
@@ -361,7 +412,8 @@ class TestCorrelateAndDetect:
 class TestAgainstReferencePath:
     """correlate_and_detect keeps the plain scipy path's lags and peak.
 
-    The reference is the full cross-correlation.  Over the kept lags, which
+    The reference is the cross-correlation of h_ref * r with the template
+    over all the lags of r's full correlation.  Over the kept lags, which
     hold every sample the upsampling and the RSS readout read, c agrees
     within C_TOL of max|c| (the kept lags come from a transform of another
     length, so not bit for bit).  The coarse peak is at the same lag, times
@@ -441,7 +493,6 @@ class TestAgainstReferencePath:
         # starts at r's first sample or ends at its last
         rng = np.random.default_rng(seed)
         t = sparse_train(pulses, rng)
-        assume(len(t) + extra > 30)  # sosfiltfilt's padding needs 28 samples
         samples = rng.normal(0.0, noise_std, size=len(t) + extra)
         offset = extra if flush_last else 0
         samples[offset:offset + len(t)] += t
