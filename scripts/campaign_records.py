@@ -50,30 +50,34 @@ def receiver_chains(seed: int, count: int) -> list:
     return out
 
 
+def campaign(s, trials, db=None) -> dict:
+    """{"records": [[trial, epoch, x, y], ...], "tdoa_fallbacks": n} over
+    the given trials of one scenario, x and y as float.hex strings."""
+    from rssdloc.harness import run_trial
+
+    reports = [(k, run_trial(s, k, db)) for k in trials]
+    return {"records": [[k, e, r.estimate.x.hex(), r.estimate.y.hex()]
+                        for k, rep in reports for e, r in enumerate(rep.records)],
+            "tdoa_fallbacks": sum(rep.tdoa_fallbacks for _, rep in reports)}
+
+
 def dump(seed: int, trials: int) -> dict:
-    """{campaign: {"records": [[trial, epoch, x, y], ...], "tdoa_fallbacks": n}},
-    x and y as float.hex strings, and "receiver": receiver_chains(seed, trials)."""
-    from rssdloc.harness import run_trial, scenario_db
+    """{name: campaign(...)} over trials 0 to trials - 1 of each acceptance
+    campaign, and "receiver": receiver_chains(seed, trials)."""
+    from rssdloc.harness import scenario_db
     from rssdloc.scenario import Mode, load_scenario
     from rssdloc.solver import AntennaModel
-
-    def campaign(s, db=None) -> dict:
-        reports = [run_trial(s, k, db) for k in range(trials)]
-        return {"records": [[k, e, r.estimate.x.hex(), r.estimate.y.hex()]
-                            for k, rep in enumerate(reports)
-                            for e, r in enumerate(rep.records)],
-                "tdoa_fallbacks": sum(rep.tdoa_fallbacks for rep in reports)}
 
     overrides = {"seed": seed, "trials": trials}
     sim = load_scenario(SCENARIOS / "sim_8x8.yaml", overrides)
     out = {f"{antenna.value}/{mode.value}":
-           campaign(sim.with_antenna_model(antenna).with_mode(mode))
+           campaign(sim.with_antenna_model(antenna).with_mode(mode), range(trials))
            for antenna in (AntennaModel.DIRECTIONAL, AntennaModel.OMNI)
            for mode in (Mode.SIM_RSSD, Mode.SIM_RSSD_TDOA)}
     fp = load_scenario(SCENARIOS / "fp_3x3.yaml", overrides)
     db = scenario_db(fp)
     for mode in (Mode.FP_RSSD, Mode.FP_RSSD_TDOA):
-        out[f"fp_3x3/{mode.value}"] = campaign(fp.with_mode(mode), db)
+        out[f"fp_3x3/{mode.value}"] = campaign(fp.with_mode(mode), range(trials), db)
     out["receiver"] = receiver_chains(seed, trials)
     return out
 

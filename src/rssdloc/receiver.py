@@ -12,7 +12,10 @@ order-4 Butterworth bandpass.  The filter and the correlation are one
 step.  The template correlated with h is kept on the template over the
 runs around its non-zero samples (the 128 pulses of the default train),
 with their spectra at one FFT length.  Each call correlates those runs'
-windows of r in one batched transform of fixed-size overlap-save blocks.
+windows of r in fixed-size overlap-save blocks, transformed in batches of
+_CHUNK_RUNS runs and summed in run order.  A chain holds about one
+input-sized array at a time: generate_signal draws its noise into its
+output and adds the pulses at their samples.
 
 The receiver runs on numpy alone.  The Butterworth design follows
 scipy.signal.butter, h is scipy.signal.sosfiltfilt's response to a unit
@@ -45,6 +48,7 @@ _PULSE_SUPPORT_SIGMAS = 6.0
 _IMPULSE_CUT = 1e-17
 _UPSAMPLE_HALF_WIDTH = 256      # samples upsampled either side of the coarse peak
 _FINE_REACH = 2                 # samples either side of it searched for the fine peak
+_CHUNK_RUNS = 16                # template runs whose windows are transformed at once
 
 
 @dataclass
@@ -126,6 +130,12 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
     Each chip is a Gaussian-modulated sinusoid at the band center; the whole
     train is shifted by `delay` (finite and >= 0, not only whole samples),
     scaled by the dB attenuation, and optionally buried in white noise.
+
+    The noise is drawn into the output itself, as noise_std times standard
+    normal draws, which is rng.normal(0, noise_std, n) draw for draw, and
+    the pulses are added at their own samples: each sample's pulses are
+    summed in chip order, where the pulses of a high-PRF train overlap, and
+    then added to its noise.  So the call holds one input-sized array.
     """
     _require_nyquist(spec.band[1], sample_rate)
     if not (math.isfinite(delay) and delay >= 0):
@@ -134,12 +144,13 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
         raise ValueError(f"attenuation_db must be finite, got {attenuation_db}")
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if noise_std > 0 and rng is None:
+        raise ValueError("noise_std > 0 requires an rng")
     sigma = spec.pulse_sigma
     fc = spec.center_frequency
     pad = _PULSE_SUPPORT_SIGMAS * sigma
     duration = delay + (len(spec.chips) - 1) / spec.prf + 2.0 * pad
     n = int(math.ceil(duration * sample_rate)) + 1
-    out = np.zeros(n)
     amp = 10.0 ** (attenuation_db / 20.0)
     # pulse k covers samples lo[k] + j for j < hi[k] - lo[k]
     tc = delay + pad + np.arange(len(spec.chips)) / spec.prf
@@ -151,12 +162,17 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
     pulses = (spec.chips[:, None] * amp * np.exp(-0.5 * (tk / sigma) ** 2)
               * np.cos(2.0 * math.pi * fc * tk))
     within = j < (hi - lo)[:, None]
-    # in chip order, where the pulses of a high-PRF train overlap
-    np.add.at(out, idx[within], pulses[within])
+    # summed from 0 in chip order, then added to the noise: the rounding of
+    # a zeroed train plus noise, where the pulses of a high-PRF train overlap
+    at, where = np.unique(idx[within], return_inverse=True)
+    train = np.zeros(len(at))
+    np.add.at(train, where, pulses[within])
     if noise_std > 0:
-        if rng is None:
-            raise ValueError("noise_std > 0 requires an rng")
-        out += rng.normal(0.0, noise_std, size=n)
+        out = rng.standard_normal(n)
+        out *= noise_std
+    else:
+        out = np.zeros(n)
+    out[at] += train
     return Waveform(out, sample_rate, 0.0)
 
 
@@ -295,8 +311,9 @@ class _Runs:
     def spectra(self) -> np.ndarray:
         """Conjugated rfft of each row at length n, one row per run.
 
-        Built at first use, after that call's windows are transformed: built
-        before them, the long-lived array was measured to slow later calls.
+        Built at first use, after that call's first chunk of windows is
+        transformed: built before the windows, the long-lived array was
+        measured to slow later calls.
         """
         buf = np.zeros((len(self.rows), self.n))
         for b, row in zip(buf, self.rows):
@@ -329,8 +346,10 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     r correlated with u, the template correlated with h, kept over the
     template's widened non-zero runs (_Runs, one per sample rate on the
     template).  The runs are correlated with their windows of r, read as 0
-    outside its samples, in one batched rfft at the runs' FFT length n,
-    against their spectra, summed over runs and brought back by one irfft.
+    outside its samples, by batched rffts at the runs' FFT length n, one per
+    chunk of _CHUNK_RUNS runs, against their spectra; the products are
+    summed in run order, as one batch of every run would sum them, and
+    brought back by one irfft.
     A window yields n - width + 1 lags onto which no other lag aliases
     (overlap-save), so the kept lags take one such block on the default
     train for delays up to about 26 ns.  Over the kept lags c is
@@ -360,17 +379,27 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     step = n - runs.width + 1  # lags per block
     blocks = -(-lags // step)
 
-    # row (i, b) is r[starts[i] + first + b * step:][:n], read as 0 outside r
+    # run i's block b is r[starts[i] + first + b * step:][:n], read as 0
+    # outside r.  The products are summed in run order, as a sum over the
+    # first axis of one batch of every run adds them, so c does not depend
+    # on the chunk size: the running total goes into each chunk's first run
+    # before that chunk's sum.
     x = r.samples
-    windows = np.zeros((len(runs.starts), blocks, n))
     offsets = runs.starts[:, None] + first + step * np.arange(blocks)
-    for row, s in zip(windows.reshape(-1, n), offsets.ravel().tolist()):
-        lo, hi = max(s, 0), min(s + n, len_r)
-        if lo < hi:
-            row[lo - s:hi - s] = x[lo:hi]
-    spectrum = np.fft.rfft(windows)
-    spectrum *= runs.spectra[:, None]
-    c = np.fft.irfft(spectrum.sum(axis=0), n)[:, :step].ravel()[:lags]
+    total = None
+    for i in range(0, len(offsets), _CHUNK_RUNS):
+        chunk = offsets[i:i + _CHUNK_RUNS]
+        windows = np.zeros((len(chunk), blocks, n))
+        for row, s in zip(windows.reshape(-1, n), chunk.ravel().tolist()):
+            lo, hi = max(s, 0), min(s + n, len_r)
+            if lo < hi:
+                row[lo - s:hi - s] = x[lo:hi]
+        spectrum = np.fft.rfft(windows)
+        spectrum *= runs.spectra[i:i + _CHUNK_RUNS, None]
+        if total is not None:
+            spectrum[0] += total
+        total = spectrum.sum(axis=0)
+    c = np.fft.irfft(total, n)[:, :step].ravel()[:lags]
     t0 = (r.t0 - template.t0) - before / fs
 
     k = before + int(np.argmax(np.abs(c[before:before + len_r - len_t + 1])))

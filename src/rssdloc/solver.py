@@ -241,6 +241,7 @@ class _Coarse(NamedTuple):
     ux: np.ndarray        # (N, G) unit vector from the station toward the candidate
     uy: np.ndarray
     lc_max: np.float64    # largest |lc| column norm over the non-singular cells
+    log_max: np.float64   # largest |log10 d^2| over the non-singular cells
     singular: np.ndarray  # (G,) candidate within _SINGULAR_TOL of a station
 
 
@@ -254,16 +255,17 @@ def _coarse_tables(sx: Tuple[float, ...], sy: Tuple[float, ...], reg: SearchRegi
                          _grid(reg.y_min, reg.y_max, reg.coarse_step))
     x, y = gx.ravel(), gy.ravel()
     lc, ux, uy, singular = _Geometry.of(np.array(sx), np.array(sy), x, y)
+    singular = np.zeros(len(x), bool) if singular is None else singular
+    log_max = np.abs(lc).max(initial=0.0, where=~singular)
     lc -= lc.sum(axis=0) / len(sx)
     lc2 = np.einsum("ig,ig->g", lc, lc)
-    singular = np.zeros(len(x), bool) if singular is None else singular
     lc_max = np.sqrt(lc2.max(initial=0.0, where=~singular))
     # rebinding each name frees its float64 table before the next is
     # rounded, so the float64 and float32 tables never coexist in full
     lc = lc.astype(np.float32)
     ux = ux.astype(np.float32)
     uy = uy.astype(np.float32)
-    tables = _Coarse(x, y, lc, lc2.astype(np.float32), ux, uy, lc_max, singular)
+    tables = _Coarse(x, y, lc, lc2.astype(np.float32), ux, uy, lc_max, log_max, singular)
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -273,6 +275,7 @@ _STENCIL = np.arange(-2, 3)  # refine offsets, in steps
 _REFINE_SEEDS = 8  # coarse cells kept as refinement starting points
 _SHORTLIST = 2 * _REFINE_SEEDS  # coarse cells the expanded form passes on per epoch
 _U32 = 2.0 ** -24  # unit roundoff of float32
+_U64 = 2.0 ** -53  # unit roundoff of float64
 _CHUNK = 4  # epochs per coarse product and refinement; bounds their temporaries,
             # and keeps the float32 coarse product below the size at which
             # OpenBLAS splits it over threads: from 16 epochs that split made
@@ -338,14 +341,24 @@ def _rounding_bound(model: _Model, t: _Coarse) -> np.ndarray:
     max|Lc| over the finite cells and G the largest peak gain.  The bound
     holds for any order of summation, so for whichever kernel the BLAS
     picks.
+
+    The float64 log table and objective also err in absolute terms:
+    centring over stations cancels residuals of up to R = a (max|log10
+    d^2| + 1) + max|c| + G, so each centred residual errs by up to
+    delta = (N + 16) u64 R, however small it is (nearly coincident
+    stations), and each of the two moves q by up to
+    N (2 sqrt(N) span delta + N delta^2).
     """
     n = len(model.c)
-    gain = 0.0 if model.gcos is None else math.sqrt(n) * float(
-        np.hypot(model.gcos, model.gsin).max())
+    a = 5.0 * model.alpha
+    peak = 0.0 if model.gcos is None else float(np.hypot(model.gcos, model.gsin).max())
+    gain = math.sqrt(n) * peak
     span = np.sqrt(np.einsum("it,it->t", model.c, model.c))
-    span += 5.0 * model.alpha * t.lc_max + gain
+    span += a * t.lc_max + gain
     nu = (2 * n + 16) * _U32
-    return (n * nu / (1.0 - nu)) * (span * span + gain * gain)
+    delta = (n + 16) * _U64 * (a * (t.log_max + 1.0) + np.abs(model.c).max(axis=0) + peak)
+    return ((n * nu / (1.0 - nu)) * (span * span + gain * gain)
+            + 2 * n * (2 * math.sqrt(n) * span * delta + n * delta * delta))
 
 
 def _coarse_seeds(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:

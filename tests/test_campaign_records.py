@@ -3,7 +3,9 @@ committed dump of `scripts/campaign_records.py dump --seed 1 --trials 2`.
 
 A change that moves outputs on purpose re-records tests/data/
 campaign_records.json in the same change, after putting `compare`'s output
-for the old dump against the new one on record.
+for the old dump against the new one on record.  The same holds for
+tests/data/directional_trial_6.json, `campaign` over trial 6 of seed 1's
+DIRECTIONAL SIM_RSSD sim_8x8 campaign.
 """
 
 import importlib.util
@@ -13,6 +15,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "campaign_records.json"
 SEED, TRIALS = 1, 2
+# the first trial of that campaign whose estimates need the solver's
+# secondary refine seeds: with one seed, 3 of its 38 move by up to 7.08 cm
+BASIN_GOLDEN = ROOT / "tests" / "data" / "directional_trial_6.json"
+BASIN_TRIAL = 6
 # above a last-ulp flip of the TDOA line search (at most 4.9e-8 m) and far
 # below a real change of an estimate
 RECORD_TOL = 1e-6   # m
@@ -43,3 +49,17 @@ def test_campaign_records_match_golden_dump():
     assert chains is not None
     assert all(dt == 0.0 for dt, _ in chains)
     assert max((rel for _, rel in chains), default=0.0) <= RSS_TOL
+
+
+def test_directional_trial_needing_secondary_refine_seeds():
+    from rssdloc.scenario import Mode, load_scenario
+    from rssdloc.solver import AntennaModel
+
+    records = load_records()
+    golden = json.loads(BASIN_GOLDEN.read_text())
+    s = (load_scenario(records.SCENARIOS / "sim_8x8.yaml", {"seed": SEED})
+         .with_antenna_model(AntennaModel.DIRECTIONAL).with_mode(Mode.SIM_RSSD))
+    moves = records.record_moves(golden["records"],
+                                 records.campaign(s, [BASIN_TRIAL])["records"])
+    assert moves is not None
+    assert max(moves, default=0.0) <= RECORD_TOL

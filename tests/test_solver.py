@@ -6,10 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rssdloc import solver
-from rssdloc.channel import ChannelParams, TdoaNoiseParams, simulate_measurements
+from rssdloc.channel import ChannelParams, MeasurementSet, TdoaNoiseParams, simulate_measurements
 from rssdloc.errors import DegenerateHyperbola, MissingTdoa, SingularCandidate
 from rssdloc.fingerprint import refine_with_tdoa
 from rssdloc.geometry import (
@@ -679,6 +679,15 @@ class TestAgainstPairForm:
 
     @settings(max_examples=60, deadline=None)
     @given(stacks(max_epochs=5))
+    # stations 1e-114 m apart, so that the objective is nothing but the
+    # rounding of its float64 centring over stations
+    @example((SolverConfig(ChannelParams(alpha=2.0, sigma_beta=0.0),
+                           [BaseStation(i + 1, Point2D(0.0, y), Role.RSS_ONLY, OmniAntenna())
+                            for i, y in enumerate((0.0, 3.7633328214897485e-114,
+                                                   5.463124612131651e-132))],
+                           SearchRegion(-3.5, 3.5, -3.5, 3.5, coarse_step=0.1,
+                                        refine_iterations=0), AntennaModel.OMNI),
+              [MeasurementSet(np.array([1, 2, 3]), np.zeros(3))]))
     def test_expanded_coarse_form_matches_evaluate(self, stack):
         cfg, ms = stack
         model = _Model.build(cfg, ms)
