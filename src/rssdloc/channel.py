@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,56 +115,101 @@ def centred(rss: np.ndarray) -> np.ndarray:
 def received_power(params: ChannelParams, d, beta):
     """Log-distance received power in dBm for a caller-supplied fading draw.
 
-    d and beta are scalars or arrays that broadcast together.
+    d and beta are scalars or arrays that broadcast together.  A distance
+    that is not > 0, NaN included, raises NonPositiveDistance naming the
+    first one.
     """
-    if np.less_equal(d, 0).any():
-        raise NonPositiveDistance(f"distance must be > 0, got {d}")
+    d = np.asarray(d)
+    # argmin finds a NaN or the least distance in less time than a
+    # reduction takes to start on a few stations
+    if d.size and not d.item(d.argmin()) > 0:
+        raise NonPositiveDistance(f"distance must be > 0, got {d[~(d > 0)].flat[0]}")
     return params.p0 - 10.0 * params.alpha * np.log10(np.divide(d, params.d0)) + beta
 
 
-def simulate_rss(bs: Layout, mu: Point2D, params: ChannelParams,
-                 rng: np.random.Generator) -> np.ndarray:
-    """The (N,) RSS vector at the true MU position, in the station table's order.
+Positions = Union[Point2D, Sequence[Point2D]]
 
-    Shadow fading is drawn i.i.d. per station in ascending id order, so the
-    draw sequence is reproducible and identical across solver modes.
+
+def simulate_rss(bs: Layout, mu: Positions, params: ChannelParams,
+                 rng: np.random.Generator, *, z: Optional[np.ndarray] = None) -> np.ndarray:
+    """The RSS at the true MU position, (N,) in the station table's order,
+    or at each of a sequence of T positions, (T, N).
+
+    Shadow fading is sigma_beta times a standard normal, i.i.d. per station
+    and epoch, drawn epoch by epoch in ascending id order, so the draw
+    sequence is reproducible and identical across solver modes.  z, when
+    given, is that (T, N) block of standard normals, drawn by the caller
+    together with other columns; otherwise it is drawn from rng.  With
+    sigma_beta = 0 nothing is drawn and z is not read.  A position within 1 nm of an RSS
+    station raises CoincidentPosition naming it, for the first such epoch.
     """
     st = Stations.of(bs)
     if len(st.ids) < 2:
         raise TooFewStations(f"need >= 2 RSS stations, got {len(st.ids)}")
-    dx, dy = mu.x - st.x, mu.y - st.y
+    single = isinstance(mu, Point2D)
+    ps = [mu] if single else mu
+    if len(ps) == 1:  # one epoch runs on (N,) rows, the cheapest shape
+        x, y = ps[0].x, ps[0].y
+    else:
+        xy = np.array([(p.x, p.y) for p in ps]).reshape(-1, 2)
+        x, y = xy[:, :1], xy[:, 1:]
+    dx, dy = x - st.x, y - st.y
     d = np.hypot(dx, dy)
-    if d.min() < _COINCIDENCE_TOL:
-        raise CoincidentPosition(f"MU coincides with station {st.ids[d.argmin()]}")
-    beta = rng.normal(0.0, params.sigma_beta, len(d)) if params.sigma_beta > 0 else 0.0
+    if d.size and d.item(d.argmin()) < _COINCIDENCE_TOL:  # argmin as in received_power
+        rows = d.reshape(-1, len(st.ids))
+        e = (rows < _COINCIDENCE_TOL).any(axis=1).argmax()
+        raise CoincidentPosition(f"MU coincides with station {st.ids[rows[e].argmin()]}")
+    beta = 0.0
+    if params.sigma_beta > 0:
+        beta = (rng.standard_normal(d.shape) if z is None else z.reshape(d.shape)) * params.sigma_beta
     rss = received_power(params, d, beta)
     rss += cosine_gain(st.gcos, st.gsin, dx / d, dy / d)
     rss -= st.bias_db
-    return rss
+    return rss[None] if len(ps) == 1 and not single else rss
 
 
-def simulate_measurements(bs: Layout, mu: Point2D,
+def simulate_measurements(bs: Layout, mu: Positions,
                           params: ChannelParams,
                           tdoa_params: TdoaNoiseParams,
-                          rng: np.random.Generator) -> MeasurementSet:
-    """Simulate one localization epoch: the RSS vector plus the TDOA value.
+                          rng: np.random.Generator
+                          ) -> Union[MeasurementSet, List[MeasurementSet]]:
+    """Simulate a localization epoch at one position, giving one
+    MeasurementSet, or epochs at a sequence of T positions, giving a list.
 
-    The TDOA draw happens after the fading draws whether or not the caller
-    uses it, keeping RNG streams aligned across solver modes.
+    Each epoch draws its N fading normals, then its TDOA normal whether or
+    not the caller uses it, keeping RNG streams aligned across solver
+    modes.  A call draws all of them as one (T, columns) block of standard
+    normals and scales each column, so a stack equals T single calls bit
+    for bit, the generator's state included, and it raises what the first
+    failing of those calls would raise.  T = 0 draws nothing.
     """
     st = Stations.of(bs)
-    rss = simulate_rss(st, mu, params, rng)
-
-    tdoa = None
-    pair = st.pair()
+    single = isinstance(mu, Point2D)
+    ps = [mu] if single else list(mu)
+    if not ps:
+        return []
+    try:
+        pair = st.pair()
+    except ValueError:
+        simulate_rss(st, ps[0], params, rng)  # the first epoch's RSS is checked first
+        raise
+    fading = len(st.ids) if params.sigma_beta > 0 else 0
+    noisy = pair is not None and tdoa_params.sigma_tdoa > 0
+    z = rng.standard_normal((len(ps), fading + noisy))
+    tdoa = [None] * len(ps)
     if pair is not None:
         k, l = pair
-        dk, dl = distance(mu, st.tdoa[k]), distance(mu, st.tdoa[l])
-        if min(dk, dl) < _COINCIDENCE_TOL:
-            raise CoincidentPosition("MU coincides with a TDOA station")
-        dt = (dk - dl) / SPEED_OF_LIGHT
-        if tdoa_params.sigma_tdoa > 0:
-            dt += rng.normal(0.0, tdoa_params.sigma_tdoa)
-        tdoa = (k, l, dt)
-
-    return MeasurementSet(st.ids, rss, tdoa)
+        a, b = st.tdoa[k], st.tdoa[l]
+        for e, p in enumerate(ps):
+            # math.hypot per epoch: np.hypot is an ulp off on some epochs
+            dk, dl = distance(p, a), distance(p, b)
+            if min(dk, dl) < _COINCIDENCE_TOL:
+                simulate_rss(st, ps[:e + 1], params, rng)  # as is the RSS of each epoch up to e
+                raise CoincidentPosition("MU coincides with a TDOA station")
+            dt = (dk - dl) / SPEED_OF_LIGHT
+            if noisy:
+                dt += tdoa_params.sigma_tdoa * z.item(e, fading)
+            tdoa[e] = (k, l, dt)
+    rss = simulate_rss(st, ps, params, rng, z=z[:, :fading])
+    ms = [MeasurementSet(st.ids, rss[e], tdoa[e]) for e in range(len(ps))]
+    return ms[0] if single else ms

@@ -139,20 +139,19 @@ def build_db(bs: Layout, area: SearchRegion, grid_step: float,
     ny = int(math.floor((area.y_max - area.y_min) / grid_step + 1e-9))
     st = Stations.of(bs)
 
-    positions, vectors = [], []
+    points = []
     for iy in range(ny + 1):
         y = area.y_min + iy * grid_step
         for ix in range(nx + 1):
-            x = area.x_min + ix * grid_step
-            p = Point2D(x, y)
-            if any(abs(p.x - e.x) < _EXCLUDE_TOL and abs(p.y - e.y) < _EXCLUDE_TOL
-                   for e in excluded):
-                continue
-            positions.append([x, y])
-            vectors.append(simulate_rss(st, p, channel, rng))
-    if not positions:
+            p = Point2D(area.x_min + ix * grid_step, y)
+            if not any(abs(p.x - e.x) < _EXCLUDE_TOL and abs(p.y - e.y) < _EXCLUDE_TOL
+                       for e in excluded):
+                points.append(p)
+    if not points:
         raise EmptyGrid("every grid point was excluded")
-    return FingerprintDB(np.array(positions), np.array(vectors), st.ids.tolist())
+    # the whole grid in one draw, point by point as a per-point loop draws
+    rss = simulate_rss(st, points, channel, rng)
+    return FingerprintDB(np.array([(p.x, p.y) for p in points]), rss, st.ids.tolist())
 
 
 def coarse_estimate(db: FingerprintDB, meas):

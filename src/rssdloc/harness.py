@@ -1,9 +1,9 @@
 """Closed-loop Monte Carlo experiment runner and metrics.
 
 Every mode runs one loop over chunks of epochs: the channel is sampled at
-each true position of the chunk with the antennas' current boresights, the
-mode's locate step estimates the whole chunk in one call, and the estimates
-are scored.  The mode picks, once per trial, the track, whether its start
+the chunk's true positions in one stacked call, with the antennas' current
+boresights, the mode's locate step estimates the whole chunk in one call,
+and the estimates are scored.  The mode picks, once per trial, the track, whether its start
 is known and unscored (in simulation), whether the antennas are re-pointed
 at each estimate (directional simulation), and the locate step.
 
@@ -186,10 +186,10 @@ def run_trial(s: Scenario, trial: int,
         if start < known:
             estimates = [pos for _, pos in chunk]
         else:
-            # solving draws nothing, so drawing a chunk's measurements first
-            # keeps the draws in epoch order
-            ms = [simulate_measurements(now, pos, s.channel, s.tdoa_noise, rng)
-                  for _, pos in chunk]
+            # solving draws nothing, so drawing a chunk's measurements in one
+            # call first keeps the draws in epoch order
+            ms = simulate_measurements(now, [pos for _, pos in chunk], s.channel,
+                                       s.tdoa_noise, rng)
             estimates, fell_back = locate(s, db, now, ms)
             fallbacks += fell_back
         records += [EpochRecord(t, pos, est, distance(pos, est), dict(theta))

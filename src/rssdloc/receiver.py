@@ -13,7 +13,7 @@ step.  The template correlated with h is kept on the template over the
 runs around its non-zero samples (the 128 pulses of the default train),
 with their spectra at one FFT length.  Each call correlates those runs'
 windows of r in fixed-size overlap-save blocks, transformed in batches of
-_CHUNK_RUNS runs and summed in run order.  A chain holds about one
+about _CHUNK_WINDOWS windows and summed in run order.  A chain holds about one
 input-sized array at a time: generate_signal draws its noise into its
 output and adds the pulses at their samples.
 
@@ -48,7 +48,7 @@ _PULSE_SUPPORT_SIGMAS = 6.0
 _IMPULSE_CUT = 1e-17
 _UPSAMPLE_HALF_WIDTH = 256      # samples upsampled either side of the coarse peak
 _FINE_REACH = 2                 # samples either side of it searched for the fine peak
-_CHUNK_RUNS = 16                # template runs whose windows are transformed at once
+_CHUNK_WINDOWS = 16             # windows transformed at once, whole runs, at least one run
 
 
 @dataclass
@@ -347,9 +347,10 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     template's widened non-zero runs (_Runs, one per sample rate on the
     template).  The runs are correlated with their windows of r, read as 0
     outside its samples, by batched rffts at the runs' FFT length n, one per
-    chunk of _CHUNK_RUNS runs, against their spectra; the products are
-    summed in run order, as one batch of every run would sum them, and
-    brought back by one irfft.
+    chunk of max(1, _CHUNK_WINDOWS // blocks) runs, so a chunk's transient
+    does not grow with the block count, against their spectra; the
+    products are summed in run order, as one batch of every run would sum
+    them, and brought back by one irfft.
     A window yields n - width + 1 lags onto which no other lag aliases
     (overlap-save), so the kept lags take one such block on the default
     train for delays up to about 26 ns.  Over the kept lags c is
@@ -386,16 +387,17 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     # before that chunk's sum.
     x = r.samples
     offsets = runs.starts[:, None] + first + step * np.arange(blocks)
+    per = max(1, _CHUNK_WINDOWS // blocks)  # runs per chunk
     total = None
-    for i in range(0, len(offsets), _CHUNK_RUNS):
-        chunk = offsets[i:i + _CHUNK_RUNS]
+    for i in range(0, len(offsets), per):
+        chunk = offsets[i:i + per]
         windows = np.zeros((len(chunk), blocks, n))
         for row, s in zip(windows.reshape(-1, n), chunk.ravel().tolist()):
             lo, hi = max(s, 0), min(s + n, len_r)
             if lo < hi:
                 row[lo - s:hi - s] = x[lo:hi]
         spectrum = np.fft.rfft(windows)
-        spectrum *= runs.spectra[i:i + _CHUNK_RUNS, None]
+        spectrum *= runs.spectra[i:i + per, None]
         if total is not None:
             spectrum[0] += total
         total = spectrum.sum(axis=0)

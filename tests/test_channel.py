@@ -49,6 +49,15 @@ class TestReceivedPower:
         with pytest.raises(NonPositiveDistance):
             received_power(p, 0.0, 0.0)
 
+    def test_nonpositive_distance_names_the_first(self):
+        # a (T, N) stack names its first non-positive entry, not every entry
+        p = ChannelParams(alpha=2.0, sigma_beta=0.0)
+        d = np.array([[1.0, 2.0, 3.0], [4.0, -0.5, 0.0]])
+        with pytest.raises(NonPositiveDistance, match=r"^distance must be > 0, got -0\.5$"):
+            received_power(p, d, 0.0)
+        with pytest.raises(NonPositiveDistance, match=r"got nan$"):
+            received_power(p, np.array([1.0, np.nan]), 0.0)
+
 
 def gain(peak, boresight, phi):
     """cosine_gain of an antenna with boresight azimuth `boresight` toward
@@ -301,3 +310,140 @@ class TestVectorChannel:
                                    rtol=0, atol=0)
         with pytest.raises(NonPositiveDistance):
             received_power(p, np.array([1.0, 0.0]), 0.0)
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+@st.composite
+def stack_cases(draw):
+    """Random RSS stations of either antenna layout (all omni, or some
+    directional), no TDOA pair or one, channel and TDOA noise levels with
+    either sigma 0, and 0 to 6 positions clear of every station."""
+    ids = draw(st.lists(st.integers(1, 99), min_size=2, max_size=8, unique=True))
+    coord = st.floats(-5.0, 5.0)
+    layout = draw(st.sampled_from(["omni", "directional"]))
+    bs = [BaseStation(i, Point2D(draw(coord), draw(coord)), Role.RSS_ONLY,
+                      OmniAntenna() if layout == "omni" else draw(antennas),
+                      draw(st.floats(-10.0, 10.0)))
+          for i in ids]
+    pair = draw(st.sampled_from(["none", "tdoa-only", "rss-tdoa"]))
+    if pair == "tdoa-only":
+        bs += [BaseStation(100 + k, Point2D(draw(coord), draw(coord)), Role.TDOA_ONLY)
+               for k in range(2)]
+    elif pair == "rss-tdoa":
+        bs[:2] = [BaseStation(b.id, b.position, Role.RSS_TDOA, b.antenna, b.bias_db)
+                  for b in bs[:2]]
+    params = ChannelParams(alpha=draw(st.floats(1.5, 4.0)),
+                           sigma_beta=draw(st.sampled_from([0.0, 1.0, 2.5])))
+    tdoa = TdoaNoiseParams(draw(st.sampled_from([0.0, 330e-12])))
+    ps = draw(st.lists(st.builds(Point2D, coord, coord), max_size=6))
+    assume(all(math.hypot(p.x - b.position.x, p.y - b.position.y) > 1e-3
+               for p in ps for b in bs))
+    return bs, ps, params, tdoa, draw(st.integers(0, 2**32 - 1))
+
+
+def epoch_reference(bs, mu, params, tdoa, rng):
+    """One epoch as the epoch-by-epoch code drew it, kept as the stack's
+    reference: N fading normals by rng.normal, then one TDOA normal when
+    the pair is noisy.  Gives (rss, tdoa)."""
+    table = Stations.of(bs)
+    dx, dy = mu.x - table.x, mu.y - table.y
+    d = np.hypot(dx, dy)
+    beta = rng.normal(0.0, params.sigma_beta, len(d)) if params.sigma_beta > 0 else 0.0
+    rss = received_power(params, d, beta)
+    rss += cosine_gain(table.gcos, table.gsin, dx / d, dy / d)
+    rss -= table.bias_db
+    pair = table.pair()
+    if pair is None:
+        return rss, None
+    (k, a), (l, b) = ((i, table.tdoa[i]) for i in pair)
+    dt = (math.hypot(mu.x - a.x, mu.y - a.y) - math.hypot(mu.x - b.x, mu.y - b.y)) / SPEED_OF_LIGHT
+    if tdoa.sigma_tdoa > 0:
+        dt += rng.normal(0.0, tdoa.sigma_tdoa)
+    return rss, (k, l, dt)
+
+
+class TestStackedChannel:
+    """A stack of T positions is T single-epoch calls, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack_cases())
+    def test_stack_equals_per_epoch_calls(self, case):
+        bs, ps, params, tdoa, seed = case
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        stack = simulate_measurements(bs, ps, params, tdoa, rngs[0])
+        loop = [simulate_measurements(bs, p, params, tdoa, rngs[1]) for p in ps]
+        reference = [epoch_reference(bs, p, params, tdoa, rngs[2]) for p in ps]
+        assert isinstance(stack, list) and len(stack) == len(loop) == len(ps)
+        for got, want, (rss, obs) in zip(stack, loop, reference):
+            assert got.ids.tolist() == want.ids.tolist()
+            assert got.rss.shape == want.rss.shape == rss.shape
+            assert bits(got.rss) == bits(want.rss) == bits(rss)
+            assert got.tdoa == want.tdoa == obs
+            if obs is not None:
+                assert bits(got.tdoa[2]) == bits(want.tdoa[2]) == bits(obs[2])
+                assert type(got.tdoa[2]) is float
+        assert (rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                == rngs[2].bit_generator.state)
+
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rss = simulate_rss(bs, ps, params, rng)
+        assert rss.shape == (len(ps), len(Stations.of(bs).ids))
+        assert bits(rss) == bits([simulate_rss(bs, p, params, ref_rng) for p in ps])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def first_error(call):
+    try:
+        call()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+TWO_PAIR = omni_bs([(0, 3), (2, 3)]) + [
+    BaseStation(9, Point2D(-2, 0), Role.TDOA_ONLY),
+    BaseStation(10, Point2D(2, 0), Role.TDOA_ONLY),
+]
+SHARED = omni_bs([(0, 3), (2, 3)]) + [BaseStation(9, Point2D(-2, 0), Role.RSS_TDOA),
+                                      BaseStation(10, Point2D(2, 0), Role.TDOA_ONLY)]
+THREE_TDOA = TWO_PAIR + [BaseStation(11, Point2D(0, -2), Role.TDOA_ONLY)]
+CLEAR = Point2D(0.5, 1.0)
+
+
+class TestStackErrors:
+    """A stack raises what the first failing single-epoch call would raise."""
+
+    @pytest.mark.parametrize("bs, ps, error", [
+        # a TDOA station at epoch 1 comes before an RSS station at epoch 2
+        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], "MU coincides with a TDOA station"),
+        # and an RSS station at epoch 1 before a TDOA station at epoch 2
+        (TWO_PAIR, [CLEAR, Point2D(0, 3), Point2D(2, 0)], "MU coincides with station 1"),
+        # within one epoch the RSS stations are checked first
+        (SHARED, [CLEAR, Point2D(-2, 0)], "MU coincides with station 9"),
+        # a third TDOA station fails the first epoch, after its RSS stations
+        (THREE_TDOA, [CLEAR, Point2D(0, 3)], "at most two stations may be TDOA-capable"),
+        (THREE_TDOA, [Point2D(2, 3), CLEAR], "MU coincides with station 2"),
+        (omni_bs([(0, 0)]) + TWO_PAIR[2:], [CLEAR, Point2D(2, 0)], "need >= 2 RSS stations"),
+    ], ids=["tdoa-then-rss", "rss-then-tdoa", "same-epoch", "third-tdoa-station",
+            "rss-before-third-tdoa-station", "too-few-stations"])
+    def test_first_error_of_the_loop(self, bs, ps, error):
+        noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
+        tdoa = TdoaNoiseParams(330e-12)
+        loop = first_error(lambda: [simulate_measurements(bs, p, noisy, tdoa,
+                                                          np.random.default_rng(0))
+                                    for p in ps])
+        stack = first_error(lambda: simulate_measurements(bs, ps, noisy, tdoa,
+                                                          np.random.default_rng(0)))
+        assert loop is not None and error in loop[1]
+        assert stack == loop
+
+    def test_rss_stack_names_the_first_epochs_station(self):
+        # epoch 1 meets station 2 and epoch 2 station 1
+        bs = omni_bs([(2, 2), (1, 1)])
+        ps = [Point2D(0, 0), Point2D(1, 1), Point2D(2, 2)]
+        noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
+        with pytest.raises(CoincidentPosition, match="^MU coincides with station 2$"):
+            simulate_rss(bs, ps, noisy, np.random.default_rng(0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rssdloc.channel import ChannelParams, received_power
+from rssdloc.channel import ChannelParams, received_power, simulate_rss
 from rssdloc.errors import DegenerateHyperbola, EmptyGrid, InvalidScenario, LengthMismatch
 from rssdloc.fingerprint import (
     CircularTrackParams,
@@ -46,7 +46,37 @@ def db():
                     np.random.default_rng(0))
 
 
+def looped_db(bs, area, grid_step, excluded, channel, rng):
+    """The per-point loop build_db replaced, kept as its reference: the grid
+    by rows of ascending y, each point's RSS drawn by its own simulate_rss
+    call."""
+    nx = int(math.floor((area.x_max - area.x_min) / grid_step + 1e-9))
+    ny = int(math.floor((area.y_max - area.y_min) / grid_step + 1e-9))
+    positions, vectors = [], []
+    for iy in range(ny + 1):
+        y = area.y_min + iy * grid_step
+        for ix in range(nx + 1):
+            x = area.x_min + ix * grid_step
+            if any(abs(x - e.x) < 1e-6 and abs(y - e.y) < 1e-6 for e in excluded):
+                continue
+            positions.append([x, y])
+            vectors.append(simulate_rss(bs, Point2D(x, y), channel, rng))
+    return np.array(positions), np.array(vectors)
+
+
 class TestBuildDb:
+    @pytest.mark.parametrize("sigma_beta", [0.0, 2.0])
+    def test_one_draw_equals_per_point_loop(self, sigma_beta):
+        channel = ChannelParams(alpha=2.1, sigma_beta=sigma_beta)
+        excluded = EXCLUDED_CORNERS + [Point2D(1.5, 1.5)]
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = build_db(CORNER_BS, AREA, 0.25, excluded, channel, rng)
+        positions, rss = looped_db(CORNER_BS, AREA, 0.25, excluded, channel, ref_rng)
+        assert got.positions.tobytes() == positions.tobytes()
+        assert got.rss.shape == rss.shape and got.rss.tobytes() == rss.tobytes()
+        assert got.bs_ids == [1, 2, 3, 4]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_full_grid_count(self):
         # grid points coincident with a station are excluded to stay finite
         full = build_db(CORNER_BS, SearchRegion(0.05, 2.95, 0.05, 2.95), 0.25,
@@ -107,7 +137,6 @@ class TestCoarseEstimate:
     def test_off_grid_matches_exhaustive_scan(self, db):
         from itertools import combinations
 
-        from rssdloc.channel import simulate_rss
 
         def rssd_distance(meas, ref):
             return sum(((meas[i] - meas[j]) - (ref[i] - ref[j])) ** 2

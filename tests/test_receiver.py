@@ -141,15 +141,16 @@ def record_rfft_shapes(monkeypatch, batches=None):
 
 
 def assert_windows_in_chunks(batches, r, template, blocks):
-    """The window batches hold at most _CHUNK_RUNS runs' (blocks, 2048)
-    windows each, and together every run's windows once, in run order:
+    """The window batches hold at most max(1, _CHUNK_WINDOWS // blocks)
+    runs' (blocks, 2048) windows each, and together every run's windows
+    once, in run order:
     run i's block b is r[starts[i] + first + b * step:][:2048], r read as
     0 outside its samples, first the first kept lag and step the lags per
     block."""
     runs = template._runs[r.sample_rate]
     assert runs.n == 2048
-    assert all(0 < len(b) <= receiver._CHUNK_RUNS and b.shape[1:] == (blocks, runs.n)
-               for b in batches)
+    per = max(1, receiver._CHUNK_WINDOWS // blocks)
+    assert all(0 < len(b) <= per and b.shape[1:] == (blocks, runs.n) for b in batches)
     first, _ = kept_lags(r, template)
     offsets = runs.starts[:, None] + first + (runs.n - runs.width + 1) * np.arange(blocks)
     reach = runs.n + np.abs(offsets).max()
@@ -621,6 +622,37 @@ class TestMemoryPerChain:
         # the runs' windows are transformed a chunk at a time (4.2 MB at once
         # would be as large as the input)
         assert correlated <= 1.5e6
+
+    def test_eight_block_input_peaks(self, spec):
+        # at 800 ns the kept lags take 8 blocks, and a chunk holds as many
+        # windows as at one block: 2 runs of 8 (16 runs of 8 read 6.4 MB)
+        template = transmit_template(spec)
+        delay = DEFAULT_TRAIN_DELAYS[8]
+        correlate_and_detect(generate_signal(spec, delay, 0.0), template)
+        r = generate_signal(spec, delay, 0.0, noise_std=0.1, rng=np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            correlate_and_detect(r, template)
+            correlated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert correlated <= 1.5e6
+
+    @pytest.mark.parametrize("blocks", [2, 8])
+    def test_chunks_sum_as_one_batch(self, monkeypatch, spec, blocks):
+        # c sums the runs' products in run order whatever the chunk size:
+        # chunks of a few runs give c bit for bit as one batch of all 128
+        template = transmit_template(spec)
+        r = generate_signal(spec, DEFAULT_TRAIN_DELAYS[blocks], -6.0, noise_std=0.2,
+                            rng=np.random.default_rng(3))
+        chunked = correlate_and_detect(r, template)
+        monkeypatch.setattr(receiver, "_CHUNK_WINDOWS", 128 * blocks)
+        batches = []
+        record_rfft_shapes(monkeypatch, batches)
+        whole = correlate_and_detect(r, template)
+        assert [len(b) for b in batches] == [128]
+        assert np.array_equal(chunked.c.samples, whole.c.samples)
+        assert chunked.peak_time == whole.peak_time
 
 
 class TestEstimateTdoa:
