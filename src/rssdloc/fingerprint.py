@@ -159,7 +159,7 @@ def coarse_estimate(db: FingerprintDB, meas):
 
     meas is one RSS vector in bs_ids order, giving one point, or a (T, N)
     stack of them, matched in (epochs x M) distance tables of _CHUNK epochs
-    and giving a list of T points.
+    and giving a list of T points.  Non-finite RSS raises ValueError.
     """
     if len(db) == 0:
         raise EmptyGrid("empty fingerprint database")
@@ -169,6 +169,9 @@ def coarse_estimate(db: FingerprintDB, meas):
         raise LengthMismatch(
             f"measurement shape {meas.shape} does not match database "
             f"station count {n}")
+    bad = ~np.isfinite(meas.reshape(-1, n)).all(axis=0)
+    if bad.any():
+        raise ValueError(f"non-finite RSS from stations {np.asarray(db.bs_ids)[bad].tolist()}")
     ref, stack = centred(db.rss), np.atleast_2d(centred(meas))
     k = np.empty(len(stack), dtype=np.intp)
     for lo in range(0, len(stack), _CHUNK):

@@ -7,8 +7,9 @@ receive antenna.
 
 The two stations of a range-difference (TDOA) pair define a canonical frame
 with the stations on the x-axis at (-s, 0) and (+s, 0).  All hyperbola math
-works in that frame; :class:`CanonicalFrame` maps scenario coordinates in
-and out of it, and :func:`measured_hyperbolas` reads TDOA observations into it.
+works in that frame; :class:`CanonicalFrame` has one map into it
+(``to_canonical``) and one out of it (``from_canonical``), and
+:func:`measured_hyperbolas` reads TDOA observations into it.
 """
 
 from __future__ import annotations
@@ -191,11 +192,12 @@ class Hyperbola:
     range_difference: float
 
     def __post_init__(self):
-        if self.half_separation <= 0:
+        # written so that NaN fails each check, as inf does
+        if not self.half_separation > 0:
             raise DegenerateHyperbola(
                 f"half_separation must be > 0, got {self.half_separation}"
             )
-        if abs(self.range_difference) >= self.half_separation - _DEGENERACY_TOL:
+        if not abs(self.range_difference) < self.half_separation - _DEGENERACY_TOL:
             raise DegenerateHyperbola(
                 f"|range difference| {abs(self.range_difference):.6g} m not below "
                 f"station half-separation {self.half_separation:.6g} m"
@@ -206,12 +208,14 @@ class Hyperbola:
         return cls(half_separation, 0.5 * SPEED_OF_LIGHT * delta_t)
 
 
-def branch_x(r, s, y):
+def branch_x(r, b2, y):
     """x-coordinate at height y (canonical frame) of the branch with half
-    range difference r of a pair at half-separation s:
-    x = r sqrt(1 + y^2 / (s^2 - r^2)).  Scalars or broadcasting ndarrays.
+    range difference r of a pair at half-separation s, given
+    b2 = s^2 - r^2: x = r sqrt(1 + y^2 / b2).  Scalars or broadcasting
+    ndarrays, e.g. (epochs, 1) columns of r and b2 against (epochs, heights)
+    of y.
     """
-    return r * np.sqrt(1.0 + np.square(y) / (s * s - r * r))
+    return r * np.sqrt(1.0 + np.square(y) / b2)
 
 
 def hyperbola_x_of_y(h: Hyperbola, y):
@@ -219,7 +223,8 @@ def hyperbola_x_of_y(h: Hyperbola, y):
 
     Accepts a scalar or an ndarray of y values.
     """
-    return branch_x(h.range_difference, h.half_separation, y)
+    r, s = h.range_difference, h.half_separation
+    return branch_x(r, s * s - r * r, y)
 
 
 def golden_section(f: Callable[[float], float], a: float, b: float,
@@ -263,13 +268,6 @@ class CanonicalFrame:
     origin: Point2D       # midpoint of the pair, scenario coordinates
     axis_angle: float     # azimuth of the k -> l direction
     half_separation: float
-    # cos and sin of axis_angle, computed once per frame
-    cos: float = field(init=False, repr=False, compare=False)
-    sin: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cos", math.cos(self.axis_angle))
-        object.__setattr__(self, "sin", math.sin(self.axis_angle))
 
     @classmethod
     def from_stations(cls, pos_k: Point2D, pos_l: Point2D) -> "CanonicalFrame":
@@ -281,23 +279,12 @@ class CanonicalFrame:
 
     def to_canonical(self, p: Point2D) -> Point2D:
         dx, dy = p.x - self.origin.x, p.y - self.origin.y
-        c, s = self.cos, self.sin
+        c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
         return Point2D(c * dx + s * dy, -s * dx + c * dy)
 
     def from_canonical(self, p: Point2D) -> Point2D:
-        return Point2D(*self.from_canonical_xy(p.x, p.y))
-
-    def from_canonical_xy(self, x, y):
-        """Scenario coordinates of canonical (x, y); scalars or ndarrays."""
-        c, s = self.cos, self.sin
-        return self.origin.x + c * x - s * y, self.origin.y + s * x + c * y
-
-    def branch_xy(self, r, y):
-        """Scenario coordinates of the points at canonical heights y on the
-        branch with half range difference r of the frame's pair: branch_x
-        mapped out by from_canonical_xy.  Scalars or broadcasting ndarrays,
-        e.g. an (epochs, 1) column of r against (epochs, heights) of y."""
-        return self.from_canonical_xy(branch_x(r, self.half_separation, y), y)
+        c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
+        return Point2D(self.origin.x + c * p.x - s * p.y, self.origin.y + s * p.x + c * p.y)
 
 
 def measured_hyperbolas(bs: Layout, tdoa) -> Tuple[CanonicalFrame, List[Optional[Hyperbola]]]:

@@ -35,7 +35,11 @@ Two search strategies:
 * TDOA-constrained 1D least squares along the measured hyperbola, by a
   coarse scan over y followed by bracket scans that evaluate a whole row of
   heights in one objective call per round, with the x-coordinate recovered
-  from the hyperbola equation.  A stack of epochs with one TDOA pair is
+  from the hyperbola equation.  The search runs in the TDOA pair's
+  canonical frame: the stations and their antennas' gain vectors are
+  rotated in once per call, and only each estimate is mapped out.  The
+  objective reads distances and the dot products of cosine_gain, which
+  the rigid map leaves as they are.  A stack of epochs with one TDOA pair is
   searched in lockstep, one row of heights per epoch: the coarse scans share
   the pair's grid of heights, and every epoch runs the same count of
   rounds, fixed by the region.  An epoch with no hyperbola is left to the
@@ -54,7 +58,8 @@ import numpy as np
 
 from .channel import ChannelParams, MeasurementSet, centred
 from .errors import EmptyRegion, SingularCandidate
-from .geometry import CanonicalFrame, Layout, Point2D, Stations, cosine_gain, measured_hyperbolas
+from .geometry import (CanonicalFrame, Layout, Point2D, Stations, branch_x, cosine_gain,
+                       measured_hyperbolas)
 
 _SINGULAR_TOL = 1e-6  # m; candidates closer than this to a station get inf
 _SINGULAR_TOL2 = _SINGULAR_TOL * _SINGULAR_TOL
@@ -162,21 +167,35 @@ class _Model:
               ) -> "_Model":
         """The model of one measurement set, or of a non-empty stack of
         them read with the same antennas; each must be of the config's
-        station table (ValueError otherwise)."""
+        station table, and its RSS finite (ValueError otherwise)."""
         ms = [m] if isinstance(m, MeasurementSet) else m
         st = cfg.stations
         for mm in ms:
             if mm.ids is not st.ids and not np.array_equal(mm.ids, st.ids):
                 raise ValueError(f"measurement of stations {mm.ids.tolist()}, not the "
                                  f"config's RSS stations {st.ids.tolist()}")
+        rss = np.array([mm.rss for mm in ms])
+        bad = ~np.isfinite(rss).all(axis=0)
+        if bad.any():
+            raise ValueError(f"non-finite RSS from stations {st.ids[bad].tolist()}")
         gain = ((st.gcos[:, None], st.gsin[:, None])
                 if cfg.antenna_model is AntennaModel.DIRECTIONAL else (None, None))
-        return cls(st.x, st.y, centred(np.array([mm.rss for mm in ms])).T, *gain,
-                   cfg.params.alpha)
+        return cls(st.x, st.y, centred(rss).T, *gain, cfg.params.alpha)
 
     def epochs(self, cols) -> "_Model":
         """The model of some of its epochs: cols indexes the columns of c."""
         return _Model(self.sx, self.sy, self.c[:, cols], self.gcos, self.gsin, self.alpha)
+
+    def in_frame(self, frame: CanonicalFrame) -> "_Model":
+        """The model in a TDOA pair's canonical frame: the stations' positions
+        and the antennas' (G cos b, G sin b) rotated as frame.to_canonical
+        rotates, so that its objective at a canonical point is the model's
+        at the point frame.from_canonical maps it to, up to rounding."""
+        c, s = math.cos(frame.axis_angle), math.sin(frame.axis_angle)
+        x, y = self.sx - frame.origin.x, self.sy - frame.origin.y
+        gain = ((None, None) if self.gcos is None
+                else (c * self.gcos + s * self.gsin, c * self.gsin - s * self.gcos))
+        return _Model(c * x + s * y, c * y - s * x, self.c, *gain, self.alpha)
 
     def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Objective N * sum_i (r_i - mean r)^2 at each candidate, in the
@@ -492,11 +511,12 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
     count that takes the region's widest first bracket to _LINE_TOL at 16x
     per round (R = 5 on both shipped scenarios, whose widest bracket is
     2 * coarse_step = 0.1 m), and its estimate is the middle of its last
-    bracket.  The objective is evaluated at the hyperbola points mapped out
-    to scenario coordinates.  A stack runs _LINE_CHUNK epochs at a time in
-    lockstep: one objective call for their coarse scans, which share the
-    grid of heights, and one per round, 1 + R calls in all, so each epoch
-    gets the estimate it gets alone.
+    bracket.  The objective is that of the model in the pair's frame
+    (_Model.in_frame), evaluated at the branch points themselves; only each
+    epoch's estimate is mapped out, by frame.from_canonical.  A stack runs
+    _LINE_CHUNK epochs at a time in lockstep: one objective call for their
+    coarse scans, which share the grid of heights, and one per round,
+    1 + R calls in all, so each epoch gets the estimate it gets alone.
     """
     single = isinstance(m, MeasurementSet)
     ms = [m] if single else m
@@ -508,21 +528,22 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
     points: List[Optional[Point2D]] = [None] * len(ms)
     if not solved:
         return points
-    model = _Model.build(cfg, [ms[e] for e in solved])
-    r = np.array([[hs[e].range_difference] for e in solved])
+    model = _Model.build(cfg, [ms[e] for e in solved]).in_frame(frame)
+    r = np.array([hs[e].range_difference for e in solved])
+    b2 = np.square(frame.half_separation) - r * r
     ys, brackets, rounds = _line_tables(frame, cfg.region)
-
-    y_star: List[float] = []
     for lo in range(0, len(solved), _LINE_CHUNK):
         rows = slice(lo, lo + _LINE_CHUNK)
-        sub, rr = model.epochs(rows), r[rows]
-        ab = brackets[sub.objective(*frame.branch_xy(rr, ys)).argmin(axis=1)]
+        sub, rr, bb = model.epochs(rows), r[rows, None], b2[rows, None]
+
+        def scan(y):  # each epoch's first minimum over its row of heights
+            return sub.objective(branch_x(rr, bb, y), y).argmin(axis=1)
+
+        ab = brackets[scan(np.broadcast_to(ys, (len(rr), len(ys))))]
         for _ in range(rounds):
             a, width = ab[:, :1], ab[:, 1:] - ab[:, :1]
-            k = sub.objective(*frame.branch_xy(rr, a + width * _LINE)).argmin(axis=1)
-            ab = a + width * _AROUND[k]  # the heights of the cells around k
-        y_star += (0.5 * (ab[:, 0] + ab[:, 1])).tolist()
-    # in floats, which round as a vector call and cost less for one epoch
-    for e, re, ye in zip(solved, r.ravel().tolist(), y_star):
-        points[e] = Point2D(*map(float, frame.branch_xy(re, ye)))
+            ab = a + width * _AROUND[scan(a + width * _LINE)]  # the cells around the minimum
+        y = 0.5 * (ab[:, 0] + ab[:, 1])
+        for e, x_e, y_e in zip(solved[rows], branch_x(r[rows], b2[rows], y).tolist(), y.tolist()):
+            points[e] = frame.from_canonical(Point2D(x_e, y_e))
     return points[0] if single else points

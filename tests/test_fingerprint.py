@@ -188,6 +188,16 @@ class TestCoarseEstimate:
         with pytest.raises(EmptyGrid):
             coarse_estimate(empty, db.rss[0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rss_rejected(self, db, bad):
+        # a NaN distance table would pick the first grid point
+        meas = db.rss[5].copy()
+        meas[2] = bad
+        for call in (lambda: coarse_estimate(db, meas),
+                     lambda: coarse_estimate(db, np.stack([db.rss[0], meas]))):
+            with pytest.raises(ValueError, match=re.escape("non-finite RSS from stations [3]")):
+                call()
+
     def test_length_mismatch(self, db):
         with pytest.raises(LengthMismatch):
             coarse_estimate(db, db.rss[0, :3])
@@ -307,13 +317,15 @@ class TestRefineWithTdoa:
         assert distance(refined, coarse) <= float(d[k]) + 1e-8
 
     def test_degenerate_tdoa(self):
-        with pytest.raises(DegenerateHyperbola):
-            refine_with_tdoa(Point2D(1, 1), (1, 2, 1e-6), CORNER_BS, AREA)
-        # in a stack, the epoch without a hyperbola is None
-        refined = refine_with_tdoa([Point2D(1, 1)] * 2, [(1, 2, 1e-6), (1, 2, 0.0)], CORNER_BS,
-                                   AREA)
-        assert refined[0] is None and refined[1] == refine_with_tdoa(Point2D(1, 1), (1, 2, 0.0),
-                                                                       CORNER_BS, AREA)
+        # a range difference beyond the half-separation, or NaN
+        for dt in (1e-6, math.nan):
+            with pytest.raises(DegenerateHyperbola):
+                refine_with_tdoa(Point2D(1, 1), (1, 2, dt), CORNER_BS, AREA)
+            # in a stack, the epoch without a hyperbola is None
+            refined = refine_with_tdoa([Point2D(1, 1)] * 2, [(1, 2, dt), (1, 2, 0.0)],
+                                       CORNER_BS, AREA)
+            assert refined[0] is None
+            assert refined[1] == refine_with_tdoa(Point2D(1, 1), (1, 2, 0.0), CORNER_BS, AREA)
 
     def test_empty_stack(self):
         assert refine_with_tdoa([], [], CORNER_BS, AREA) == []

@@ -85,6 +85,11 @@ class TestHyperbola:
             Hyperbola(2.0, -2.5)
         with pytest.raises(DegenerateHyperbola):
             Hyperbola(-1.0, 0.0)
+        # NaN fails the checks as inf does; a NaN branch would only fail
+        # later, in Point2D
+        for s, r in [(4.0, math.nan), (4.0, math.inf), (4.0, -math.inf), (math.nan, 1.0)]:
+            with pytest.raises(DegenerateHyperbola):
+                Hyperbola(s, r)
 
     def test_from_tdoa(self):
         h = Hyperbola.from_tdoa(1e-9, 2.0)

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,23 @@ class TestTdoaFallback:
         # half-separation 3 m: the fallback epochs are the degenerate ones
         assert all(abs(0.5 * SPEED_OF_LIGHT * m.tdoa[2]) >= 3.0 - 1e-9 for m in fallback)
         assert aggregate(reports).tdoa_fallbacks == sum(counts)
+
+    @pytest.mark.parametrize("mode, without", [(Mode.SIM_RSSD_TDOA, Mode.SIM_RSSD),
+                                               (Mode.FP_RSSD_TDOA, Mode.FP_RSSD)])
+    def test_nan_tdoa_falls_back(self, fp_scenario, mode, without):
+        # a NaN TDOA has no hyperbola: its epoch takes the estimate without
+        # TDOA and counts as a fallback, and the other epoch keeps its own
+        s = (scenario_from_dict(small_sim_dict(mode=mode.value)) if mode.is_sim
+             else fp_scenario.with_mode(mode))
+        db = None if mode.is_sim else scenario_db(s)
+        ms = simulate_measurements(s.stations, [Point2D(1.0, 1.0), Point2D(1.5, 0.5)],
+                                   s.channel, s.tdoa_noise, np.random.default_rng(0))
+        ms[0] = replace(ms[0], tdoa=ms[0].tdoa[:2] + (math.nan,))
+        locate = harness._LOCATE[mode]
+        estimates, fell_back = locate(s, db, s.stations, ms)
+        assert fell_back == 1
+        assert estimates[0] == harness._LOCATE[without](s, db, s.stations, ms[:1])[0][0]
+        assert estimates[1] == locate(s, db, s.stations, ms[1:])[0][0]
 
     def test_fp_epoch_keeps_coarse_estimate(self, fp_scenario):
         db = scenario_db(fp_scenario)
