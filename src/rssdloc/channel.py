@@ -5,7 +5,9 @@ directional receive antennas add the cosine-pattern gain of
 geometry.cosine_gain to the link budget.  A measurement set carries the
 per-station RSS vector; its pairwise differences cancel the unknown
 transmit power, so every RSSD value derives from that one vector and the
-pairs are cycle-consistent by construction.
+pairs are cycle-consistent by construction.  A stack of T epochs is one
+measurement set too: a (T, N) block of RSS rows and a (T,) column of TDOA
+observations, as the channel draws them.
 """
 
 from __future__ import annotations
@@ -79,22 +81,27 @@ class TdoaNoiseParams:
 
 @dataclass(eq=False)
 class MeasurementSet:
-    """Per-station RSS plus at most one TDOA observation.
+    """Per-station RSS plus the TDOA pair's observation, of one epoch or of
+    a stack of T epochs.
 
     rss is the (N,) received power in dBm of the RSS stations of a station
-    table, in its order; ids is that table's own ids array.  The unknown
-    transmit power is still in rss; only its differences are informative.
-    tdoa, when present, is (id_k, id_l, delta_t) with delta_t the arrival
-    time at k minus the arrival time at l.
+    table, in its order, or a (T, N) block of such rows, one per epoch;
+    rss.ndim tells the two apart.  ids is that table's own ids array.  The
+    unknown transmit power is still in rss; only its differences are
+    informative.  tdoa, when present, is (id_k, id_l, delta_t) with delta_t
+    the arrival time at k minus the arrival time at l: a float for one
+    epoch, a (T,) array for a stack.  So a stack shares one station table,
+    one TDOA pair, and has a TDOA observation in every epoch or in none.
     """
 
     ids: np.ndarray
     rss: np.ndarray
-    tdoa: Optional[Tuple[int, int, float]] = None
+    tdoa: Optional[Tuple[int, int, Union[float, np.ndarray]]] = None
 
     @property
     def rssd_pairs(self) -> List[Tuple[int, int, float]]:
-        """(id_i, id_j, P_i - P_j) for every station pair with i < j.
+        """(id_i, id_j, P_i - P_j) for every station pair with i < j, of a
+        one-epoch set.
 
         All pairs derive from the one rss vector, so the cycle identity
         P_ij + P_jk = P_ik holds exactly.
@@ -171,45 +178,44 @@ def simulate_rss(bs: Layout, mu: Positions, params: ChannelParams,
 def simulate_measurements(bs: Layout, mu: Positions,
                           params: ChannelParams,
                           tdoa_params: TdoaNoiseParams,
-                          rng: np.random.Generator
-                          ) -> Union[MeasurementSet, List[MeasurementSet]]:
-    """Simulate a localization epoch at one position, giving one
-    MeasurementSet, or epochs at a sequence of T positions, giving a list.
+                          rng: np.random.Generator) -> MeasurementSet:
+    """Simulate a localization epoch at one position, giving a one-epoch
+    MeasurementSet, or epochs at a sequence of T positions, giving their
+    stack: the (T, N) RSS of simulate_rss and a (T,) delta_t column.
 
     Each epoch draws its N fading normals, then its TDOA normal whether or
     not the caller uses it, keeping RNG streams aligned across solver
     modes.  A call draws all of them as one (T, columns) block of standard
-    normals and scales each column, so a stack equals T single calls bit
-    for bit, the generator's state included, and it raises what the first
-    failing of those calls would raise.  T = 0 draws nothing.
+    normals and scales each column, so a stack's rows equal T single calls
+    bit for bit, the generator's state included, and it raises what the
+    first failing of those calls would raise.  T = 0 draws nothing and
+    gives an empty stack.
     """
     st = Stations.of(bs)
     single = isinstance(mu, Point2D)
     ps = [mu] if single else list(mu)
-    if not ps:
-        return []
     try:
         pair = st.pair()
     except ValueError:
-        simulate_rss(st, ps[0], params, rng)  # the first epoch's RSS is checked first
+        simulate_rss(st, ps[:1], params, rng)  # the first epoch's RSS is checked first
         raise
     fading = len(st.ids) if params.sigma_beta > 0 else 0
     noisy = pair is not None and tdoa_params.sigma_tdoa > 0
     z = rng.standard_normal((len(ps), fading + noisy))
-    tdoa = [None] * len(ps)
+    tdoa = None
     if pair is not None:
         k, l = pair
         a, b = st.tdoa[k], st.tdoa[l]
+        dt = np.empty(len(ps))
         for e, p in enumerate(ps):
             # math.hypot per epoch: np.hypot is an ulp off on some epochs
             dk, dl = distance(p, a), distance(p, b)
             if min(dk, dl) < _COINCIDENCE_TOL:
                 simulate_rss(st, ps[:e + 1], params, rng)  # as is the RSS of each epoch up to e
                 raise CoincidentPosition("MU coincides with a TDOA station")
-            dt = (dk - dl) / SPEED_OF_LIGHT
-            if noisy:
-                dt += tdoa_params.sigma_tdoa * z.item(e, fading)
-            tdoa[e] = (k, l, dt)
-    rss = simulate_rss(st, ps, params, rng, z=z[:, :fading])
-    ms = [MeasurementSet(st.ids, rss[e], tdoa[e]) for e in range(len(ps))]
-    return ms[0] if single else ms
+            dt[e] = (dk - dl) / SPEED_OF_LIGHT
+        if noisy:
+            dt += tdoa_params.sigma_tdoa * z[:, fading]
+        tdoa = (k, l, dt.item(0) if single else dt)
+    return MeasurementSet(st.ids, simulate_rss(st, mu if single else ps, params, rng,
+                                               z=z[:, :fading]), tdoa)

@@ -4,7 +4,9 @@ The offline phase stores a reference RSS vector per grid point; the online
 phase picks the grid point whose pairwise RSS differences are closest (in
 the Euclidean sense) to the measured ones, then optionally refines the
 coarse pick by projecting it onto the measured TDOA hyperbola.  Both steps
-take one epoch or a stack of epochs, the match in one vectorized pass.
+take one epoch or a stack of epochs, as a measurement set holds them: the
+match takes the (T, N) RSS block in one vectorized pass, the projection the
+block's TDOA observation.
 """
 
 from __future__ import annotations
@@ -185,18 +187,16 @@ def refine_with_tdoa(coarse, tdoa, bs: Layout, region: SearchRegion):
     """Project coarse estimates onto their measured TDOA hyperbolas, each
     on its own, over the region's heights in the TDOA pair's canonical frame.
 
-    coarse is one point and tdoa its observation, giving one point, or a
-    sequence of points and of their observations, giving a list; the
-    observations are read as by geometry.measured_hyperbolas, with None in
+    coarse is one point and tdoa its measurement set's (id_k, id_l,
+    delta_t) observation, giving one point, or a sequence of T points and
+    the observation of their stack, delta_t a (T,) array, giving a list;
+    the observation is read by geometry.measured_hyperbolas, with None in
     the list where the single call raises DegenerateHyperbola.
     """
-    single = isinstance(coarse, Point2D)
-    points = [coarse] if single else list(coarse)
-    if not points:
-        return []
-    frame, hs = measured_hyperbolas(bs, tdoa if single else list(tdoa))
+    frame, hs = measured_hyperbolas(bs, tdoa)
     lo, hi = region.heights(frame)
+    single = isinstance(coarse, Point2D)
     refined = [None if h is None
                else frame.from_canonical(project_onto_hyperbola(frame.to_canonical(p), h, lo, hi))
-               for p, h in zip(points, hs, strict=True)]
+               for p, h in zip([coarse] if single else coarse, hs, strict=True)]
     return refined[0] if single else refined

@@ -289,33 +289,29 @@ class CanonicalFrame:
 
 def measured_hyperbolas(bs: Layout, tdoa) -> Tuple[CanonicalFrame, List[Optional[Hyperbola]]]:
     """The canonical frame of a TDOA pair, and the hyperbola in it of each
-    of the pair's observations.
+    epoch's observation.
 
-    tdoa is one (id_k, id_l, delta_t) observation, as a measurement set
-    carries it, or a non-empty list of them, a stack.  A stack gives None
-    for each observation with no hyperbola, where one observation raises
-    DegenerateHyperbola, as coincident TDOA stations do.  A missing
-    observation (None) raises MissingTdoa; a stack mixing pairs, or ids of
-    no TDOA-capable station of bs, raise ValueError.
+    tdoa is a measurement set's (id_k, id_l, delta_t): delta_t a float for
+    one epoch, whose hyperbola comes back in a list of one, or a (T,) array
+    for a stack, giving None for each epoch with no hyperbola where one
+    epoch raises DegenerateHyperbola, as coincident TDOA stations do.  A
+    missing observation (None) raises MissingTdoa, and ids of no
+    TDOA-capable station of bs raise ValueError.
     """
-    single = not isinstance(tdoa, list)
-    stack = [tdoa] if single else tdoa
-    if any(t is None for t in stack):
+    if tdoa is None:
         raise MissingTdoa("measurement set carries no TDOA observation")
-    pair = stack[0][:2]
-    if any(t[:2] != pair for t in stack):
-        raise ValueError("a stack's measurements must share one TDOA pair")
+    k, l, dt = tdoa
     positions = Stations.of(bs).tdoa
-    missing = [i for i in pair if i not in positions]
+    missing = [i for i in (k, l) if i not in positions]
     if missing:
         raise ValueError(f"stations {missing} are not TDOA-capable stations of the layout")
-    frame = CanonicalFrame.from_stations(*(positions[i] for i in pair))
+    frame = CanonicalFrame.from_stations(positions[k], positions[l])
+    if np.ndim(dt) == 0:
+        return frame, [Hyperbola.from_tdoa(dt, frame.half_separation)]
     hyperbolas: List[Optional[Hyperbola]] = []
-    for _, _, dt in stack:
+    for t in dt.tolist():
         try:
-            hyperbolas.append(Hyperbola.from_tdoa(dt, frame.half_separation))
+            hyperbolas.append(Hyperbola.from_tdoa(t, frame.half_separation))
         except DegenerateHyperbola:
-            if single:
-                raise
             hyperbolas.append(None)
     return frame, hyperbolas

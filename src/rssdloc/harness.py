@@ -2,10 +2,12 @@
 
 Every mode runs one loop over chunks of epochs: the channel is sampled at
 the chunk's true positions in one stacked call, with the antennas' current
-boresights, the mode's locate step estimates the whole chunk in one call,
-and the estimates are scored.  The mode picks, once per trial, the track, whether its start
-is known and unscored (in simulation), whether the antennas are re-pointed
-at each estimate (directional simulation), and the locate step.
+boresights, giving one measurement set of the chunk's (T, N) RSS block and
+TDOA column; the mode's locate step estimates the whole chunk from it in
+one call, and the estimates are scored.  The mode picks, once per trial,
+the track, whether its start is known and unscored (in simulation),
+whether the antennas are re-pointed at each estimate (directional
+simulation), and the locate step.
 
 Re-pointing makes each epoch's measurement depend on the last estimate, so
 a directional simulation runs chunks of one epoch.  Every other trial's
@@ -30,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import ChannelParams, simulate_measurements
+from .channel import ChannelParams, MeasurementSet, simulate_measurements
 from .errors import EmptyInput, InvalidScenario
 from .fingerprint import FingerprintDB, build_db, circular_track, coarse_estimate, refine_with_tdoa
 from .geometry import Point2D, distance
@@ -106,7 +108,7 @@ def scenario_db(s: Scenario) -> FingerprintDB:
 
 
 # The locate step of each mode: (scenario, fingerprint DB, the station table
-# as pointed now, the measurements of one or more epochs) -> (their
+# as pointed now, the measurement set of a stack of epochs) -> (their
 # estimates, how many of them fell back from their TDOA).
 
 def _rssd(s, db, bs, ms):
@@ -118,29 +120,29 @@ def _fall_back(estimates, without_tdoa):
     hyperbola) filled in from without_tdoa(its epochs' indices), the
     estimates without TDOA, and how many were filled."""
     gaps = [e for e, p in enumerate(estimates) if p is None]
-    for e, p in zip(gaps, without_tdoa(gaps), strict=True):
-        estimates[e] = p
+    if gaps:
+        for e, p in zip(gaps, without_tdoa(gaps), strict=True):
+            estimates[e] = p
     return estimates, len(gaps)
 
 
 def _rssd_tdoa(s, db, bs, ms):
     cfg = SolverConfig(s.channel, bs, s.region, s.antenna_model)
     return _fall_back(solve_rssd_tdoa(cfg, ms),
-                      lambda gaps: solve_rssd(cfg, [ms[e] for e in gaps]))
+                      lambda gaps: solve_rssd(cfg, MeasurementSet(ms.ids, ms.rss[gaps])))
 
 
 def _match(s, db, bs, ms):
     # a loaded database may hold some of the stations, in any column order
-    ids = ms[0].ids
-    cols = np.searchsorted(ids, db.bs_ids)
-    if not np.array_equal(ids.take(cols, mode="clip"), db.bs_ids):
-        raise ValueError(f"fingerprint columns {db.bs_ids} name stations outside {ids.tolist()}")
-    return coarse_estimate(db, np.array([m.rss for m in ms])[:, cols]), 0
+    cols = np.searchsorted(ms.ids, db.bs_ids)
+    if not np.array_equal(ms.ids.take(cols, mode="clip"), db.bs_ids):
+        raise ValueError(f"fingerprint columns {db.bs_ids} name stations outside {ms.ids.tolist()}")
+    return coarse_estimate(db, ms.rss[:, cols]), 0
 
 
 def _match_tdoa(s, db, bs, ms):
     coarse, _ = _match(s, db, bs, ms)
-    return _fall_back(refine_with_tdoa(coarse, [m.tdoa for m in ms], bs, s.region),
+    return _fall_back(refine_with_tdoa(coarse, ms.tdoa, bs, s.region),
                       lambda gaps: [coarse[e] for e in gaps])
 
 

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import CoincidentWithStation
+from .errors import CoincidentWithStation, InvalidScenario
 from .geometry import Layout, Point2D, Stations, distance
 from .solver import SearchRegion
 
@@ -60,7 +60,11 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
     Waypoints are drawn uniformly over the area in a fixed order, so two
     tracks generated from the same seed share the same geometric path even
     at different update rates.  Generation stops once the summed straight-
-    line epoch-to-epoch length reaches total_length.
+    line epoch-to-epoch length reaches total_length.  An epoch that starts
+    with no pause pending and ends where it started, short of its waypoint,
+    leaves the walk as it found it, so every later epoch would too: that
+    raises InvalidScenario (an update rate so high, or a speed so low, that
+    an epoch's step rounds to nothing).
     """
     pos = _draw_point(params.area, rng)
     epochs: List[Tuple[float, Point2D]] = [(0.0, pos)]
@@ -75,6 +79,7 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
     while path_len < params.total_length:
         remaining = dt
         x, y = pos.x, pos.y
+        idle, leg = pause_left == 0, target
         while remaining > 1e-15:
             if pause_left > 0:
                 used = min(pause_left, remaining)
@@ -92,6 +97,10 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
                 remaining -= gap / params.speed
                 pause_left = params.pause_time
                 target = _draw_point(params.area, rng)
+        if idle and target is leg and (x, y) == (pos.x, pos.y):
+            raise InvalidScenario(
+                f"waypoint.speed {params.speed} m/s over an epoch of 1 / waypoint.update_rate"
+                f" = {dt} s moves the user nowhere")
         t += dt
         nxt = Point2D(x, y)
         path_len += distance(pos, nxt)

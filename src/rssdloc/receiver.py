@@ -5,7 +5,8 @@ transmit template, band-limited upsampling around the correlation peak,
 peak-time readout.  TDOA is the difference of two peak times; RSS is the
 mean squared correlation over a fixed window behind the peak.
 
-Every chain filters at DEFAULT_BAND and upsamples by DEFAULT_UPSAMPLE.
+Every pulse train is shaped to DEFAULT_BAND, and every chain filters at
+DEFAULT_BAND and upsamples by DEFAULT_UPSAMPLE.
 The filtered signal is h * r: the received signal r, read as 0 outside
 its samples, convolved with h, the zero-phase impulse response of an
 order-4 Butterworth bandpass.  The filter and the correlation are one
@@ -83,7 +84,6 @@ def default_chips(seed: int = 20120316) -> np.ndarray:
 class SignalSpec:
     chips: np.ndarray = field(default_factory=default_chips)
     prf: float = DEFAULT_PRF
-    band: Tuple[float, float] = DEFAULT_BAND
 
     def __post_init__(self):
         self.chips = np.asarray(self.chips, dtype=float)
@@ -93,17 +93,15 @@ class SignalSpec:
             raise ValueError("chips must be +-1")
         if not (math.isfinite(self.prf) and self.prf > 0):
             raise ValueError(f"prf must be finite and > 0, got {self.prf}")
-        if not 0 < self.band[0] < self.band[1]:
-            raise ValueError(f"band must satisfy 0 < f_low < f_high, got {self.band}")
 
     @property
     def center_frequency(self) -> float:
-        return 0.5 * (self.band[0] + self.band[1])
+        return 0.5 * (DEFAULT_BAND[0] + DEFAULT_BAND[1])
 
     @property
     def pulse_sigma(self) -> float:
-        """Gaussian envelope sigma matching the -10 dB band edges."""
-        half_bw = 0.5 * (self.band[1] - self.band[0])
+        """Gaussian envelope sigma matching DEFAULT_BAND's -10 dB edges."""
+        half_bw = 0.5 * (DEFAULT_BAND[1] - DEFAULT_BAND[0])
         return math.sqrt(math.log(10.0)) / (2.0 * math.pi * half_bw)
 
 
@@ -137,7 +135,7 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
     summed in chip order, where the pulses of a high-PRF train overlap, and
     then added to its noise.  So the call holds one input-sized array.
     """
-    _require_nyquist(spec.band[1], sample_rate)
+    _require_nyquist(DEFAULT_BAND[1], sample_rate)
     if not (math.isfinite(delay) and delay >= 0):
         raise ValueError(f"delay must be finite and >= 0, got {delay}")
     if not math.isfinite(attenuation_db):

@@ -39,8 +39,8 @@ Two search strategies:
   canonical frame: the stations and their antennas' gain vectors are
   rotated in once per call, and only each estimate is mapped out.  The
   objective reads distances and the dot products of cosine_gain, which
-  the rigid map leaves as they are.  A stack of epochs with one TDOA pair is
-  searched in lockstep, one row of heights per epoch: the coarse scans share
+  the rigid map leaves as they are.  A stack of epochs is searched in
+  lockstep, one row of heights per epoch: the coarse scans share
   the pair's grid of heights, and every epoch runs the same count of
   rounds, fixed by the region.  An epoch with no hyperbola is left to the
   caller.
@@ -52,7 +52,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -163,18 +163,15 @@ class _Model:
     alpha: float
 
     @classmethod
-    def build(cls, cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementSet]]
-              ) -> "_Model":
-        """The model of one measurement set, or of a non-empty stack of
-        them read with the same antennas; each must be of the config's
-        station table, and its RSS finite (ValueError otherwise)."""
-        ms = [m] if isinstance(m, MeasurementSet) else m
+    def build(cls, cfg: SolverConfig, m: MeasurementSet) -> "_Model":
+        """The model of a measurement set, one epoch or a stack read with
+        the same antennas; it must be of the config's station table, and
+        its RSS finite (ValueError otherwise)."""
         st = cfg.stations
-        for mm in ms:
-            if mm.ids is not st.ids and not np.array_equal(mm.ids, st.ids):
-                raise ValueError(f"measurement of stations {mm.ids.tolist()}, not the "
-                                 f"config's RSS stations {st.ids.tolist()}")
-        rss = np.array([mm.rss for mm in ms])
+        if m.ids is not st.ids and not np.array_equal(m.ids, st.ids):
+            raise ValueError(f"measurement of stations {m.ids.tolist()}, not the "
+                             f"config's RSS stations {st.ids.tolist()}")
+        rss = np.atleast_2d(m.rss)
         bad = ~np.isfinite(rss).all(axis=0)
         if bad.any():
             raise ValueError(f"non-finite RSS from stations {st.ids[bad].tolist()}")
@@ -439,11 +436,12 @@ def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray,
     return bx, by, bq
 
 
-def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementSet]]):
+def solve_rssd(cfg: SolverConfig, m: MeasurementSet):
     """2D argmin of the RSSD objective over the search region.
 
-    m is one measurement set, giving one point, or a sequence of them read
-    with the same antennas, solved together and giving a list of points.
+    m is one epoch's measurement set, giving one point, or a stack of T
+    epochs read with the same antennas, solved together and giving a list
+    of T points.
     Coarse scan at region.coarse_step, then refine_iterations rounds of a
     local 5x5 grid with the step halved each round (final resolution
     coarse_step / 2**refine_iterations).  The directional gain clamp can
@@ -453,9 +451,6 @@ def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementS
     coarse product and one refinement of all their seeds; each epoch's
     estimate is the one it gets alone.
     """
-    single = isinstance(m, MeasurementSet)
-    if not single and len(m) == 0:
-        return []
     model = _Model.build(cfg, m)
     reg = cfg.region
     t = _coarse_tables(tuple(model.sx.tolist()), tuple(model.sy.tolist()), reg)
@@ -467,7 +462,7 @@ def solve_rssd(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementS
         k = np.lexsort((bx, by, bq), axis=1)[:, 0]
         rows = np.arange(len(k))
         points += [Point2D(float(x), float(y)) for x, y in zip(bx[rows, k], by[rows, k])]
-    return points[0] if single else points
+    return points[0] if m.rss.ndim == 1 else points
 
 
 @functools.lru_cache(maxsize=4)
@@ -491,14 +486,15 @@ def _line_tables(frame: CanonicalFrame, reg: SearchRegion) -> Tuple[np.ndarray, 
     return ys, brackets, rounds
 
 
-def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[MeasurementSet]]):
+def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     """1D argmin along the measured TDOA hyperbola.
 
-    m is one measurement set, giving one point, or a sequence of them read
-    with the same antennas and the same TDOA pair, giving a list with None
-    for each epoch whose range difference has no hyperbola.  The TDOA
+    m is one epoch's measurement set, giving one point, or a stack of T
+    epochs read with the same antennas, giving a list of T points with
+    None for each epoch whose range difference has no hyperbola.  The TDOA
     observations are read by geometry.measured_hyperbolas, which raises
-    for the single-epoch call there, and for a missing or mixed TDOA pair.
+    for the single-epoch call there, and for a missing TDOA observation.
+    Every epoch's RSS must be finite, those without a hyperbola too.
 
     The hyperbola is parametrized by y in the TDOA pair's canonical frame,
     where its equation gives x.  The search runs over that y, between the
@@ -518,17 +514,13 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
     coarse scans, which share the grid of heights, and one per round,
     1 + R calls in all, so each epoch gets the estimate it gets alone.
     """
-    single = isinstance(m, MeasurementSet)
-    ms = [m] if single else m
-    if not ms:
-        return []
-    frame, hs = measured_hyperbolas(cfg.stations, m.tdoa if single
-                                    else [mm.tdoa for mm in ms])
+    frame, hs = measured_hyperbolas(cfg.stations, m.tdoa)
+    model = _Model.build(cfg, m)
     solved = [e for e, h in enumerate(hs) if h is not None]
-    points: List[Optional[Point2D]] = [None] * len(ms)
+    points: List[Optional[Point2D]] = [None] * len(hs)
     if not solved:
         return points
-    model = _Model.build(cfg, [ms[e] for e in solved]).in_frame(frame)
+    model = model.epochs(solved).in_frame(frame)
     r = np.array([hs[e].range_difference for e in solved])
     b2 = np.square(frame.half_separation) - r * r
     ys, brackets, rounds = _line_tables(frame, cfg.region)
@@ -546,4 +538,4 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: Union[MeasurementSet, Sequence[Measure
         y = 0.5 * (ab[:, 0] + ab[:, 1])
         for e, x_e, y_e in zip(solved[rows], branch_x(r[rows], b2[rows], y).tolist(), y.tolist()):
             points[e] = frame.from_canonical(Point2D(x_e, y_e))
-    return points[0] if single else points
+    return points[0] if m.rss.ndim == 1 else points

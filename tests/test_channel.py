@@ -366,7 +366,8 @@ def epoch_reference(bs, mu, params, tdoa, rng):
 
 
 class TestStackedChannel:
-    """A stack of T positions is T single-epoch calls, bit for bit."""
+    """A stack of T positions is one measurement set whose rows and TDOA
+    column are T single-epoch calls, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(stack_cases())
@@ -376,15 +377,24 @@ class TestStackedChannel:
         stack = simulate_measurements(bs, ps, params, tdoa, rngs[0])
         loop = [simulate_measurements(bs, p, params, tdoa, rngs[1]) for p in ps]
         reference = [epoch_reference(bs, p, params, tdoa, rngs[2]) for p in ps]
-        assert isinstance(stack, list) and len(stack) == len(loop) == len(ps)
-        for got, want, (rss, obs) in zip(stack, loop, reference):
-            assert got.ids.tolist() == want.ids.tolist()
-            assert got.rss.shape == want.rss.shape == rss.shape
-            assert bits(got.rss) == bits(want.rss) == bits(rss)
-            assert got.tdoa == want.tdoa == obs
+        table = Stations.of(bs)
+        assert isinstance(stack, MeasurementSet)
+        assert stack.ids.tolist() == table.ids.tolist()
+        assert stack.rss.shape == (len(ps), len(table.ids))
+        pair = table.pair()
+        if pair is None:
+            assert stack.tdoa is None
+        else:
+            assert stack.tdoa[:2] == pair
+            assert stack.tdoa[2].shape == (len(ps),) and stack.tdoa[2].dtype == float
+        for e, (want, (rss, obs)) in enumerate(zip(loop, reference, strict=True)):
+            assert want.ids.tolist() == stack.ids.tolist()
+            assert want.rss.shape == rss.shape == stack.rss[e].shape
+            assert bits(stack.rss[e]) == bits(want.rss) == bits(rss)
+            assert want.tdoa == obs
             if obs is not None:
-                assert bits(got.tdoa[2]) == bits(want.tdoa[2]) == bits(obs[2])
-                assert type(got.tdoa[2]) is float
+                assert bits(stack.tdoa[2][e]) == bits(want.tdoa[2]) == bits(obs[2])
+                assert type(want.tdoa[2]) is float
         assert (rngs[0].bit_generator.state == rngs[1].bit_generator.state
                 == rngs[2].bit_generator.state)
 

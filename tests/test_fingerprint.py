@@ -208,7 +208,7 @@ class TestCoarseEstimate:
 @st.composite
 def projection_stacks(draw):
     """A TDOA pair anywhere with an RSS station, and a stack of 0-10
-    coarse points and TDOA observations of the pair, many of whose half
+    coarse points and the pair's (T,) column of delta_t, many of whose half
     range differences lie within 1e-8 m of the pair's half-separation s
     less the degeneracy margin, the rest in (-1.2 s, 1.2 s)."""
     coord = st.floats(-5.0, 5.0)
@@ -224,8 +224,8 @@ def projection_stacks(draw):
     r = st.one_of(edge, st.floats(-1.2 * s, 1.2 * s))
     n = draw(st.integers(0, 10))
     points = [Point2D(draw(coord), draw(coord)) for _ in range(n)]
-    tdoas = [(1, 2, 2.0 * draw(r) / SPEED_OF_LIGHT) for _ in range(n)]
-    return bs, points, tdoas
+    dt = np.array([2.0 * draw(r) / SPEED_OF_LIGHT for _ in range(n)])
+    return bs, points, dt
 
 
 @st.composite
@@ -322,13 +322,13 @@ class TestRefineWithTdoa:
             with pytest.raises(DegenerateHyperbola):
                 refine_with_tdoa(Point2D(1, 1), (1, 2, dt), CORNER_BS, AREA)
             # in a stack, the epoch without a hyperbola is None
-            refined = refine_with_tdoa([Point2D(1, 1)] * 2, [(1, 2, dt), (1, 2, 0.0)],
+            refined = refine_with_tdoa([Point2D(1, 1)] * 2, (1, 2, np.array([dt, 0.0])),
                                        CORNER_BS, AREA)
             assert refined[0] is None
             assert refined[1] == refine_with_tdoa(Point2D(1, 1), (1, 2, 0.0), CORNER_BS, AREA)
 
     def test_empty_stack(self):
-        assert refine_with_tdoa([], [], CORNER_BS, AREA) == []
+        assert refine_with_tdoa([], (1, 2, np.empty(0)), CORNER_BS, AREA) == []
 
     @settings(max_examples=80, deadline=None)
     @given(projection_stacks())
@@ -336,14 +336,14 @@ class TestRefineWithTdoa:
         # bit for bit, with None exactly where the single call raises; the
         # range differences crowd the half-separation, where a hyperbola
         # stops existing
-        bs, points, tdoas = stack
+        bs, points, dt = stack
         alone = []
-        for p, tdoa in zip(points, tdoas):
+        for p, t in zip(points, dt.tolist(), strict=True):
             try:
-                alone.append(refine_with_tdoa(p, tdoa, bs, AREA))
+                alone.append(refine_with_tdoa(p, (1, 2, t), bs, AREA))
             except DegenerateHyperbola:
                 alone.append(None)
-        assert bits(refine_with_tdoa(points, tdoas, bs, AREA)) == bits(alone)
+        assert bits(refine_with_tdoa(points, (1, 2, dt), bs, AREA)) == bits(alone)
 
 
 class TestCircularTrack:

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rssdloc.errors import DegenerateHyperbola
+from rssdloc.errors import DegenerateHyperbola, MissingTdoa
 from rssdloc.geometry import (
     SPEED_OF_LIGHT,
+    BaseStation,
     CanonicalFrame,
     Hyperbola,
     Point2D,
+    Role,
     distance,
     hyperbola_x_of_y,
+    measured_hyperbolas,
     project_onto_hyperbola,
     wrap_angle,
 )
@@ -94,6 +97,34 @@ class TestHyperbola:
     def test_from_tdoa(self):
         h = Hyperbola.from_tdoa(1e-9, 2.0)
         assert h.range_difference == pytest.approx(0.5 * SPEED_OF_LIGHT * 1e-9)
+
+
+class TestMeasuredHyperbolas:
+    # a pair 4 m apart along y = x: half-separation 2 m
+    BS = [BaseStation(1, Point2D(-math.sqrt(2.0), -math.sqrt(2.0)), Role.RSS_TDOA),
+          BaseStation(2, Point2D(math.sqrt(2.0), math.sqrt(2.0)), Role.RSS_TDOA),
+          BaseStation(3, Point2D(0.0, 3.0))]
+
+    def test_one_epoch_and_a_stack(self):
+        # a float delta_t is one epoch, whose degenerate hyperbola raises; a
+        # (T,) array is a stack, with None for each degenerate epoch
+        wide = 2.0 * 2.5 / SPEED_OF_LIGHT  # |r| = 2.5 m > 2 m
+        dt = np.array([1e-9, wide, math.nan, -2e-9])
+        frame, hs = measured_hyperbolas(self.BS, (1, 2, dt))
+        assert frame == CanonicalFrame.from_stations(self.BS[0].position, self.BS[1].position)
+        assert [h is None for h in hs] == [False, True, True, False]
+        for e in (0, 3):
+            assert measured_hyperbolas(self.BS, (1, 2, float(dt[e]))) == (frame, [hs[e]])
+        for e in (1, 2):
+            with pytest.raises(DegenerateHyperbola):
+                measured_hyperbolas(self.BS, (1, 2, float(dt[e])))
+        assert measured_hyperbolas(self.BS, (1, 2, np.empty(0))) == (frame, [])
+
+    def test_observation_checked_before_its_epochs(self):
+        with pytest.raises(MissingTdoa):
+            measured_hyperbolas(self.BS, None)
+        with pytest.raises(ValueError, match=r"stations \[3\] are not TDOA-capable"):
+            measured_hyperbolas(self.BS, (1, 3, np.array([math.nan])))
 
 
 class TestProjection:

@@ -1,6 +1,5 @@
 import csv
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from rssdloc import harness
-from rssdloc.channel import simulate_measurements
+from rssdloc.channel import MeasurementSet, simulate_measurements
 from rssdloc.cli import main
 from rssdloc.errors import DegenerateHyperbola, EmptyInput, InvalidScenario, UnknownKey
 from rssdloc.fingerprint import FingerprintDB, circular_track, coarse_estimate, refine_with_tdoa
@@ -238,6 +237,29 @@ class TestBatchedTrial:
         feedback = s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL
         assert len(calls) == (scored if feedback else 1)
 
+    @pytest.mark.parametrize("mode, name, reads", [
+        (Mode.SIM_RSSD, "solve_rssd", lambda m: m),
+        (Mode.SIM_RSSD_TDOA, "solve_rssd_tdoa", lambda m: m),
+        (Mode.FP_RSSD_TDOA, "refine_with_tdoa", lambda m: m.tdoa),
+    ])
+    def test_locate_step_reads_the_drawn_stack(self, monkeypatch, fp_scenario, mode, name,
+                                               reads):
+        # the channel's one measurement set of a chunk is handed through
+        # whole, not re-stacked from per-epoch rows
+        drawn, calls = [], []
+        simulate, step = harness.simulate_measurements, getattr(harness, name)
+        monkeypatch.setattr(harness, "simulate_measurements",
+                            lambda *a: drawn.append(simulate(*a)) or drawn[-1])
+        monkeypatch.setattr(harness, name, lambda *a: calls.append(a) or step(*a))
+        if mode.is_sim:
+            s = scenario_from_dict(small_sim_dict(mode=mode.value, antenna_model="OMNI"))
+        else:
+            s = fp_scenario.with_mode(mode)
+        run_trial(s, 0, None if mode.is_sim else scenario_db(s))
+        (m,), (args,) = drawn, calls
+        assert m.rss.shape[0] > 1
+        assert args[1] is reads(m)
+
 
 class TestTdoaFallback:
     # 20 ns of TDOA noise spreads the half range difference r by 3 m, so
@@ -246,17 +268,25 @@ class TestTdoaFallback:
 
     def test_sim_epoch_falls_back_to_rssd(self, monkeypatch):
         s = scenario_from_dict(small_sim_dict(mode="SIM_RSSD_TDOA", sigma_tdoa=20e-9))
-        fallback = []
-        solve_rssd = harness.solve_rssd
-        # the degenerate epochs of a locate step fall back in one stack
+        calls = []  # per locate step: its stack, then the stack of its fallback
+        solve_rssd, solve_rssd_tdoa = harness.solve_rssd, harness.solve_rssd_tdoa
+        monkeypatch.setattr(harness, "solve_rssd_tdoa",
+                            lambda cfg, m: calls.append([m]) or solve_rssd_tdoa(cfg, m))
         monkeypatch.setattr(harness, "solve_rssd",
-                            lambda cfg, ms: fallback.extend(ms) or solve_rssd(cfg, ms))
+                            lambda cfg, m: calls[-1].append(m) or solve_rssd(cfg, m))
         reports = run_scenario(s)
         counts = [r.tdoa_fallbacks for r in reports]
         assert 0 < sum(counts) < sum(len(r.records) - 1 for r in reports)
-        assert len(fallback) == sum(counts)
-        # half-separation 3 m: the fallback epochs are the degenerate ones
-        assert all(abs(0.5 * SPEED_OF_LIGHT * m.tdoa[2]) >= 3.0 - 1e-9 for m in fallback)
+        # half-separation 3 m: the degenerate epochs of a locate step, and
+        # only they, fall back in one stack of their rows
+        degenerate = 0
+        for m, *fallback in calls:
+            gaps = np.flatnonzero(np.abs(0.5 * SPEED_OF_LIGHT * m.tdoa[2]) >= 3.0 - 1e-9)
+            assert len(fallback) == (len(gaps) > 0)
+            if fallback:
+                assert np.array_equal(fallback[0].rss, m.rss[gaps])
+            degenerate += len(gaps)
+        assert degenerate == sum(counts)
         assert aggregate(reports).tdoa_fallbacks == sum(counts)
 
     @pytest.mark.parametrize("mode, without", [(Mode.SIM_RSSD_TDOA, Mode.SIM_RSSD),
@@ -267,14 +297,18 @@ class TestTdoaFallback:
         s = (scenario_from_dict(small_sim_dict(mode=mode.value)) if mode.is_sim
              else fp_scenario.with_mode(mode))
         db = None if mode.is_sim else scenario_db(s)
-        ms = simulate_measurements(s.stations, [Point2D(1.0, 1.0), Point2D(1.5, 0.5)],
-                                   s.channel, s.tdoa_noise, np.random.default_rng(0))
-        ms[0] = replace(ms[0], tdoa=ms[0].tdoa[:2] + (math.nan,))
+        m = simulate_measurements(s.stations, [Point2D(1.0, 1.0), Point2D(1.5, 0.5)],
+                                  s.channel, s.tdoa_noise, np.random.default_rng(0))
+        m.tdoa[2][0] = math.nan
+
+        def epoch(e):
+            return MeasurementSet(m.ids, m.rss[e:e + 1], m.tdoa[:2] + (m.tdoa[2][e:e + 1],))
+
         locate = harness._LOCATE[mode]
-        estimates, fell_back = locate(s, db, s.stations, ms)
+        estimates, fell_back = locate(s, db, s.stations, m)
         assert fell_back == 1
-        assert estimates[0] == harness._LOCATE[without](s, db, s.stations, ms[:1])[0][0]
-        assert estimates[1] == locate(s, db, s.stations, ms[1:])[0][0]
+        assert estimates[0] == harness._LOCATE[without](s, db, s.stations, epoch(0))[0][0]
+        assert estimates[1] == locate(s, db, s.stations, epoch(1))[0][0]
 
     def test_fp_epoch_keeps_coarse_estimate(self, fp_scenario):
         db = scenario_db(fp_scenario)
@@ -514,6 +548,15 @@ class TestCli:
         rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == "error: missing scenario key 'region.x_min'\n"
+
+    def test_sweep_reports_a_walk_that_cannot_move(self, tmp_path, capsys, deadline):
+        with deadline(1.0):
+            rc = main(["sweep", "--scenario", str(SIM_YAML), "--trials", "1",
+                       "--param", "waypoint.update_rate", "--values", "1e16",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: waypoint.speed ") and "moves the user nowhere" in err
 
     def test_run_reports_failed_scenario_check(self, tmp_path, capsys):
         path = write_copy(tmp_path,

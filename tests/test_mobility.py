@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rssdloc.errors import CoincidentWithStation
+from rssdloc.errors import CoincidentWithStation, InvalidScenario
 from rssdloc.geometry import BaseStation, DirectionalAntenna, Point2D, Role, Stations, distance
 from rssdloc.mobility import (
     WaypointModelParams,
@@ -63,6 +63,15 @@ class TestGenerateTrack:
         for (tf, pf), (ts, ps) in zip(fast.epochs[::2], slow.epochs):
             assert tf == pytest.approx(ts)
             assert distance(pf, ps) < 1e-9
+
+    @pytest.mark.parametrize("setting", [{"update_rate": 1e16}, {"speed": 1e-300},
+                                         {"speed": 1e-300, "pause_time": 1.0}])
+    def test_walk_that_cannot_move_rejected(self, deadline, setting):
+        # an epoch of 1e-16 s is below the step loop's 1e-15 s leftover
+        # tolerance, and a step of 1e-300 m rounds to no move: either epoch
+        # leaves the walk as it found it, so generation would never end
+        with deadline(1.0), pytest.raises(InvalidScenario, match="moves the user nowhere"):
+            generate_track(params(**setting), np.random.default_rng(0))
 
 
 def station(bs_id=1, x=0.0, y=0.0, orientation=0.0):

@@ -211,14 +211,23 @@ class TestGenerateSignal:
     @pytest.mark.parametrize("kwargs, message", [
         ({"prf": 0.0}, "prf must be"), ({"prf": -3e6}, "prf must be"),
         ({"prf": math.nan}, "prf must be"), ({"prf": math.inf}, "prf must be"),
-        ({"band": (0.0, 3.9e9)}, "band must"), ({"band": (-1e9, 3.9e9)}, "band must"),
-        ({"band": (3.9e9, 2.3e9)}, "band must"), ({"band": (math.nan, 3.9e9)}, "band must"),
     ])
     def test_spec_validation(self, kwargs, message):
         # rejected when the spec is made, not later in the pulse train or
         # the Butterworth design
         with pytest.raises(ValueError, match=message):
             SignalSpec(**kwargs)
+
+    def test_pulses_take_the_receivers_band(self):
+        # the receiver filters at DEFAULT_BAND, so the pulses are shaped to
+        # it: a spec names no band of its own, which the filter would cut
+        # (pulses at 3.5-5.5 GHz read an RSS 18.6 dB low)
+        with pytest.raises(TypeError, match="band"):
+            SignalSpec(band=(3.5e9, 5.5e9))
+        spec = SignalSpec()
+        assert spec.center_frequency == 0.5 * (DEFAULT_BAND[0] + DEFAULT_BAND[1])
+        half_bw = 0.5 * (DEFAULT_BAND[1] - DEFAULT_BAND[0])
+        assert spec.pulse_sigma == math.sqrt(math.log(10.0)) / (2.0 * math.pi * half_bw)
 
     def test_attenuation_halves_amplitude(self, spec):
         full = generate_signal(spec, 0.0, 0.0)

@@ -71,6 +71,14 @@ def measure(bs, mu, params=NOISELESS, tdoa=NO_TDOA_NOISE, seed=0):
     return simulate_measurements(bs, mu, params, tdoa, np.random.default_rng(seed))
 
 
+def stack(ms):
+    """The one measurement set of a non-empty list of one-epoch sets of one
+    layout: their RSS rows as a (T, N) block and, when the first carries a
+    TDOA observation, the pair it names with every set's delta_t."""
+    tdoa = ms[0].tdoa and ms[0].tdoa[:2] + (np.array([m.tdoa[2] for m in ms]),)
+    return MeasurementSet(ms[0].ids, np.array([m.rss for m in ms]), tdoa)
+
+
 @st.composite
 def layouts(draw, tdoa=False):
     """A random station layout with a noisy measurement set taken in it.
@@ -252,7 +260,7 @@ class TestSolveRssd:
         gx, gy = np.meshgrid(_grid(region.x_min, region.x_max, region.coarse_step),
                              _grid(region.y_min, region.y_max, region.coarse_step))
         gx, gy = gx.ravel(), gy.ravel()
-        for est, m in zip(solve_rssd(cfg, ms), ms):
+        for est, m in zip(solve_rssd(cfg, stack(ms)), ms, strict=True):
             k = int(np.argmin(_Model.build(cfg, m).objective(gx, gy)))
             assert est == Point2D(float(gx[k]), float(gy[k]))
 
@@ -263,14 +271,12 @@ class TestSolveRssd:
         bs = make_stations()
         other = (bs[1:] if layout == "lacks-station-1"
                  else bs + [BaseStation(11, Point2D(0.0, -4.0))])
-        m, elsewhere = measure(bs, Point2D(1.0, 1.0)), measure(other, Point2D(1.0, 1.0))
+        m = measure(bs, Point2D(1.0, 1.0))
         cfg = SolverConfig(NOISELESS, other, REGION)
         for call in (_Model.build, solve_rssd):
-            with pytest.raises(ValueError, match="not the config's RSS stations"):
-                call(cfg, m)
-        # a stack is checked measurement by measurement
-        with pytest.raises(ValueError, match="not the config's RSS stations"):
-            solve_rssd(SolverConfig(NOISELESS, bs, REGION), [m, elsewhere])
+            for measured in (m, stack([m, m])):
+                with pytest.raises(ValueError, match="not the config's RSS stations"):
+                    call(cfg, measured)
 
     def test_measurement_reads_the_config_table(self):
         bs = make_stations()
@@ -290,8 +296,12 @@ class TestSolveRssd:
         m = measure(bs, Point2D(1.0, 1.0), NOISY)
         m_bad = replace(m, rss=np.where(m.ids == 3, bad, m.rss))
         message = re.escape("non-finite RSS from stations [3]")
-        for call in (lambda: solve_rssd(cfg, m_bad), lambda: solve_rssd(cfg, [m, m_bad]),
-                     lambda: solve_rssd_tdoa(cfg, m_bad), lambda: solve_rssd_tdoa(cfg, [m_bad, m]),
+        # a stack's epoch without a hyperbola is checked too
+        no_hyperbola = replace(m_bad, tdoa=(9, 10, math.nan))
+        for call in (lambda: solve_rssd(cfg, m_bad), lambda: solve_rssd(cfg, stack([m, m_bad])),
+                     lambda: solve_rssd_tdoa(cfg, m_bad),
+                     lambda: solve_rssd_tdoa(cfg, stack([m_bad, m])),
+                     lambda: solve_rssd_tdoa(cfg, stack([m, no_hyperbola])),
                      lambda: rssd_objective(cfg, m_bad, Point2D(0.0, 0.0))):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -323,29 +333,27 @@ class TestSolveRssdTdoa:
         cfg = SolverConfig(NOISELESS, layout, REGION)
         message = f"stations {re.escape(missing)} are not TDOA-capable stations"
         p = Point2D(0.0, 0.0)
-        for call in (lambda: solve_rssd_tdoa(cfg, m), lambda: solve_rssd_tdoa(cfg, [m, m]),
+        for call in (lambda: solve_rssd_tdoa(cfg, m), lambda: solve_rssd_tdoa(cfg, stack([m, m])),
                      lambda: refine_with_tdoa(p, m.tdoa, layout, REGION),
-                     lambda: refine_with_tdoa([p, p], [m.tdoa, m.tdoa], layout, REGION)):
+                     lambda: refine_with_tdoa([p, p], stack([m, m]).tdoa, layout, REGION)):
             with pytest.raises(ValueError, match=message):
                 call()
 
-    @pytest.mark.parametrize("stack, error, message", [
-        ("two pairs", ValueError, "one TDOA pair"),
+    @pytest.mark.parametrize("case, error, message", [
         ("no TDOA", MissingTdoa, "no TDOA observation"),
         ("not TDOA-capable", ValueError, r"stations \[3, 4\] are not TDOA-capable"),
     ])
-    def test_both_tdoa_paths_raise_alike(self, stack, error, message):
+    def test_both_tdoa_paths_raise_alike(self, case, error, message):
         # the solver and the fingerprint projection read a stack's TDOA
-        # observations through one helper, so they reject a bad stack alike
+        # observation through one helper, so they reject a bad stack alike
         bs = make_stations() + [BaseStation(11, Point2D(0.0, -4.0), Role.TDOA_ONLY)]
         cfg = SolverConfig(NOISY, bs, REGION)
-        m = measure(bs[:-1], Point2D(1.0, 1.0), NOISY)
-        ms = {"two pairs": [m, replace(m, tdoa=(9, 11, m.tdoa[2]))],
-              "no TDOA": [m, replace(m, tdoa=None)],
-              "not TDOA-capable": [replace(m, tdoa=(3, 4, m.tdoa[2]))] * 2}[stack]
-        points = [Point2D(0.5, 0.5)] * len(ms)
-        for call in (lambda: solve_rssd_tdoa(cfg, ms),
-                     lambda: refine_with_tdoa(points, [mm.tdoa for mm in ms], bs, REGION)):
+        m = stack([measure(bs[:-1], Point2D(1.0, 1.0), NOISY)] * 2)
+        m = {"no TDOA": replace(m, tdoa=None),
+             "not TDOA-capable": replace(m, tdoa=(3, 4, m.tdoa[2]))}[case]
+        points = [Point2D(0.5, 0.5)] * 2
+        for call in (lambda: solve_rssd_tdoa(cfg, m),
+                     lambda: refine_with_tdoa(points, m.tdoa, bs, REGION)):
             with pytest.raises(error, match=message):
                 call()
 
@@ -425,7 +433,7 @@ class TestSolveRssdTdoa:
             m_bad = replace(m, tdoa=(9, 10, dt))
             with pytest.raises(DegenerateHyperbola):
                 solve_rssd_tdoa(cfg, m_bad)
-            assert solve_rssd_tdoa(cfg, [m_bad, m]) == [None, solve_rssd_tdoa(cfg, m)]
+            assert solve_rssd_tdoa(cfg, stack([m_bad, m])) == [None, solve_rssd_tdoa(cfg, m)]
 
     def test_missing_tdoa(self):
         bs = make_stations()
@@ -450,20 +458,21 @@ class TestSolveRssdTdoa:
             sc = s.with_antenna_model(antenna_model)
             cfg = SolverConfig(sc.channel, sc.bs, sc.region, sc.antenna_model)
             for epochs in (1, 16, 35):
-                ms = [simulate_measurements(sc.bs, Point2D(*rng.uniform(-3.0, 3.0, 2)),
-                                            sc.channel, sc.tdoa_noise, rng)
-                      for _ in range(epochs)]
-                frame, _ = measured_hyperbolas(cfg.stations, ms[0].tdoa)
+                m = simulate_measurements(sc.bs, [Point2D(*rng.uniform(-3.0, 3.0, 2))
+                                                  for _ in range(epochs)],
+                                          sc.channel, sc.tdoa_noise, rng)
+                frame, _ = measured_hyperbolas(cfg.stations, m.tdoa)
                 ys, _, rounds = solver._line_tables(frame, sc.region)
                 assert rounds == 5
                 shapes.clear()
-                assert None not in solve_rssd_tdoa(cfg, ms)
+                assert None not in solve_rssd_tdoa(cfg, m)
                 sizes = [min(solver._LINE_CHUNK, epochs - lo)
                          for lo in range(0, epochs, solver._LINE_CHUNK)]
                 assert shapes == [shape for n in sizes
                                   for shape in [(n, len(ys))] + [(n, 33)] * rounds]
             shapes.clear()
-            assert isinstance(solve_rssd_tdoa(cfg, ms[0]), Point2D)
+            assert isinstance(solve_rssd_tdoa(cfg, simulate_measurements(
+                sc.bs, Point2D(1.0, 1.0), sc.channel, sc.tdoa_noise, rng)), Point2D)
             assert shapes == [(1, len(ys))] + [(1, 33)] * rounds
 
     @settings(max_examples=200, deadline=None)
@@ -503,18 +512,19 @@ class TestSolveRssdTdoa:
 
     @settings(max_examples=80, deadline=None)
     @given(tdoa_stacks(), st.sampled_from([1, 3, 16]))
-    def test_stack_equals_per_epoch_calls(self, stack, chunk):
+    def test_stack_equals_per_epoch_calls(self, stack_case, chunk):
         # bit for bit, with None where the single call raises; small chunks
         # split the stack
-        cfg, ms = stack
+        cfg, ms = stack_case
         alone = []
         for m in ms:
             try:
                 alone.append(solve_rssd_tdoa(cfg, m))
             except DegenerateHyperbola:
                 alone.append(None)
+        block = stack(ms) if ms else measure(cfg.bs, [])
         with mock.patch.object(solver, "_LINE_CHUNK", chunk):
-            assert bits(solve_rssd_tdoa(cfg, ms)) == bits(alone)
+            assert bits(solve_rssd_tdoa(cfg, block)) == bits(alone)
 
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
@@ -536,7 +546,7 @@ class TestSolveRssdTdoa:
         dt = [f * distance(pk, pl) / SPEED_OF_LIGHT for f in fractions]
         ms = [replace(measure(bs, Point2D(*rng.uniform(-3.0, 3.0, 2)), NOISY, seed=rng),
                       tdoa=(9, 10, t)) for t in dt]
-        frame, hs = measured_hyperbolas(cfg.stations, [m.tdoa for m in ms])
+        frame, hs = measured_hyperbolas(cfg.stations, stack(ms).tdoa)
         mapped = []
         from_canonical = CanonicalFrame.from_canonical
 
@@ -545,23 +555,16 @@ class TestSolveRssdTdoa:
             return mapped[-1][1]
 
         with mock.patch.object(CanonicalFrame, "from_canonical", recorded):
-            stack = solve_rssd_tdoa(cfg, ms)
+            together = solve_rssd_tdoa(cfg, stack(ms))
             alone = [solve_rssd_tdoa(cfg, m) for m in ms]
-        assert bits(stack) == bits(alone)
-        assert bits(p for _, p in mapped) == bits(stack + alone)
+        assert bits(together) == bits(alone)
+        assert bits(p for _, p in mapped) == bits(together + alone)
         for (p, _), h in zip(mapped, hs + hs):
             assert p.x == float(hyperbola_x_of_y(h, p.y))
 
     def test_empty_stack(self):
-        assert solve_rssd_tdoa(SolverConfig(NOISY, make_stations(), REGION), []) == []
-
-    def test_stack_of_two_pairs_rejected(self):
-        bs = make_stations() + [BaseStation(11, Point2D(0.0, -4.0), Role.TDOA_ONLY)]
-        cfg = SolverConfig(NOISY, bs, REGION)
-        m = measure(bs[:-1], Point2D(1.0, 1.0), NOISY)
-        other = replace(m, tdoa=(9, 11, m.tdoa[2]))
-        with pytest.raises(ValueError, match="one TDOA pair"):
-            solve_rssd_tdoa(cfg, [m, other])
+        bs = make_stations()
+        assert solve_rssd_tdoa(SolverConfig(NOISY, bs, REGION), measure(bs, [])) == []
 
     @settings(max_examples=60, deadline=None)
     @given(layouts(tdoa=True))
@@ -619,7 +622,7 @@ class TestInFrame:
            st.floats(-math.pi, math.pi),
            st.lists(st.floats(-0.999, 0.999), min_size=4, max_size=4),
            st.integers(0, 2**32 - 1))
-    def test_objective_matches_scenario_frame(self, stack, identity, s, mid, angle,
+    def test_objective_matches_scenario_frame(self, stack_case, identity, s, mid, angle,
                                               fractions, seed):
         # the line search's objective, of the model rotated into a pair's
         # frame at branch points, against the model's own at the points the
@@ -629,7 +632,7 @@ class TestInFrame:
         # and 2.2e-10 dB^2 absolute (at q = 616 dB^2), so rtol 1e-9 leaves a
         # margin of 270x, and atol 1e-9 dB^2 covers q -> 0; the identity
         # frame rounds nothing and must agree bit for bit
-        cfg, ms = stack
+        cfg, ms = stack_case
         u = Point2D(s * math.cos(angle), s * math.sin(angle))
         pk, pl = ((Point2D(-s, 0.0), Point2D(s, 0.0)) if identity
                   else (Point2D(mid[0] - u.x, mid[1] - u.y), Point2D(mid[0] + u.x, mid[1] + u.y)))
@@ -644,7 +647,7 @@ class TestInFrame:
         x_out, y_out = o.x + c * x - sn * y, o.y + sn * x + c * y
         tab = cfg.stations
         assume(np.hypot(x_out[..., None] - tab.x, y_out[..., None] - tab.y).min() > 1e-3)
-        model = _Model.build(cfg, ms)
+        model = _Model.build(cfg, stack(ms))
         q_in = model.in_frame(frame).objective(x, y)
         q_out = model.objective(x_out, y_out)
         if identity:
@@ -734,18 +737,18 @@ class TestAgainstPairForm:
 
     @settings(max_examples=30, deadline=None)
     @given(stacks())
-    def test_stack_equals_per_measurement(self, stack):
+    def test_stack_equals_per_measurement(self, stack_case):
         # up to ten epochs: several coarse-product chunks and one refinement
-        cfg, ms = stack
-        assert solve_rssd(cfg, ms) == [solve_rssd(cfg, m) for m in ms]
+        cfg, ms = stack_case
+        assert solve_rssd(cfg, stack(ms)) == [solve_rssd(cfg, m) for m in ms]
 
     @settings(max_examples=60, deadline=None)
     @given(stacks(), st.integers(2, 30), st.integers(0, 2**32 - 1))
-    def test_objective_rows_read_their_epochs(self, stack, k, seed):
+    def test_objective_rows_read_their_epochs(self, stack_case, k, seed):
         # (epochs, k) candidates: row e is epoch e's objective, bit for bit.
         # From k = 2: numpy sums a lone candidate's (N, 1) residual column as
         # a contiguous vector, in another order than a column of a batch.
-        cfg, ms = stack
+        cfg, ms = stack_case
         rng = np.random.default_rng(seed)
         x = rng.uniform(-6.0, 6.0, (len(ms), k))
         y = rng.uniform(-6.0, 6.0, (len(ms), k))
@@ -753,13 +756,14 @@ class TestAgainstPairForm:
         for e in range(len(ms)):
             p = cfg.bs[e % len(cfg.bs)].position
             x[e, -1], y[e, -1] = p.x, p.y
-        q = _Model.build(cfg, ms).objective(x, y)
+        q = _Model.build(cfg, stack(ms)).objective(x, y)
         assert q.shape == x.shape
         for e, m in enumerate(ms):
             np.testing.assert_array_equal(q[e], _Model.build(cfg, m).objective(x[e], y[e]))
 
     def test_empty_stack(self):
-        assert solve_rssd(SolverConfig(NOISY, make_stations(), REGION), []) == []
+        bs = make_stations()
+        assert solve_rssd(SolverConfig(NOISY, bs, REGION), measure(bs, [])) == []
 
     @settings(max_examples=60, deadline=None)
     @given(stacks(max_epochs=5))
@@ -772,9 +776,9 @@ class TestAgainstPairForm:
                            SearchRegion(-3.5, 3.5, -3.5, 3.5, coarse_step=0.1,
                                         refine_iterations=0), AntennaModel.OMNI),
               [MeasurementSet(np.array([1, 2, 3]), np.zeros(3))]))
-    def test_expanded_coarse_form_matches_evaluate(self, stack):
-        cfg, ms = stack
-        model = _Model.build(cfg, ms)
+    def test_expanded_coarse_form_matches_evaluate(self, stack_case):
+        cfg, ms = stack_case
+        model = _Model.build(cfg, stack(ms))
         t = _coarse_tables(tuple(model.sx.tolist()), tuple(model.sy.tolist()), cfg.region)
         (seeds, sq), expanded = _coarse_seeds(model, t), _expanded(model, t)
         bound = _rounding_bound(model, t)
