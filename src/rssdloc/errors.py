@@ -45,10 +45,6 @@ class EmptyGrid(LocalizationError):
     pass
 
 
-class AliasingSampleRate(LocalizationError):
-    pass
-
-
 class TemplateTooLong(LocalizationError):
     pass
 

@@ -18,7 +18,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, centred, simulate_rss
+from .channel import _COINCIDENCE_TOL, ChannelParams, centred, simulate_rss
 from .errors import EmptyGrid, InvalidScenario, LengthMismatch
 from .geometry import Layout, Point2D, Stations, measured_hyperbolas, project_onto_hyperbola
 from .solver import SearchRegion
@@ -126,21 +126,20 @@ def circular_track(params: CircularTrackParams) -> List[Point2D]:
     return pts
 
 
-def build_db(bs: Layout, area: SearchRegion, grid_step: float,
-             excluded: Sequence[Point2D], channel: ChannelParams,
-             rng: np.random.Generator) -> FingerprintDB:
-    """Synthesize the offline database from the channel model.
+def grid(st: Stations, area: SearchRegion, grid_step: float,
+         excluded: Sequence[Point2D]) -> List[Point2D]:
+    """The database's grid points over the area, ordered by (y, x), with
+    the excluded positions dropped.
 
-    Pass a channel with sigma_beta = 0 for a noiseless (deterministic)
-    database.  Excluded positions are dropped from the grid entirely.
+    A point within 1 nm of one of the table's RSS stations, where the
+    channel model has no RSS, raises InvalidScenario naming the point and
+    the station.
     """
     if not grid_step > 0:
         raise ValueError("grid_step must be > 0")
     # floor (with a float-safety nudge) so the grid never leaves the area
     nx = int(math.floor((area.x_max - area.x_min) / grid_step + 1e-9))
     ny = int(math.floor((area.y_max - area.y_min) / grid_step + 1e-9))
-    st = Stations.of(bs)
-
     points = []
     for iy in range(ny + 1):
         y = area.y_min + iy * grid_step
@@ -149,6 +148,25 @@ def build_db(bs: Layout, area: SearchRegion, grid_step: float,
             if not any(abs(p.x - e.x) < _EXCLUDE_TOL and abs(p.y - e.y) < _EXCLUDE_TOL
                        for e in excluded):
                 points.append(p)
+    xy = np.array([(p.x, p.y) for p in points]).reshape(-1, 2)
+    # the first (point, station) pair within the tolerance, if any
+    for i, k in np.argwhere(np.hypot(xy[:, :1] - st.x, xy[:, 1:] - st.y) < _COINCIDENCE_TOL)[:1]:
+        raise InvalidScenario(f"fingerprint grid point ({points[i].x}, {points[i].y}) coincides "
+                              f"with station {st.ids[k]}; list it in fingerprint.excluded")
+    return points
+
+
+def build_db(bs: Layout, area: SearchRegion, grid_step: float,
+             excluded: Sequence[Point2D], channel: ChannelParams,
+             rng: np.random.Generator) -> FingerprintDB:
+    """Synthesize the offline database from the channel model at the
+    points of grid.
+
+    Pass a channel with sigma_beta = 0 for a noiseless (deterministic)
+    database.  Excluded positions are dropped from the grid entirely.
+    """
+    st = Stations.of(bs)
+    points = grid(st, area, grid_step, excluded)
     if not points:
         raise EmptyGrid("every grid point was excluded")
     # the whole grid in one draw, point by point as a per-point loop draws

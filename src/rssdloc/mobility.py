@@ -20,6 +20,9 @@ from .geometry import Layout, Point2D, Stations, distance
 from .solver import SearchRegion
 
 _COINCIDENCE_TOL = 1e-9  # m
+# epochs a walk of total_length or one pause may take, and waypoints one
+# epoch may pass
+_WALK_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -60,11 +63,17 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
     Waypoints are drawn uniformly over the area in a fixed order, so two
     tracks generated from the same seed share the same geometric path even
     at different update rates.  Generation stops once the summed straight-
-    line epoch-to-epoch length reaches total_length.  An epoch that starts
-    with no pause pending and ends where it started, short of its waypoint,
-    leaves the walk as it found it, so every later epoch would too: that
-    raises InvalidScenario (an update rate so high, or a speed so low, that
-    an epoch's step rounds to nothing).
+    line epoch-to-epoch length reaches total_length.
+
+    Settings that would take more than _WALK_LIMIT epochs to walk
+    total_length at an epoch's step, speed / update_rate, or to sit out
+    one pause, or that pass more than _WALK_LIMIT waypoints in one epoch
+    (a step of that many area diagonals), raise InvalidScenario naming
+    them, before the walk starts.  An epoch that starts with no pause
+    pending and ends where it started, short of its waypoint, leaves the
+    walk as it found it, so every later epoch would too: that raises
+    InvalidScenario too (an epoch below the step loop's 1e-15 s tolerance,
+    or a step that rounds to nothing at the area's coordinates).
     """
     pos = _draw_point(params.area, rng)
     epochs: List[Tuple[float, Point2D]] = [(0.0, pos)]
@@ -72,6 +81,21 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
         return Track(epochs)
 
     dt = 1.0 / params.update_rate
+    step = params.speed * dt
+    area = params.area
+    diagonal = math.hypot(area.x_max - area.x_min, area.y_max - area.y_min)
+    stepping = (f"waypoint.speed {params.speed} m/s over an epoch of"
+                f" 1 / waypoint.update_rate = {dt} s")
+    if params.total_length > _WALK_LIMIT * step:
+        raise InvalidScenario(f"{stepping} moves the user nowhere near waypoint.total_length"
+                              f" {params.total_length} m within {_WALK_LIMIT:,} epochs")
+    if step > _WALK_LIMIT * diagonal:
+        raise InvalidScenario(f"{stepping} passes more than {_WALK_LIMIT:,} waypoints, each"
+                              f" within the area's {diagonal:.4g} m diagonal")
+    if params.pause_time > _WALK_LIMIT * dt:
+        raise InvalidScenario(f"waypoint.pause_time {params.pause_time} s lasts more than"
+                              f" {_WALK_LIMIT:,} epochs of 1 / waypoint.update_rate = {dt} s")
+
     target = _draw_point(params.area, rng)
     pause_left = 0.0
     t = 0.0
@@ -98,9 +122,7 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
                 pause_left = params.pause_time
                 target = _draw_point(params.area, rng)
         if idle and target is leg and (x, y) == (pos.x, pos.y):
-            raise InvalidScenario(
-                f"waypoint.speed {params.speed} m/s over an epoch of 1 / waypoint.update_rate"
-                f" = {dt} s moves the user nowhere")
+            raise InvalidScenario(f"{stepping} moves the user nowhere")
         t += dt
         nxt = Point2D(x, y)
         path_len += distance(pos, nxt)

@@ -5,18 +5,22 @@ transmit template, band-limited upsampling around the correlation peak,
 peak-time readout.  TDOA is the difference of two peak times; RSS is the
 mean squared correlation over a fixed window behind the peak.
 
-Every pulse train is shaped to DEFAULT_BAND, and every chain filters at
-DEFAULT_BAND and upsamples by DEFAULT_UPSAMPLE.
+The receiver runs at one configuration: every pulse train is shaped to
+DEFAULT_BAND and sampled at DEFAULT_SAMPLE_RATE, and every chain filters at
+DEFAULT_BAND, upsamples by DEFAULT_UPSAMPLE and reads the RSS over
+DEFAULT_RSS_WINDOW.
+
 The filtered signal is h * r: the received signal r, read as 0 outside
 its samples, convolved with h, the zero-phase impulse response of an
 order-4 Butterworth bandpass.  The filter and the correlation are one
-step.  The template correlated with h is kept on the template over the
-runs around its non-zero samples (the 128 pulses of the default train),
-with their spectra at one FFT length.  Each call correlates those runs'
-windows of r in fixed-size overlap-save blocks, transformed in batches of
-about _CHUNK_WINDOWS windows and summed in run order.  A chain holds about one
-input-sized array at a time: generate_signal draws its noise into its
-output and adds the pulses at their samples.
+step.  The template correlated with h is kept on the template, built at
+its first correlation, over the runs around its non-zero samples (the 128
+pulses of the default train), with their spectra at one FFT length.  Each
+call correlates those runs' windows of r in fixed-size overlap-save
+blocks, transformed in batches of about _CHUNK_WINDOWS windows and summed
+in run order.  A chain holds about one input-sized array at a time:
+generate_signal draws its noise into its output and adds the pulses at
+their samples.
 
 The receiver runs on numpy alone.  The Butterworth design follows
 scipy.signal.butter, h is scipy.signal.sosfiltfilt's response to a unit
@@ -30,11 +34,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import AliasingSampleRate, EmptyInput, TemplateTooLong, WindowOutOfSupport
+from .errors import EmptyInput, TemplateTooLong, WindowOutOfSupport
 
 DEFAULT_BAND = (2.3e9, 3.9e9)   # Hz, -10 dB band edges
 DEFAULT_PRF = 3e6               # Hz
@@ -54,22 +58,19 @@ _CHUNK_WINDOWS = 16             # windows transformed at once, whole runs, at le
 
 @dataclass
 class Waveform:
-    """Uniformly sampled real signal; samples[i] is taken at t0 + i / sample_rate.
+    """Real signal sampled at DEFAULT_SAMPLE_RATE; samples[i] is taken at
+    t0 + i / DEFAULT_SAMPLE_RATE.  t0 is keyword-only.
 
-    samples is stored without a copy and made read-only, so what is
-    memoised for it as a correlation template cannot go stale.  Pass a
-    copy to keep a writable array.
+    samples is stored without a copy and made read-only, so the runs kept
+    on it as a correlation template (_Runs) cannot go stale.  Pass a copy
+    to keep a writable array.
     """
 
     samples: np.ndarray
-    sample_rate: float
-    t0: float = 0.0
-    _runs: Dict[float, "_Runs"] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    t0: float = field(default=0.0, kw_only=True)
+    _runs: Optional["_Runs"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be > 0")
         self.samples = np.asarray(self.samples, dtype=float)
         self.samples.flags.writeable = False
 
@@ -120,7 +121,6 @@ class CorrelationResult:
 
 
 def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
-                    sample_rate: float = DEFAULT_SAMPLE_RATE,
                     noise_std: float = 0.0,
                     rng: Optional[np.random.Generator] = None) -> Waveform:
     """Sampled bi-phase pulse train seen at one receiver.
@@ -135,7 +135,6 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
     summed in chip order, where the pulses of a high-PRF train overlap, and
     then added to its noise.  So the call holds one input-sized array.
     """
-    _require_nyquist(DEFAULT_BAND[1], sample_rate)
     if not (math.isfinite(delay) and delay >= 0):
         raise ValueError(f"delay must be finite and >= 0, got {delay}")
     if not math.isfinite(attenuation_db):
@@ -144,19 +143,20 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     if noise_std > 0 and rng is None:
         raise ValueError("noise_std > 0 requires an rng")
+    fs = DEFAULT_SAMPLE_RATE
     sigma = spec.pulse_sigma
     fc = spec.center_frequency
     pad = _PULSE_SUPPORT_SIGMAS * sigma
     duration = delay + (len(spec.chips) - 1) / spec.prf + 2.0 * pad
-    n = int(math.ceil(duration * sample_rate)) + 1
+    n = int(math.ceil(duration * fs)) + 1
     amp = 10.0 ** (attenuation_db / 20.0)
     # pulse k covers samples lo[k] + j for j < hi[k] - lo[k]
     tc = delay + pad + np.arange(len(spec.chips)) / spec.prf
-    lo = np.maximum(((tc - pad) * sample_rate).astype(int), 0)
-    hi = np.minimum(((tc + pad) * sample_rate).astype(int) + 1, n)
+    lo = np.maximum(((tc - pad) * fs).astype(int), 0)
+    hi = np.minimum(((tc + pad) * fs).astype(int) + 1, n)
     j = np.arange((hi - lo).max())
     idx = lo[:, None] + j
-    tk = idx / sample_rate - tc[:, None]
+    tk = idx / fs - tc[:, None]
     pulses = (spec.chips[:, None] * amp * np.exp(-0.5 * (tk / sigma) ** 2)
               * np.cos(2.0 * math.pi * fc * tk))
     within = j < (hi - lo)[:, None]
@@ -171,25 +171,17 @@ def generate_signal(spec: SignalSpec, delay: float, attenuation_db: float,
     else:
         out = np.zeros(n)
     out[at] += train
-    return Waveform(out, sample_rate, 0.0)
+    return Waveform(out)
 
 
-def _require_nyquist(f_high: float, sample_rate: float) -> None:
-    """Raise AliasingSampleRate unless sample_rate > 2 * f_high, as the filter design needs."""
-    if not sample_rate > 2.0 * f_high:
-        raise AliasingSampleRate(f"sample_rate {sample_rate:.4g} Hz must exceed 2 * {f_high:.4g} Hz")
-
-
-def transmit_template(spec: SignalSpec,
-                      sample_rate: float = DEFAULT_SAMPLE_RATE) -> Waveform:
+def transmit_template(spec: SignalSpec) -> Waveform:
     """Ideal (noiseless, zero-delay, unit-amplitude) transmit signal."""
-    return generate_signal(spec, delay=0.0, attenuation_db=0.0,
-                           sample_rate=sample_rate)
+    return generate_signal(spec, delay=0.0, attenuation_db=0.0)
 
 
-def _butter_bandpass(band: Tuple[float, float], sample_rate: float
-                     ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Zeros, poles and gain of the order-4 digital Butterworth bandpass.
+def _butter_bandpass() -> Tuple[np.ndarray, np.ndarray, float]:
+    """Zeros, poles and gain of the order-4 digital Butterworth bandpass at
+    DEFAULT_BAND, sampled at DEFAULT_SAMPLE_RATE.
 
     scipy.signal.butter's recipe: the analog lowpass prototype's poles on
     the left half of the unit circle, moved onto the pre-warped band by the
@@ -197,11 +189,8 @@ def _butter_bandpass(band: Tuple[float, float], sample_rate: float
     normalised sample rate of 2.  The band's _FILTER_ORDER zeros at s = 0
     map to z = 1, and the bilinear map puts as many at z = -1.
     """
-    if not 0 < band[0] < band[1] < sample_rate / 2:
-        raise ValueError(f"band must satisfy 0 < f_low < f_high < sample_rate / 2 "
-                         f"= {sample_rate / 2:.4g} Hz, got {band}")
     n = _FILTER_ORDER
-    warped = 4.0 * np.tan(np.pi * np.asarray(band, dtype=float) / sample_rate)
+    warped = 4.0 * np.tan(np.pi * np.asarray(DEFAULT_BAND, dtype=float) / DEFAULT_SAMPLE_RATE)
     bw = warped[1] - warped[0]
     p_lp = -np.exp(1j * np.pi * np.arange(1 - n, n, 2) / (2 * n)) * bw / 2
     root = np.sqrt(p_lp ** 2 - warped[0] * warped[1])
@@ -211,8 +200,7 @@ def _butter_bandpass(band: Tuple[float, float], sample_rate: float
     return z, (4.0 + p_s) / (4.0 - p_s), k
 
 
-def _causal_response(band: Tuple[float, float], sample_rate: float,
-                     n: int) -> np.ndarray:
+def _causal_response(n: int) -> np.ndarray:
     """The first n samples of the filter's impulse response from rest.
 
     The filter is a cascade of second-order sections, one per conjugate
@@ -221,7 +209,7 @@ def _causal_response(band: Tuple[float, float], sample_rate: float,
     runs in transposed direct form II, as scipy's sosfilt does, so the
     response keeps its relative precision down its decaying tail.
     """
-    _, p, k = _butter_bandpass(band, sample_rate)
+    _, p, k = _butter_bandpass()
     g = [k] + [0.0] * (n - 1)
     for q in p[p.imag > 0]:
         a1, a2 = -2.0 * float(q.real), float(abs(q)) ** 2
@@ -234,8 +222,8 @@ def _causal_response(band: Tuple[float, float], sample_rate: float,
     return np.array(g)
 
 
-@functools.lru_cache(maxsize=8)
-def _responses(band: Tuple[float, float], sample_rate: float) -> np.ndarray:
+@functools.cache
+def _responses() -> np.ndarray:
     """The filter's zero-phase impulse response h, h[len(h) // 2] at lag 0.
 
     A forward and a backward pass of the filter make h[m] = sum_i g[i]
@@ -245,10 +233,10 @@ def _responses(band: Tuple[float, float], sample_rate: float) -> np.ndarray:
     4 * reach samples, with rho ** reach at the cut, and reach doubles
     until h's cut lies within reach.
     """
-    rho = np.abs(_butter_bandpass(band, sample_rate)[1]).max()
+    rho = np.abs(_butter_bandpass()[1]).max()
     reach = math.ceil(math.log(_IMPULSE_CUT) / math.log(rho))
     while True:
-        g = _causal_response(band, sample_rate, 4 * reach)
+        g = _causal_response(4 * reach)
         side = np.correlate(g, g, "full")[len(g) - 1:]
         half = np.flatnonzero(np.abs(side) >= _IMPULSE_CUT * side[0])[-1]
         if half < reach:
@@ -268,9 +256,8 @@ def bandpass(w: Waveform) -> Waveform:
     starts len(h) // 2 samples before w's first.  correlate_and_detect's c is
     this correlated with the template.
     """
-    h = _responses(DEFAULT_BAND, w.sample_rate)
-    return Waveform(np.convolve(w.samples, h), w.sample_rate,
-                    w.t0 - (len(h) // 2) / w.sample_rate)
+    h = _responses()
+    return Waveform(np.convolve(w.samples, h), t0=w.t0 - (len(h) // 2) / DEFAULT_SAMPLE_RATE)
 
 
 @dataclass(frozen=True)
@@ -329,26 +316,24 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     fits in r, so only those lags are searched for the coarse peak; ties
     resolve to the earliest lag.  If r is exactly as long as the template,
     that is lag 0 alone.  Lags count samples: r.t0 and template.t0 only
-    shift the times, t0 = (r.t0 - template.t0) - before / fs.
+    shift the times, t0 = (r.t0 - template.t0) - before / fs, fs being
+    DEFAULT_SAMPLE_RATE.
 
     The result keeps lags [-before, (len_r - len_t) + after], capped at the
     last lag of the linear correlation, len_r - 1, where
     before = min(256, len_t - 1) is the half-width of the upsampling window
-    and after = ceil(DEFAULT_RSS_WINDOW * fs) + 2 covers the default RSS
-    window behind a fine peak up to two samples past the coarse peak.  A
-    longer window that runs past them raises WindowOutOfSupport in
-    rss_from_correlation.
+    and after = ceil(DEFAULT_RSS_WINDOW * fs) + 2 covers the RSS window
+    behind a fine peak up to two samples past the coarse peak.
 
-    r is filtered at DEFAULT_BAND, so its sample rate must exceed twice
-    the band's upper edge.  The filtered input is h * r (bandpass), so c is
-    r correlated with u, the template correlated with h, kept over the
-    template's widened non-zero runs (_Runs, one per sample rate on the
-    template).  The runs are correlated with their windows of r, read as 0
-    outside its samples, by batched rffts at the runs' FFT length n, one per
-    chunk of max(1, _CHUNK_WINDOWS // blocks) runs, so a chunk's transient
-    does not grow with the block count, against their spectra; the
-    products are summed in run order, as one batch of every run would sum
-    them, and brought back by one irfft.
+    The filtered input is h * r (bandpass), so c is r correlated with u,
+    the template correlated with h, kept over the template's widened
+    non-zero runs (_Runs, kept on the template at its first call).  The
+    runs are correlated with their windows of r, read as 0 outside its
+    samples, by batched rffts at the runs' FFT length n, one per chunk of
+    max(1, _CHUNK_WINDOWS // blocks) runs, so a chunk's transient does not
+    grow with the block count, against their spectra; the products are
+    summed in run order, as one batch of every run would sum them, and
+    brought back by one irfft.
     A window yields n - width + 1 lags onto which no other lag aliases
     (overlap-save), so the kept lags take one such block on the default
     train for delays up to about 26 ns.  Over the kept lags c is
@@ -361,19 +346,15 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
         raise EmptyInput("template has no samples")
     if len_t > len_r:
         raise TemplateTooLong(f"template ({len_t}) longer than input ({len_r})")
-    if r.sample_rate != template.sample_rate:
-        raise ValueError("input and template sample rates differ")
-    fs = r.sample_rate
-    _require_nyquist(DEFAULT_BAND[1], fs)
+    fs = DEFAULT_SAMPLE_RATE
     before = min(_UPSAMPLE_HALF_WIDTH, len_t - 1)
     after = math.ceil(DEFAULT_RSS_WINDOW * fs) + _FINE_REACH
     first = -before
     extra = before + min(after, len_t - 1) + 1  # kept lags past the full-overlap ones
     lags = len_r - len_t + extra
-    runs = template._runs.get(fs)
+    runs = template._runs
     if runs is None:
-        h = _responses(DEFAULT_BAND, fs)
-        runs = template._runs[fs] = _Runs.of(template.samples, h, extra)
+        runs = template._runs = _Runs.of(template.samples, _responses(), extra)
     n = runs.n
     step = n - runs.width + 1  # lags per block
     blocks = -(-lags // step)
@@ -418,7 +399,7 @@ def correlate_and_detect(r: Waveform, template: Waveform) -> CorrelationResult:
     hi = min(center + reach + 1, len(up))
     j = lo + int(np.argmax(np.abs(up[lo:hi])))
     peak_time = t0 + (k - half) / fs + j / (fs * DEFAULT_UPSAMPLE)
-    return CorrelationResult(Waveform(c, fs, t0), peak_time)
+    return CorrelationResult(Waveform(c, t0=t0), peak_time)
 
 
 def estimate_tdoa(a: CorrelationResult, b: CorrelationResult) -> float:
@@ -426,16 +407,14 @@ def estimate_tdoa(a: CorrelationResult, b: CorrelationResult) -> float:
     return a.peak_time - b.peak_time
 
 
-def rss_from_correlation(c: CorrelationResult,
-                         window: float = DEFAULT_RSS_WINDOW) -> float:
-    """Mean squared correlation over [peak, peak + window].
+def rss_from_correlation(c: CorrelationResult) -> float:
+    """Mean squared correlation over [peak, peak + DEFAULT_RSS_WINDOW].
 
     Trapezoidal approximation of the time-normalized energy integral; the
     window rides on the detected peak, so the value is delay-invariant.
+    A window past c's lags raises WindowOutOfSupport.
     """
-    if not (window > 0 and math.isfinite(window)):
-        raise WindowOutOfSupport(f"window must be finite and > 0, got {window}")
-    fs = c.c.sample_rate
+    fs, window = DEFAULT_SAMPLE_RATE, DEFAULT_RSS_WINDOW
     ia = int(math.ceil((c.peak_time - c.c.t0) * fs - 1e-9))
     ib = int(math.floor((c.peak_time + window - c.c.t0) * fs + 1e-9))
     if ia < 0 or ib >= len(c.c.samples) or ib <= ia:

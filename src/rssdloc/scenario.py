@@ -23,7 +23,7 @@ import yaml
 
 from .channel import ChannelParams, ChannelPresets, TdoaNoiseParams
 from .errors import InvalidScenario, LocalizationError, UnknownKey
-from .fingerprint import CircularTrackParams
+from .fingerprint import CircularTrackParams, grid
 from .geometry import (
     BaseStation,
     DirectionalAntenna,
@@ -115,6 +115,8 @@ class Scenario:
                 raise InvalidScenario("TDOA modes need exactly two TDOA-capable stations")
             if len(set(self.stations.tdoa.values())) < 2:
                 raise InvalidScenario("the two TDOA-capable stations coincide")
+        if not self.mode.is_sim and not self.fingerprint.db_file:  # checked before any trial
+            grid(self.stations, self.region, self.fingerprint.grid_step, self.fingerprint.excluded)
 
     @property
     def channel(self) -> ChannelParams:

@@ -122,6 +122,22 @@ class TestSimTrial:
         dts = np.diff([e.t for e in r.records])
         assert np.allclose(dts, 0.5)
 
+    @pytest.mark.parametrize("overrides, named", [
+        # steps of an ulp or so at coordinates near 1 m: about 2e15 epochs
+        ({"waypoint.speed": 1e-15, "waypoint.total_length": 1.0},
+         ["waypoint.speed 1e-15", "waypoint.update_rate", "waypoint.total_length 1.0"]),
+        # the first pause alone takes 2e12 epochs
+        ({"waypoint.pause_time": 1e12}, ["waypoint.pause_time 1000000000000.0", "waypoint.update_rate"]),
+        # an epoch reaches and redraws about 1e8 waypoints, or more
+        ({"waypoint.speed": 1e9}, ["waypoint.speed 1000000000.0", "waypoint.update_rate"]),
+        ({"waypoint.speed": 1e300}, ["waypoint.speed 1e+300", "waypoint.update_rate"]),
+    ])
+    def test_walk_past_the_limit_rejected(self, deadline, overrides, named):
+        s = load_scenario(SIM_YAML, overrides)
+        with deadline(1.0), pytest.raises(InvalidScenario) as e:
+            run_trial(s, 0)
+        assert all(name in str(e.value) for name in named), str(e.value)
+
 
 class TestFpTrial:
     def test_record_count_and_mode(self, fp_scenario):
@@ -482,6 +498,18 @@ class TestScenarioLoading:
         scenario = scenario_from_dict(d)
         with pytest.raises(InvalidScenario, match="waypoint.total_length"):
             scenario.with_mode(Mode.SIM_RSSD)
+
+    def test_station_on_the_fingerprint_grid_rejected(self, tmp_path):
+        # the grid point, not the user, would coincide with station 4; a
+        # database read from a file has no grid
+        path = write_copy(tmp_path, lambda d: d["stations"][3].update(x=1.5, y=1.5))
+        with pytest.raises(InvalidScenario, match=r"^fingerprint grid point \(1.5, 1.5\) "
+                                                  r"coincides with station 4; list it in "
+                                                  r"fingerprint.excluded$"):
+            load_scenario(path)
+        db_file = tmp_path / "db.csv"
+        scenario_db(load_scenario(FP_YAML)).to_csv(db_file)
+        assert load_scenario(path, {"fingerprint.db_file": str(db_file)}).mode is Mode.FP_RSSD_TDOA
 
     @pytest.mark.parametrize("source, mode", [
         ("fp_3x3.yaml", "FP_RSSD"), ("fp_3x3.yaml", "FP_RSSD_TDOA"),

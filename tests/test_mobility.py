@@ -64,12 +64,19 @@ class TestGenerateTrack:
             assert tf == pytest.approx(ts)
             assert distance(pf, ps) < 1e-9
 
-    @pytest.mark.parametrize("setting", [{"update_rate": 1e16}, {"speed": 1e-300},
-                                         {"speed": 1e-300, "pause_time": 1.0}])
+    @pytest.mark.parametrize("setting", [
+        {"update_rate": 1e16}, {"speed": 1e-300}, {"speed": 1e-300, "pause_time": 1.0},
+        {"update_rate": 1e16, "speed": 1e16},
+        {"area": SearchRegion(1e17, 1e17 + 64, 1e17, 1e17 + 64)},
+    ])
     def test_walk_that_cannot_move_rejected(self, deadline, setting):
         # an epoch of 1e-16 s is below the step loop's 1e-15 s leftover
         # tolerance, and a step of 1e-300 m rounds to no move: either epoch
-        # leaves the walk as it found it, so generation would never end
+        # leaves the walk as it found it, so generation would never end.
+        # The first three would take more than _WALK_LIMIT epochs to walk
+        # the track and are rejected before the walk; a 1 m step in a 1e-16 s
+        # epoch, or a 0.5 m step at coordinates 16 m apart, is not, and
+        # stalls in the first epoch
         with deadline(1.0), pytest.raises(InvalidScenario, match="moves the user nowhere"):
             generate_track(params(**setting), np.random.default_rng(0))
 
