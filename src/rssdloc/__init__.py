@@ -33,7 +33,6 @@ from .solver import (
     solve_rssd_tdoa,
 )
 from .mobility import (
-    Track,
     WaypointModelParams,
     generate_track,
     misorientation,

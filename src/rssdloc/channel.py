@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import CoincidentPosition, NonPositiveDistance, TooFewStations
-from .geometry import SPEED_OF_LIGHT, Layout, Point2D, Stations, cosine_gain, distance
+from .geometry import SPEED_OF_LIGHT, Layout, Point2D, Stations, cosine_gain
 
 _COINCIDENCE_TOL = 1e-9  # m
 
@@ -134,13 +134,10 @@ def received_power(params: ChannelParams, d, beta):
     return params.p0 - 10.0 * params.alpha * np.log10(np.divide(d, params.d0)) + beta
 
 
-Positions = Union[Point2D, Sequence[Point2D]]
-
-
-def simulate_rss(bs: Layout, mu: Positions, params: ChannelParams,
+def simulate_rss(bs: Layout, mu: Union[Point2D, np.ndarray], params: ChannelParams,
                  rng: np.random.Generator, *, z: Optional[np.ndarray] = None) -> np.ndarray:
     """The RSS at the true MU position, (N,) in the station table's order,
-    or at each of a sequence of T positions, (T, N).
+    or at each row of a (T, 2) array of positions, (T, N).
 
     Shadow fading is sigma_beta times a standard normal, i.i.d. per station
     and epoch, drawn epoch by epoch in ascending id order, so the draw
@@ -153,13 +150,10 @@ def simulate_rss(bs: Layout, mu: Positions, params: ChannelParams,
     st = Stations.of(bs)
     if len(st.ids) < 2:
         raise TooFewStations(f"need >= 2 RSS stations, got {len(st.ids)}")
-    single = isinstance(mu, Point2D)
-    ps = [mu] if single else mu
-    if len(ps) == 1:  # one epoch runs on (N,) rows, the cheapest shape
-        x, y = ps[0].x, ps[0].y
+    if isinstance(mu, Point2D):  # one epoch runs on (N,) rows
+        x, y = mu.x, mu.y
     else:
-        xy = np.array([(p.x, p.y) for p in ps]).reshape(-1, 2)
-        x, y = xy[:, :1], xy[:, 1:]
+        x, y = mu[:, :1], mu[:, 1:]
     dx, dy = x - st.x, y - st.y
     d = np.hypot(dx, dy)
     if d.size and d.item(d.argmin()) < _COINCIDENCE_TOL:  # argmin as in received_power
@@ -172,16 +166,17 @@ def simulate_rss(bs: Layout, mu: Positions, params: ChannelParams,
     rss = received_power(params, d, beta)
     rss += cosine_gain(st.gcos, st.gsin, dx / d, dy / d)
     rss -= st.bias_db
-    return rss[None] if len(ps) == 1 and not single else rss
+    return rss
 
 
-def simulate_measurements(bs: Layout, mu: Positions,
+def simulate_measurements(bs: Layout, mu: Union[Point2D, np.ndarray],
                           params: ChannelParams,
                           tdoa_params: TdoaNoiseParams,
                           rng: np.random.Generator) -> MeasurementSet:
     """Simulate a localization epoch at one position, giving a one-epoch
-    MeasurementSet, or epochs at a sequence of T positions, giving their
-    stack: the (T, N) RSS of simulate_rss and a (T,) delta_t column.
+    MeasurementSet, or epochs at the rows of a (T, 2) array of positions,
+    giving their stack: the (T, N) RSS of simulate_rss and a (T,) delta_t
+    column.
 
     Each epoch draws its N fading normals, then its TDOA normal whether or
     not the caller uses it, keeping RNG streams aligned across solver
@@ -193,29 +188,28 @@ def simulate_measurements(bs: Layout, mu: Positions,
     """
     st = Stations.of(bs)
     single = isinstance(mu, Point2D)
-    ps = [mu] if single else list(mu)
+    xy = np.array([[mu.x, mu.y]]) if single else mu
     try:
         pair = st.pair()
     except ValueError:
-        simulate_rss(st, ps[:1], params, rng)  # the first epoch's RSS is checked first
+        simulate_rss(st, xy[:1], params, rng)  # the first epoch's RSS is checked first
         raise
     fading = len(st.ids) if params.sigma_beta > 0 else 0
     noisy = pair is not None and tdoa_params.sigma_tdoa > 0
-    z = rng.standard_normal((len(ps), fading + noisy))
+    z = rng.standard_normal((len(xy), fading + noisy))
     tdoa = None
     if pair is not None:
         k, l = pair
         a, b = st.tdoa[k], st.tdoa[l]
-        dt = np.empty(len(ps))
-        for e, p in enumerate(ps):
+        dt = np.empty(len(xy))
+        for e, (x, y) in enumerate(xy.tolist()):
             # math.hypot per epoch: np.hypot is an ulp off on some epochs
-            dk, dl = distance(p, a), distance(p, b)
+            dk, dl = math.hypot(x - a.x, y - a.y), math.hypot(x - b.x, y - b.y)
             if min(dk, dl) < _COINCIDENCE_TOL:
-                simulate_rss(st, ps[:e + 1], params, rng)  # as is the RSS of each epoch up to e
+                simulate_rss(st, xy[:e + 1], params, rng)  # as is the RSS of each epoch up to e
                 raise CoincidentPosition("MU coincides with a TDOA station")
             dt[e] = (dk - dl) / SPEED_OF_LIGHT
         if noisy:
             dt += tdoa_params.sigma_tdoa * z[:, fading]
         tdoa = (k, l, dt.item(0) if single else dt)
-    return MeasurementSet(st.ids, simulate_rss(st, mu if single else ps, params, rng,
-                                               z=z[:, :fading]), tdoa)
+    return MeasurementSet(st.ids, simulate_rss(st, mu, params, rng, z=z[:, :fading]), tdoa)

@@ -20,11 +20,16 @@ import numpy as np
 
 from .channel import _COINCIDENCE_TOL, ChannelParams, centred, simulate_rss
 from .errors import EmptyGrid, InvalidScenario, LengthMismatch
-from .geometry import Layout, Point2D, Stations, measured_hyperbolas, project_onto_hyperbola
+from .geometry import (Hyperbola, Layout, Point2D, Stations, measured_hyperbolas,
+                       project_onto_hyperbola)
+from .mobility import _WALK_LIMIT
 from .solver import SearchRegion
 
 _EXCLUDE_TOL = 1e-6  # m when matching excluded grid points
 _CHUNK = 8  # epochs per distance table; bounds its (epochs x M x N) temporary
+# grid points a database may hold: coarse_estimate's (_CHUNK, M, N) float64
+# temporary is then at most 6.4 MB per station
+_GRID_LIMIT = 10**5
 
 
 @dataclass
@@ -113,6 +118,9 @@ class CircularTrackParams:
             raise ValueError("radius must be > 0")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.count > _WALK_LIMIT:
+            raise InvalidScenario(f"circular.count {self.count} is more than the"
+                                  f" {_WALK_LIMIT:,} epochs a track may take")
 
 
 def circular_track(params: CircularTrackParams) -> List[Point2D]:
@@ -127,33 +135,35 @@ def circular_track(params: CircularTrackParams) -> List[Point2D]:
 
 
 def grid(st: Stations, area: SearchRegion, grid_step: float,
-         excluded: Sequence[Point2D]) -> List[Point2D]:
-    """The database's grid points over the area, ordered by (y, x), with
-    the excluded positions dropped.
+         excluded: Sequence[Point2D]) -> np.ndarray:
+    """The database's (M, 2) grid points over the area, ordered by (y, x),
+    with the excluded positions dropped.
 
-    A point within 1 nm of one of the table's RSS stations, where the
-    channel model has no RSS, raises InvalidScenario naming the point and
-    the station.
+    A grid of more than _GRID_LIMIT points raises InvalidScenario naming
+    fingerprint.grid_step, before any array is built.  A point within 1 nm
+    of one of the table's RSS stations, where the channel model has no
+    RSS, raises InvalidScenario naming the point and the station.
     """
     if not grid_step > 0:
         raise ValueError("grid_step must be > 0")
-    # floor (with a float-safety nudge) so the grid never leaves the area
-    nx = int(math.floor((area.x_max - area.x_min) / grid_step + 1e-9))
-    ny = int(math.floor((area.y_max - area.y_min) / grid_step + 1e-9))
-    points = []
-    for iy in range(ny + 1):
-        y = area.y_min + iy * grid_step
-        for ix in range(nx + 1):
-            p = Point2D(area.x_min + ix * grid_step, y)
-            if not any(abs(p.x - e.x) < _EXCLUDE_TOL and abs(p.y - e.y) < _EXCLUDE_TOL
-                       for e in excluded):
-                points.append(p)
-    xy = np.array([(p.x, p.y) for p in points]).reshape(-1, 2)
+    # floor (with a float-safety nudge) so the grid never leaves the area;
+    # a count clipped at the limit is over it either way
+    nx, ny = (math.floor(min(span / grid_step + 1e-9, _GRID_LIMIT))
+              for span in (area.x_max - area.x_min, area.y_max - area.y_min))
+    if (nx + 1) * (ny + 1) > _GRID_LIMIT:
+        raise InvalidScenario(f"fingerprint.grid_step {grid_step} m puts more than"
+                              f" {_GRID_LIMIT:,} grid points on the area")
+    xs = area.x_min + np.arange(nx + 1) * grid_step
+    ys = area.y_min + np.arange(ny + 1) * grid_step
+    xy = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    ex = np.array([(e.x, e.y) for e in excluded]).reshape(-1, 2)
+    xy = xy[~(np.abs(xy[:, None] - ex) < _EXCLUDE_TOL).all(axis=2).any(axis=1)]
     # the first (point, station) pair within the tolerance, if any
     for i, k in np.argwhere(np.hypot(xy[:, :1] - st.x, xy[:, 1:] - st.y) < _COINCIDENCE_TOL)[:1]:
-        raise InvalidScenario(f"fingerprint grid point ({points[i].x}, {points[i].y}) coincides "
+        x, y = xy[i].tolist()
+        raise InvalidScenario(f"fingerprint grid point ({x}, {y}) coincides "
                               f"with station {st.ids[k]}; list it in fingerprint.excluded")
-    return points
+    return xy
 
 
 def build_db(bs: Layout, area: SearchRegion, grid_step: float,
@@ -166,12 +176,11 @@ def build_db(bs: Layout, area: SearchRegion, grid_step: float,
     database.  Excluded positions are dropped from the grid entirely.
     """
     st = Stations.of(bs)
-    points = grid(st, area, grid_step, excluded)
-    if not points:
+    xy = grid(st, area, grid_step, excluded)
+    if not len(xy):
         raise EmptyGrid("every grid point was excluded")
     # the whole grid in one draw, point by point as a per-point loop draws
-    rss = simulate_rss(st, points, channel, rng)
-    return FingerprintDB(np.array([(p.x, p.y) for p in points]), rss, st.ids.tolist())
+    return FingerprintDB(xy, simulate_rss(st, xy, channel, rng), st.ids.tolist())
 
 
 def coarse_estimate(db: FingerprintDB, meas):
@@ -211,10 +220,14 @@ def refine_with_tdoa(coarse, tdoa, bs: Layout, region: SearchRegion):
     the observation is read by geometry.measured_hyperbolas, with None in
     the list where the single call raises DegenerateHyperbola.
     """
-    frame, hs = measured_hyperbolas(bs, tdoa)
+    frame, r, ok = measured_hyperbolas(bs, tdoa)
     lo, hi = region.heights(frame)
     single = isinstance(coarse, Point2D)
-    refined = [None if h is None
-               else frame.from_canonical(project_onto_hyperbola(frame.to_canonical(p), h, lo, hi))
-               for p, h in zip([coarse] if single else coarse, hs, strict=True)]
+
+    def project(p, r_e):
+        h = Hyperbola(frame.half_separation, r_e)
+        return frame.from_canonical(project_onto_hyperbola(frame.to_canonical(p), h, lo, hi))
+
+    refined = [project(p, r_e) if ok_e else None for p, r_e, ok_e
+               in zip([coarse] if single else coarse, r.tolist(), ok.tolist(), strict=True)]
     return refined[0] if single else refined

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -287,16 +287,18 @@ class CanonicalFrame:
         return Point2D(self.origin.x + c * p.x - s * p.y, self.origin.y + s * p.x + c * p.y)
 
 
-def measured_hyperbolas(bs: Layout, tdoa) -> Tuple[CanonicalFrame, List[Optional[Hyperbola]]]:
-    """The canonical frame of a TDOA pair, and the hyperbola in it of each
-    epoch's observation.
+def measured_hyperbolas(bs: Layout, tdoa) -> Tuple[CanonicalFrame, np.ndarray, np.ndarray]:
+    """The canonical frame of a TDOA pair, and each epoch's half range
+    difference r = 0.5 c delta_t in it, with whether its hyperbola exists.
 
     tdoa is a measurement set's (id_k, id_l, delta_t): delta_t a float for
-    one epoch, whose hyperbola comes back in a list of one, or a (T,) array
-    for a stack, giving None for each epoch with no hyperbola where one
-    epoch raises DegenerateHyperbola, as coincident TDOA stations do.  A
-    missing observation (None) raises MissingTdoa, and ids of no
-    TDOA-capable station of bs raise ValueError.
+    one epoch or a (T,) array for a stack.  r and the mask ok are (T,)
+    arrays, of one epoch for a float; ok is False for each epoch whose
+    Hyperbola would raise DegenerateHyperbola (|r| at or beyond the
+    half-separation, a NaN or an infinite delta_t), and a float delta_t
+    raises it there, as coincident TDOA stations do.  A missing observation
+    (None) raises MissingTdoa, and ids of no TDOA-capable station of bs
+    raise ValueError.
     """
     if tdoa is None:
         raise MissingTdoa("measurement set carries no TDOA observation")
@@ -307,11 +309,6 @@ def measured_hyperbolas(bs: Layout, tdoa) -> Tuple[CanonicalFrame, List[Optional
         raise ValueError(f"stations {missing} are not TDOA-capable stations of the layout")
     frame = CanonicalFrame.from_stations(positions[k], positions[l])
     if np.ndim(dt) == 0:
-        return frame, [Hyperbola.from_tdoa(dt, frame.half_separation)]
-    hyperbolas: List[Optional[Hyperbola]] = []
-    for t in dt.tolist():
-        try:
-            hyperbolas.append(Hyperbola.from_tdoa(t, frame.half_separation))
-        except DegenerateHyperbola:
-            hyperbolas.append(None)
-    return frame, hyperbolas
+        Hyperbola.from_tdoa(dt, frame.half_separation)  # raises where the epoch has none
+    r = 0.5 * SPEED_OF_LIGHT * np.atleast_1d(dt)
+    return frame, r, np.abs(r) < frame.half_separation - _DEGENERACY_TOL

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class EpochRecord:
     true_position: Point2D
     estimate: Point2D
     error: float
-    theta: Dict[int, float] = field(default_factory=dict)  # rad, per station
 
 
 @dataclass
@@ -61,6 +60,10 @@ class RunReport:
     mean_error: float
     theta_std: Optional[float]  # rad, over all scored epochs and antennas
     tdoa_fallbacks: int = 0  # TDOA epochs solved without their degenerate TDOA
+    # rad, (epochs, stations) misorientation of a directional simulation
+    # (every epoch, as records), else None; its columns are ids'
+    theta: Optional[np.ndarray] = None
+    ids: Optional[np.ndarray] = None  # the RSS stations' ids, ascending
 
     @property
     def errors(self) -> List[float]:
@@ -71,13 +74,6 @@ def compute_rmse(errors: Sequence[float]) -> float:
     if len(errors) == 0:
         raise EmptyInput("no epochs to score")
     return math.sqrt(sum(e * e for e in errors) / len(errors))
-
-
-def _theta_std(records: Sequence[EpochRecord]) -> Optional[float]:
-    vals = [th for r in records for th in r.theta.values()]
-    if not vals:
-        return None
-    return float(np.std(vals))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -158,52 +154,51 @@ def run_trial(s: Scenario, trial: int,
     """
     rng = trial_rng(s.seed, trial)
     if s.mode.is_sim:
-        epochs = generate_track(s.waypoint, rng).epochs
+        t, xy = generate_track(s.waypoint, rng)
+        truth = [Point2D(x, y) for x, y in xy.tolist()]
         known = 1  # the start position is known
     else:
         db = scenario_db(s) if db is None else db
-        epochs = [(float(i), pos) for i, pos in enumerate(circular_track(s.circular))]
+        truth = circular_track(s.circular)
+        t, xy = np.arange(len(truth), dtype=float), np.array([(p.x, p.y) for p in truth])
         known = 0
     stations = s.stations
     # the antennas start pointed at the known start position
-    boresight = (update_orientation(stations.boresight, stations, epochs[0][1])
+    boresight = (update_orientation(stations.boresight, stations, truth[0])
                  if s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL else None)
-    ids = stations.ids.tolist()
+    theta = None if boresight is None else np.empty((len(t), len(stations.ids)))
     locate = _LOCATE[s.mode]
 
-    records: List[EpochRecord] = []
+    estimates: List[Point2D] = []
     fallbacks = 0
-    start = 0
-    while start < len(epochs):
+    while len(estimates) < len(t):
         # The known start is a chunk of its own.  With antenna feedback each
         # estimate points the antennas for the next epoch, so every epoch is
         # a chunk; without it the rest of the track is one.
-        stop = start + 1 if start < known or boresight is not None else len(epochs)
-        chunk = epochs[start:stop]
-        now, theta = stations, {}
+        start = len(estimates)
+        stop = start + 1 if start < known or boresight is not None else len(t)
+        now = stations
         if boresight is not None:
-            (_, pos), = chunk
             now = apply_orientation(stations, boresight)
-            theta = dict(zip(ids, misorientation(boresight, stations, pos).tolist()))
+            theta[start] = misorientation(boresight, stations, truth[start])
         if start < known:
-            estimates = [pos for _, pos in chunk]
+            estimates += truth[start:stop]
         else:
             # solving draws nothing, so drawing a chunk's measurements in one
             # call first keeps the draws in epoch order
-            ms = simulate_measurements(now, [pos for _, pos in chunk], s.channel,
-                                       s.tdoa_noise, rng)
-            estimates, fell_back = locate(s, db, now, ms)
+            ms = simulate_measurements(now, xy[start:stop], s.channel, s.tdoa_noise, rng)
+            chunk, fell_back = locate(s, db, now, ms)
+            estimates += chunk
             fallbacks += fell_back
-        records += [EpochRecord(t, pos, est, distance(pos, est), dict(theta))
-                    for (t, pos), est in zip(chunk, estimates)]
         if boresight is not None:
             boresight = update_orientation(boresight, stations, estimates[-1])
-        start = stop
-    scored = records[known:]
-    errors = [r.error for r in scored]
+    records = [EpochRecord(te, pos, est, distance(pos, est))
+               for te, pos, est in zip(t.tolist(), truth, estimates)]
+    errors = [r.error for r in records[known:]]
     return RunReport(mode=s.mode, trial=trial, records=records, rmse=compute_rmse(errors),
-                     mean_error=float(np.mean(errors)), theta_std=_theta_std(scored),
-                     tdoa_fallbacks=fallbacks)
+                     mean_error=float(np.mean(errors)),
+                     theta_std=None if theta is None else float(np.std(theta[known:])),
+                     tdoa_fallbacks=fallbacks, theta=theta, ids=stations.ids)
 
 
 def run_scenario(s: Scenario) -> List[RunReport]:
@@ -252,10 +247,9 @@ def write_theta_csv(report: RunReport, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "bs_id", "theta_deg"])
-        for r in report.records:
-            for bs_id in sorted(r.theta):
-                w.writerow([f"{r.t:.6f}", bs_id,
-                            f"{math.degrees(r.theta[bs_id]):.6f}"])
+        for r, row in zip(report.records, report.theta.tolist()):
+            for bs_id, theta in zip(report.ids.tolist(), row):
+                w.writerow([f"{r.t:.6f}", bs_id, f"{math.degrees(theta):.6f}"])
 
 
 def write_summary_csv(rows: Sequence[Tuple[str, Summary]], path) -> None:
@@ -277,5 +271,5 @@ def write_report_files(reports: Sequence[RunReport], out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_track_csv(reports[0], out / "track.csv")
-    if any(r.theta for r in reports[0].records):
+    if reports[0].theta is not None:
         write_theta_csv(reports[0], out / "theta.csv")

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import CoincidentWithStation, InvalidScenario
-from .geometry import Layout, Point2D, Stations, distance
+from .geometry import Layout, Point2D, Stations
 from .solver import SearchRegion
 
 _COINCIDENCE_TOL = 1e-9  # m
@@ -44,21 +44,15 @@ class WaypointModelParams:
             raise ValueError("update_rate must be > 0")
 
 
-@dataclass
-class Track:
-    epochs: List[Tuple[float, Point2D]]
-
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-
 def _draw_point(area: SearchRegion, rng: np.random.Generator) -> Point2D:
     return Point2D(rng.uniform(area.x_min, area.x_max),
                    rng.uniform(area.y_min, area.y_max))
 
 
-def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Track:
-    """Random-waypoint track sampled at the update rate.
+def generate_track(params: WaypointModelParams,
+                   rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Random-waypoint track sampled at the update rate: the (T,) epoch
+    times t and the (T, 2) positions xy.
 
     Waypoints are drawn uniformly over the area in a fixed order, so two
     tracks generated from the same seed share the same geometric path even
@@ -75,10 +69,10 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
     InvalidScenario too (an epoch below the step loop's 1e-15 s tolerance,
     or a step that rounds to nothing at the area's coordinates).
     """
-    pos = _draw_point(params.area, rng)
-    epochs: List[Tuple[float, Point2D]] = [(0.0, pos)]
+    start = _draw_point(params.area, rng)
+    t, xy = [0.0], [(start.x, start.y)]
     if params.total_length <= 0:
-        return Track(epochs)
+        return np.array(t), np.array(xy)
 
     dt = 1.0 / params.update_rate
     step = params.speed * dt
@@ -98,11 +92,10 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
 
     target = _draw_point(params.area, rng)
     pause_left = 0.0
-    t = 0.0
     path_len = 0.0
     while path_len < params.total_length:
         remaining = dt
-        x, y = pos.x, pos.y
+        px, py = x, y = xy[-1]
         idle, leg = pause_left == 0, target
         while remaining > 1e-15:
             if pause_left > 0:
@@ -121,14 +114,12 @@ def generate_track(params: WaypointModelParams, rng: np.random.Generator) -> Tra
                 remaining -= gap / params.speed
                 pause_left = params.pause_time
                 target = _draw_point(params.area, rng)
-        if idle and target is leg and (x, y) == (pos.x, pos.y):
+        if idle and target is leg and (x, y) == (px, py):
             raise InvalidScenario(f"{stepping} moves the user nowhere")
-        t += dt
-        nxt = Point2D(x, y)
-        path_len += distance(pos, nxt)
-        pos = nxt
-        epochs.append((t, pos))
-    return Track(epochs)
+        path_len += math.hypot(px - x, py - y)
+        t.append(t[-1] + dt)
+        xy.append((x, y))
+    return np.array(t), np.array(xy)
 
 
 def update_orientation(boresight: np.ndarray, bs: Layout,

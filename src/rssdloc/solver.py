@@ -514,14 +514,14 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     coarse scans, which share the grid of heights, and one per round,
     1 + R calls in all, so each epoch gets the estimate it gets alone.
     """
-    frame, hs = measured_hyperbolas(cfg.stations, m.tdoa)
+    frame, r, ok = measured_hyperbolas(cfg.stations, m.tdoa)
     model = _Model.build(cfg, m)
-    solved = [e for e, h in enumerate(hs) if h is not None]
-    points: List[Optional[Point2D]] = [None] * len(hs)
+    solved = np.flatnonzero(ok).tolist()
+    points: List[Optional[Point2D]] = [None] * len(r)
     if not solved:
         return points
     model = model.epochs(solved).in_frame(frame)
-    r = np.array([hs[e].range_difference for e in solved])
+    r = r[ok]
     b2 = np.square(frame.half_separation) - r * r
     ys, brackets, rounds = _line_tables(frame, cfg.region)
     for lo in range(0, len(solved), _LINE_CHUNK):

@@ -316,6 +316,11 @@ def bits(a):
     return np.asarray(a).tobytes()
 
 
+def xy(ps):
+    """The (T, 2) array of a list of T points, the form a stack takes."""
+    return np.array([(p.x, p.y) for p in ps]).reshape(-1, 2)
+
+
 @st.composite
 def stack_cases(draw):
     """Random RSS stations of either antenna layout (all omni, or some
@@ -374,7 +379,7 @@ class TestStackedChannel:
     def test_stack_equals_per_epoch_calls(self, case):
         bs, ps, params, tdoa, seed = case
         rngs = [np.random.default_rng(seed) for _ in range(3)]
-        stack = simulate_measurements(bs, ps, params, tdoa, rngs[0])
+        stack = simulate_measurements(bs, xy(ps), params, tdoa, rngs[0])
         loop = [simulate_measurements(bs, p, params, tdoa, rngs[1]) for p in ps]
         reference = [epoch_reference(bs, p, params, tdoa, rngs[2]) for p in ps]
         table = Stations.of(bs)
@@ -399,7 +404,7 @@ class TestStackedChannel:
                 == rngs[2].bit_generator.state)
 
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        rss = simulate_rss(bs, ps, params, rng)
+        rss = simulate_rss(bs, xy(ps), params, rng)
         assert rss.shape == (len(ps), len(Stations.of(bs).ids))
         assert bits(rss) == bits([simulate_rss(bs, p, params, ref_rng) for p in ps])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -445,7 +450,7 @@ class TestStackErrors:
         loop = first_error(lambda: [simulate_measurements(bs, p, noisy, tdoa,
                                                           np.random.default_rng(0))
                                     for p in ps])
-        stack = first_error(lambda: simulate_measurements(bs, ps, noisy, tdoa,
+        stack = first_error(lambda: simulate_measurements(bs, xy(ps), noisy, tdoa,
                                                           np.random.default_rng(0)))
         assert loop is not None and error in loop[1]
         assert stack == loop
@@ -456,4 +461,4 @@ class TestStackErrors:
         ps = [Point2D(0, 0), Point2D(1, 1), Point2D(2, 2)]
         noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
         with pytest.raises(CoincidentPosition, match="^MU coincides with station 2$"):
-            simulate_rss(bs, ps, noisy, np.random.default_rng(0))
+            simulate_rss(bs, xy(ps), noisy, np.random.default_rng(0))

@@ -77,6 +77,17 @@ class TestBuildDb:
         assert got.bs_ids == [1, 2, 3, 4]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_offset_grid_equals_per_point_loop(self):
+        # a step that does not divide an area offset from the origin, and an
+        # excluded point that its grid reaches only to rounding
+        area, excluded = SearchRegion(-1.3, 2.2, -0.7, 1.9), [Point2D(-0.1, 0.5)]
+        got = build_db(CORNER_BS, area, 0.3, excluded, NOISELESS, np.random.default_rng(4))
+        positions, rss = looped_db(CORNER_BS, area, 0.3, excluded, NOISELESS,
+                                   np.random.default_rng(4))
+        assert len(positions) == 12 * 9 - 1
+        assert got.positions.tobytes() == positions.tobytes()
+        assert got.rss.tobytes() == rss.tobytes()
+
     def test_full_grid_count(self):
         # grid points coincident with a station are excluded to stay finite
         full = build_db(CORNER_BS, SearchRegion(0.05, 2.95, 0.05, 2.95), 0.25,

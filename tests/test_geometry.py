@@ -99,6 +99,15 @@ class TestHyperbola:
         assert h.range_difference == pytest.approx(0.5 * SPEED_OF_LIGHT * 1e-9)
 
 
+def first_error(call, *args):
+    """The type and message of what call(*args) raises, or None."""
+    try:
+        call(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
 class TestMeasuredHyperbolas:
     # a pair 4 m apart along y = x: half-separation 2 m
     BS = [BaseStation(1, Point2D(-math.sqrt(2.0), -math.sqrt(2.0)), Role.RSS_TDOA),
@@ -106,19 +115,23 @@ class TestMeasuredHyperbolas:
           BaseStation(3, Point2D(0.0, 3.0))]
 
     def test_one_epoch_and_a_stack(self):
-        # a float delta_t is one epoch, whose degenerate hyperbola raises; a
-        # (T,) array is a stack, with None for each degenerate epoch
+        # a float delta_t is one epoch, whose degenerate hyperbola raises
+        # Hyperbola's error; a (T,) array is a stack, with ok False for each
+        # epoch whose Hyperbola would raise
         wide = 2.0 * 2.5 / SPEED_OF_LIGHT  # |r| = 2.5 m > 2 m
-        dt = np.array([1e-9, wide, math.nan, -2e-9])
-        frame, hs = measured_hyperbolas(self.BS, (1, 2, dt))
+        dt = np.array([1e-9, wide, math.nan, -2e-9, math.inf])
+        frame, r, ok = measured_hyperbolas(self.BS, (1, 2, dt))
         assert frame == CanonicalFrame.from_stations(self.BS[0].position, self.BS[1].position)
-        assert [h is None for h in hs] == [False, True, True, False]
+        errors = [first_error(Hyperbola.from_tdoa, t, 2.0) for t in dt.tolist()]
+        assert ok.tolist() == [e is None for e in errors] == [True, False, False, True, False]
         for e in (0, 3):
-            assert measured_hyperbolas(self.BS, (1, 2, float(dt[e]))) == (frame, [hs[e]])
-        for e in (1, 2):
-            with pytest.raises(DegenerateHyperbola):
-                measured_hyperbolas(self.BS, (1, 2, float(dt[e])))
-        assert measured_hyperbolas(self.BS, (1, 2, np.empty(0))) == (frame, [])
+            assert r[e] == Hyperbola.from_tdoa(float(dt[e]), 2.0).range_difference
+            one = measured_hyperbolas(self.BS, (1, 2, float(dt[e])))
+            assert one[0] == frame and one[1].tolist() == [r[e]] and one[2].tolist() == [True]
+        for e in (1, 2, 4):
+            assert first_error(measured_hyperbolas, self.BS, (1, 2, float(dt[e]))) == errors[e]
+        _, r, ok = measured_hyperbolas(self.BS, (1, 2, np.empty(0)))
+        assert r.shape == ok.shape == (0,)
 
     def test_observation_checked_before_its_epochs(self):
         with pytest.raises(MissingTdoa):

@@ -32,6 +32,7 @@ from rssdloc.solver import AntennaModel, SolverConfig, solve_rssd, solve_rssd_td
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FP_YAML = SCENARIO_DIR / "fp_3x3.yaml"
 SIM_YAML = SCENARIO_DIR / "sim_8x8.yaml"
+CLI_GOLDEN = Path(__file__).resolve().parent / "data" / "cli"
 
 
 def small_sim_dict(**overrides):
@@ -103,10 +104,13 @@ class TestSimTrial:
     def test_theta_only_with_directional_antennas(self):
         s = scenario_from_dict(small_sim_dict())
         directional = run_trial(s, 0)
-        assert all(len(e.theta) == 4 for e in directional.records)
-        assert directional.theta_std is not None
+        # one row per epoch, the known start's too, one column per station
+        assert directional.theta.shape == (len(directional.records), 4)
+        assert directional.ids.tolist() == [1, 2, 3, 4]
+        assert directional.theta[0].tolist() == [0.0] * 4  # pointed at the known start
+        assert directional.theta_std == np.std(directional.theta[1:])
         omni = run_trial(s.with_antenna_model(AntennaModel.OMNI), 0)
-        assert all(not e.theta for e in omni.records)
+        assert omni.theta is None
         assert omni.theta_std is None
 
     def test_omni_swap_changes_preset(self):
@@ -181,7 +185,8 @@ def per_epoch_trial(s, trial, db):
     Returns the (t, true position, estimate) records and the fallback count."""
     rng = trial_rng(s.seed, trial)
     if s.mode.is_sim:
-        epochs, known = generate_track(s.waypoint, rng).epochs, 1
+        t, xy = generate_track(s.waypoint, rng)
+        epochs, known = list(zip(t.tolist(), (Point2D(x, y) for x, y in xy.tolist()))), 1
     else:
         epochs, known = list(enumerate(circular_track(s.circular))), 0
     cfg = SolverConfig(s.channel, s.bs, s.region, s.antenna_model)
@@ -313,7 +318,7 @@ class TestTdoaFallback:
         s = (scenario_from_dict(small_sim_dict(mode=mode.value)) if mode.is_sim
              else fp_scenario.with_mode(mode))
         db = None if mode.is_sim else scenario_db(s)
-        m = simulate_measurements(s.stations, [Point2D(1.0, 1.0), Point2D(1.5, 0.5)],
+        m = simulate_measurements(s.stations, np.array([(1.0, 1.0), (1.5, 0.5)]),
                                   s.channel, s.tdoa_noise, np.random.default_rng(0))
         m.tdoa[2][0] = math.nan
 
@@ -511,6 +516,22 @@ class TestScenarioLoading:
         scenario_db(load_scenario(FP_YAML)).to_csv(db_file)
         assert load_scenario(path, {"fingerprint.db_file": str(db_file)}).mode is Mode.FP_RSSD_TDOA
 
+    @pytest.mark.parametrize("step", [1e-4, 1e-300, 3.0 / 316])
+    def test_grid_past_the_limit_rejected(self, deadline, step):
+        # 1e-4 m on fp_3x3's 3 m square is 9e8 points, about 14 GB at once;
+        # 3 / 316 m is 317 x 317 points, the least square grid past 10^5
+        with deadline(1.0), pytest.raises(InvalidScenario, match=(
+                rf"^fingerprint.grid_step {step} m puts more than 100,000 grid points")):
+            load_scenario(FP_YAML, {"fingerprint.grid_step": step})
+        edge = load_scenario(FP_YAML, {"fingerprint.grid_step": 3.0 / 315})
+        assert len(scenario_db(edge)) == 316 * 316 - 4
+
+    def test_circular_track_past_the_limit_rejected(self, deadline):
+        with deadline(1.0), pytest.raises(InvalidScenario, match=(
+                r"^circular.count 1000000000 is more than the 100,000 epochs")):
+            load_scenario(FP_YAML, {"circular.count": 10**9})
+        assert load_scenario(FP_YAML, {"circular.count": 10**5}).circular.count == 10**5
+
     @pytest.mark.parametrize("source, mode", [
         ("fp_3x3.yaml", "FP_RSSD"), ("fp_3x3.yaml", "FP_RSSD_TDOA"),
         ("sim_8x8.yaml", "SIM_RSSD"), ("sim_8x8.yaml", "SIM_RSSD_TDOA"),
@@ -543,6 +564,25 @@ class TestReportFiles:
         assert summary[0]["label"] == "small"
         assert float(summary[0]["rmse_median"]) == pytest.approx(
             reports[0].rmse, abs=1e-6)
+
+
+class TestOutputBytes:
+    """The CLI's files byte for byte against committed ones under
+    tests/data/cli: `run` of one trial of the small directional simulation,
+    and `build-db` of fp_3x3.  A change that moves them on purpose
+    re-records them and says why."""
+
+    def test_run(self, tmp_path):
+        path = tmp_path / "small.yaml"
+        path.write_text(yaml.safe_dump(small_sim_dict(trials=1)))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        for name in ("track.csv", "theta.csv", "summary.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (CLI_GOLDEN / name).read_bytes(), name
+
+    def test_build_db(self, tmp_path):
+        out = tmp_path / "fingerprints.csv"
+        assert main(["build-db", "--scenario", str(FP_YAML), "--out", str(out)]) == 0
+        assert out.read_bytes() == (CLI_GOLDEN / "fingerprints.csv").read_bytes()
 
 
 def write_copy(tmp_path, edit, source=FP_YAML):

@@ -26,43 +26,42 @@ def params(**kw):
 
 class TestGenerateTrack:
     def test_zero_length_single_epoch(self):
-        track = generate_track(params(total_length=0.0), np.random.default_rng(0))
-        assert len(track) == 1
-        assert track.epochs[0][0] == 0.0
+        t, xy = generate_track(params(total_length=0.0), np.random.default_rng(0))
+        assert t.shape == (1,) and xy.shape == (1, 2)
+        assert t[0] == 0.0
 
     def test_kinematic_bound(self):
-        track = generate_track(params(), np.random.default_rng(1))
-        for (t0, p0), (t1, p1) in zip(track.epochs, track.epochs[1:]):
-            assert t1 - t0 == pytest.approx(0.5)
-            assert distance(p0, p1) <= 0.5 + 1e-9
+        t, xy = generate_track(params(), np.random.default_rng(1))
+        assert t.shape == (len(xy),) and xy.shape[1] == 2
+        np.testing.assert_allclose(np.diff(t), 0.5)
+        assert (np.hypot(*np.diff(xy, axis=0).T) <= 0.5 + 1e-9).all()
 
     def test_path_length_accumulation(self):
         p = params()
-        track = generate_track(p, np.random.default_rng(2))
-        total = sum(distance(a[1], b[1])
-                    for a, b in zip(track.epochs, track.epochs[1:]))
+        _, xy = generate_track(p, np.random.default_rng(2))
+        total = sum(math.dist(a, b) for a, b in zip(xy.tolist(), xy[1:].tolist()))
         assert 18.0 <= total <= 18.0 + p.speed / p.update_rate
 
     def test_positions_stay_inside_area(self):
         for seed in range(10):
-            track = generate_track(params(), np.random.default_rng(seed))
-            for _, pos in track.epochs:
-                assert AREA.contains(pos)
+            _, xy = generate_track(params(), np.random.default_rng(seed))
+            for x, y in xy.tolist():
+                assert AREA.contains(Point2D(x, y))
 
     def test_deterministic_given_seed(self):
         a = generate_track(params(), np.random.default_rng(9))
         b = generate_track(params(), np.random.default_rng(9))
-        assert a.epochs == b.epochs
+        assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
     def test_same_path_at_different_rates(self):
         # Waypoint draws do not depend on the sampling rate.
-        fast = generate_track(params(update_rate=2.0), np.random.default_rng(4))
-        slow = generate_track(params(update_rate=1.0), np.random.default_rng(4))
-        assert fast.epochs[0][1] == slow.epochs[0][1]
+        t_fast, fast = generate_track(params(update_rate=2.0), np.random.default_rng(4))
+        t_slow, slow = generate_track(params(update_rate=1.0), np.random.default_rng(4))
+        assert fast[0].tolist() == slow[0].tolist()
         # slow samples at integer seconds coincide with fast's even samples
-        for (tf, pf), (ts, ps) in zip(fast.epochs[::2], slow.epochs):
-            assert tf == pytest.approx(ts)
-            assert distance(pf, ps) < 1e-9
+        n = min(len(t_fast[::2]), len(t_slow))
+        np.testing.assert_allclose(t_fast[::2][:n], t_slow[:n])
+        assert (np.hypot(*(fast[::2][:n] - slow[:n]).T) < 1e-9).all()
 
     @pytest.mark.parametrize("setting", [
         {"update_rate": 1e16}, {"speed": 1e-300}, {"speed": 1e-300, "pause_time": 1.0},

@@ -17,6 +17,7 @@ from rssdloc.geometry import (
     BaseStation,
     CanonicalFrame,
     DirectionalAntenna,
+    Hyperbola,
     OmniAntenna,
     Point2D,
     Role,
@@ -389,7 +390,6 @@ class TestSolveRssdTdoa:
         bs = make_stations()
         cfg = SolverConfig(NOISY, bs, REGION, AntennaModel.OMNI)
         from rssdloc.solver import _Model
-        from rssdloc.geometry import Hyperbola, hyperbola_x_of_y
         for seed in range(3):
             m = measure(bs, Point2D(-0.9, 1.6), NOISY, TdoaNoiseParams(330e-12), seed)
             est = solve_rssd_tdoa(cfg, m)
@@ -458,10 +458,9 @@ class TestSolveRssdTdoa:
             sc = s.with_antenna_model(antenna_model)
             cfg = SolverConfig(sc.channel, sc.bs, sc.region, sc.antenna_model)
             for epochs in (1, 16, 35):
-                m = simulate_measurements(sc.bs, [Point2D(*rng.uniform(-3.0, 3.0, 2))
-                                                  for _ in range(epochs)],
+                m = simulate_measurements(sc.bs, rng.uniform(-3.0, 3.0, (epochs, 2)),
                                           sc.channel, sc.tdoa_noise, rng)
-                frame, _ = measured_hyperbolas(cfg.stations, m.tdoa)
+                frame = measured_hyperbolas(cfg.stations, m.tdoa)[0]
                 ys, _, rounds = solver._line_tables(frame, sc.region)
                 assert rounds == 5
                 shapes.clear()
@@ -522,7 +521,7 @@ class TestSolveRssdTdoa:
                 alone.append(solve_rssd_tdoa(cfg, m))
             except DegenerateHyperbola:
                 alone.append(None)
-        block = stack(ms) if ms else measure(cfg.bs, [])
+        block = stack(ms) if ms else measure(cfg.bs, np.empty((0, 2)))
         with mock.patch.object(solver, "_LINE_CHUNK", chunk):
             assert bits(solve_rssd_tdoa(cfg, block)) == bits(alone)
 
@@ -546,7 +545,8 @@ class TestSolveRssdTdoa:
         dt = [f * distance(pk, pl) / SPEED_OF_LIGHT for f in fractions]
         ms = [replace(measure(bs, Point2D(*rng.uniform(-3.0, 3.0, 2)), NOISY, seed=rng),
                       tdoa=(9, 10, t)) for t in dt]
-        frame, hs = measured_hyperbolas(cfg.stations, stack(ms).tdoa)
+        frame, r, _ = measured_hyperbolas(cfg.stations, stack(ms).tdoa)
+        hs = [Hyperbola(frame.half_separation, r_e) for r_e in r.tolist()]
         mapped = []
         from_canonical = CanonicalFrame.from_canonical
 
@@ -564,7 +564,7 @@ class TestSolveRssdTdoa:
 
     def test_empty_stack(self):
         bs = make_stations()
-        assert solve_rssd_tdoa(SolverConfig(NOISY, bs, REGION), measure(bs, [])) == []
+        assert solve_rssd_tdoa(SolverConfig(NOISY, bs, REGION), measure(bs, np.empty((0, 2)))) == []
 
     @settings(max_examples=60, deadline=None)
     @given(layouts(tdoa=True))
@@ -576,7 +576,8 @@ class TestSolveRssdTdoa:
         assert abs(resid) < 1e-6
 
         # reference path: the same coarse scan and bracket, refined by golden section
-        frame, (h,) = measured_hyperbolas(cfg.bs, m.tdoa)
+        frame, (r,), _ = measured_hyperbolas(cfg.bs, m.tdoa)
+        h = Hyperbola(frame.half_separation, r)
         model = _Model.build(cfg, m)
 
         def q_of_y(y):
@@ -763,7 +764,7 @@ class TestAgainstPairForm:
 
     def test_empty_stack(self):
         bs = make_stations()
-        assert solve_rssd(SolverConfig(NOISY, bs, REGION), measure(bs, [])) == []
+        assert solve_rssd(SolverConfig(NOISY, bs, REGION), measure(bs, np.empty((0, 2)))) == []
 
     @settings(max_examples=60, deadline=None)
     @given(stacks(max_epochs=5))
