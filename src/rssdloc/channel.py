@@ -7,15 +7,17 @@ per-station RSS vector; its pairwise differences cancel the unknown
 transmit power, so every RSSD value derives from that one vector and the
 pairs are cycle-consistent by construction.  A stack of T epochs is one
 measurement set too: a (T, N) block of RSS rows and a (T,) column of TDOA
-observations, as the channel draws them.
+observations, as the channel draws them.  A drawn stack keeps its links,
+the channel up to the receive antennas, so antennas turned after the draw
+read its epochs by adding their own gain alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -79,6 +81,47 @@ class TdoaNoiseParams:
             raise ValueError("sigma_tdoa must be >= 0")
 
 
+class Links(NamedTuple):
+    """The channel from the user to each RSS station of a station table, up
+    to the receive antennas, at one epoch or over a stack: (N,) or (T, N)
+    arrays in the table's order.  Re-pointing the antennas changes none of
+    them."""
+
+    power: np.ndarray  # dBm, log-distance received power with shadow fading
+    ux: np.ndarray     # unit vector from the station toward the user
+    uy: np.ndarray
+
+    @classmethod
+    def draw(cls, st: Stations, mu: Union[Point2D, np.ndarray], params: ChannelParams,
+             rng: np.random.Generator, z: Optional[np.ndarray] = None) -> "Links":
+        """The links of simulate_rss, which documents the arguments, the
+        draw and what it raises."""
+        if len(st.ids) < 2:
+            raise TooFewStations(f"need >= 2 RSS stations, got {len(st.ids)}")
+        if isinstance(mu, Point2D):  # one epoch runs on (N,) rows
+            x, y = mu.x, mu.y
+        else:
+            x, y = mu[:, :1], mu[:, 1:]
+        dx, dy = x - st.x, y - st.y
+        d = np.hypot(dx, dy)
+        if d.size and d.item(d.argmin()) < _COINCIDENCE_TOL:  # argmin as in received_power
+            rows = d.reshape(-1, len(st.ids))
+            e = int((rows < _COINCIDENCE_TOL).any(axis=1).argmax())
+            raise CoincidentPosition(f"MU coincides with station {st.ids[rows[e].argmin()]}", e)
+        beta = 0.0
+        if params.sigma_beta > 0:
+            beta = (rng.standard_normal(d.shape) if z is None else z.reshape(d.shape)) * params.sigma_beta
+        return cls(received_power(params, d, beta), dx / d, dy / d)
+
+    def received(self, st: Stations, rows=slice(None)) -> np.ndarray:
+        """The RSS that the station table's antennas, as pointed, read at
+        the epochs rows: received power + antenna gain - bias, in that
+        order."""
+        rss = self.power[rows] + cosine_gain(st.gcos, st.gsin, self.ux[rows], self.uy[rows])
+        rss -= st.bias_db
+        return rss
+
+
 @dataclass(eq=False)
 class MeasurementSet:
     """Per-station RSS plus the TDOA pair's observation, of one epoch or of
@@ -92,11 +135,14 @@ class MeasurementSet:
     the arrival time at k minus the arrival time at l: a float for one
     epoch, a (T,) array for a stack.  So a stack shares one station table,
     one TDOA pair, and has a TDOA observation in every epoch or in none.
+    A set drawn by simulate_measurements keeps its links, from which
+    received_by reads its epochs with the antennas turned.
     """
 
     ids: np.ndarray
     rss: np.ndarray
     tdoa: Optional[Tuple[int, int, Union[float, np.ndarray]]] = None
+    links: Optional[Links] = field(default=None, repr=False)
 
     @property
     def rssd_pairs(self) -> List[Tuple[int, int, float]]:
@@ -108,6 +154,15 @@ class MeasurementSet:
         """
         return [(i, j, p - q) for (i, p), (j, q)
                 in combinations(zip(self.ids.tolist(), self.rss.tolist()), 2)]
+
+    def received_by(self, st: Stations, rows: slice) -> "MeasurementSet":
+        """The epochs rows of a stack drawn by simulate_measurements, as
+        read by the station table st: the table it was drawn for, its
+        antennas turned or not (mobility.apply_orientation).  Only the
+        antenna gain is computed anew, so the rows equal a draw of those
+        epochs alone with st's antennas, bit for bit."""
+        tdoa = None if self.tdoa is None else self.tdoa[:2] + (self.tdoa[2][rows],)
+        return MeasurementSet(st.ids, self.links.received(st, rows), tdoa)
 
 
 def centred(rss: np.ndarray) -> np.ndarray:
@@ -145,28 +200,12 @@ def simulate_rss(bs: Layout, mu: Union[Point2D, np.ndarray], params: ChannelPara
     given, is that (T, N) block of standard normals, drawn by the caller
     together with other columns; otherwise it is drawn from rng.  With
     sigma_beta = 0 nothing is drawn and z is not read.  A position within 1 nm of an RSS
-    station raises CoincidentPosition naming it, for the first such epoch.
+    station raises CoincidentPosition naming it, for the first such epoch,
+    with that epoch's index.  The RSS is the received power of the Links
+    plus the antennas' gain minus the station's bias, in that order.
     """
     st = Stations.of(bs)
-    if len(st.ids) < 2:
-        raise TooFewStations(f"need >= 2 RSS stations, got {len(st.ids)}")
-    if isinstance(mu, Point2D):  # one epoch runs on (N,) rows
-        x, y = mu.x, mu.y
-    else:
-        x, y = mu[:, :1], mu[:, 1:]
-    dx, dy = x - st.x, y - st.y
-    d = np.hypot(dx, dy)
-    if d.size and d.item(d.argmin()) < _COINCIDENCE_TOL:  # argmin as in received_power
-        rows = d.reshape(-1, len(st.ids))
-        e = (rows < _COINCIDENCE_TOL).any(axis=1).argmax()
-        raise CoincidentPosition(f"MU coincides with station {st.ids[rows[e].argmin()]}")
-    beta = 0.0
-    if params.sigma_beta > 0:
-        beta = (rng.standard_normal(d.shape) if z is None else z.reshape(d.shape)) * params.sigma_beta
-    rss = received_power(params, d, beta)
-    rss += cosine_gain(st.gcos, st.gsin, dx / d, dy / d)
-    rss -= st.bias_db
-    return rss
+    return Links.draw(st, mu, params, rng, z).received(st)
 
 
 def simulate_measurements(bs: Layout, mu: Union[Point2D, np.ndarray],
@@ -183,8 +222,10 @@ def simulate_measurements(bs: Layout, mu: Union[Point2D, np.ndarray],
     modes.  A call draws all of them as one (T, columns) block of standard
     normals and scales each column, so a stack's rows equal T single calls
     bit for bit, the generator's state included, and it raises what the
-    first failing of those calls would raise.  T = 0 draws nothing and
-    gives an empty stack.
+    first failing of those calls would raise, with the index of its epoch
+    in the stack.  T = 0 draws nothing and gives an empty stack.  The set
+    keeps its Links, so that received_by can read its epochs again with the
+    antennas turned, without drawing them again.
     """
     st = Stations.of(bs)
     single = isinstance(mu, Point2D)
@@ -207,9 +248,10 @@ def simulate_measurements(bs: Layout, mu: Union[Point2D, np.ndarray],
             dk, dl = math.hypot(x - a.x, y - a.y), math.hypot(x - b.x, y - b.y)
             if min(dk, dl) < _COINCIDENCE_TOL:
                 simulate_rss(st, xy[:e + 1], params, rng)  # as is the RSS of each epoch up to e
-                raise CoincidentPosition("MU coincides with a TDOA station")
+                raise CoincidentPosition("MU coincides with a TDOA station", e)
             dt[e] = (dk - dl) / SPEED_OF_LIGHT
         if noisy:
             dt += tdoa_params.sigma_tdoa * z[:, fading]
         tdoa = (k, l, dt.item(0) if single else dt)
-    return MeasurementSet(st.ids, simulate_rss(st, mu, params, rng, z=z[:, :fading]), tdoa)
+    links = Links.draw(st, mu, params, rng, z[:, :fading])
+    return MeasurementSet(st.ids, links.received(st), tdoa, links)

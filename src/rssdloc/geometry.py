@@ -14,6 +14,7 @@ works in that frame; :class:`CanonicalFrame` has one map into it
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -270,7 +271,10 @@ class CanonicalFrame:
     half_separation: float
 
     @classmethod
+    @functools.lru_cache(maxsize=8)
     def from_stations(cls, pos_k: Point2D, pos_l: Point2D) -> "CanonicalFrame":
+        """The frame of the pair at pos_k and pos_l, built once per pair
+        and shared, as a frame is immutable."""
         sep = distance(pos_k, pos_l)
         if sep <= 0:
             raise DegenerateHyperbola("TDOA stations are coincident")

@@ -1,19 +1,24 @@
 """Closed-loop Monte Carlo experiment runner and metrics.
 
-Every mode runs one loop over chunks of epochs: the channel is sampled at
-the chunk's true positions in one stacked call, with the antennas' current
-boresights, giving one measurement set of the chunk's (T, N) RSS block and
-TDOA column; the mode's locate step estimates the whole chunk from it in
-one call, and the estimates are scored.  The mode picks, once per trial,
-the track, whether its start is known and unscored (in simulation),
-whether the antennas are re-pointed at each estimate (directional
-simulation), and the locate step.
+Every mode runs one loop over chunks of epochs.  The channel of the whole
+scored track is drawn once per trial, in one stacked call at the true
+positions: its fading and TDOA noise, path loss, directions and TDOAs.
+Each chunk reads its epochs from that draw with the antennas' current
+boresights, which adds only their gain, giving one measurement set of the
+chunk's (T, N) RSS block and TDOA column; the mode's locate step estimates
+the whole chunk from it in one call, and the estimates are scored.  The
+mode picks, once per trial, the track, whether its start is known and
+unscored (in simulation), whether the antennas are re-pointed at each
+estimate (directional simulation), and the locate step.
 
 Re-pointing makes each epoch's measurement depend on the last estimate, so
-a directional simulation runs chunks of one epoch.  Every other trial's
-epochs are independent: its known start aside, the trial is one chunk, and
-its locate step sees the whole stack.  Locating draws no random numbers, so
-the measurements are drawn in the same order either way.
+a directional simulation runs chunks of one epoch, and takes the
+misorientation of the whole trial at its end, from the boresights each
+epoch had.  Every other trial's scored epochs are one chunk, and its
+locate step sees the whole stack.  Locating draws no random numbers, so
+the measurements are drawn in the same order either way, and a failing
+position raises what a loop that drew and checked each epoch in turn
+would raise.
 
 An epoch's noisy TDOA can put the measured range difference at or beyond
 the station half-separation, where no hyperbola exists.  Such an epoch
@@ -33,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import ChannelParams, MeasurementSet, simulate_measurements
-from .errors import EmptyInput, InvalidScenario
+from .errors import CoincidentPosition, EmptyInput, InvalidScenario
 from .fingerprint import FingerprintDB, build_db, circular_track, coarse_estimate, refine_with_tdoa
 from .geometry import Point2D, distance
 from .mobility import apply_orientation, generate_track, misorientation, update_orientation
@@ -166,32 +171,37 @@ def run_trial(s: Scenario, trial: int,
     # the antennas start pointed at the known start position
     boresight = (update_orientation(stations.boresight, stations, truth[0])
                  if s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL else None)
-    theta = None if boresight is None else np.empty((len(t), len(stations.ids)))
+    pointed = None  # each epoch's boresights, with antenna feedback
+    if boresight is not None:
+        pointed = np.empty((len(t), len(stations.ids)))
+        pointed[:known] = boresight
+    try:
+        drawn = simulate_measurements(stations, xy[known:], s.channel, s.tdoa_noise, rng)
+    except CoincidentPosition as e:
+        if boresight is not None:  # each epoch's antennas were checked before its channel
+            misorientation(boresight, stations, xy[:known + e.epoch + 1])
+        raise
     locate = _LOCATE[s.mode]
 
-    estimates: List[Point2D] = []
+    estimates: List[Point2D] = truth[:known]
     fallbacks = 0
     while len(estimates) < len(t):
-        # The known start is a chunk of its own.  With antenna feedback each
-        # estimate points the antennas for the next epoch, so every epoch is
-        # a chunk; without it the rest of the track is one.
+        # With antenna feedback each estimate points the antennas for the
+        # next epoch, so every epoch is a chunk; without it the scored
+        # track is one.
         start = len(estimates)
-        stop = start + 1 if start < known or boresight is not None else len(t)
+        stop = start + 1 if boresight is not None else len(t)
         now = stations
         if boresight is not None:
+            pointed[start] = boresight
             now = apply_orientation(stations, boresight)
-            theta[start] = misorientation(boresight, stations, truth[start])
-        if start < known:
-            estimates += truth[start:stop]
-        else:
-            # solving draws nothing, so drawing a chunk's measurements in one
-            # call first keeps the draws in epoch order
-            ms = simulate_measurements(now, xy[start:stop], s.channel, s.tdoa_noise, rng)
-            chunk, fell_back = locate(s, db, now, ms)
-            estimates += chunk
-            fallbacks += fell_back
+        ms = drawn.received_by(now, slice(start - known, stop - known))
+        chunk, fell_back = locate(s, db, now, ms)
+        estimates += chunk
+        fallbacks += fell_back
         if boresight is not None:
             boresight = update_orientation(boresight, stations, estimates[-1])
+    theta = None if pointed is None else misorientation(pointed, stations, xy)
     records = [EpochRecord(te, pos, est, distance(pos, est))
                for te, pos, est in zip(t.tolist(), truth, estimates)]
     errors = [r.error for r in records[known:]]

@@ -4,14 +4,15 @@ The mobile user walks between uniformly drawn waypoints at a constant
 speed, sampled at the localization update rate.  Directional receive
 antennas are re-pointed toward each new position estimate, one array of
 boresights over a station table's RSS stations; the misorientation angle is
-the error between a boresight and the true direction to the user.
+the error between a boresight and the true direction to the user, taken
+at one epoch or over a trial's history of boresights at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -141,15 +142,23 @@ def apply_orientation(bs: Layout, boresight: np.ndarray) -> Stations:
 
 
 def misorientation(boresight: np.ndarray, bs: Layout,
-                   true_position: Point2D) -> np.ndarray:
+                   true_position: Union[Point2D, np.ndarray]) -> np.ndarray:
     """Unsigned angle between each station's boresight and the true
-    direction to the user, in [0, pi], in the order of the station table."""
+    direction to the user, in [0, pi], in the order of the station table:
+    (N,) for (N,) boresights and one position, or (T, N) for a (T, N)
+    history of boresights, or (N,) ones, and the rows of a (T, 2) array of
+    positions.  A position within 1 nm of an RSS station raises
+    CoincidentWithStation naming it, for the first such epoch."""
     st = Stations.of(bs)
-    dx, dy = true_position.x - st.x, true_position.y - st.y
-    coincident = np.hypot(dx, dy) < _COINCIDENCE_TOL
+    if isinstance(true_position, Point2D):
+        x, y = true_position.x, true_position.y
+    else:
+        x, y = true_position[:, :1], true_position[:, 1:]
+    dx, dy = x - st.x, y - st.y
+    coincident = (np.hypot(dx, dy) < _COINCIDENCE_TOL).reshape(-1, len(st.ids))
     if coincident.any():
-        raise CoincidentWithStation(
-            f"true position coincides with station {st.ids[coincident.argmax()]}")
+        first = coincident[coincident.any(axis=1).argmax()]
+        raise CoincidentWithStation(f"true position coincides with station {st.ids[first.argmax()]}")
     # |a - b| % tau and tau minus it are exact, so this is |wrap(a - b)|
     off = np.abs(np.arctan2(dy, dx) - boresight) % math.tau
     return np.minimum(off, math.tau - off)

@@ -36,8 +36,9 @@ Two search strategies:
   coarse scan over y followed by bracket scans that evaluate a whole row of
   heights in one objective call per round, with the x-coordinate recovered
   from the hyperbola equation.  The search runs in the TDOA pair's
-  canonical frame: the stations and their antennas' gain vectors are
-  rotated in once per call, and only each estimate is mapped out.  The
+  canonical frame: the stations' positions in it are cached per pair and
+  layout, their antennas' gain vectors are rotated in once per call, and
+  only each estimate is mapped out.  The
   objective reads distances and the dot products of cosine_gain, which
   the rigid map leaves as they are.  A stack of epochs is searched in
   lockstep, one row of heights per epoch: the coarse scans share
@@ -136,7 +137,9 @@ class _Geometry(NamedTuple):
         d2 = dx * dx
         d2 += dy * dy
         singular = None
-        if d2.min() < _SINGULAR_TOL2:
+        # argmin finds the least distance in less time than a reduction
+        # takes to start on a line search's few candidates
+        if d2.item(d2.argmin()) < _SINGULAR_TOL2:
             singular = (d2 < _SINGULAR_TOL2).any(axis=0)
             # singular candidates evaluate to inf anyway; the clamp only
             # keeps log10 and the division finite there
@@ -187,12 +190,13 @@ class _Model:
         """The model in a TDOA pair's canonical frame: the stations' positions
         and the antennas' (G cos b, G sin b) rotated as frame.to_canonical
         rotates, so that its objective at a canonical point is the model's
-        at the point frame.from_canonical maps it to, up to rounding."""
-        c, s = math.cos(frame.axis_angle), math.sin(frame.axis_angle)
-        x, y = self.sx - frame.origin.x, self.sy - frame.origin.y
+        at the point frame.from_canonical maps it to, up to rounding.  The
+        positions come from _frame_stations; only the gains are rotated
+        here."""
+        c, s, x, y = _frame_stations(frame, tuple(self.sx.tolist()), tuple(self.sy.tolist()))
         gain = ((None, None) if self.gcos is None
                 else (c * self.gcos + s * self.gsin, c * self.gsin - s * self.gcos))
-        return _Model(c * x + s * y, c * y - s * x, self.c, *gain, self.alpha)
+        return _Model(x, y, self.c, *gain, self.alpha)
 
     def objective(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Objective N * sum_i (r_i - mean r)^2 at each candidate, in the
@@ -486,6 +490,21 @@ def _line_tables(frame: CanonicalFrame, reg: SearchRegion) -> Tuple[np.ndarray, 
     return ys, brackets, rounds
 
 
+@functools.lru_cache(maxsize=4)
+def _frame_stations(frame: CanonicalFrame, sx: Tuple[float, ...], sy: Tuple[float, ...]
+                    ) -> Tuple[float, float, np.ndarray, np.ndarray]:
+    """cos and sin of a TDOA pair's axis angle, and the (N,) positions of
+    the stations at (sx, sy) in the pair's canonical frame, shared
+    read-only by every epoch of the pair; re-pointing the antennas changes
+    none of them."""
+    c, s = math.cos(frame.axis_angle), math.sin(frame.axis_angle)
+    x, y = np.array(sx) - frame.origin.x, np.array(sy) - frame.origin.y
+    x, y = c * x + s * y, c * y - s * x
+    for a in (x, y):
+        a.setflags(write=False)
+    return c, s, x, y
+
+
 def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     """1D argmin along the measured TDOA hyperbola.
 
@@ -513,6 +532,13 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     _LINE_CHUNK epochs at a time in lockstep: one objective call for their
     coarse scans, which share the grid of heights, and one per round,
     1 + R calls in all, so each epoch gets the estimate it gets alone.
+
+    What a pair fixes is cached, not rebuilt per call: its frame
+    (CanonicalFrame.from_stations), the RSS stations' positions in that
+    frame (_frame_stations) and the heights (_line_tables).  So a
+    one-epoch call, as a directional closed loop makes after each
+    re-pointing, rotates only the antennas' gain vectors into the frame,
+    centres its one RSS row and runs its 1 + R scans.
     """
     frame, r, ok = measured_hyperbolas(cfg.stations, m.tdoa)
     model = _Model.build(cfg, m)
@@ -520,18 +546,20 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     points: List[Optional[Point2D]] = [None] * len(r)
     if not solved:
         return points
-    model = model.epochs(solved).in_frame(frame)
-    r = r[ok]
+    if len(solved) < len(r):
+        model, r = model.epochs(solved), r[ok]
+    model = model.in_frame(frame)
     b2 = np.square(frame.half_separation) - r * r
     ys, brackets, rounds = _line_tables(frame, cfg.region)
     for lo in range(0, len(solved), _LINE_CHUNK):
         rows = slice(lo, lo + _LINE_CHUNK)
-        sub, rr, bb = model.epochs(rows), r[rows, None], b2[rows, None]
+        sub = model if len(solved) <= _LINE_CHUNK else model.epochs(rows)
+        rr, bb = r[rows, None], b2[rows, None]
 
         def scan(y):  # each epoch's first minimum over its row of heights
             return sub.objective(branch_x(rr, bb, y), y).argmin(axis=1)
 
-        ab = brackets[scan(np.broadcast_to(ys, (len(rr), len(ys))))]
+        ab = brackets[scan(ys[None].repeat(len(rr), axis=0))]
         for _ in range(rounds):
             a, width = ab[:, :1], ab[:, 1:] - ab[:, :1]
             ab = a + width * _AROUND[scan(a + width * _LINE)]  # the cells around the minimum

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -410,6 +411,29 @@ class TestStackedChannel:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(stack_cases(), st.data())
+    def test_turned_antennas_read_as_their_own_draw(self, case, data):
+        # a drawn stack's rows read with the antennas turned equal a draw
+        # of the same epochs with those antennas, bit for bit
+        bs, ps, params, tdoa, seed = case
+        table = Stations.of(bs)
+        turned = replace(table, boresight=np.array(
+            data.draw(st.lists(st.floats(-4.0, 4.0), min_size=len(table.ids),
+                               max_size=len(table.ids)))))
+        stack = simulate_measurements(table, xy(ps), params, tdoa, np.random.default_rng(seed))
+        want = simulate_measurements(turned, xy(ps), params, tdoa, np.random.default_rng(seed))
+        lo = data.draw(st.integers(0, len(ps)))
+        rows = slice(lo, data.draw(st.integers(lo, len(ps))))
+        got = stack.received_by(turned, rows)
+        assert got.ids is turned.ids
+        assert bits(got.rss) == bits(want.rss[rows])
+        if want.tdoa is None:
+            assert got.tdoa is None
+        else:
+            assert got.tdoa[:2] == want.tdoa[:2] and bits(got.tdoa[2]) == bits(want.tdoa[2][rows])
+
+
 def first_error(call):
     try:
         call()
@@ -454,6 +478,17 @@ class TestStackErrors:
                                                           np.random.default_rng(0)))
         assert loop is not None and error in loop[1]
         assert stack == loop
+
+    @pytest.mark.parametrize("bs, ps, epoch", [
+        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], 1),
+        (TWO_PAIR, [CLEAR, CLEAR, Point2D(0, 3), Point2D(2, 0)], 2),
+        (omni_bs([(2, 2), (1, 1)]), [Point2D(2, 2)], 0),
+    ])
+    def test_coincidence_names_its_epoch(self, bs, ps, epoch):
+        noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
+        with pytest.raises(CoincidentPosition) as e:
+            simulate_measurements(bs, xy(ps), noisy, TdoaNoiseParams(), np.random.default_rng(0))
+        assert e.value.epoch == epoch
 
     def test_rss_stack_names_the_first_epochs_station(self):
         # epoch 1 meets station 2 and epoch 2 station 1

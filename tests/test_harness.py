@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rssdloc import harness
 from rssdloc.channel import MeasurementSet, simulate_measurements
 from rssdloc.cli import main
-from rssdloc.errors import DegenerateHyperbola, EmptyInput, InvalidScenario, UnknownKey
+from rssdloc.errors import (CoincidentPosition, CoincidentWithStation, DegenerateHyperbola,
+                             EmptyInput, InvalidScenario, UnknownKey)
 from rssdloc.fingerprint import FingerprintDB, circular_track, coarse_estimate, refine_with_tdoa
 from rssdloc.geometry import SPEED_OF_LIGHT, OmniAntenna, Point2D
 from rssdloc.harness import (
@@ -25,7 +26,7 @@ from rssdloc.harness import (
     write_report_files,
     write_summary_csv,
 )
-from rssdloc.mobility import generate_track
+from rssdloc.mobility import apply_orientation, generate_track, misorientation, update_orientation
 from rssdloc.scenario import Mode, load_scenario, scenario_from_dict
 from rssdloc.solver import AntennaModel, SolverConfig, solve_rssd, solve_rssd_tdoa
 
@@ -180,21 +181,32 @@ class TestFpTrial:
 
 
 def per_epoch_trial(s, trial, db):
-    """Reference loop of a trial without antenna feedback: each epoch is
-    measured and then located on its own, in the single-epoch forms.
-    Returns the (t, true position, estimate) records and the fallback count."""
+    """Reference loop of a trial: each epoch is measured and then located on
+    its own, in the single-epoch forms.  A directional simulation points its
+    antennas at the known start, checks each epoch's misorientation before
+    measuring it, and re-points them at each estimate.  Returns the
+    (t, true position, estimate) records, the fallback count, and the
+    (epochs, stations) misorientation, or None without antenna feedback."""
     rng = trial_rng(s.seed, trial)
     if s.mode.is_sim:
         t, xy = generate_track(s.waypoint, rng)
         epochs, known = list(zip(t.tolist(), (Point2D(x, y) for x, y in xy.tolist()))), 1
     else:
         epochs, known = list(enumerate(circular_track(s.circular))), 0
-    cfg = SolverConfig(s.channel, s.bs, s.region, s.antenna_model)
-    records, fallbacks = [], 0
+    stations = s.stations
+    feedback = s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL
+    boresight = (update_orientation(stations.boresight, stations, epochs[0][1])
+                 if feedback else None)
+    records, fallbacks, theta = [], 0, []
     for idx, (t, pos) in enumerate(epochs):
+        bs = s.bs
+        if feedback:
+            bs = apply_orientation(stations, boresight)
+            theta.append(misorientation(boresight, stations, pos))
+        cfg = SolverConfig(s.channel, bs, s.region, s.antenna_model)
         est = pos
         if idx >= known:
-            m = simulate_measurements(s.bs, pos, s.channel, s.tdoa_noise, rng)
+            m = simulate_measurements(bs, pos, s.channel, s.tdoa_noise, rng)
             try:
                 if s.mode is Mode.SIM_RSSD:
                     est = solve_rssd(cfg, m)
@@ -208,20 +220,32 @@ def per_epoch_trial(s, trial, db):
                 fallbacks += 1
                 if s.mode.is_sim:
                     est = solve_rssd(cfg, m)
+        if feedback:
+            boresight = update_orientation(boresight, stations, est)
         records.append((float(t), pos, est))
-    return records, fallbacks
+    return records, fallbacks, np.array(theta) if feedback else None
+
+
+# every mode, and each simulation under both antenna models
+MODELS = [(mode, model) for mode in Mode
+          for model in (AntennaModel if mode.is_sim else [AntennaModel.DIRECTIONAL])]
 
 
 class TestBatchedTrial:
-    # without antenna feedback a trial locates all its scored epochs at once
+    # a trial's scored epochs are drawn at once, and without antenna
+    # feedback also located at once
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(list(Mode)), st.integers(0, 10_000),
-           st.sampled_from([330e-12, 20e-9]))
-    def test_equals_per_epoch_loop(self, fp_scenario, mode, trial, sigma_tdoa):
+    @given(st.sampled_from(MODELS), st.integers(0, 10_000), st.sampled_from([330e-12, 20e-9]))
+    @example((Mode.SIM_RSSD, AntennaModel.DIRECTIONAL), 3, 330e-12)
+    @example((Mode.SIM_RSSD, AntennaModel.DIRECTIONAL), 3, 20e-9)
+    @example((Mode.SIM_RSSD_TDOA, AntennaModel.DIRECTIONAL), 3, 330e-12)
+    @example((Mode.SIM_RSSD_TDOA, AntennaModel.DIRECTIONAL), 3, 20e-9)
+    def test_equals_per_epoch_loop(self, fp_scenario, model, trial, sigma_tdoa):
         # 20 ns of TDOA noise makes some epochs fall back (TestTdoaFallback)
+        mode, antenna_model = model
         if mode.is_sim:
-            s = scenario_from_dict(small_sim_dict(mode=mode.value, antenna_model="OMNI",
+            s = scenario_from_dict(small_sim_dict(mode=mode.value, antenna_model=antenna_model.value,
                                                   sigma_tdoa=sigma_tdoa))
             db = None
         else:
@@ -229,9 +253,10 @@ class TestBatchedTrial:
                                         "sigma_tdoa": sigma_tdoa})
             db = scenario_db(fp_scenario)
         r = run_trial(s, trial, db)
-        records, fallbacks = per_epoch_trial(s, trial, db)
+        records, fallbacks, theta = per_epoch_trial(s, trial, db)
         assert [(e.t, e.true_position, e.estimate) for e in r.records] == records
         assert r.tdoa_fallbacks == fallbacks
+        assert (r.theta is None) if theta is None else np.array_equal(r.theta, theta)
 
     @pytest.mark.parametrize("mode, antenna_model, name", [
         (Mode.SIM_RSSD, AntennaModel.OMNI, "solve_rssd"),
@@ -258,6 +283,25 @@ class TestBatchedTrial:
         feedback = s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL
         assert len(calls) == (scored if feedback else 1)
 
+    @pytest.mark.parametrize("mode, antenna_model", MODELS)
+    def test_channel_drawn_once_per_trial(self, monkeypatch, fp_scenario, mode, antenna_model):
+        # re-pointing the antennas draws nothing: each chunk reads its
+        # epochs from the trial's one draw
+        drawn = []
+        simulate = harness.simulate_measurements
+        monkeypatch.setattr(harness, "simulate_measurements",
+                            lambda *a: drawn.append(a) or simulate(*a))
+        if mode.is_sim:
+            s = scenario_from_dict(small_sim_dict(mode=mode.value,
+                                                  antenna_model=antenna_model.value))
+        else:
+            s = fp_scenario.with_mode(mode)
+        r = run_trial(s, 0, None if mode.is_sim else scenario_db(s))
+        (args,) = drawn
+        known = 1 if mode.is_sim else 0
+        assert np.array_equal(args[1], [(e.true_position.x, e.true_position.y)
+                                        for e in r.records[known:]])
+
     @pytest.mark.parametrize("mode, name, reads", [
         (Mode.SIM_RSSD, "solve_rssd", lambda m: m),
         (Mode.SIM_RSSD_TDOA, "solve_rssd_tdoa", lambda m: m),
@@ -265,8 +309,9 @@ class TestBatchedTrial:
     ])
     def test_locate_step_reads_the_drawn_stack(self, monkeypatch, fp_scenario, mode, name,
                                                reads):
-        # the channel's one measurement set of a chunk is handed through
-        # whole, not re-stacked from per-epoch rows
+        # without antenna feedback the channel's one measurement set of a
+        # trial is read whole by its one chunk, with the antennas it was
+        # drawn with: the same rows, not re-stacked from per-epoch ones
         drawn, calls = [], []
         simulate, step = harness.simulate_measurements, getattr(harness, name)
         monkeypatch.setattr(harness, "simulate_measurements",
@@ -279,7 +324,41 @@ class TestBatchedTrial:
         run_trial(s, 0, None if mode.is_sim else scenario_db(s))
         (m,), (args,) = drawn, calls
         assert m.rss.shape[0] > 1
-        assert args[1] is reads(m)
+        got, want = args[1], reads(m)
+        if mode.is_sim:
+            assert got.ids is want.ids and np.array_equal(got.rss, want.rss)
+            got, want = got.tdoa, want.tdoa
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+
+
+class TestFailingTrack:
+    # a track through a station fails its trial with what a loop that
+    # checks each epoch's misorientation, then draws its channel, raises
+
+    @pytest.mark.parametrize("antenna_model, path, error, message", [
+        # through RSS station 3 at (3, 3)
+        ("DIRECTIONAL", [(0, 0), (1, 1), (3, 3), (1, 1)], CoincidentWithStation,
+         "true position coincides with station 3"),
+        # starting on it: the known start is checked too
+        ("DIRECTIONAL", [(3, 3), (1, 1), (0, 0)], CoincidentWithStation,
+         "true position coincides with station 3"),
+        # through TDOA station 5 at (-3, 0), then RSS station 3
+        ("DIRECTIONAL", [(0, 0), (-3, 0), (3, 3)], CoincidentPosition,
+         "MU coincides with a TDOA station"),
+        ("DIRECTIONAL", [(0, 0), (1, 1), (-3, 0)], CoincidentPosition,
+         "MU coincides with a TDOA station"),
+        ("OMNI", [(0, 0), (1, 1), (3, 3), (1, 1)], CoincidentPosition,
+         "MU coincides with station 3"),
+    ])
+    def test_raises_as_the_per_epoch_loop(self, monkeypatch, antenna_model, path, error,
+                                          message):
+        xy = np.array(path, dtype=float)
+        monkeypatch.setattr(harness, "generate_track",
+                            lambda params, rng: (0.5 * np.arange(len(xy)), xy))
+        s = scenario_from_dict(small_sim_dict(mode="SIM_RSSD_TDOA", antenna_model=antenna_model))
+        with pytest.raises(error) as e:
+            run_trial(s, 0)
+        assert str(e.value) == message
 
 
 class TestTdoaFallback:

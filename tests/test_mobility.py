@@ -176,3 +176,19 @@ class TestMisorientation:
         boresight = pointed_at(bs, Point2D(1, 0))
         with pytest.raises(CoincidentWithStation, match="station 2"):
             misorientation(boresight, bs, Point2D(3, 0))
+
+    def test_history_equals_per_epoch_calls(self):
+        rng = np.random.default_rng(5)
+        bs = [station(i + 1, *rng.uniform(-5, 5, 2), 0.0) for i in range(6)]
+        positions = rng.uniform(-5, 5, (9, 2))
+        history = rng.uniform(-math.pi, math.pi, (9, 6))
+        got = misorientation(history, bs, positions)
+        want = [misorientation(b, bs, Point2D(x, y)) for b, (x, y) in zip(history, positions)]
+        assert got.shape == (9, 6)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_history_names_the_first_epochs_station(self):
+        bs = [station(), station(2, 3.0, 0.0)]
+        positions = np.array([(1.0, 1.0), (3.0, 0.0), (0.0, 0.0)])
+        with pytest.raises(CoincidentWithStation, match="^true position coincides with station 2$"):
+            misorientation(np.zeros(2), bs, positions)
