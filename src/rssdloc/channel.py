@@ -7,9 +7,11 @@ per-station RSS vector; its pairwise differences cancel the unknown
 transmit power, so every RSSD value derives from that one vector and the
 pairs are cycle-consistent by construction.  A stack of T epochs is one
 measurement set too: a (T, N) block of RSS rows and a (T,) column of TDOA
-observations, as the channel draws them.  A drawn stack keeps its links,
-the channel up to the receive antennas, so antennas turned after the draw
-read its epochs by adding their own gain alone.
+observations, as the channel draws them.  Below simulate_measurements,
+which also takes one position, the channel reads positions only as a
+(T, 2) stack.  A drawn stack keeps its links, the channel up to the receive
+antennas, so antennas turned after the draw read its epochs by adding
+their own gain alone.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import CoincidentPosition, NonPositiveDistance, TooFewStations
-from .geometry import SPEED_OF_LIGHT, Layout, Point2D, Stations, cosine_gain
-
-_COINCIDENCE_TOL = 1e-9  # m
+from .geometry import _COINCIDENCE_TOL, SPEED_OF_LIGHT, Layout, Point2D, Stations, cosine_gain
 
 
 @dataclass(frozen=True)
@@ -83,34 +83,30 @@ class TdoaNoiseParams:
 
 class Links(NamedTuple):
     """The channel from the user to each RSS station of a station table, up
-    to the receive antennas, at one epoch or over a stack: (N,) or (T, N)
-    arrays in the table's order.  Re-pointing the antennas changes none of
-    them."""
+    to the receive antennas, over a stack of epochs: (T, N) arrays in the
+    table's order.  Re-pointing the antennas changes none of them."""
 
     power: np.ndarray  # dBm, log-distance received power with shadow fading
     ux: np.ndarray     # unit vector from the station toward the user
     uy: np.ndarray
 
     @classmethod
-    def draw(cls, st: Stations, mu: Union[Point2D, np.ndarray], params: ChannelParams,
+    def draw(cls, st: Stations, xy: np.ndarray, params: ChannelParams,
              rng: np.random.Generator, z: Optional[np.ndarray] = None) -> "Links":
         """The links of simulate_rss, which documents the arguments, the
-        draw and what it raises."""
+        draw and what it raises.  z, when given, is the (T, N) block of
+        standard normals of the fading, drawn by the caller together with
+        other columns; otherwise it is drawn from rng."""
         if len(st.ids) < 2:
             raise TooFewStations(f"need >= 2 RSS stations, got {len(st.ids)}")
-        if isinstance(mu, Point2D):  # one epoch runs on (N,) rows
-            x, y = mu.x, mu.y
-        else:
-            x, y = mu[:, :1], mu[:, 1:]
-        dx, dy = x - st.x, y - st.y
+        dx, dy = xy[:, :1] - st.x, xy[:, 1:] - st.y
         d = np.hypot(dx, dy)
         if d.size and d.item(d.argmin()) < _COINCIDENCE_TOL:  # argmin as in received_power
-            rows = d.reshape(-1, len(st.ids))
-            e = int((rows < _COINCIDENCE_TOL).any(axis=1).argmax())
-            raise CoincidentPosition(f"MU coincides with station {st.ids[rows[e].argmin()]}", e)
+            near = d[(d < _COINCIDENCE_TOL).any(axis=1).argmax()]  # the first such epoch
+            raise CoincidentPosition(f"MU coincides with station {st.ids[near.argmin()]}")
         beta = 0.0
         if params.sigma_beta > 0:
-            beta = (rng.standard_normal(d.shape) if z is None else z.reshape(d.shape)) * params.sigma_beta
+            beta = (rng.standard_normal(d.shape) if z is None else z) * params.sigma_beta
         return cls(received_power(params, d, beta), dx / d, dy / d)
 
     def received(self, st: Stations, rows=slice(None)) -> np.ndarray:
@@ -189,52 +185,52 @@ def received_power(params: ChannelParams, d, beta):
     return params.p0 - 10.0 * params.alpha * np.log10(np.divide(d, params.d0)) + beta
 
 
-def simulate_rss(bs: Layout, mu: Union[Point2D, np.ndarray], params: ChannelParams,
-                 rng: np.random.Generator, *, z: Optional[np.ndarray] = None) -> np.ndarray:
-    """The RSS at the true MU position, (N,) in the station table's order,
-    or at each row of a (T, 2) array of positions, (T, N).
+def simulate_rss(bs: Layout, xy: np.ndarray, params: ChannelParams,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The (T, N) RSS at each row of a (T, 2) array of true MU positions,
+    its columns in the station table's order.
 
     Shadow fading is sigma_beta times a standard normal, i.i.d. per station
     and epoch, drawn epoch by epoch in ascending id order, so the draw
-    sequence is reproducible and identical across solver modes.  z, when
-    given, is that (T, N) block of standard normals, drawn by the caller
-    together with other columns; otherwise it is drawn from rng.  With
-    sigma_beta = 0 nothing is drawn and z is not read.  A position within 1 nm of an RSS
-    station raises CoincidentPosition naming it, for the first such epoch,
-    with that epoch's index.  The RSS is the received power of the Links
-    plus the antennas' gain minus the station's bias, in that order.
+    sequence is reproducible and identical across solver modes; with
+    sigma_beta = 0 nothing is drawn.  A table of fewer than two RSS
+    stations raises TooFewStations.  A position within 1 nm of an RSS
+    station raises CoincidentPosition naming it, for the first such epoch.
+    The RSS is the received power of the Links plus the antennas' gain
+    minus the station's bias, in that order.
     """
     st = Stations.of(bs)
-    return Links.draw(st, mu, params, rng, z).received(st)
+    return Links.draw(st, xy, params, rng).received(st)
 
 
 def simulate_measurements(bs: Layout, mu: Union[Point2D, np.ndarray],
                           params: ChannelParams,
                           tdoa_params: TdoaNoiseParams,
                           rng: np.random.Generator) -> MeasurementSet:
-    """Simulate a localization epoch at one position, giving a one-epoch
-    MeasurementSet, or epochs at the rows of a (T, 2) array of positions,
-    giving their stack: the (T, N) RSS of simulate_rss and a (T,) delta_t
-    column.
+    """Simulate localization epochs at the rows of a (T, 2) array of
+    positions, giving their stack: the (T, N) RSS of simulate_rss and a
+    (T,) delta_t column.  One position gives the one-epoch set of a stack
+    of one: its row 0, with a float delta_t.
 
     Each epoch draws its N fading normals, then its TDOA normal whether or
     not the caller uses it, keeping RNG streams aligned across solver
     modes.  A call draws all of them as one (T, columns) block of standard
     normals and scales each column, so a stack's rows equal T single calls
-    bit for bit, the generator's state included, and it raises what the
-    first failing of those calls would raise, with the index of its epoch
-    in the stack.  T = 0 draws nothing and gives an empty stack.  The set
-    keeps its Links, so that received_by can read its epochs again with the
-    antennas turned, without drawing them again.
+    bit for bit, the generator's state included.  T = 0 draws nothing and
+    gives an empty stack.  The set keeps its Links, so that received_by can
+    read its epochs again with the antennas turned, without drawing them
+    again.
+
+    A stack raises in the order of these checks: a third TDOA-capable
+    station (ValueError, before any draw); the first epoch within 1 nm of
+    a TDOA station (CoincidentPosition); fewer than two RSS stations
+    (TooFewStations); the first epoch within 1 nm of an RSS station
+    (CoincidentPosition naming it).
     """
     st = Stations.of(bs)
     single = isinstance(mu, Point2D)
     xy = np.array([[mu.x, mu.y]]) if single else mu
-    try:
-        pair = st.pair()
-    except ValueError:
-        simulate_rss(st, xy[:1], params, rng)  # the first epoch's RSS is checked first
-        raise
+    pair = st.pair()
     fading = len(st.ids) if params.sigma_beta > 0 else 0
     noisy = pair is not None and tdoa_params.sigma_tdoa > 0
     z = rng.standard_normal((len(xy), fading + noisy))
@@ -247,11 +243,11 @@ def simulate_measurements(bs: Layout, mu: Union[Point2D, np.ndarray],
             # math.hypot per epoch: np.hypot is an ulp off on some epochs
             dk, dl = math.hypot(x - a.x, y - a.y), math.hypot(x - b.x, y - b.y)
             if min(dk, dl) < _COINCIDENCE_TOL:
-                simulate_rss(st, xy[:e + 1], params, rng)  # as is the RSS of each epoch up to e
-                raise CoincidentPosition("MU coincides with a TDOA station", e)
+                raise CoincidentPosition("MU coincides with a TDOA station")
             dt[e] = (dk - dl) / SPEED_OF_LIGHT
         if noisy:
             dt += tdoa_params.sigma_tdoa * z[:, fading]
         tdoa = (k, l, dt.item(0) if single else dt)
-    links = Links.draw(st, mu, params, rng, z[:, :fading])
-    return MeasurementSet(st.ids, links.received(st), tdoa, links)
+    links = Links.draw(st, xy, params, rng, z[:, :fading])
+    rss = links.received(st)
+    return MeasurementSet(st.ids, rss[0] if single else rss, tdoa, links)

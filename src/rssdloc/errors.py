@@ -18,12 +18,7 @@ class TooFewStations(LocalizationError):
 
 
 class CoincidentPosition(LocalizationError):
-    """A user position within 1 nm of a station; epoch is the index of the
-    first such position of a stack (0 for one position)."""
-
-    def __init__(self, message: str, epoch: int = 0):
-        super().__init__(message)
-        self.epoch = epoch
+    """A user position within 1 nm of a station."""
 
 
 class CoincidentWithStation(LocalizationError):

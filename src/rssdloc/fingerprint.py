@@ -4,9 +4,9 @@ The offline phase stores a reference RSS vector per grid point; the online
 phase picks the grid point whose pairwise RSS differences are closest (in
 the Euclidean sense) to the measured ones, then optionally refines the
 coarse pick by projecting it onto the measured TDOA hyperbola.  Both steps
-take one epoch or a stack of epochs, as a measurement set holds them: the
-match takes the (T, N) RSS block in one vectorized pass, the projection the
-block's TDOA observation.
+take a stack of epochs, as a measurement set holds them: the match takes
+the (T, N) RSS block in one vectorized pass, the projection the block's
+TDOA observation.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .channel import _COINCIDENCE_TOL, ChannelParams, centred, simulate_rss
+from .channel import ChannelParams, centred, simulate_rss
 from .errors import EmptyGrid, InvalidScenario, LengthMismatch
-from .geometry import (Hyperbola, Layout, Point2D, Stations, measured_hyperbolas,
-                       project_onto_hyperbola)
+from .geometry import (_COINCIDENCE_TOL, Hyperbola, Layout, Point2D, Stations,
+                       measured_hyperbolas, project_onto_hyperbola)
 from .mobility import _WALK_LIMIT
 from .solver import SearchRegion
 
@@ -183,51 +183,49 @@ def build_db(bs: Layout, area: SearchRegion, grid_step: float,
     return FingerprintDB(xy, simulate_rss(st, xy, channel, rng), st.ids.tolist())
 
 
-def coarse_estimate(db: FingerprintDB, meas):
-    """Grid point with the closest RSSD expansion; ties go to smallest (y, x).
+def coarse_estimate(db: FingerprintDB, meas) -> List[Point2D]:
+    """Each epoch's grid point with the closest RSSD expansion; ties go to
+    smallest (y, x).
 
-    meas is one RSS vector in bs_ids order, giving one point, or a (T, N)
-    stack of them, matched in (epochs x M) distance tables of _CHUNK epochs
-    and giving a list of T points.  Non-finite RSS raises ValueError.
+    meas is a (T, N) stack of RSS rows in bs_ids order, matched in
+    (epochs x M) distance tables of _CHUNK epochs, giving a list of T
+    points.  Another shape raises LengthMismatch, non-finite RSS ValueError.
     """
     if len(db) == 0:
         raise EmptyGrid("empty fingerprint database")
     meas = np.asarray(meas, dtype=float)
     n = db.rss.shape[1]
-    if meas.ndim not in (1, 2) or meas.shape[-1] != n:
+    if meas.shape[1:] != (n,):
         raise LengthMismatch(
             f"measurement shape {meas.shape} does not match database "
             f"station count {n}")
-    bad = ~np.isfinite(meas.reshape(-1, n)).all(axis=0)
+    bad = ~np.isfinite(meas).all(axis=0)
     if bad.any():
         raise ValueError(f"non-finite RSS from stations {np.asarray(db.bs_ids)[bad].tolist()}")
-    ref, stack = centred(db.rss), np.atleast_2d(centred(meas))
+    ref, stack = centred(db.rss), centred(meas)
     k = np.empty(len(stack), dtype=np.intp)
     for lo in range(0, len(stack), _CHUNK):
         d = ref - stack[lo:lo + _CHUNK, None, :]  # (epochs, M, N) differences
         k[lo:lo + _CHUNK] = np.einsum("emk,emk->em", d, d).argmin(axis=1)
-    points = [Point2D(float(db.positions[i, 0]), float(db.positions[i, 1])) for i in k]
-    return points if meas.ndim == 2 else points[0]
+    return [Point2D(float(db.positions[i, 0]), float(db.positions[i, 1])) for i in k]
 
 
-def refine_with_tdoa(coarse, tdoa, bs: Layout, region: SearchRegion):
+def refine_with_tdoa(coarse: Sequence[Point2D], tdoa, bs: Layout,
+                     region: SearchRegion) -> List[Optional[Point2D]]:
     """Project coarse estimates onto their measured TDOA hyperbolas, each
     on its own, over the region's heights in the TDOA pair's canonical frame.
 
-    coarse is one point and tdoa its measurement set's (id_k, id_l,
-    delta_t) observation, giving one point, or a sequence of T points and
-    the observation of their stack, delta_t a (T,) array, giving a list;
-    the observation is read by geometry.measured_hyperbolas, with None in
-    the list where the single call raises DegenerateHyperbola.
+    coarse is a sequence of T points and tdoa the (id_k, id_l, delta_t)
+    observation of their stack, delta_t a (T,) array.  It is read by
+    geometry.measured_hyperbolas, and the list of T refined points holds
+    None for each epoch whose range difference has no hyperbola.
     """
     frame, r, ok = measured_hyperbolas(bs, tdoa)
     lo, hi = region.heights(frame)
-    single = isinstance(coarse, Point2D)
 
     def project(p, r_e):
         h = Hyperbola(frame.half_separation, r_e)
         return frame.from_canonical(project_onto_hyperbola(frame.to_canonical(p), h, lo, hi))
 
-    refined = [project(p, r_e) if ok_e else None for p, r_e, ok_e
-               in zip([coarse] if single else coarse, r.tolist(), ok.tolist(), strict=True)]
-    return refined[0] if single else refined
+    return [project(p, r_e) if ok_e else None
+            for p, r_e, ok_e in zip(coarse, r.tolist(), ok.tolist(), strict=True)]

@@ -27,6 +27,7 @@ from .errors import DegenerateHyperbola, MissingTdoa
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 _DEGENERACY_TOL = 1e-9  # m
+_COINCIDENCE_TOL = 1e-9  # m: a user position this close to a station is on it
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -295,14 +296,13 @@ def measured_hyperbolas(bs: Layout, tdoa) -> Tuple[CanonicalFrame, np.ndarray, n
     """The canonical frame of a TDOA pair, and each epoch's half range
     difference r = 0.5 c delta_t in it, with whether its hyperbola exists.
 
-    tdoa is a measurement set's (id_k, id_l, delta_t): delta_t a float for
-    one epoch or a (T,) array for a stack.  r and the mask ok are (T,)
-    arrays, of one epoch for a float; ok is False for each epoch whose
-    Hyperbola would raise DegenerateHyperbola (|r| at or beyond the
-    half-separation, a NaN or an infinite delta_t), and a float delta_t
-    raises it there, as coincident TDOA stations do.  A missing observation
-    (None) raises MissingTdoa, and ids of no TDOA-capable station of bs
-    raise ValueError.
+    tdoa is a measurement set's (id_k, id_l, delta_t): delta_t a (T,)
+    array for a stack, or a float, read as a stack of one epoch.  r and the
+    mask ok are (T,) arrays; ok is False for each epoch whose Hyperbola
+    would raise DegenerateHyperbola (|r| at or beyond the half-separation,
+    a NaN or an infinite delta_t), and no epoch raises.  Coincident TDOA
+    stations raise DegenerateHyperbola, a missing observation (None) raises
+    MissingTdoa, and ids of no TDOA-capable station of bs raise ValueError.
     """
     if tdoa is None:
         raise MissingTdoa("measurement set carries no TDOA observation")
@@ -312,7 +312,5 @@ def measured_hyperbolas(bs: Layout, tdoa) -> Tuple[CanonicalFrame, np.ndarray, n
     if missing:
         raise ValueError(f"stations {missing} are not TDOA-capable stations of the layout")
     frame = CanonicalFrame.from_stations(positions[k], positions[l])
-    if np.ndim(dt) == 0:
-        Hyperbola.from_tdoa(dt, frame.half_separation)  # raises where the epoch has none
     r = 0.5 * SPEED_OF_LIGHT * np.atleast_1d(dt)
     return frame, r, np.abs(r) < frame.half_separation - _DEGENERACY_TOL

@@ -16,9 +16,15 @@ a directional simulation runs chunks of one epoch, and takes the
 misorientation of the whole trial at its end, from the boresights each
 epoch had.  Every other trial's scored epochs are one chunk, and its
 locate step sees the whole stack.  Locating draws no random numbers, so
-the measurements are drawn in the same order either way, and a failing
-position raises what a loop that drew and checked each epoch in turn
-would raise.
+the measurements are drawn in the same order either way.
+
+A failing track raises where the trial first checks it, before any
+locate step: simulate_measurements checks the scored positions (a third
+TDOA station, the first epoch on a TDOA station, too few RSS stations,
+the first epoch on an RSS station, in that order), so a directional track
+through an RSS station raises its CoincidentPosition.  A directional
+track that only starts on one raises CoincidentWithStation from the
+misorientation at the trial's end.
 
 An epoch's noisy TDOA can put the measured range difference at or beyond
 the station half-separation, where no hyperbola exists.  Such an epoch
@@ -38,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .channel import ChannelParams, MeasurementSet, simulate_measurements
-from .errors import CoincidentPosition, EmptyInput, InvalidScenario
+from .errors import EmptyInput, InvalidScenario
 from .fingerprint import FingerprintDB, build_db, circular_track, coarse_estimate, refine_with_tdoa
 from .geometry import Point2D, distance
 from .mobility import apply_orientation, generate_track, misorientation, update_orientation
@@ -175,12 +181,7 @@ def run_trial(s: Scenario, trial: int,
     if boresight is not None:
         pointed = np.empty((len(t), len(stations.ids)))
         pointed[:known] = boresight
-    try:
-        drawn = simulate_measurements(stations, xy[known:], s.channel, s.tdoa_noise, rng)
-    except CoincidentPosition as e:
-        if boresight is not None:  # each epoch's antennas were checked before its channel
-            misorientation(boresight, stations, xy[:known + e.epoch + 1])
-        raise
+    drawn = simulate_measurements(stations, xy[known:], s.channel, s.tdoa_noise, rng)
     locate = _LOCATE[s.mode]
 
     estimates: List[Point2D] = truth[:known]

@@ -5,22 +5,21 @@ speed, sampled at the localization update rate.  Directional receive
 antennas are re-pointed toward each new position estimate, one array of
 boresights over a station table's RSS stations; the misorientation angle is
 the error between a boresight and the true direction to the user, taken
-at one epoch or over a trial's history of boresights at once.
+over a stack of positions, with a trial's history of boresights at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from .errors import CoincidentWithStation, InvalidScenario
-from .geometry import Layout, Point2D, Stations
+from .geometry import _COINCIDENCE_TOL, Layout, Point2D, Stations
 from .solver import SearchRegion
 
-_COINCIDENCE_TOL = 1e-9  # m
 # epochs a walk of total_length or one pause may take, and waypoints one
 # epoch may pass
 _WALK_LIMIT = 10**5
@@ -141,21 +140,16 @@ def apply_orientation(bs: Layout, boresight: np.ndarray) -> Stations:
     return replace(Stations.of(bs), boresight=boresight)
 
 
-def misorientation(boresight: np.ndarray, bs: Layout,
-                   true_position: Union[Point2D, np.ndarray]) -> np.ndarray:
+def misorientation(boresight: np.ndarray, bs: Layout, xy: np.ndarray) -> np.ndarray:
     """Unsigned angle between each station's boresight and the true
-    direction to the user, in [0, pi], in the order of the station table:
-    (N,) for (N,) boresights and one position, or (T, N) for a (T, N)
-    history of boresights, or (N,) ones, and the rows of a (T, 2) array of
-    positions.  A position within 1 nm of an RSS station raises
-    CoincidentWithStation naming it, for the first such epoch."""
+    direction to the user, in [0, pi], at each row of a (T, 2) array of
+    true positions: (T, N) in the order of the station table, for a (T, N)
+    history of boresights or (N,) ones.  A position within 1 nm of an RSS
+    station raises CoincidentWithStation naming it, for the first such
+    epoch."""
     st = Stations.of(bs)
-    if isinstance(true_position, Point2D):
-        x, y = true_position.x, true_position.y
-    else:
-        x, y = true_position[:, :1], true_position[:, 1:]
-    dx, dy = x - st.x, y - st.y
-    coincident = (np.hypot(dx, dy) < _COINCIDENCE_TOL).reshape(-1, len(st.ids))
+    dx, dy = xy[:, :1] - st.x, xy[:, 1:] - st.y
+    coincident = np.hypot(dx, dy) < _COINCIDENCE_TOL
     if coincident.any():
         first = coincident[coincident.any(axis=1).argmax()]
         raise CoincidentWithStation(f"true position coincides with station {st.ids[first.argmax()]}")

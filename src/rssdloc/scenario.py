@@ -69,10 +69,10 @@ class FingerprintConfig:
 class Scenario:
     """One experiment.
 
-    antenna_model is the one antenna switch.  OMNI makes every station omni
-    and runs the omni-omni channel preset; DIRECTIONAL runs the
-    omni-directional preset and needs a directional antenna on every RSS
-    station.
+    antenna_model is the one antenna switch.  OMNI runs every station as
+    omni, in stations, and the omni-omni channel preset; DIRECTIONAL runs
+    the omni-directional preset and needs a directional antenna on every
+    RSS station.  bs stays as configured under either model.
     """
 
     name: str
@@ -87,7 +87,8 @@ class Scenario:
     fingerprint: FingerprintConfig = field(default_factory=FingerprintConfig)
     seed: int = 0
     trials: int = 1
-    stations: Stations = field(init=False, repr=False, compare=False)  # of bs
+    # of bs, as the antenna model runs it
+    stations: Stations = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -101,10 +102,11 @@ class Scenario:
         if self.mode.is_sim and self.waypoint.total_length <= 0:
             raise InvalidScenario(f"waypoint.total_length must be > 0, got "
                                   f"{self.waypoint.total_length}")
+        bs = self.bs
         if self.antenna_model is AntennaModel.OMNI:
-            self.bs = [replace(b, antenna=OmniAntenna()) for b in self.bs]
+            bs = [replace(b, antenna=OmniAntenna()) for b in bs]
         try:
-            self.stations = Stations.of(self.bs)
+            self.stations = Stations.of(bs)
             pair = self.stations.pair()
             # the solver's own check of the antennas against the model
             SolverConfig(self.channel, self.stations, self.region, self.antenna_model)

@@ -59,8 +59,8 @@ import numpy as np
 
 from .channel import ChannelParams, MeasurementSet, centred
 from .errors import EmptyRegion, SingularCandidate
-from .geometry import (CanonicalFrame, Layout, Point2D, Stations, branch_x, cosine_gain,
-                       measured_hyperbolas)
+from .geometry import (CanonicalFrame, Hyperbola, Layout, Point2D, Stations, branch_x,
+                       cosine_gain, measured_hyperbolas)
 
 _SINGULAR_TOL = 1e-6  # m; candidates closer than this to a station get inf
 _SINGULAR_TOL2 = _SINGULAR_TOL * _SINGULAR_TOL
@@ -508,12 +508,14 @@ def _frame_stations(frame: CanonicalFrame, sx: Tuple[float, ...], sy: Tuple[floa
 def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     """1D argmin along the measured TDOA hyperbola.
 
-    m is one epoch's measurement set, giving one point, or a stack of T
-    epochs read with the same antennas, giving a list of T points with
-    None for each epoch whose range difference has no hyperbola.  The TDOA
+    m is a stack of T epochs read with the same antennas, giving a list of
+    T points with None for each epoch whose range difference has no
+    hyperbola, or one epoch's measurement set, giving one point.  The TDOA
     observations are read by geometry.measured_hyperbolas, which raises
-    for the single-epoch call there, and for a missing TDOA observation.
-    Every epoch's RSS must be finite, those without a hyperbola too.
+    for a missing TDOA observation; a one-epoch set without a hyperbola
+    raises the DegenerateHyperbola of Hyperbola.from_tdoa, and is the only
+    call that raises for an epoch's range difference.  Every epoch's RSS
+    must be finite, those without a hyperbola too.
 
     The hyperbola is parametrized by y in the TDOA pair's canonical frame,
     where its equation gives x.  The search runs over that y, between the
@@ -541,6 +543,9 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     centres its one RSS row and runs its 1 + R scans.
     """
     frame, r, ok = measured_hyperbolas(cfg.stations, m.tdoa)
+    single = m.rss.ndim == 1
+    if single and not ok[0]:
+        Hyperbola.from_tdoa(m.tdoa[2], frame.half_separation)  # raises: no hyperbola
     model = _Model.build(cfg, m)
     solved = np.flatnonzero(ok).tolist()
     points: List[Optional[Point2D]] = [None] * len(r)
@@ -566,4 +571,4 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
         y = 0.5 * (ab[:, 0] + ab[:, 1])
         for e, x_e, y_e in zip(solved[rows], branch_x(r[rows], b2[rows], y).tolist(), y.tolist()):
             points[e] = frame.from_canonical(Point2D(x_e, y_e))
-    return points[0] if m.rss.ndim == 1 else points
+    return points[0] if single else points

@@ -145,7 +145,7 @@ class TestSimulateMeasurements:
         noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
         m = simulate_measurements(bs, Point2D(1.0, 1.0), noisy, self.tdoa,
                                   np.random.default_rng(5))
-        rss = simulate_rss(bs, Point2D(1.0, 1.0), noisy, np.random.default_rng(5))
+        (rss,) = simulate_rss(bs, xy([Point2D(1.0, 1.0)]), noisy, np.random.default_rng(5))
         np.testing.assert_array_equal(m.rss, rss)
         assert m.rssd_pairs == [(1, 2, rss[0] - rss[1]), (1, 3, rss[0] - rss[2]),
                                 (2, 3, rss[1] - rss[2])]
@@ -203,9 +203,9 @@ class TestSimulateMeasurements:
         biased = [clean[0], BaseStation(2, Point2D(4, 0), Role.RSS_ONLY,
                                         bias_db=4.0)]
         mu = Point2D(1.0, 1.0)
-        r0 = simulate_rss(clean, mu, self.params, np.random.default_rng(0))
-        r1 = simulate_rss(biased, mu, self.params, np.random.default_rng(0))
-        assert r1[1] == pytest.approx(r0[1] - 4.0)  # station 2
+        r0 = simulate_rss(clean, xy([mu]), self.params, np.random.default_rng(0))
+        r1 = simulate_rss(biased, xy([mu]), self.params, np.random.default_rng(0))
+        assert r1[0, 1] == pytest.approx(r0[0, 1] - 4.0)  # station 2
 
     def test_too_few_stations(self):
         with pytest.raises(TooFewStations):
@@ -275,12 +275,12 @@ class TestVectorChannel:
         bs, mu, params, seed = case
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ids = Stations.of(bs).ids.tolist()
-        got = dict(zip(ids, simulate_rss(bs, mu, params, rng).tolist()))
+        got = dict(zip(ids, simulate_rss(bs, xy([mu]), params, rng)[0].tolist()))
         want = scalar_rss(bs, mu, params, ref_rng)
         assert list(got) == list(want)  # ascending id, RSS stations only
         for i, (rss, scale) in want.items():
             assert abs(got[i] - rss) <= RSS_ULPS * np.spacing(scale), (i, got[i], rss)
-        # one (N,) draw consumes the stream as N scalar draws do, and a
+        # one (1, N) draw consumes the stream as N scalar draws do, and a
         # different draw would miss the bound above by far more than ulps
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -289,7 +289,8 @@ class TestVectorChannel:
     def test_rssd_pairs_as_from_id_keyed_rss(self, case):
         bs, mu, params, seed = case
         table = Stations.of(bs)
-        m = MeasurementSet(table.ids, simulate_rss(table, mu, params, np.random.default_rng(seed)))
+        m = MeasurementSet(table.ids,
+                           simulate_rss(table, xy([mu]), params, np.random.default_rng(seed))[0])
         # the id-keyed dict simulate_rss returned before, and its pairs
         rss = dict(zip(m.ids.tolist(), m.rss.tolist()))
         ids = sorted(rss)
@@ -407,7 +408,7 @@ class TestStackedChannel:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         rss = simulate_rss(bs, xy(ps), params, rng)
         assert rss.shape == (len(ps), len(Stations.of(bs).ids))
-        assert bits(rss) == bits([simulate_rss(bs, p, params, ref_rng) for p in ps])
+        assert bits(rss) == bits([simulate_rss(bs, xy([p]), params, ref_rng) for p in ps])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -453,42 +454,66 @@ CLEAR = Point2D(0.5, 1.0)
 
 
 class TestStackErrors:
-    """A stack raises what the first failing single-epoch call would raise."""
+    """A stack raises the error of the first check it fails, in the order
+    simulate_measurements checks: a third TDOA-capable station, then the
+    first epoch on a TDOA station, then too few RSS stations, then the
+    first epoch on an RSS station, naming it.  One position is a stack of
+    one."""
+
+    THIRD = (ValueError, "at most two stations may be TDOA-capable, got stations 9, 10, 11")
+    ON_TDOA = (CoincidentPosition, "MU coincides with a TDOA station")
 
     @pytest.mark.parametrize("bs, ps, error", [
-        # a TDOA station at epoch 1 comes before an RSS station at epoch 2
-        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], "MU coincides with a TDOA station"),
-        # and an RSS station at epoch 1 before a TDOA station at epoch 2
-        (TWO_PAIR, [CLEAR, Point2D(0, 3), Point2D(2, 0)], "MU coincides with station 1"),
-        # within one epoch the RSS stations are checked first
-        (SHARED, [CLEAR, Point2D(-2, 0)], "MU coincides with station 9"),
-        # a third TDOA station fails the first epoch, after its RSS stations
-        (THREE_TDOA, [CLEAR, Point2D(0, 3)], "at most two stations may be TDOA-capable"),
-        (THREE_TDOA, [Point2D(2, 3), CLEAR], "MU coincides with station 2"),
-        (omni_bs([(0, 0)]) + TWO_PAIR[2:], [CLEAR, Point2D(2, 0)], "need >= 2 RSS stations"),
+        # a TDOA station at any epoch comes before an RSS station at any epoch
+        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], ON_TDOA),
+        (TWO_PAIR, [CLEAR, Point2D(0, 3), Point2D(2, 0)], ON_TDOA),
+        # a station of both roles is met as a TDOA station
+        (SHARED, [CLEAR, Point2D(-2, 0)], ON_TDOA),
+        # a third TDOA station comes before every epoch
+        (THREE_TDOA, [CLEAR, Point2D(0, 3)], THIRD),
+        (THREE_TDOA, [Point2D(2, 3), CLEAR], THIRD),
+        (THREE_TDOA, [Point2D(2, 0)], THIRD),
+        # the RSS station count comes after the TDOA stations and before
+        # the epochs on an RSS station
+        (omni_bs([(0, 0)]) + TWO_PAIR[2:], [CLEAR, Point2D(2, 0)], ON_TDOA),
+        (omni_bs([(0, 0)]) + TWO_PAIR[2:], [CLEAR, Point2D(0, 0)],
+         (TooFewStations, "need >= 2 RSS stations, got 1")),
+        # the first epoch on an RSS station names its station
+        (TWO_PAIR, [CLEAR, Point2D(2, 3), Point2D(0, 3)],
+         (CoincidentPosition, "MU coincides with station 2")),
+    ], ids=["tdoa-then-rss", "rss-then-tdoa", "same-epoch", "third-tdoa-station",
+            "third-tdoa-station-before-rss", "third-tdoa-station-before-tdoa",
+            "tdoa-before-too-few-stations", "too-few-stations", "first-rss-station"])
+    def test_raises_in_check_order(self, bs, ps, error):
+        noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
+        tdoa = TdoaNoiseParams(330e-12)
+        assert first_error(lambda: simulate_measurements(bs, xy(ps), noisy, tdoa,
+                                                         np.random.default_rng(0))) == error
+
+    @pytest.mark.parametrize("bs, ps, error", [
+        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], ON_TDOA),
+        (TWO_PAIR, [CLEAR, Point2D(0, 3), Point2D(2, 0)],
+         (CoincidentPosition, "MU coincides with station 1")),
+        # one position is checked in the stack's order too
+        (SHARED, [CLEAR, Point2D(-2, 0)], ON_TDOA),
+        (THREE_TDOA, [CLEAR, Point2D(0, 3)], THIRD),
+        (THREE_TDOA, [Point2D(2, 3), CLEAR], THIRD),
+        (omni_bs([(0, 0)]) + TWO_PAIR[2:], [CLEAR, Point2D(2, 0)],
+         (TooFewStations, "need >= 2 RSS stations, got 1")),
     ], ids=["tdoa-then-rss", "rss-then-tdoa", "same-epoch", "third-tdoa-station",
             "rss-before-third-tdoa-station", "too-few-stations"])
     def test_first_error_of_the_loop(self, bs, ps, error):
+        # a loop of one-position calls stops at its first failing epoch,
+        # which raises what that position's stack of one raises
         noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
         tdoa = TdoaNoiseParams(330e-12)
-        loop = first_error(lambda: [simulate_measurements(bs, p, noisy, tdoa,
-                                                          np.random.default_rng(0))
-                                    for p in ps])
-        stack = first_error(lambda: simulate_measurements(bs, xy(ps), noisy, tdoa,
-                                                          np.random.default_rng(0)))
-        assert loop is not None and error in loop[1]
-        assert stack == loop
 
-    @pytest.mark.parametrize("bs, ps, epoch", [
-        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], 1),
-        (TWO_PAIR, [CLEAR, CLEAR, Point2D(0, 3), Point2D(2, 0)], 2),
-        (omni_bs([(2, 2), (1, 1)]), [Point2D(2, 2)], 0),
-    ])
-    def test_coincidence_names_its_epoch(self, bs, ps, epoch):
-        noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
-        with pytest.raises(CoincidentPosition) as e:
-            simulate_measurements(bs, xy(ps), noisy, TdoaNoiseParams(), np.random.default_rng(0))
-        assert e.value.epoch == epoch
+        def loop(form):
+            for p in ps:
+                simulate_measurements(bs, form(p), noisy, tdoa, np.random.default_rng(0))
+
+        assert (first_error(lambda: loop(lambda p: p))
+                == first_error(lambda: loop(lambda p: xy([p]))) == error)
 
     def test_rss_stack_names_the_first_epochs_station(self):
         # epoch 1 meets station 2 and epoch 2 station 1

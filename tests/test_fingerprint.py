@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rssdloc.channel import ChannelParams, received_power, simulate_rss
-from rssdloc.errors import DegenerateHyperbola, EmptyGrid, InvalidScenario, LengthMismatch
+from rssdloc.errors import EmptyGrid, InvalidScenario, LengthMismatch
 from rssdloc.fingerprint import (
     CircularTrackParams,
     FingerprintDB,
@@ -46,6 +46,19 @@ def db():
                     np.random.default_rng(0))
 
 
+def match_one(db, rss):
+    """coarse_estimate of one RSS row, as a stack of one."""
+    (est,) = coarse_estimate(db, np.asarray(rss)[None])
+    return est
+
+
+def refine_one(p, dt, bs=CORNER_BS, region=AREA):
+    """refine_with_tdoa of one coarse point and its delta_t, as a stack of
+    one; None where its range difference has no hyperbola."""
+    (refined,) = refine_with_tdoa([p], (1, 2, np.array([dt])), bs, region)
+    return refined
+
+
 def looped_db(bs, area, grid_step, excluded, channel, rng):
     """The per-point loop build_db replaced, kept as its reference: the grid
     by rows of ascending y, each point's RSS drawn by its own simulate_rss
@@ -60,7 +73,7 @@ def looped_db(bs, area, grid_step, excluded, channel, rng):
             if any(abs(x - e.x) < 1e-6 and abs(y - e.y) < 1e-6 for e in excluded):
                 continue
             positions.append([x, y])
-            vectors.append(simulate_rss(bs, Point2D(x, y), channel, rng))
+            vectors.append(simulate_rss(bs, np.array([[x, y]]), channel, rng)[0])
     return np.array(positions), np.array(vectors)
 
 
@@ -137,12 +150,12 @@ class TestBuildDb:
 class TestCoarseEstimate:
     def test_self_retrieval(self, db):
         for k in (0, 41, len(db) - 1):
-            est = coarse_estimate(db, db.rss[k])
+            est = match_one(db, db.rss[k])
             assert (est.x, est.y) == tuple(db.positions[k])
 
     def test_offset_invariance(self, db):
         k = 30
-        est = coarse_estimate(db, db.rss[k] + 12.5)
+        est = match_one(db, db.rss[k] + 12.5)
         assert (est.x, est.y) == tuple(db.positions[k])
 
     def test_off_grid_matches_exhaustive_scan(self, db):
@@ -156,8 +169,8 @@ class TestCoarseEstimate:
         rng = np.random.default_rng(6)
         for _ in range(10):
             p = Point2D(rng.uniform(0.3, 2.7), rng.uniform(0.3, 2.7))
-            meas = simulate_rss(CORNER_BS, p, NOISELESS, rng)  # in db.bs_ids order
-            est = coarse_estimate(db, meas)
+            meas = simulate_rss(CORNER_BS, np.array([[p.x, p.y]]), NOISELESS, rng)[0]  # bs_ids order
+            est = match_one(db, meas)
             k = int(np.argmin([rssd_distance(meas, ref) for ref in db.rss]))
             assert (est.x, est.y) == tuple(db.positions[k])
 
@@ -169,7 +182,7 @@ class TestCoarseEstimate:
             meas = db.rss[rng.integers(len(db))] + rng.normal(0.0, 2.0, 4) - 30.0
             d = ref_pairs - (meas[iu] - meas[ju])
             k = int(np.argmin(np.einsum("np,np->n", d, d)))
-            est = coarse_estimate(db, meas)
+            est = match_one(db, meas)
             assert (est.x, est.y) == tuple(db.positions[k])
 
     @settings(max_examples=40, deadline=None)
@@ -180,7 +193,7 @@ class TestCoarseEstimate:
         # up to 12 epochs, so two distance tables; each row as it would be alone
         meas = np.array([db.rss[k] + offset + np.array(noise)
                          for k, offset, noise in epochs])
-        assert coarse_estimate(db, meas) == [coarse_estimate(db, row) for row in meas]
+        assert coarse_estimate(db, meas) == [match_one(db, row) for row in meas]
 
     def test_empty_stack(self, db):
         assert coarse_estimate(db, np.empty((0, 4))) == []
@@ -191,29 +204,31 @@ class TestCoarseEstimate:
         rss[90] = rss[7]
         twin = FingerprintDB(db.positions, rss, db.bs_ids)
         first = Point2D(*db.positions[7])
-        assert coarse_estimate(twin, rss[7]) == first
+        assert match_one(twin, rss[7]) == first
         assert coarse_estimate(twin, [rss[90] + 3.0] * 10) == [first] * 10
 
     def test_empty_db(self, db):
         empty = FingerprintDB(db.positions[:0], db.rss[:0], db.bs_ids)
         with pytest.raises(EmptyGrid):
-            coarse_estimate(empty, db.rss[0])
+            coarse_estimate(empty, db.rss[:1])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rss_rejected(self, db, bad):
         # a NaN distance table would pick the first grid point
         meas = db.rss[5].copy()
         meas[2] = bad
-        for call in (lambda: coarse_estimate(db, meas),
+        for call in (lambda: coarse_estimate(db, meas[None]),
                      lambda: coarse_estimate(db, np.stack([db.rss[0], meas]))):
             with pytest.raises(ValueError, match=re.escape("non-finite RSS from stations [3]")):
                 call()
 
     def test_length_mismatch(self, db):
         with pytest.raises(LengthMismatch):
-            coarse_estimate(db, db.rss[0, :3])
+            coarse_estimate(db, db.rss[:1, :3])
         with pytest.raises(LengthMismatch):
-            coarse_estimate(db, np.append(db.rss[0], -50.0))
+            coarse_estimate(db, np.append(db.rss[0], -50.0)[None])
+        with pytest.raises(LengthMismatch):  # one row is not a stack
+            coarse_estimate(db, db.rss[0])
 
 
 @st.composite
@@ -269,11 +284,11 @@ def bits(points):
 class TestRefineWithTdoa:
     def test_point_on_hyperbola_unchanged(self):
         # zero range difference, point already on the bisector
-        refined = refine_with_tdoa(Point2D(1.5, 1.0), (1, 2, 0.0), CORNER_BS, AREA)
+        refined = refine_one(Point2D(1.5, 1.0), 0.0)
         assert distance(refined, Point2D(1.5, 1.0)) < 1e-6
 
     def test_bisector_projection(self):
-        refined = refine_with_tdoa(Point2D(2.0, 1.0), (1, 2, 0.0), CORNER_BS, AREA)
+        refined = refine_one(Point2D(2.0, 1.0), 0.0)
         assert refined.x == pytest.approx(1.5, abs=1e-9)
         assert refined.y == pytest.approx(1.0, abs=1e-6)
 
@@ -282,7 +297,7 @@ class TestRefineWithTdoa:
             SPEED_OF_LIGHT, CanonicalFrame, Hyperbola, hyperbola_x_of_y)
         dt = 2e-9
         coarse = Point2D(2.2, 1.3)
-        refined = refine_with_tdoa(coarse, (1, 2, dt), CORNER_BS, AREA)
+        refined = refine_one(coarse, dt)
         frame = CanonicalFrame.from_stations(Point2D(0, 0), Point2D(3, 0))
         h = Hyperbola.from_tdoa(dt, 1.5)
         ys = np.arange(-3.0, 6.0, 1e-4)
@@ -295,7 +310,7 @@ class TestRefineWithTdoa:
     def test_residual_after_refinement(self):
         from rssdloc.geometry import SPEED_OF_LIGHT
         dt = -3.3e-9
-        refined = refine_with_tdoa(Point2D(0.7, 2.4), (1, 2, dt), CORNER_BS, AREA)
+        refined = refine_one(Point2D(0.7, 2.4), dt)
         resid = (distance(refined, Point2D(0, 0)) - distance(refined, Point2D(3, 0))
                  - SPEED_OF_LIGHT * dt)
         assert abs(resid) < 1e-6
@@ -304,7 +319,7 @@ class TestRefineWithTdoa:
     @given(region_projections())
     def test_nearest_branch_point_within_heights(self, case):
         bs, region, coarse, tdoa = case
-        refined = refine_with_tdoa(coarse, tdoa, bs, region)
+        refined = refine_one(coarse, tdoa[2], bs, region)
         pk, pl = bs[0].position, bs[1].position
         resid = distance(refined, pk) - distance(refined, pl) - SPEED_OF_LIGHT * tdoa[2]
         assert abs(resid) < 1e-6
@@ -328,15 +343,14 @@ class TestRefineWithTdoa:
         assert distance(refined, coarse) <= float(d[k]) + 1e-8
 
     def test_degenerate_tdoa(self):
-        # a range difference beyond the half-separation, or NaN
-        for dt in (1e-6, math.nan):
-            with pytest.raises(DegenerateHyperbola):
-                refine_with_tdoa(Point2D(1, 1), (1, 2, dt), CORNER_BS, AREA)
-            # in a stack, the epoch without a hyperbola is None
+        # a range difference beyond the half-separation, NaN or infinite:
+        # the epoch without a hyperbola is None, alone or in a stack
+        for dt in (1e-6, math.nan, math.inf):
+            assert refine_one(Point2D(1, 1), dt) is None
             refined = refine_with_tdoa([Point2D(1, 1)] * 2, (1, 2, np.array([dt, 0.0])),
                                        CORNER_BS, AREA)
             assert refined[0] is None
-            assert refined[1] == refine_with_tdoa(Point2D(1, 1), (1, 2, 0.0), CORNER_BS, AREA)
+            assert refined[1] == refine_one(Point2D(1, 1), 0.0)
 
     def test_empty_stack(self):
         assert refine_with_tdoa([], (1, 2, np.empty(0)), CORNER_BS, AREA) == []
@@ -344,16 +358,10 @@ class TestRefineWithTdoa:
     @settings(max_examples=80, deadline=None)
     @given(projection_stacks())
     def test_stack_equals_per_epoch_calls(self, stack):
-        # bit for bit, with None exactly where the single call raises; the
-        # range differences crowd the half-separation, where a hyperbola
-        # stops existing
+        # bit for bit, None included; the range differences crowd the
+        # half-separation, where a hyperbola stops existing
         bs, points, dt = stack
-        alone = []
-        for p, t in zip(points, dt.tolist(), strict=True):
-            try:
-                alone.append(refine_with_tdoa(p, (1, 2, t), bs, AREA))
-            except DegenerateHyperbola:
-                alone.append(None)
+        alone = [refine_one(p, t, bs) for p, t in zip(points, dt.tolist(), strict=True)]
         assert bits(refine_with_tdoa(points, (1, 2, dt), bs, AREA)) == bits(alone)
 
 

@@ -115,9 +115,9 @@ class TestMeasuredHyperbolas:
           BaseStation(3, Point2D(0.0, 3.0))]
 
     def test_one_epoch_and_a_stack(self):
-        # a float delta_t is one epoch, whose degenerate hyperbola raises
-        # Hyperbola's error; a (T,) array is a stack, with ok False for each
-        # epoch whose Hyperbola would raise
+        # a (T,) array of delta_t is a stack, with ok False for each epoch
+        # whose Hyperbola would raise; a float is read as a stack of one
+        # epoch, and never raises for that epoch either
         wide = 2.0 * 2.5 / SPEED_OF_LIGHT  # |r| = 2.5 m > 2 m
         dt = np.array([1e-9, wide, math.nan, -2e-9, math.inf])
         frame, r, ok = measured_hyperbolas(self.BS, (1, 2, dt))
@@ -126,10 +126,10 @@ class TestMeasuredHyperbolas:
         assert ok.tolist() == [e is None for e in errors] == [True, False, False, True, False]
         for e in (0, 3):
             assert r[e] == Hyperbola.from_tdoa(float(dt[e]), 2.0).range_difference
-            one = measured_hyperbolas(self.BS, (1, 2, float(dt[e])))
-            assert one[0] == frame and one[1].tolist() == [r[e]] and one[2].tolist() == [True]
-        for e in (1, 2, 4):
-            assert first_error(measured_hyperbolas, self.BS, (1, 2, float(dt[e]))) == errors[e]
+        for e, t in enumerate(dt.tolist()):
+            one = measured_hyperbolas(self.BS, (1, 2, t))
+            assert one[0] == frame and one[2].tolist() == [ok[e]]
+            assert np.array_equal(one[1], r[e:e + 1], equal_nan=True)
         _, r, ok = measured_hyperbolas(self.BS, (1, 2, np.empty(0)))
         assert r.shape == ok.shape == (0,)
 

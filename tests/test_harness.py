@@ -10,10 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from rssdloc import harness
 from rssdloc.channel import MeasurementSet, simulate_measurements
 from rssdloc.cli import main
-from rssdloc.errors import (CoincidentPosition, CoincidentWithStation, DegenerateHyperbola,
-                             EmptyInput, InvalidScenario, UnknownKey)
+from rssdloc.errors import (CoincidentPosition, CoincidentWithStation, EmptyInput,
+                             InvalidScenario, LocalizationError, UnknownKey)
 from rssdloc.fingerprint import FingerprintDB, circular_track, coarse_estimate, refine_with_tdoa
-from rssdloc.geometry import SPEED_OF_LIGHT, OmniAntenna, Point2D
+from rssdloc.geometry import SPEED_OF_LIGHT, Point2D
 from rssdloc.harness import (
     EpochRecord,
     RunReport,
@@ -118,7 +118,8 @@ class TestSimTrial:
         s = scenario_from_dict(small_sim_dict())
         omni = s.with_antenna_model(AntennaModel.OMNI)
         assert omni.channel is omni.presets.omni_omni
-        assert all(isinstance(b.antenna, OmniAntenna) for b in omni.bs)
+        assert (omni.stations.gain_db == 0).all() and not omni.stations.directional.any()
+        assert omni.bs == s.bs  # as configured
         assert s.channel is s.presets.omni_dir  # the original is untouched
 
     def test_epoch_spacing_matches_update_rate(self):
@@ -182,47 +183,52 @@ class TestFpTrial:
 
 def per_epoch_trial(s, trial, db):
     """Reference loop of a trial: each epoch is measured and then located on
-    its own, in the single-epoch forms.  A directional simulation points its
-    antennas at the known start, checks each epoch's misorientation before
+    its own, as a stack of one.  A directional simulation points its
+    antennas at the known start, takes each epoch's misorientation before
     measuring it, and re-points them at each estimate.  Returns the
     (t, true position, estimate) records, the fallback count, and the
     (epochs, stations) misorientation, or None without antenna feedback."""
     rng = trial_rng(s.seed, trial)
     if s.mode.is_sim:
         t, xy = generate_track(s.waypoint, rng)
-        epochs, known = list(zip(t.tolist(), (Point2D(x, y) for x, y in xy.tolist()))), 1
+        known = 1
     else:
-        epochs, known = list(enumerate(circular_track(s.circular))), 0
+        truth = circular_track(s.circular)
+        t, xy = np.arange(len(truth), dtype=float), np.array([(p.x, p.y) for p in truth])
+        known = 0
     stations = s.stations
     feedback = s.mode.is_sim and s.antenna_model is AntennaModel.DIRECTIONAL
-    boresight = (update_orientation(stations.boresight, stations, epochs[0][1])
+    boresight = (update_orientation(stations.boresight, stations, Point2D(*xy[0].tolist()))
                  if feedback else None)
     records, fallbacks, theta = [], 0, []
-    for idx, (t, pos) in enumerate(epochs):
-        bs = s.bs
+    for idx, (te, row) in enumerate(zip(t.tolist(), xy[:, None])):
+        pos = Point2D(*row[0].tolist())
+        bs = stations
         if feedback:
             bs = apply_orientation(stations, boresight)
-            theta.append(misorientation(boresight, stations, pos))
+            theta.append(misorientation(boresight, stations, row)[0])
         cfg = SolverConfig(s.channel, bs, s.region, s.antenna_model)
         est = pos
         if idx >= known:
-            m = simulate_measurements(bs, pos, s.channel, s.tdoa_noise, rng)
-            try:
-                if s.mode is Mode.SIM_RSSD:
-                    est = solve_rssd(cfg, m)
-                elif s.mode is Mode.SIM_RSSD_TDOA:
-                    est = solve_rssd_tdoa(cfg, m)
-                else:
-                    est = coarse_estimate(db, m.rss)
-                    if s.mode is Mode.FP_RSSD_TDOA:
-                        est = refine_with_tdoa(est, m.tdoa, s.bs, s.region)
-            except DegenerateHyperbola:
-                fallbacks += 1
-                if s.mode.is_sim:
-                    est = solve_rssd(cfg, m)
+            m = simulate_measurements(bs, row, s.channel, s.tdoa_noise, rng)
+            if s.mode is Mode.SIM_RSSD:
+                (est,) = solve_rssd(cfg, m)
+            elif s.mode is Mode.SIM_RSSD_TDOA:
+                (est,) = solve_rssd_tdoa(cfg, m)
+                if est is None:  # no hyperbola
+                    fallbacks += 1
+                    (est,) = solve_rssd(cfg, m)
+            else:
+                (est,) = coarse_estimate(db, m.rss)
+                if s.mode is Mode.FP_RSSD_TDOA:
+                    (refined,) = refine_with_tdoa([est], m.tdoa, stations, s.region)
+                    if refined is None:
+                        fallbacks += 1
+                    else:
+                        est = refined
         if feedback:
             boresight = update_orientation(boresight, stations, est)
-        records.append((float(t), pos, est))
+        records.append((te, pos, est))
     return records, fallbacks, np.array(theta) if feedback else None
 
 
@@ -331,18 +337,31 @@ class TestBatchedTrial:
         assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
 
 
+def crafted_trial(monkeypatch, antenna_model, path):
+    """Trial 0 of the small TDOA simulation along the positions path, its
+    first one the known start."""
+    xy = np.array(path, dtype=float)
+    monkeypatch.setattr(harness, "generate_track",
+                        lambda params, rng: (0.5 * np.arange(len(xy)), xy))
+    s = scenario_from_dict(small_sim_dict(mode="SIM_RSSD_TDOA", antenna_model=antenna_model))
+    return run_trial(s, 0)
+
+
 class TestFailingTrack:
-    # a track through a station fails its trial with what a loop that
-    # checks each epoch's misorientation, then draws its channel, raises
+    # a track through a station fails its trial, before any locate step,
+    # with the error of the first check it fails: simulate_measurements
+    # checks the scored positions, TDOA stations (at any epoch) first, then
+    # RSS stations; the misorientation at a directional trial's end checks
+    # the known start too
 
     @pytest.mark.parametrize("antenna_model, path, error, message", [
-        # through RSS station 3 at (3, 3)
-        ("DIRECTIONAL", [(0, 0), (1, 1), (3, 3), (1, 1)], CoincidentWithStation,
-         "true position coincides with station 3"),
-        # starting on it: the known start is checked too
+        # through TDOA station 5 at (-3, 0)
+        ("OMNI", [(0, 0), (-3, 0), (1, 1)], CoincidentPosition,
+         "MU coincides with a TDOA station"),
+        # starting on RSS station 3 at (3, 3): the known start is checked too
         ("DIRECTIONAL", [(3, 3), (1, 1), (0, 0)], CoincidentWithStation,
          "true position coincides with station 3"),
-        # through TDOA station 5 at (-3, 0), then RSS station 3
+        # through TDOA station 5, then RSS station 3
         ("DIRECTIONAL", [(0, 0), (-3, 0), (3, 3)], CoincidentPosition,
          "MU coincides with a TDOA station"),
         ("DIRECTIONAL", [(0, 0), (1, 1), (-3, 0)], CoincidentPosition,
@@ -352,13 +371,24 @@ class TestFailingTrack:
     ])
     def test_raises_as_the_per_epoch_loop(self, monkeypatch, antenna_model, path, error,
                                           message):
-        xy = np.array(path, dtype=float)
-        monkeypatch.setattr(harness, "generate_track",
-                            lambda params, rng: (0.5 * np.arange(len(xy)), xy))
-        s = scenario_from_dict(small_sim_dict(mode="SIM_RSSD_TDOA", antenna_model=antenna_model))
+        # these tracks meet one station each, so checking each epoch's
+        # misorientation and then its channel, epoch by epoch, raises the same
         with pytest.raises(error) as e:
-            run_trial(s, 0)
+            crafted_trial(monkeypatch, antenna_model, path)
         assert str(e.value) == message
+
+    @pytest.mark.parametrize("path, message", [
+        # through RSS station 3: the channel's check, not the misorientation's
+        ([(0, 0), (1, 1), (3, 3), (1, 1)], "MU coincides with station 3"),
+        # through RSS station 3, then TDOA station 5
+        ([(0, 0), (3, 3), (1, 1), (-3, 0)], "MU coincides with a TDOA station"),
+        # starting on RSS station 3, then through TDOA station 5
+        ([(3, 3), (1, 1), (-3, 0)], "MU coincides with a TDOA station"),
+    ], ids=["rss-station", "rss-then-tdoa-station", "rss-start-then-tdoa-station"])
+    def test_directional_track_raises_in_check_order(self, monkeypatch, path, message):
+        with pytest.raises(LocalizationError) as e:
+            crafted_trial(monkeypatch, "DIRECTIONAL", path)
+        assert type(e.value) is CoincidentPosition and str(e.value) == message
 
 
 class TestTdoaFallback:
@@ -534,8 +564,21 @@ class TestScenarioLoading:
         in_file = load_scenario(path)
         assert library == override == in_file
         assert override.channel is override.presets.omni_omni
-        assert all(isinstance(b.antenna, OmniAntenna) for b in override.bs)
+        assert (override.stations.gain_db == 0).all()
+        assert not override.stations.directional.any()
         assert run_trial(override, 0).errors == run_trial(library, 0).errors
+
+    def test_antenna_model_round_trip(self):
+        # OMNI leaves the configured antennas in bs, so DIRECTIONAL runs
+        # them again
+        s = load_scenario(SIM_YAML)
+        back = s.with_antenna_model(AntennaModel.OMNI).with_antenna_model(
+            AntennaModel.DIRECTIONAL)
+        assert back == s
+        got, want = run_trial(back, 0), run_trial(s, 0)
+        assert ([(e.t, e.true_position, e.estimate, e.error) for e in got.records]
+                == [(e.t, e.true_position, e.estimate, e.error) for e in want.records])
+        assert got.theta.tobytes() == want.theta.tobytes()
 
     def test_directional_rejects_omni_rss_station(self):
         d = small_sim_dict()
@@ -790,8 +833,8 @@ class TestCli:
         s = load_scenario(path, {"mode": "FP_RSSD"})
         loaded = FingerprintDB.from_csv(db_file)  # to_csv rounds to 1e-4 dB
         rng = trial_rng(s.seed, 0)
-        want = [coarse_estimate(loaded, simulate_measurements(
-                    s.stations, pos, s.channel, s.tdoa_noise, rng).rss[cols])
+        want = [coarse_estimate(loaded, [simulate_measurements(
+                    s.stations, pos, s.channel, s.tdoa_noise, rng).rss[cols]])[0]
                 for pos in circular_track(s.circular)]
         assert [e.estimate for e in run_trial(s, 0).records] == want
 

@@ -144,16 +144,21 @@ class TestOrientation:
         assert table.gcos[0] == pytest.approx(6.5 * math.cos(0.3))
 
 
+def one(p):
+    """The (1, 2) stack of one position."""
+    return np.array([[p.x, p.y]])
+
+
 class TestMisorientation:
     def test_zero_when_pointed_at_target(self):
         bs = [station()]
         boresight = pointed_at(bs, Point2D(2, 3))
-        assert misorientation(boresight, bs, Point2D(2, 3))[0] == pytest.approx(0.0)
+        assert misorientation(boresight, bs, one(Point2D(2, 3)))[0, 0] == pytest.approx(0.0)
 
     def test_quarter_turn(self):
         bs = [station()]
         boresight = pointed_at(bs, Point2D(1, 0))
-        assert misorientation(boresight, bs, Point2D(0, 1))[0] == pytest.approx(math.pi / 2)
+        assert misorientation(boresight, bs, one(Point2D(0, 1)))[0, 0] == pytest.approx(math.pi / 2)
 
     def test_matches_atan2_hand_computation(self):
         rng = np.random.default_rng(8)
@@ -164,7 +169,7 @@ class TestMisorientation:
             target = Point2D(rng.uniform(-5, 5), rng.uniform(-5, 5))
             if min(distance(target, b.position) for b in bs) < 1e-6:
                 continue
-            got = misorientation(boresight, bs, target)
+            (got,) = misorientation(boresight, bs, one(target))
             expected = [abs(math.remainder(
                 math.atan2(target.y - b.position.y, target.x - b.position.x)
                 - b.antenna.orientation, math.tau)) for b in bs]
@@ -175,7 +180,7 @@ class TestMisorientation:
         bs = [station(), station(2, 3.0, 0.0)]
         boresight = pointed_at(bs, Point2D(1, 0))
         with pytest.raises(CoincidentWithStation, match="station 2"):
-            misorientation(boresight, bs, Point2D(3, 0))
+            misorientation(boresight, bs, one(Point2D(3, 0)))
 
     def test_history_equals_per_epoch_calls(self):
         rng = np.random.default_rng(5)
@@ -183,7 +188,7 @@ class TestMisorientation:
         positions = rng.uniform(-5, 5, (9, 2))
         history = rng.uniform(-math.pi, math.pi, (9, 6))
         got = misorientation(history, bs, positions)
-        want = [misorientation(b, bs, Point2D(x, y)) for b, (x, y) in zip(history, positions)]
+        want = [misorientation(b, bs, row[None])[0] for b, row in zip(history, positions)]
         assert got.shape == (9, 6)
         assert got.tobytes() == np.array(want).tobytes()
 

@@ -120,10 +120,7 @@ def layouts(draw, tdoa=False):
     m = measure(bs, mu, params, TdoaNoiseParams(330e-12) if tdoa else NO_TDOA_NOISE,
                 seed=draw(st.integers(0, 2**32 - 1)))
     if tdoa:
-        try:
-            measured_hyperbolas(bs, m.tdoa)
-        except DegenerateHyperbola:
-            assume(False)
+        assume(measured_hyperbolas(bs, m.tdoa)[2].all())
     return cfg, m
 
 
@@ -335,7 +332,7 @@ class TestSolveRssdTdoa:
         message = f"stations {re.escape(missing)} are not TDOA-capable stations"
         p = Point2D(0.0, 0.0)
         for call in (lambda: solve_rssd_tdoa(cfg, m), lambda: solve_rssd_tdoa(cfg, stack([m, m])),
-                     lambda: refine_with_tdoa(p, m.tdoa, layout, REGION),
+                     lambda: refine_with_tdoa([p], m.tdoa, layout, REGION),
                      lambda: refine_with_tdoa([p, p], stack([m, m]).tdoa, layout, REGION)):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -435,6 +432,19 @@ class TestSolveRssdTdoa:
                 solve_rssd_tdoa(cfg, m_bad)
             assert solve_rssd_tdoa(cfg, stack([m_bad, m])) == [None, solve_rssd_tdoa(cfg, m)]
 
+    @pytest.mark.parametrize("r", [4.0, -4.0, 5.5, math.nan, math.inf, -math.inf])
+    def test_one_epoch_without_a_hyperbola_raises_its_error(self, r):
+        # |r| at or beyond the half-separation s = 4 m, NaN and infinite
+        # delta_t: the one-epoch call raises what Hyperbola.from_tdoa raises
+        bs = make_stations()
+        dt = 2.0 * r / SPEED_OF_LIGHT
+        m = replace(measure(bs, Point2D(1.0, 1.0), NOISY), tdoa=(9, 10, dt))
+        with pytest.raises(DegenerateHyperbola) as want:
+            Hyperbola.from_tdoa(dt, 4.0)
+        with pytest.raises(DegenerateHyperbola) as got:
+            solve_rssd_tdoa(SolverConfig(NOISY, bs, REGION), m)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
     def test_missing_tdoa(self):
         bs = make_stations()
         cfg = SolverConfig(NOISELESS, bs, REGION, AntennaModel.OMNI)
@@ -456,9 +466,9 @@ class TestSolveRssdTdoa:
         rng = np.random.default_rng(11)
         for antenna_model in AntennaModel:
             sc = s.with_antenna_model(antenna_model)
-            cfg = SolverConfig(sc.channel, sc.bs, sc.region, sc.antenna_model)
+            cfg = SolverConfig(sc.channel, sc.stations, sc.region, sc.antenna_model)
             for epochs in (1, 16, 35):
-                m = simulate_measurements(sc.bs, rng.uniform(-3.0, 3.0, (epochs, 2)),
+                m = simulate_measurements(sc.stations, rng.uniform(-3.0, 3.0, (epochs, 2)),
                                           sc.channel, sc.tdoa_noise, rng)
                 frame = measured_hyperbolas(cfg.stations, m.tdoa)[0]
                 ys, _, rounds = solver._line_tables(frame, sc.region)
@@ -471,7 +481,7 @@ class TestSolveRssdTdoa:
                                   for shape in [(n, len(ys))] + [(n, 33)] * rounds]
             shapes.clear()
             assert isinstance(solve_rssd_tdoa(cfg, simulate_measurements(
-                sc.bs, Point2D(1.0, 1.0), sc.channel, sc.tdoa_noise, rng)), Point2D)
+                sc.stations, Point2D(1.0, 1.0), sc.channel, sc.tdoa_noise, rng)), Point2D)
             assert shapes == [(1, len(ys))] + [(1, 33)] * rounds
 
     @settings(max_examples=200, deadline=None)
