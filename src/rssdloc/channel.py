@@ -156,7 +156,12 @@ class MeasurementSet:
         read by the station table st: the table it was drawn for, its
         antennas turned or not (mobility.apply_orientation).  Only the
         antenna gain is computed anew, so the rows equal a draw of those
-        epochs alone with st's antennas, bit for bit."""
+        epochs alone with st's antennas, bit for bit.  A one-epoch set, or
+        one without links, raises ValueError."""
+        if self.rss.ndim == 1:
+            raise ValueError("received_by reads a stack; this set is one epoch")
+        if self.links is None:
+            raise ValueError("received_by reads the links of a drawn stack; this set has none")
         tdoa = None if self.tdoa is None else self.tdoa[:2] + (self.tdoa[2][rows],)
         return MeasurementSet(st.ids, self.links.received(st, rows), tdoa)
 
@@ -223,7 +228,8 @@ def simulate_measurements(bs: Layout, mu: Union[Point2D, np.ndarray],
 
     A stack raises in the order of these checks: a third TDOA-capable
     station (ValueError, before any draw); the first epoch within 1 nm of
-    a TDOA station (CoincidentPosition); fewer than two RSS stations
+    a TDOA station (CoincidentPosition naming the nearer of the pair);
+    fewer than two RSS stations
     (TooFewStations); the first epoch within 1 nm of an RSS station
     (CoincidentPosition naming it).
     """
@@ -243,7 +249,7 @@ def simulate_measurements(bs: Layout, mu: Union[Point2D, np.ndarray],
             # math.hypot per epoch: np.hypot is an ulp off on some epochs
             dk, dl = math.hypot(x - a.x, y - a.y), math.hypot(x - b.x, y - b.y)
             if min(dk, dl) < _COINCIDENCE_TOL:
-                raise CoincidentPosition("MU coincides with a TDOA station")
+                raise CoincidentPosition(f"MU coincides with TDOA station {k if dk <= dl else l}")
             dt[e] = (dk - dl) / SPEED_OF_LIGHT
         if noisy:
             dt += tdoa_params.sigma_tdoa * z[:, fading]

@@ -21,16 +21,24 @@ Two search strategies:
 
 * unconstrained 2D least squares over a rectangular region, by a coarse grid
   scan followed by local grid refinement with step halving from the best
-  few coarse cells at once.  The coarse scan expands the square instead:
-  with L_c = log10 d^2 centred over stations and a = 5 alpha, the omni
-  objective is N (c.c + 2a c.L_c + a^2 |L_c|^2), one matrix product of a
-  stack of epochs' c against tables cached per station layout and region.
-  The expansion rounds relative to the whole objective, not to the small
-  residual near the optimum, so it only shortlists coarse cells, and runs
-  in float32.  The float64 subtraction-centred objective ranks the
-  shortlist, refines the seeds and picks the estimate.  A shortlist counts
-  only when its gap to the seeds clears a rounding bound derived from the
-  expansion's term magnitudes; otherwise the whole grid is ranked, so every
+  few coarse cells at once.  The coarse scan finds those seeds without
+  evaluating the float64 objective at every cell.  For the omni model it
+  expands the square: with L_c = log10 d^2 centred over stations and
+  a = 5 alpha, the objective is N (c.c + 2a c.L_c + a^2 |L_c|^2), one
+  matrix product of a stack of epochs' c against tables cached per
+  station layout and region.  The expansion rounds relative to the whole
+  objective, not to the small residual near the optimum, so it only
+  shortlists coarse cells, and runs in float32; a shortlist counts only
+  when its gap to the seeds clears a rounding bound derived from the
+  expansion's term magnitudes.  For the directional model, whose gains
+  change whenever the antennas are re-pointed, a branch and bound over
+  square blocks of the grid bounds each station's residual over a block
+  by an interval, from the block's range of log10 d^2, cached likewise,
+  and the arc of directions toward it, and evaluates the objective only
+  in the blocks whose bound does not rule them out.  Either way the
+  float64 subtraction-centred objective ranks the candidates, refines the
+  seeds and picks the estimate, and an epoch whose candidates cannot be
+  shown to hold the seeds is ranked over the whole grid, so every
   estimate is the one the float64 objective alone gives;
 * TDOA-constrained 1D least squares along the measured hyperbola, by a
   coarse scan over y followed by bracket scans that evaluate a whole row of
@@ -251,41 +259,90 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 class _Coarse(NamedTuple):
     """A region's coarse grid (row-major: y slow, x fast) and its geometry
-    toward a station layout, centred over stations for the expanded form.
-    The (N, G) tables are float32: they only feed the shortlist."""
+    toward a station layout.  The (N, G) tables are float32, centred over
+    stations for the omni shortlist's expanded form.  The (N, B) tables
+    bound the geometry, in float64, over the B square blocks of the grid,
+    _BLOCK_SIDE cells a side (fewer at its far edges), that the directional
+    search branches over."""
 
     x: np.ndarray         # (G,) candidate coordinates
     y: np.ndarray
     lc: np.ndarray        # (N, G) log10 d^2 minus its mean over stations
     lc2: np.ndarray       # (G,) sum over stations of lc^2
-    ux: np.ndarray        # (N, G) unit vector from the station toward the candidate
-    uy: np.ndarray
     lc_max: np.float64    # largest |lc| column norm over the non-singular cells
     log_max: np.float64   # largest |log10 d^2| over the non-singular cells
     singular: np.ndarray  # (G,) candidate within _SINGULAR_TOL of a station
+    cells: np.ndarray     # (B, side^2) grid indices of each block's cells, G past the grid
+    log_lo: np.ndarray    # (N, B) least and greatest log10 d^2 over each block's
+    log_hi: np.ndarray    # non-singular cells; NaN for a block of none
+    arc: np.ndarray       # (N, 2, B) conjugated unit vectors toward the ends of
+                          # the arc of directions to the block, clockwise end
+                          # first; 0 where the station lies in its rectangle
+
+
+def _tiled(a: np.ndarray, ny: int, nx: int, fill) -> np.ndarray:
+    """(..., by, side, bx, side) copy of an (..., ny * nx) table of the
+    coarse grid, filled past its far edges: [..., i, :, j, :] is block
+    (i, j), side = _BLOCK_SIDE."""
+    k = _BLOCK_SIDE
+    lead = a.shape[:-1]
+    out = np.full(lead + (-(-ny // k) * k, -(-nx // k) * k), fill, a.dtype)
+    out[..., :ny, :nx] = a.reshape(lead + (ny, nx))
+    return out.reshape(lead + (out.shape[-2] // k, k, out.shape[-1] // k, k))
+
+
+def _block_range(a: np.ndarray, ny: int, nx: int) -> List[np.ndarray]:
+    """The least and greatest values of an (..., ny * nx) table of the
+    coarse grid over each block's cells, NaN left out: two (..., B)."""
+    t = _tiled(a, ny, nx, np.nan)
+    return [f.reduce(f.reduce(t, axis=-1), axis=-2).reshape(a.shape[:-1] + (-1,))
+            for f in (np.fmin, np.fmax)]
 
 
 @functools.lru_cache(maxsize=4)
 def _coarse_tables(sx: Tuple[float, ...], sy: Tuple[float, ...], reg: SearchRegion
                    ) -> _Coarse:
     """The coarse tables of a region and station layout, shared read-only
-    by every epoch; re-pointing the antennas changes none of them.  Each
-    table is the float32 rounding of its float64 value."""
-    gx, gy = np.meshgrid(_grid(reg.x_min, reg.x_max, reg.coarse_step),
-                         _grid(reg.y_min, reg.y_max, reg.coarse_step))
+    by every epoch; re-pointing the antennas changes none of them.  lc and
+    lc2 are the float32 rounding of their float64 values; log_lo and log_hi
+    are read off the float64 log table that the objective computes."""
+    xs = _grid(reg.x_min, reg.x_max, reg.coarse_step)
+    ys = _grid(reg.y_min, reg.y_max, reg.coarse_step)
+    gx, gy = np.meshgrid(xs, ys)
     x, y = gx.ravel(), gy.ravel()
-    lc, ux, uy, singular = _Geometry.of(np.array(sx), np.array(sy), x, y)
+    lc, _, _, singular = _Geometry.of(np.array(sx), np.array(sy), x, y, units=False)
     singular = np.zeros(len(x), bool) if singular is None else singular
+    # each block's cells, and over them its range of log10 d^2 and its
+    # rectangle
+    ny, nx = len(ys), len(xs)
+    cells = _tiled(np.arange(len(x)), ny, nx, len(x)).swapaxes(1, 2).reshape(-1, _BLOCK_SIDE ** 2)
+    log_lo, log_hi = _block_range(np.where(singular, np.nan, lc), ny, nx)
+    (x0, y0), (x1, y1) = _block_range(np.stack([x, y]), ny, nx)
+    sx, sy = np.array(sx)[:, None], np.array(sy)[:, None]
+    inside = (x0 <= sx) & (sx <= x1) & (y0 <= sy) & (sy <= y1)
+    vx = np.stack([x0, x1, x1, x0], axis=1) - sx[..., None]  # (N, B, 4)
+    vy = np.stack([y0, y0, y1, y1], axis=1) - sy[..., None]
+    # from outside, the corners span an arc shorter than pi around the
+    # direction of the centre, so their angles from it order the arc
+    mx, my = (0.5 * (x0 + x1) - sx)[..., None], (0.5 * (y0 + y1) - sy)[..., None]
+    angle = np.arctan2(mx * vy - my * vx, mx * vx + my * vy)
+    # each end's unit vector, conjugated: times gcos + i gsin it gives the
+    # gain toward the end before the clamp, and the cross product of the
+    # end with the boresight
+    arc = np.empty((len(sx), 2, len(x0)), complex)
+    for k, end in enumerate((angle.argmin(axis=2), angle.argmax(axis=2))):
+        ex = np.take_along_axis(vx, end[..., None], axis=2)[..., 0]
+        ey = np.take_along_axis(vy, end[..., None], axis=2)[..., 0]
+        d = np.hypot(ex, ey)
+        d[inside] = np.inf  # a zero end: its gain and cross product read 0
+        arc[:, k].real = ex / d
+        arc[:, k].imag = -ey / d
     log_max = np.abs(lc).max(initial=0.0, where=~singular)
     lc -= lc.sum(axis=0) / len(sx)
     lc2 = np.einsum("ig,ig->g", lc, lc)
     lc_max = np.sqrt(lc2.max(initial=0.0, where=~singular))
-    # rebinding each name frees its float64 table before the next is
-    # rounded, so the float64 and float32 tables never coexist in full
-    lc = lc.astype(np.float32)
-    ux = ux.astype(np.float32)
-    uy = uy.astype(np.float32)
-    tables = _Coarse(x, y, lc, lc2.astype(np.float32), ux, uy, lc_max, log_max, singular)
+    tables = _Coarse(x, y, lc.astype(np.float32), lc2.astype(np.float32), lc_max, log_max,
+                     singular, cells, log_lo, log_hi, arc)
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -294,16 +351,14 @@ def _coarse_tables(sx: Tuple[float, ...], sy: Tuple[float, ...], reg: SearchRegi
 _STENCIL = np.arange(-2, 3)  # refine offsets, in steps
 _REFINE_SEEDS = 8  # coarse cells kept as refinement starting points
 _SHORTLIST = 2 * _REFINE_SEEDS  # coarse cells the expanded form passes on per epoch
+_BLOCK_SIDE = 7  # coarse cells a side of a directional branch-and-bound block
+_PROBES = 4  # least-bounded blocks whose cells set the directional threshold
 _U32 = 2.0 ** -24  # unit roundoff of float32
 _U64 = 2.0 ** -53  # unit roundoff of float64
-_CHUNK = 4  # epochs per coarse product and refinement; bounds their temporaries,
-            # and keeps the float32 coarse product below the size at which
+_CHUNK = 4  # epochs per coarse scan and refinement; bounds their temporaries,
+            # and keeps the omni float32 coarse product below the size at which
             # OpenBLAS splits it over threads: from 16 epochs that split made
             # it 20-40x slower on a 2-vCPU machine (CHANGES.md FOUND)
-_BLOCK = 4096  # coarse cells per pass of the directional gain: its (N x cells)
-               # float32 temporaries (128 KiB at N = 8) stay small, as
-               # page-faulting large ones costs more than their arithmetic;
-               # in situ 4,096-8,192 cells were best and 1,024 35 % slower
 # Line-search heights per round as fractions of the bracket: width * (k / 32)
 # rounds as (width / 32) * k does, since dividing by a power of two is exact.
 _LINE = np.arange(33) / 32
@@ -316,31 +371,22 @@ _LINE_CHUNK = 16  # epochs per lockstep line search; bounds its coarse scan's
 
 
 def _expanded(model: _Model, t: _Coarse) -> np.ndarray:
-    """The (epochs, cells) objective of every epoch of the model over the
-    coarse grid, by the expanded form of the module docstring, in float32.
+    """The (epochs, cells) omni objective of every epoch of the model over
+    the coarse grid, by the expanded form of the module docstring, in
+    float32.
 
-    q / N = |c + a Lc - g_c|^2 with a = 5 alpha and g_c the gain centred
-    over stations.  As c is centred, the omni part is
+    q / N = |c + a Lc|^2 with a = 5 alpha.  As c is centred, that is
     |c|^2 + 2a c.Lc + a^2 |Lc|^2, one matrix product against the cached
-    tables, and the gain adds -2 (c + a Lc).g + |g|^2 - (sum g)^2 / N.
-    Every product and sum runs on float32 copies of c and the gains; the
-    error this leaves is at most _rounding_bound.  Singular cells are +inf.
+    tables.  Every product and sum runs on a float32 copy of c; the error
+    this leaves is at most _rounding_bound.  Singular cells are +inf.
     """
     c = model.c.T.astype(np.float32)
-    n = c.shape[1]
     a = 5.0 * model.alpha
     q = c @ t.lc
     q *= 2.0 * a
     q += np.einsum("ti,ti->t", c, c)[:, None]
     q += (a * a) * t.lc2
-    if model.gcos is not None:
-        gcos, gsin = model.gcos.astype(np.float32), model.gsin.astype(np.float32)
-        for b in range(0, len(t.x), _BLOCK):
-            cols = slice(b, b + _BLOCK)
-            g = cosine_gain(gcos, gsin, t.ux[:, cols], t.uy[:, cols])
-            q[:, cols] -= 2.0 * (c @ g + a * np.einsum("ig,ig->g", t.lc[:, cols], g))
-            q[:, cols] += np.einsum("ig,ig->g", g, g) - np.square(g.sum(axis=0)) / n
-    q *= n
+    q *= c.shape[1]
     q[:, t.singular] = np.inf
     return q
 
@@ -348,37 +394,186 @@ def _expanded(model: _Model, t: _Coarse) -> np.ndarray:
 def _rounding_bound(model: _Model, t: _Coarse) -> np.ndarray:
     """(epochs,) bounds on |_expanded - objective| over the finite cells.
 
-    Each of the six terms of q / N is a sum over the N stations of products
-    of float32-rounded factors, so by the inner-product bound
+    Each of the three terms of q / N is a sum over the N stations of
+    products of float32-rounded factors, so by the inner-product bound
     |fl(x.y) - x.y| <= gamma_n |x|.|y|, gamma_n = n u / (1 - n u), u = 2^-24
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 3.1), q errs by at most N gamma_(2N+16) times the sum of the
-    terms' magnitudes.  Squaring sum(g) doubles its N; the 16 covers, with
-    room to spare, the rounding of the factors, of the scalars 2a and a^2,
-    of the gain's operations, of the additions of the terms, of the scaling
-    by N and the float64 objective's own.  By Cauchy-Schwarz the magnitudes
-    sum to at most (|c| + a max|Lc| + G sqrt N)^2 + (G sqrt N)^2, with
-    max|Lc| over the finite cells and G the largest peak gain.  The bound
-    holds for any order of summation, so for whichever kernel the BLAS
-    picks.
+    section 3.1), q errs by at most N gamma_(N+16) times the sum of the
+    terms' magnitudes.  The 16 covers, with room to spare, the rounding of
+    the factors, of the scalars 2a and a^2, of the additions of the terms,
+    of the scaling by N and the float64 objective's own.  By Cauchy-Schwarz
+    the magnitudes sum to at most (|c| + a max|Lc|)^2, with max|Lc| over
+    the finite cells.  The bound holds for any order of summation, so for
+    whichever kernel the BLAS picks.
 
     The float64 log table and objective also err in absolute terms:
     centring over stations cancels residuals of up to R = a (max|log10
-    d^2| + 1) + max|c| + G, so each centred residual errs by up to
+    d^2| + 1) + max|c|, so each centred residual errs by up to
     delta = (N + 16) u64 R, however small it is (nearly coincident
     stations), and each of the two moves q by up to
     N (2 sqrt(N) span delta + N delta^2).
     """
     n = len(model.c)
     a = 5.0 * model.alpha
-    peak = 0.0 if model.gcos is None else float(np.hypot(model.gcos, model.gsin).max())
-    gain = math.sqrt(n) * peak
     span = np.sqrt(np.einsum("it,it->t", model.c, model.c))
-    span += a * t.lc_max + gain
-    nu = (2 * n + 16) * _U32
-    delta = (n + 16) * _U64 * (a * (t.log_max + 1.0) + np.abs(model.c).max(axis=0) + peak)
-    return ((n * nu / (1.0 - nu)) * (span * span + gain * gain)
+    span += a * t.lc_max
+    nu = (n + 16) * _U32
+    delta = (n + 16) * _U64 * (a * (t.log_max + 1.0) + np.abs(model.c).max(axis=0))
+    return ((n * nu / (1.0 - nu)) * span * span
             + 2 * n * (2 * math.sqrt(n) * span * delta + n * delta * delta))
+
+
+def _ranked(cells: np.ndarray, q: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first k of each epoch's candidates, (epochs, k) grid indices and
+    their objective values, by value, ties going to the smaller index."""
+    rows = np.arange(len(q))[:, None]
+    order = np.lexsort((cells, q), axis=1)[:, :k]
+    return cells[rows, order], q[rows, order]
+
+
+def _padded(rows: List[np.ndarray], fill) -> np.ndarray:
+    """The rows as one array, each filled out to the longest with fill."""
+    out = np.full((len(rows), max(map(len, rows))), fill)
+    for e, r in enumerate(rows):
+        out[e, :len(r)] = r
+    return out
+
+
+def _shortlist(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The omni seeds of _coarse_seeds, ranked from the _SHORTLIST cells of
+    least expanded form, in float32.  A cell left out has an expanded value
+    at least the last shortlisted one's, and an objective at least that
+    minus _rounding_bound, so it cannot rank among the seeds when that
+    value clears the last seed's objective by more than the bound; an epoch
+    whose objective is too flat for that (coincident stations) is marked."""
+    k = min(_SHORTLIST, len(t.x))
+    q = _expanded(model, t)
+    cells = np.argpartition(q, k - 1, axis=1)[:, :k]
+    cutoff = q[np.arange(len(q))[:, None], cells].max(axis=1)
+    seeds, sq = _ranked(cells, model.objective(t.x[cells], t.y[cells]), _REFINE_SEEDS)
+    return seeds, sq, ~(cutoff - sq[:, -1] > _rounding_bound(model, t))
+
+
+def _intervals(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:
+    """(N, epochs, B) ends lo and hi of intervals that hold station i's
+    directional residual r_i = c_i + a L_i - g_i over the finite cells of
+    each block, for every epoch of the model, hi raised by 2 eta, so that
+    lo_i - hi_j is the gap between the intervals of i and j widened by eta.
+
+    L_i spans the block's log_lo to log_hi.  Seen from a station outside
+    the block's rectangle, the directions toward it span an arc shorter
+    than pi, over which the clamped cosine gain (geometry.cosine_gain) is
+    least at one of the arc's ends, and greatest at one of them unless the
+    boresight lies in the arc, where it is G.  A station in the rectangle
+    has zero ends, which give it [0, G].
+
+    eta covers float64 rounding, with u = 2^-53 and R = a max|L| + max|c|
+    + G, G the largest peak gain.  A residual the objective computes lies
+    within 24 u R of its interval as computed here: 3 u R for the three
+    roundings of the residual, 3 u R for those of each interval end, 2 u R
+    for a log10 that rounds otherwise than the table's, and 16 u G for the
+    gains, each within 8 u G of the gain toward the exact direction (the
+    unit vector's roundings and the two-term form's, times |gcos| + |gsin|
+    <= sqrt(2) G), an arc end read from rounded corners and angles
+    included.  eta = 32 u R also covers the rounding of lo_i - hi_j.
+    """
+    a = 5.0 * model.alpha
+    bore = model.gcos + 1j * model.gsin
+    peak = np.abs(bore)
+    z = t.arc * bore[..., None]
+    gain = np.maximum(z.real, 0.0)  # toward the arc's two ends
+    least = np.minimum(gain[:, 0], gain[:, 1])
+    most = np.maximum(gain[:, 0], gain[:, 1])
+    # the boresight lies in the arc: anticlockwise of its first end and
+    # clockwise of its other
+    np.copyto(most, peak, where=(z.imag[:, 0] >= 0.0) & (z.imag[:, 1] <= 0.0))
+    c = model.c[..., None]
+    eta = 32 * _U64 * (a * t.log_max + np.abs(model.c).max(axis=0) + peak.max())
+    lo = (a * t.log_lo - most)[:, None] + c
+    hi = (a * t.log_hi - least)[:, None] + (c + 2 * eta[:, None])
+    return lo, hi
+
+
+def _shrunk(bound: np.ndarray, n: int) -> np.ndarray:
+    """A bound of _branch_and_bound, in place, lowered to cover the
+    rounding of the objective and of its own sum of squares, for n
+    stations.
+
+    Centring by a rounded mean can only add to a sum of squares, so the
+    objective is at least (1 - gamma_(N+3)) N sum_i (r_i - mean r)^2 of the
+    residuals it computes; and a bound sums at most P = N (N - 1) / 2
+    rounded squares, so it is at most (1 + gamma_(P+3)) times its exact
+    value (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.1).  Scaling by 1 - (N^2 + 16) u covers both, and
+    subtracting (N^2 + 16) 2^-1074 covers gradual underflow.
+    """
+    bound *= 1.0 - (n * n + 16) * _U64
+    bound -= (n * n + 16) * 2.0 ** -1074
+    return bound
+
+
+def _objective_at(model: _Model, t: _Coarse, cells: np.ndarray) -> np.ndarray:
+    """The objective at (epochs, k) grid indices, +inf at index G."""
+    q = model.objective(t.x.take(cells, mode="clip"), t.y.take(cells, mode="clip"))
+    q[cells == len(t.x)] = np.inf
+    return q
+
+
+def _branch_and_bound(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The directional seeds of _coarse_seeds, by branch and bound over the
+    blocks of the grid (Land and Doig, Econometrica 28(3), 1960).
+
+    Two lower bounds of the objective over a block's finite cells come from
+    _intervals.  With Delta the gap between the highest lower end and the
+    lowest upper end, q = N sum_i (r_i - mean r)^2 >= N/2 Delta^2: the
+    spread bound.  As q = sum_{i<j} (r_i - r_j)^2, q is at least the sum
+    of the squared gaps between each pair's intervals: the pair bound.  Of
+    a pair's lo_i - hi_j and lo_j - hi_i at most one is positive, so that
+    sum is the one of the positive parts over all ordered pairs.  Both are
+    _shrunk.  The spread bound costs O(N) a block and the pair bound
+    O(N^2), so the pair bound is taken only of the blocks that the spread
+    bound leaves.
+
+    The objective at the cells of the _PROBES blocks of least spread bound
+    sets tau, their _REFINE_SEEDS-th least value, which is at least the
+    grid's.  The seeds are ranked from those cells and the cells of every
+    other block whose bounds are both at most tau, so no cell whose
+    objective is at most tau is left out; the cells of one epoch and of
+    another differ in number, so each epoch's are padded with index G at
+    +inf.  An epoch whose probed cells hold fewer than _REFINE_SEEDS finite
+    values is marked.
+    """
+    lo, hi = _intervals(model, t)
+    n, epochs = lo.shape[:2]
+    spread = lo.max(axis=0) - hi.min(axis=0)
+    np.maximum(spread, 0.0, out=spread)
+    spread = _shrunk(np.square(spread, out=spread) * (n / 2), n)
+    rows = np.arange(epochs)[:, None]
+    probes = min(_PROBES, spread.shape[1])
+    probed = np.argpartition(spread, probes - 1, axis=1)[:, :probes]
+    cells = t.cells[probed].reshape(epochs, -1)
+    q = _objective_at(model, t, cells)
+    tau = np.partition(q, _REFINE_SEEDS - 1, axis=1)[:, _REFINE_SEEDS - 1]
+    whole = np.isinf(tau)
+    near = spread <= tau[:, None]
+    near[rows, probed] = False
+    near[whole] = False
+    cols = np.flatnonzero(near.any(axis=0))
+    gap = lo[..., cols][:, None] - hi[..., cols]
+    np.maximum(gap, 0.0, out=gap)
+    near = near[:, cols] & (_shrunk(np.einsum("ijeb,ijeb->eb", gap, gap), n) <= tau[:, None])
+    kept = [t.cells[cols[k]].ravel() for k in near]
+    if max(map(len, kept)):
+        more = _padded(kept, len(t.x))
+        cells = np.concatenate([cells, more], axis=1)
+        q = np.concatenate([q, _objective_at(model, t, more)], axis=1)
+    # only the cells at most an epoch's _REFINE_SEEDS-th least value rank
+    # among its seeds: sorting just those spares sorting the rest
+    least = q <= np.partition(q, _REFINE_SEEDS - 1, axis=1)[:, _REFINE_SEEDS - 1, None]
+    seeds, sq = _ranked(_padded([c[k] for c, k in zip(cells, least)], len(t.x)),
+                        _padded([v[k] for v, k in zip(q, least)], np.inf),
+                        min(_REFINE_SEEDS, len(t.x)))
+    return seeds, sq, whole
 
 
 def _coarse_seeds(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:
@@ -386,24 +581,16 @@ def _coarse_seeds(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:
     indices, the first of a stable sort of the objective over the coarse
     grid, and their objective values.
 
-    The float32 expanded form shortlists _SHORTLIST cells per epoch, and
-    the float64 objective ranks the shortlist, ties going to the smaller
-    grid index, so the seeds are those of the objective alone.  A cell
-    left out has an expanded value at least the last shortlisted one's,
-    and an objective at least that minus _rounding_bound, so it cannot rank
-    among the seeds when that value clears the last seed's objective by
-    more than the bound.  An epoch whose objective is too flat for that
-    (coincident stations) is evaluated over the whole grid instead.
+    The float64 objective ranks each epoch's candidates (_ranked), ties
+    going to the smaller grid index: those of the omni shortlist
+    (_shortlist) or of the directional branch and bound
+    (_branch_and_bound).  Either holds every cell that can rank among the
+    seeds, so the seeds are those of the objective alone.  An epoch whose
+    candidates cannot be shown to hold them is ranked over the whole grid
+    instead.
     """
-    k = min(_SHORTLIST, len(t.x))
-    q = _expanded(model, t)
-    shortlist = np.argpartition(q, k - 1, axis=1)[:, :k]
-    rows = np.arange(len(q))[:, None]
-    cutoff = q[rows, shortlist].max(axis=1)
-    exact = model.objective(t.x[shortlist], t.y[shortlist])
-    order = np.lexsort((shortlist, exact), axis=1)[:, :_REFINE_SEEDS]
-    seeds, sq = shortlist[rows, order], exact[rows, order]
-    for e in np.flatnonzero(~(cutoff - sq[:, -1] > _rounding_bound(model, t))):
+    seeds, sq, whole = (_shortlist if model.gcos is None else _branch_and_bound)(model, t)
+    for e in np.flatnonzero(whole):
         q = model.epochs(slice(e, e + 1)).objective(t.x, t.y)
         seeds[e] = np.argsort(q, kind="stable")[:_REFINE_SEEDS]
         sq[e] = q[seeds[e]]
@@ -452,7 +639,7 @@ def solve_rssd(cfg: SolverConfig, m: MeasurementSet):
     carve shallow secondary basins, so refinement starts from the several
     best coarse cells and keeps the best refined result, ties going to the
     smallest (y, x).  A stack runs _CHUNK epochs at a time through one
-    coarse product and one refinement of all their seeds; each epoch's
+    coarse scan and one refinement of all their seeds; each epoch's
     estimate is the one it gets alone.
     """
     model = _Model.build(cfg, m)

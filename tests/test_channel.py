@@ -461,21 +461,22 @@ class TestStackErrors:
     one."""
 
     THIRD = (ValueError, "at most two stations may be TDOA-capable, got stations 9, 10, 11")
-    ON_TDOA = (CoincidentPosition, "MU coincides with a TDOA station")
+    ON_9 = (CoincidentPosition, "MU coincides with TDOA station 9")
+    ON_10 = (CoincidentPosition, "MU coincides with TDOA station 10")
 
     @pytest.mark.parametrize("bs, ps, error", [
         # a TDOA station at any epoch comes before an RSS station at any epoch
-        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], ON_TDOA),
-        (TWO_PAIR, [CLEAR, Point2D(0, 3), Point2D(2, 0)], ON_TDOA),
+        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], ON_10),
+        (TWO_PAIR, [CLEAR, Point2D(0, 3), Point2D(2, 0)], ON_10),
         # a station of both roles is met as a TDOA station
-        (SHARED, [CLEAR, Point2D(-2, 0)], ON_TDOA),
+        (SHARED, [CLEAR, Point2D(-2, 0)], ON_9),
         # a third TDOA station comes before every epoch
         (THREE_TDOA, [CLEAR, Point2D(0, 3)], THIRD),
         (THREE_TDOA, [Point2D(2, 3), CLEAR], THIRD),
         (THREE_TDOA, [Point2D(2, 0)], THIRD),
         # the RSS station count comes after the TDOA stations and before
         # the epochs on an RSS station
-        (omni_bs([(0, 0)]) + TWO_PAIR[2:], [CLEAR, Point2D(2, 0)], ON_TDOA),
+        (omni_bs([(0, 0)]) + TWO_PAIR[2:], [CLEAR, Point2D(2, 0)], ON_10),
         (omni_bs([(0, 0)]) + TWO_PAIR[2:], [CLEAR, Point2D(0, 0)],
          (TooFewStations, "need >= 2 RSS stations, got 1")),
         # the first epoch on an RSS station names its station
@@ -491,11 +492,11 @@ class TestStackErrors:
                                                          np.random.default_rng(0))) == error
 
     @pytest.mark.parametrize("bs, ps, error", [
-        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], ON_TDOA),
+        (TWO_PAIR, [CLEAR, Point2D(2, 0), Point2D(0, 3)], ON_10),
         (TWO_PAIR, [CLEAR, Point2D(0, 3), Point2D(2, 0)],
          (CoincidentPosition, "MU coincides with station 1")),
         # one position is checked in the stack's order too
-        (SHARED, [CLEAR, Point2D(-2, 0)], ON_TDOA),
+        (SHARED, [CLEAR, Point2D(-2, 0)], ON_9),
         (THREE_TDOA, [CLEAR, Point2D(0, 3)], THIRD),
         (THREE_TDOA, [Point2D(2, 3), CLEAR], THIRD),
         (omni_bs([(0, 0)]) + TWO_PAIR[2:], [CLEAR, Point2D(2, 0)],
@@ -522,3 +523,17 @@ class TestStackErrors:
         noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
         with pytest.raises(CoincidentPosition, match="^MU coincides with station 2$"):
             simulate_rss(bs, xy(ps), noisy, np.random.default_rng(0))
+
+    def test_received_by_needs_a_drawn_stack(self):
+        # a one-epoch set, drawn or not, and a stack without links have no
+        # rows of links to read
+        noisy = ChannelParams(alpha=1.7, sigma_beta=2.0)
+        table = Stations.of(TWO_PAIR)
+        one = simulate_measurements(table, CLEAR, noisy, TdoaNoiseParams(330e-12),
+                                    np.random.default_rng(0))
+        bare = MeasurementSet(table.ids, np.zeros((2, len(table.ids))))
+        for m, message in ((one, "this set is one epoch"),
+                           (MeasurementSet(table.ids, one.rss), "this set is one epoch"),
+                           (bare, "this set has none")):
+            with pytest.raises(ValueError, match=message):
+                m.received_by(table, slice(0, 1))

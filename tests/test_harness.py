@@ -357,15 +357,15 @@ class TestFailingTrack:
     @pytest.mark.parametrize("antenna_model, path, error, message", [
         # through TDOA station 5 at (-3, 0)
         ("OMNI", [(0, 0), (-3, 0), (1, 1)], CoincidentPosition,
-         "MU coincides with a TDOA station"),
+         "MU coincides with TDOA station 5"),
         # starting on RSS station 3 at (3, 3): the known start is checked too
         ("DIRECTIONAL", [(3, 3), (1, 1), (0, 0)], CoincidentWithStation,
          "true position coincides with station 3"),
         # through TDOA station 5, then RSS station 3
         ("DIRECTIONAL", [(0, 0), (-3, 0), (3, 3)], CoincidentPosition,
-         "MU coincides with a TDOA station"),
+         "MU coincides with TDOA station 5"),
         ("DIRECTIONAL", [(0, 0), (1, 1), (-3, 0)], CoincidentPosition,
-         "MU coincides with a TDOA station"),
+         "MU coincides with TDOA station 5"),
         ("OMNI", [(0, 0), (1, 1), (3, 3), (1, 1)], CoincidentPosition,
          "MU coincides with station 3"),
     ])
@@ -381,9 +381,9 @@ class TestFailingTrack:
         # through RSS station 3: the channel's check, not the misorientation's
         ([(0, 0), (1, 1), (3, 3), (1, 1)], "MU coincides with station 3"),
         # through RSS station 3, then TDOA station 5
-        ([(0, 0), (3, 3), (1, 1), (-3, 0)], "MU coincides with a TDOA station"),
+        ([(0, 0), (3, 3), (1, 1), (-3, 0)], "MU coincides with TDOA station 5"),
         # starting on RSS station 3, then through TDOA station 5
-        ([(3, 3), (1, 1), (-3, 0)], "MU coincides with a TDOA station"),
+        ([(3, 3), (1, 1), (-3, 0)], "MU coincides with TDOA station 5"),
     ], ids=["rss-station", "rss-then-tdoa-station", "rss-start-then-tdoa-station"])
     def test_directional_track_raises_in_check_order(self, monkeypatch, path, message):
         with pytest.raises(LocalizationError) as e:
