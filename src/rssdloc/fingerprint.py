@@ -196,9 +196,8 @@ def coarse_estimate(db: FingerprintDB, meas) -> List[Point2D]:
     meas = np.asarray(meas, dtype=float)
     n = db.rss.shape[1]
     if meas.shape[1:] != (n,):
-        raise LengthMismatch(
-            f"measurement shape {meas.shape} does not match database "
-            f"station count {n}")
+        raise LengthMismatch(f"measurement shape {meas.shape} is not a (T, {n}) stack of "
+                             f"RSS rows of the database's {n} stations")
     bad = ~np.isfinite(meas).all(axis=0)
     if bad.any():
         raise ValueError(f"non-finite RSS from stations {np.asarray(db.bs_ids)[bad].tolist()}")

@@ -25,21 +25,23 @@ Two search strategies:
   evaluating the float64 objective at every cell.  For the omni model it
   expands the square: with L_c = log10 d^2 centred over stations and
   a = 5 alpha, the objective is N (c.c + 2a c.L_c + a^2 |L_c|^2), one
-  matrix product of a stack of epochs' c against tables cached per
+  matrix product of a chunk of epochs' c against tables cached per
   station layout and region.  The expansion rounds relative to the whole
   objective, not to the small residual near the optimum, so it only
   shortlists coarse cells, and runs in float32; a shortlist counts only
   when its gap to the seeds clears a rounding bound derived from the
   expansion's term magnitudes.  For the directional model, whose gains
-  change whenever the antennas are re-pointed, a branch and bound over
-  square blocks of the grid bounds each station's residual over a block
-  by an interval, from the block's range of log10 d^2, cached likewise,
-  and the arc of directions toward it, and evaluates the objective only
-  in the blocks whose bound does not rule them out.  Either way the
-  float64 subtraction-centred objective ranks the candidates, refines the
-  seeds and picks the estimate, and an epoch whose candidates cannot be
-  shown to hold the seeds is ranked over the whole grid, so every
-  estimate is the one the float64 objective alone gives;
+  change whenever the antennas are re-pointed, so that the closed loop
+  solves one epoch per call, a branch and bound over square blocks of
+  the grid runs one epoch at a time: it bounds each station's residual
+  over a block by an interval, from the block's range of log10 d^2,
+  cached likewise, and the arc of directions toward it, and evaluates the
+  objective only in the blocks whose bound does not rule them out.
+  Either way the float64 subtraction-centred objective ranks the
+  candidates, refines the seeds and picks the estimate, and an epoch
+  whose candidates cannot be shown to hold the seeds is ranked over the
+  whole grid, so every estimate is the one the float64 objective alone
+  gives;
 * TDOA-constrained 1D least squares along the measured hyperbola, by a
   coarse scan over y followed by bracket scans that evaluate a whole row of
   heights in one objective call per round, with the x-coordinate recovered
@@ -424,41 +426,35 @@ def _rounding_bound(model: _Model, t: _Coarse) -> np.ndarray:
 
 
 def _ranked(cells: np.ndarray, q: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The first k of each epoch's candidates, (epochs, k) grid indices and
-    their objective values, by value, ties going to the smaller index."""
-    rows = np.arange(len(q))[:, None]
-    order = np.lexsort((cells, q), axis=1)[:, :k]
-    return cells[rows, order], q[rows, order]
+    """The first k of each epoch's candidates, (..., k) grid indices and
+    their objective values, by value, ties going to the smaller index: of
+    one epoch's (n,) candidates, or of (epochs, n), a row each."""
+    order = np.lexsort((cells, q), axis=-1)[..., :k]
+    return np.take_along_axis(cells, order, -1), np.take_along_axis(q, order, -1)
 
 
-def _padded(rows: List[np.ndarray], fill) -> np.ndarray:
-    """The rows as one array, each filled out to the longest with fill."""
-    out = np.full((len(rows), max(map(len, rows))), fill)
-    for e, r in enumerate(rows):
-        out[e, :len(r)] = r
-    return out
-
-
-def _shortlist(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shortlist(model: _Model, t: _Coarse) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
     """The omni seeds of _coarse_seeds, ranked from the _SHORTLIST cells of
-    least expanded form, in float32.  A cell left out has an expanded value
-    at least the last shortlisted one's, and an objective at least that
-    minus _rounding_bound, so it cannot rank among the seeds when that
-    value clears the last seed's objective by more than the bound; an epoch
-    whose objective is too flat for that (coincident stations) is marked."""
+    least expanded form, in float32, for every epoch of the model at once.
+    A cell left out has an expanded value at least the last shortlisted
+    one's, and an objective at least that minus _rounding_bound, so it
+    cannot rank among the seeds when that value clears the last seed's
+    objective by more than the bound; an epoch whose objective is too flat
+    for that (coincident stations) gets None."""
     k = min(_SHORTLIST, len(t.x))
     q = _expanded(model, t)
     cells = np.argpartition(q, k - 1, axis=1)[:, :k]
     cutoff = q[np.arange(len(q))[:, None], cells].max(axis=1)
     seeds, sq = _ranked(cells, model.objective(t.x[cells], t.y[cells]), _REFINE_SEEDS)
-    return seeds, sq, ~(cutoff - sq[:, -1] > _rounding_bound(model, t))
+    clear = cutoff - sq[:, -1] > _rounding_bound(model, t)
+    return [(s, v) if ok else None for s, v, ok in zip(seeds, sq, clear)]
 
 
 def _intervals(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:
-    """(N, epochs, B) ends lo and hi of intervals that hold station i's
-    directional residual r_i = c_i + a L_i - g_i over the finite cells of
-    each block, for every epoch of the model, hi raised by 2 eta, so that
-    lo_i - hi_j is the gap between the intervals of i and j widened by eta.
+    """(N, B) ends lo and hi of intervals that hold station i's directional
+    residual r_i = c_i + a L_i - g_i over the finite cells of each block,
+    for the model's one epoch, hi raised by 2 eta, so that lo_i - hi_j is
+    the gap between the intervals of i and j widened by eta.
 
     L_i spans the block's log_lo to log_hi.  Seen from a station outside
     the block's rectangle, the directions toward it span an arc shorter
@@ -487,11 +483,8 @@ def _intervals(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:
     # the boresight lies in the arc: anticlockwise of its first end and
     # clockwise of its other
     np.copyto(most, peak, where=(z.imag[:, 0] >= 0.0) & (z.imag[:, 1] <= 0.0))
-    c = model.c[..., None]
-    eta = 32 * _U64 * (a * t.log_max + np.abs(model.c).max(axis=0) + peak.max())
-    lo = (a * t.log_lo - most)[:, None] + c
-    hi = (a * t.log_hi - least)[:, None] + (c + 2 * eta[:, None])
-    return lo, hi
+    eta = 32 * _U64 * (a * t.log_max + np.abs(model.c).max() + peak.max())
+    return a * t.log_lo - most + model.c, a * t.log_hi - least + (model.c + 2 * eta)
 
 
 def _shrunk(bound: np.ndarray, n: int) -> np.ndarray:
@@ -512,16 +505,10 @@ def _shrunk(bound: np.ndarray, n: int) -> np.ndarray:
     return bound
 
 
-def _objective_at(model: _Model, t: _Coarse, cells: np.ndarray) -> np.ndarray:
-    """The objective at (epochs, k) grid indices, +inf at index G."""
-    q = model.objective(t.x.take(cells, mode="clip"), t.y.take(cells, mode="clip"))
-    q[cells == len(t.x)] = np.inf
-    return q
-
-
-def _branch_and_bound(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The directional seeds of _coarse_seeds, by branch and bound over the
-    blocks of the grid (Land and Doig, Econometrica 28(3), 1960).
+def _branch_and_bound(model: _Model, t: _Coarse) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The directional seeds of _coarse_seeds for the model's one epoch, by
+    branch and bound over the blocks of the grid (Land and Doig,
+    Econometrica 28(3), 1960).
 
     Two lower bounds of the objective over a block's finite cells come from
     _intervals.  With Delta the gap between the highest lower end and the
@@ -538,42 +525,41 @@ def _branch_and_bound(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray
     sets tau, their _REFINE_SEEDS-th least value, which is at least the
     grid's.  The seeds are ranked from those cells and the cells of every
     other block whose bounds are both at most tau, so no cell whose
-    objective is at most tau is left out; the cells of one epoch and of
-    another differ in number, so each epoch's are padded with index G at
-    +inf.  An epoch whose probed cells hold fewer than _REFINE_SEEDS finite
-    values is marked.
+    objective is at most tau is left out.  A block's cells past the grid's
+    far edges (index G in t.cells) are dropped.  None when the probed cells
+    hold fewer than _REFINE_SEEDS finite values.
     """
     lo, hi = _intervals(model, t)
-    n, epochs = lo.shape[:2]
+    n = len(lo)
     spread = lo.max(axis=0) - hi.min(axis=0)
     np.maximum(spread, 0.0, out=spread)
     spread = _shrunk(np.square(spread, out=spread) * (n / 2), n)
-    rows = np.arange(epochs)[:, None]
-    probes = min(_PROBES, spread.shape[1])
-    probed = np.argpartition(spread, probes - 1, axis=1)[:, :probes]
-    cells = t.cells[probed].reshape(epochs, -1)
-    q = _objective_at(model, t, cells)
-    tau = np.partition(q, _REFINE_SEEDS - 1, axis=1)[:, _REFINE_SEEDS - 1]
-    whole = np.isinf(tau)
-    near = spread <= tau[:, None]
-    near[rows, probed] = False
-    near[whole] = False
-    cols = np.flatnonzero(near.any(axis=0))
-    gap = lo[..., cols][:, None] - hi[..., cols]
+    probes = min(_PROBES, len(spread))
+    probed = np.argpartition(spread, probes - 1)[:probes]
+    cells = t.cells[probed].ravel()
+    cells = cells[cells < len(t.x)]
+    q = model.objective(t.x[cells], t.y[cells])
+    if np.count_nonzero(np.isfinite(q)) < _REFINE_SEEDS:
+        return None
+    tau = np.partition(q, _REFINE_SEEDS - 1)[_REFINE_SEEDS - 1]
+    near = spread <= tau
+    near[probed] = False
+    cols = np.flatnonzero(near)
+    gap = lo[:, None, cols] - hi[:, cols]
     np.maximum(gap, 0.0, out=gap)
-    near = near[:, cols] & (_shrunk(np.einsum("ijeb,ijeb->eb", gap, gap), n) <= tau[:, None])
-    kept = [t.cells[cols[k]].ravel() for k in near]
-    if max(map(len, kept)):
-        more = _padded(kept, len(t.x))
-        cells = np.concatenate([cells, more], axis=1)
-        q = np.concatenate([q, _objective_at(model, t, more)], axis=1)
-    # only the cells at most an epoch's _REFINE_SEEDS-th least value rank
-    # among its seeds: sorting just those spares sorting the rest
-    least = q <= np.partition(q, _REFINE_SEEDS - 1, axis=1)[:, _REFINE_SEEDS - 1, None]
-    seeds, sq = _ranked(_padded([c[k] for c, k in zip(cells, least)], len(t.x)),
-                        _padded([v[k] for v, k in zip(q, least)], np.inf),
-                        min(_REFINE_SEEDS, len(t.x)))
-    return seeds, sq, whole
+    more = t.cells[cols[_shrunk(np.einsum("ijb,ijb->b", gap, gap), n) <= tau]].ravel()
+    more = more[more < len(t.x)]
+    if len(more):
+        # a lone candidate sums in another order than a batch's
+        # (rssd_objective), and the far corner's block may hold one cell:
+        # it is evaluated twice and read once
+        twice = np.resize(more, max(len(more), 2))
+        cells = np.concatenate([cells, more])
+        q = np.concatenate([q, model.objective(t.x[twice], t.y[twice])[:len(more)]])
+    # only the cells at most the _REFINE_SEEDS-th least value rank among
+    # the seeds: sorting just those spares sorting the rest
+    least = q <= np.partition(q, _REFINE_SEEDS - 1)[_REFINE_SEEDS - 1]
+    return _ranked(cells[least], q[least], _REFINE_SEEDS)
 
 
 def _coarse_seeds(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:
@@ -583,18 +569,22 @@ def _coarse_seeds(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:
 
     The float64 objective ranks each epoch's candidates (_ranked), ties
     going to the smaller grid index: those of the omni shortlist
-    (_shortlist) or of the directional branch and bound
-    (_branch_and_bound).  Either holds every cell that can rank among the
-    seeds, so the seeds are those of the objective alone.  An epoch whose
-    candidates cannot be shown to hold them is ranked over the whole grid
-    instead.
+    (_shortlist), one pass over the whole stack, or of the directional
+    branch and bound (_branch_and_bound), one epoch at a time.  Either
+    holds every cell that can rank among the seeds, so the seeds are those
+    of the objective alone.  An epoch whose candidates cannot be shown to
+    hold them (None) is ranked over the whole grid instead.
     """
-    seeds, sq, whole = (_shortlist if model.gcos is None else _branch_and_bound)(model, t)
-    for e in np.flatnonzero(whole):
-        q = model.epochs(slice(e, e + 1)).objective(t.x, t.y)
-        seeds[e] = np.argsort(q, kind="stable")[:_REFINE_SEEDS]
-        sq[e] = q[seeds[e]]
-    return seeds, sq
+    epochs = [model.epochs(slice(e, e + 1)) for e in range(model.c.shape[1])]
+    found = (_shortlist(model, t) if model.gcos is None
+             else [_branch_and_bound(one, t) for one in epochs])
+    for e, one in enumerate(epochs):
+        if found[e] is None:
+            q = one.objective(t.x, t.y)
+            s = np.argsort(q, kind="stable")[:_REFINE_SEEDS]
+            found[e] = s, q[s]
+    seeds, sq = zip(*found)
+    return np.array(seeds), np.array(sq)
 
 
 def _refine(model: _Model, reg: SearchRegion, bx: np.ndarray, by: np.ndarray,
@@ -639,8 +629,9 @@ def solve_rssd(cfg: SolverConfig, m: MeasurementSet):
     carve shallow secondary basins, so refinement starts from the several
     best coarse cells and keeps the best refined result, ties going to the
     smallest (y, x).  A stack runs _CHUNK epochs at a time through one
-    coarse scan and one refinement of all their seeds; each epoch's
-    estimate is the one it gets alone.
+    coarse scan, epoch by epoch for the directional model, and one
+    refinement of all their seeds; each epoch's estimate is the one it
+    gets alone.
     """
     model = _Model.build(cfg, m)
     reg = cfg.region

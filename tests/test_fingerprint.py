@@ -229,6 +229,11 @@ class TestCoarseEstimate:
             coarse_estimate(db, np.append(db.rss[0], -50.0)[None])
         with pytest.raises(LengthMismatch):  # one row is not a stack
             coarse_estimate(db, db.rss[0])
+        # a row of the right length: the message names the stack it expects
+        with pytest.raises(LengthMismatch, match=re.escape(
+                "measurement shape (4,) is not a (T, 4) stack of RSS rows of the "
+                "database's 4 stations")):
+            coarse_estimate(db, np.zeros(4))
 
 
 @st.composite
