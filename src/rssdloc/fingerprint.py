@@ -6,7 +6,8 @@ the Euclidean sense) to the measured ones, then optionally refines the
 coarse pick by projecting it onto the measured TDOA hyperbola.  Both steps
 take a stack of epochs, as a measurement set holds them: the match takes
 the (T, N) RSS block in one vectorized pass, the projection the block's
-TDOA observation.
+TDOA observation, and each gives a (T, 2) array of points with a (T,) mask
+of the epochs it located.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -183,13 +184,14 @@ def build_db(bs: Layout, area: SearchRegion, grid_step: float,
     return FingerprintDB(xy, simulate_rss(st, xy, channel, rng), st.ids.tolist())
 
 
-def coarse_estimate(db: FingerprintDB, meas) -> List[Point2D]:
+def coarse_estimate(db: FingerprintDB, meas) -> Tuple[np.ndarray, np.ndarray]:
     """Each epoch's grid point with the closest RSSD expansion; ties go to
     smallest (y, x).
 
     meas is a (T, N) stack of RSS rows in bs_ids order, matched in
-    (epochs x M) distance tables of _CHUNK epochs, giving a list of T
-    points.  Another shape raises LengthMismatch, non-finite RSS ValueError.
+    (epochs x M) distance tables of _CHUNK epochs, giving (xy, ok): the
+    (T, 2) array of the points and a (T,) mask, all True.  Another shape
+    raises LengthMismatch, non-finite RSS ValueError.
     """
     if len(db) == 0:
         raise EmptyGrid("empty fingerprint database")
@@ -206,25 +208,27 @@ def coarse_estimate(db: FingerprintDB, meas) -> List[Point2D]:
     for lo in range(0, len(stack), _CHUNK):
         d = ref - stack[lo:lo + _CHUNK, None, :]  # (epochs, M, N) differences
         k[lo:lo + _CHUNK] = np.einsum("emk,emk->em", d, d).argmin(axis=1)
-    return [Point2D(float(db.positions[i, 0]), float(db.positions[i, 1])) for i in k]
+    return np.asarray(db.positions, dtype=float)[k], np.ones(len(k), bool)
 
 
-def refine_with_tdoa(coarse: Sequence[Point2D], tdoa, bs: Layout,
-                     region: SearchRegion) -> List[Optional[Point2D]]:
+def refine_with_tdoa(coarse: np.ndarray, tdoa, bs: Layout,
+                     region: SearchRegion) -> Tuple[np.ndarray, np.ndarray]:
     """Project coarse estimates onto their measured TDOA hyperbolas, each
     on its own, over the region's heights in the TDOA pair's canonical frame.
 
-    coarse is a sequence of T points and tdoa the (id_k, id_l, delta_t)
-    observation of their stack, delta_t a (T,) array.  It is read by
-    geometry.measured_hyperbolas, and the list of T refined points holds
-    None for each epoch whose range difference has no hyperbola.
+    coarse is the (T, 2) array of a stack's points and tdoa the
+    (id_k, id_l, delta_t) observation of the stack, delta_t a (T,) array.
+    It is read by geometry.measured_hyperbolas.  The refined points come
+    back as (xy, ok): a (T, 2) array and a (T,) mask, False (and the row
+    NaN) for each epoch whose range difference has no hyperbola.
     """
     frame, r, ok = measured_hyperbolas(bs, tdoa)
+    if np.shape(coarse) != (len(r), 2):
+        raise LengthMismatch(f"coarse points of shape {np.shape(coarse)} for {len(r)} TDOA epochs")
     lo, hi = region.heights(frame)
-
-    def project(p, r_e):
-        h = Hyperbola(frame.half_separation, r_e)
-        return frame.from_canonical(project_onto_hyperbola(frame.to_canonical(p), h, lo, hi))
-
-    return [project(p, r_e) if ok_e else None
-            for p, r_e, ok_e in zip(coarse, r.tolist(), ok.tolist(), strict=True)]
+    xy = np.full((len(r), 2), np.nan)
+    for e in np.flatnonzero(ok).tolist():
+        h = Hyperbola(frame.half_separation, r.item(e))
+        p = project_onto_hyperbola(frame.to_canonical(Point2D(*coarse[e].tolist())), h, lo, hi)
+        xy[e] = frame.from_canonical_xy(p.x, p.y)
+    return xy, ok

@@ -8,7 +8,8 @@ receive antenna.
 The two stations of a range-difference (TDOA) pair define a canonical frame
 with the stations on the x-axis at (-s, 0) and (+s, 0).  All hyperbola math
 works in that frame; :class:`CanonicalFrame` has one map into it
-(``to_canonical``) and one out of it (``from_canonical``), and
+(``to_canonical``) and one out of it (``from_canonical_xy``, on coordinates,
+which ``from_canonical`` applies to a point), and
 :func:`measured_hyperbolas` reads TDOA observations into it.
 """
 
@@ -288,8 +289,13 @@ class CanonicalFrame:
         return Point2D(c * dx + s * dy, -s * dx + c * dy)
 
     def from_canonical(self, p: Point2D) -> Point2D:
+        return Point2D(*self.from_canonical_xy(p.x, p.y))
+
+    def from_canonical_xy(self, x, y):
+        """from_canonical of coordinates: floats, or arrays mapped
+        element by element to the same bits."""
         c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
-        return Point2D(self.origin.x + c * p.x - s * p.y, self.origin.y + s * p.x + c * p.y)
+        return self.origin.x + c * x - s * y, self.origin.y + s * x + c * y
 
 
 def measured_hyperbolas(bs: Layout, tdoa) -> Tuple[CanonicalFrame, np.ndarray, np.ndarray]:

@@ -26,11 +26,17 @@ through an RSS station raises its CoincidentPosition.  A directional
 track that only starts on one raises CoincidentWithStation from the
 misorientation at the trial's end.
 
-An epoch's noisy TDOA can put the measured range difference at or beyond
-the station half-separation, where no hyperbola exists.  Such an epoch
-falls back to the estimate without TDOA (the 2-D RSSD fit, or the coarse
-fingerprint match) and is counted in RunReport.tdoa_fallbacks, by one step
-for both modes; the simulation fits a chunk's fallback epochs in one stack.
+The solver and fingerprint calls of the locate steps give a chunk's
+estimates as (xy, ok): a (T, 2) array and a (T,) mask of the epochs
+they located.  An epoch's noisy TDOA can put the measured range difference at
+or beyond the station half-separation, where no hyperbola exists, and the
+TDOA step masks such an epoch out.  Its row falls back to the estimate
+without TDOA (the 2-D RSSD fit, or the coarse fingerprint match), by one
+indexed assignment of the ~ok rows for both modes, and is counted in
+RunReport.tdoa_fallbacks; the simulation fits a chunk's fallback epochs in
+one stack.  The trial keeps its true positions and estimates as (T, 2)
+arrays, and builds its EpochRecords from them once, at its end, each
+error the math.hypot of geometry.distance.
 """
 
 from __future__ import annotations
@@ -115,28 +121,28 @@ def scenario_db(s: Scenario) -> FingerprintDB:
 
 
 # The locate step of each mode: (scenario, fingerprint DB, the station table
-# as pointed now, the measurement set of a stack of epochs) -> (their
-# estimates, how many of them fell back from their TDOA).
+# as pointed now, the measurement set of a stack of epochs) -> (the (T, 2)
+# array of their estimates, how many of them fell back from their TDOA).
 
 def _rssd(s, db, bs, ms):
-    return solve_rssd(SolverConfig(s.channel, bs, s.region, s.antenna_model), ms), 0
+    return solve_rssd(SolverConfig(s.channel, bs, s.region, s.antenna_model), ms)[0], 0
 
 
-def _fall_back(estimates, without_tdoa):
-    """The TDOA estimates of a stack with each None (an epoch without a
-    hyperbola) filled in from without_tdoa(its epochs' indices), the
-    estimates without TDOA, and how many were filled."""
-    gaps = [e for e, p in enumerate(estimates) if p is None]
+def _fall_back(found, without_tdoa):
+    """The (xy, ok) TDOA estimates of a stack with the rows of its epochs
+    without a hyperbola (~ok) set to without_tdoa(~ok), their estimates
+    without TDOA, and how many were set."""
+    xy, ok = found
+    gaps = len(ok) - np.count_nonzero(ok)
     if gaps:
-        for e, p in zip(gaps, without_tdoa(gaps), strict=True):
-            estimates[e] = p
-    return estimates, len(gaps)
+        xy[~ok] = without_tdoa(~ok)
+    return xy, int(gaps)
 
 
 def _rssd_tdoa(s, db, bs, ms):
     cfg = SolverConfig(s.channel, bs, s.region, s.antenna_model)
     return _fall_back(solve_rssd_tdoa(cfg, ms),
-                      lambda gaps: solve_rssd(cfg, MeasurementSet(ms.ids, ms.rss[gaps])))
+                      lambda gaps: solve_rssd(cfg, MeasurementSet(ms.ids, ms.rss[gaps]))[0])
 
 
 def _match(s, db, bs, ms):
@@ -144,13 +150,12 @@ def _match(s, db, bs, ms):
     cols = np.searchsorted(ms.ids, db.bs_ids)
     if not np.array_equal(ms.ids.take(cols, mode="clip"), db.bs_ids):
         raise ValueError(f"fingerprint columns {db.bs_ids} name stations outside {ms.ids.tolist()}")
-    return coarse_estimate(db, ms.rss[:, cols]), 0
+    return coarse_estimate(db, ms.rss[:, cols])[0], 0
 
 
 def _match_tdoa(s, db, bs, ms):
     coarse, _ = _match(s, db, bs, ms)
-    return _fall_back(refine_with_tdoa(coarse, ms.tdoa, bs, s.region),
-                      lambda gaps: [coarse[e] for e in gaps])
+    return _fall_back(refine_with_tdoa(coarse, ms.tdoa, bs, s.region), lambda gaps: coarse[gaps])
 
 
 _LOCATE = {Mode.SIM_RSSD: _rssd, Mode.SIM_RSSD_TDOA: _rssd_tdoa,
@@ -184,27 +189,27 @@ def run_trial(s: Scenario, trial: int,
     drawn = simulate_measurements(stations, xy[known:], s.channel, s.tdoa_noise, rng)
     locate = _LOCATE[s.mode]
 
-    estimates: List[Point2D] = truth[:known]
+    estimates = xy.copy()  # the known start stays; every other row is located
     fallbacks = 0
-    while len(estimates) < len(t):
+    start = known
+    while start < len(t):
         # With antenna feedback each estimate points the antennas for the
         # next epoch, so every epoch is a chunk; without it the scored
         # track is one.
-        start = len(estimates)
         stop = start + 1 if boresight is not None else len(t)
         now = stations
         if boresight is not None:
             pointed[start] = boresight
             now = apply_orientation(stations, boresight)
         ms = drawn.received_by(now, slice(start - known, stop - known))
-        chunk, fell_back = locate(s, db, now, ms)
-        estimates += chunk
+        estimates[start:stop], fell_back = locate(s, db, now, ms)
         fallbacks += fell_back
         if boresight is not None:
-            boresight = update_orientation(boresight, stations, estimates[-1])
+            boresight = update_orientation(boresight, stations, Point2D(*estimates[start].tolist()))
+        start = stop
     theta = None if pointed is None else misorientation(pointed, stations, xy)
-    records = [EpochRecord(te, pos, est, distance(pos, est))
-               for te, pos, est in zip(t.tolist(), truth, estimates)]
+    records = [EpochRecord(te, pos, est, distance(pos, est)) for te, pos, est
+               in zip(t.tolist(), truth, [Point2D(*p) for p in estimates.tolist()])]
     errors = [r.error for r in records[known:]]
     return RunReport(mode=s.mode, trial=trial, records=records, rmse=compute_rmse(errors),
                      mean_error=float(np.mean(errors)),

@@ -53,8 +53,8 @@ Two search strategies:
   the rigid map leaves as they are.  A stack of epochs is searched in
   lockstep, one row of heights per epoch: the coarse scans share
   the pair's grid of heights, and every epoch runs the same count of
-  rounds, fixed by the region.  An epoch with no hyperbola is left to the
-  caller.
+  rounds, fixed by the region.  An epoch with no hyperbola is masked out
+  and left to the caller.
 """
 
 from __future__ import annotations
@@ -357,10 +357,9 @@ _BLOCK_SIDE = 7  # coarse cells a side of a directional branch-and-bound block
 _PROBES = 4  # least-bounded blocks whose cells set the directional threshold
 _U32 = 2.0 ** -24  # unit roundoff of float32
 _U64 = 2.0 ** -53  # unit roundoff of float64
-_CHUNK = 4  # epochs per coarse scan and refinement; bounds their temporaries,
-            # and keeps the omni float32 coarse product below the size at which
-            # OpenBLAS splits it over threads: from 16 epochs that split made
-            # it 20-40x slower on a 2-vCPU machine (CHANGES.md FOUND)
+_CHUNK = 4  # epochs per omni float32 coarse product; keeps it below the size
+            # at which OpenBLAS splits it over threads: from 16 epochs that
+            # split made it 20-40x slower on a 2-vCPU machine (CHANGES.md FOUND)
 # Line-search heights per round as fractions of the bracket: width * (k / 32)
 # rounds as (width / 32) * k does, since dividing by a power of two is exact.
 _LINE = np.arange(33) / 32
@@ -368,8 +367,8 @@ _LINE = np.arange(33) / 32
 # the last one: the cells around k, clipped at the bracket ends
 _AROUND = _LINE[[[max(k - 1, 0), min(k + 1, len(_LINE) - 1)] for k in range(len(_LINE))]]
 _LINE_TOL = 1e-7  # m; final bracket width of the line search
-_LINE_CHUNK = 16  # epochs per lockstep line search; bounds its coarse scan's
-                  # (stations x epochs * heights) temporaries
+_LOCKSTEP = 16  # epochs per lockstep refinement or line search; bounds their
+               # (stations x epochs * candidates) temporaries
 
 
 def _expanded(model: _Model, t: _Coarse) -> np.ndarray:
@@ -569,15 +568,16 @@ def _coarse_seeds(model: _Model, t: _Coarse) -> Tuple[np.ndarray, np.ndarray]:
 
     The float64 objective ranks each epoch's candidates (_ranked), ties
     going to the smaller grid index: those of the omni shortlist
-    (_shortlist), one pass over the whole stack, or of the directional
-    branch and bound (_branch_and_bound), one epoch at a time.  Either
-    holds every cell that can rank among the seeds, so the seeds are those
-    of the objective alone.  An epoch whose candidates cannot be shown to
+    (_shortlist), _CHUNK epochs at a time, or of the directional branch
+    and bound (_branch_and_bound), one epoch at a time.  Either holds
+    every cell that can rank among the seeds, so the seeds are those of
+    the objective alone.  An epoch whose candidates cannot be shown to
     hold them (None) is ranked over the whole grid instead.
     """
     epochs = [model.epochs(slice(e, e + 1)) for e in range(model.c.shape[1])]
-    found = (_shortlist(model, t) if model.gcos is None
-             else [_branch_and_bound(one, t) for one in epochs])
+    found = ([f for lo in range(0, len(epochs), _CHUNK)
+              for f in _shortlist(model.epochs(slice(lo, lo + _CHUNK)), t)]
+             if model.gcos is None else [_branch_and_bound(one, t) for one in epochs])
     for e, one in enumerate(epochs):
         if found[e] is None:
             q = one.objective(t.x, t.y)
@@ -621,30 +621,29 @@ def solve_rssd(cfg: SolverConfig, m: MeasurementSet):
     """2D argmin of the RSSD objective over the search region.
 
     m is one epoch's measurement set, giving one point, or a stack of T
-    epochs read with the same antennas, solved together and giving a list
-    of T points.
+    epochs read with the same antennas, solved together and giving
+    (xy, ok): the (T, 2) array of their estimates and a (T,) mask, all
+    True.
     Coarse scan at region.coarse_step, then refine_iterations rounds of a
     local 5x5 grid with the step halved each round (final resolution
     coarse_step / 2**refine_iterations).  The directional gain clamp can
     carve shallow secondary basins, so refinement starts from the several
     best coarse cells and keeps the best refined result, ties going to the
-    smallest (y, x).  A stack runs _CHUNK epochs at a time through one
-    coarse scan, epoch by epoch for the directional model, and one
-    refinement of all their seeds; each epoch's estimate is the one it
-    gets alone.
+    smallest (y, x).  A stack runs _LOCKSTEP epochs at a time through
+    their coarse scans (_coarse_seeds) and one refinement of all their
+    seeds; each epoch's estimate is the one it gets alone.
     """
     model = _Model.build(cfg, m)
     reg = cfg.region
     t = _coarse_tables(tuple(model.sx.tolist()), tuple(model.sy.tolist()), reg)
-    points = []
-    for lo in range(0, model.c.shape[1], _CHUNK):
-        chunk = model.epochs(slice(lo, lo + _CHUNK))
+    xy = np.empty((model.c.shape[1], 2))
+    for lo in range(0, len(xy), _LOCKSTEP):
+        chunk = model.epochs(slice(lo, lo + _LOCKSTEP))
         seeds, sq = _coarse_seeds(chunk, t)
         bx, by, bq = _refine(chunk, reg, t.x[seeds], t.y[seeds], sq)
-        k = np.lexsort((bx, by, bq), axis=1)[:, 0]
-        rows = np.arange(len(k))
-        points += [Point2D(float(x), float(y)) for x, y in zip(bx[rows, k], by[rows, k])]
-    return points[0] if m.rss.ndim == 1 else points
+        best = np.lexsort((bx, by, bq), axis=1)[:, 0]
+        xy[lo:lo + _LOCKSTEP] = np.stack([bx, by], axis=2)[np.arange(len(best)), best]
+    return Point2D(*xy[0].tolist()) if m.rss.ndim == 1 else (xy, np.ones(len(xy), bool))
 
 
 @functools.lru_cache(maxsize=4)
@@ -686,9 +685,10 @@ def _frame_stations(frame: CanonicalFrame, sx: Tuple[float, ...], sy: Tuple[floa
 def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     """1D argmin along the measured TDOA hyperbola.
 
-    m is a stack of T epochs read with the same antennas, giving a list of
-    T points with None for each epoch whose range difference has no
-    hyperbola, or one epoch's measurement set, giving one point.  The TDOA
+    m is a stack of T epochs read with the same antennas, giving (xy, ok):
+    the (T, 2) array of their estimates and a (T,) mask, False (and the
+    row NaN) for each epoch whose range difference has no hyperbola; or
+    one epoch's measurement set, giving one point.  The TDOA
     observations are read by geometry.measured_hyperbolas, which raises
     for a missing TDOA observation; a one-epoch set without a hyperbola
     raises the DegenerateHyperbola of Hyperbola.from_tdoa, and is the only
@@ -708,8 +708,8 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     2 * coarse_step = 0.1 m), and its estimate is the middle of its last
     bracket.  The objective is that of the model in the pair's frame
     (_Model.in_frame), evaluated at the branch points themselves; only each
-    epoch's estimate is mapped out, by frame.from_canonical.  A stack runs
-    _LINE_CHUNK epochs at a time in lockstep: one objective call for their
+    epoch's estimate is mapped out, by frame.from_canonical_xy.  A stack runs
+    _LOCKSTEP epochs at a time in lockstep: one objective call for their
     coarse scans, which share the grid of heights, and one per round,
     1 + R calls in all, so each epoch gets the estimate it gets alone.
 
@@ -725,18 +725,14 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
     if single and not ok[0]:
         Hyperbola.from_tdoa(m.tdoa[2], frame.half_separation)  # raises: no hyperbola
     model = _Model.build(cfg, m)
-    solved = np.flatnonzero(ok).tolist()
-    points: List[Optional[Point2D]] = [None] * len(r)
-    if not solved:
-        return points
-    if len(solved) < len(r):
-        model, r = model.epochs(solved), r[ok]
-    model = model.in_frame(frame)
+    # the epochs with a hyperbola; the rows of the others stay NaN
+    model, r = model.epochs(ok).in_frame(frame), r[ok]
     b2 = np.square(frame.half_separation) - r * r
     ys, brackets, rounds = _line_tables(frame, cfg.region)
-    for lo in range(0, len(solved), _LINE_CHUNK):
-        rows = slice(lo, lo + _LINE_CHUNK)
-        sub = model if len(solved) <= _LINE_CHUNK else model.epochs(rows)
+    height = np.empty(len(r))  # each epoch's estimate, in the frame
+    for lo in range(0, len(r), _LOCKSTEP):
+        rows = slice(lo, lo + _LOCKSTEP)
+        sub = model if len(r) <= _LOCKSTEP else model.epochs(rows)
         rr, bb = r[rows, None], b2[rows, None]
 
         def scan(y):  # each epoch's first minimum over its row of heights
@@ -746,7 +742,7 @@ def solve_rssd_tdoa(cfg: SolverConfig, m: MeasurementSet):
         for _ in range(rounds):
             a, width = ab[:, :1], ab[:, 1:] - ab[:, :1]
             ab = a + width * _AROUND[scan(a + width * _LINE)]  # the cells around the minimum
-        y = 0.5 * (ab[:, 0] + ab[:, 1])
-        for e, x_e, y_e in zip(solved[rows], branch_x(r[rows], b2[rows], y).tolist(), y.tolist()):
-            points[e] = frame.from_canonical(Point2D(x_e, y_e))
-    return points[0] if single else points
+        height[rows] = 0.5 * (ab[:, 0] + ab[:, 1])
+    xy = np.full((len(ok), 2), np.nan)
+    xy.T[:, ok] = frame.from_canonical_xy(branch_x(r, b2, height), height)  # the ok rows' x, y
+    return Point2D(*xy[0].tolist()) if single else (xy, ok)

@@ -47,16 +47,35 @@ def db():
 
 
 def match_one(db, rss):
-    """coarse_estimate of one RSS row, as a stack of one."""
-    (est,) = coarse_estimate(db, np.asarray(rss)[None])
-    return est
+    """coarse_estimate of one RSS row, as a stack of one, as a point."""
+    xy, ok = coarse_estimate(db, np.asarray(rss)[None])
+    assert ok.tolist() == [True]
+    return Point2D(*xy[0].tolist())
 
 
 def refine_one(p, dt, bs=CORNER_BS, region=AREA):
     """refine_with_tdoa of one coarse point and its delta_t, as a stack of
-    one; None where its range difference has no hyperbola."""
-    (refined,) = refine_with_tdoa([p], (1, 2, np.array([dt])), bs, region)
-    return refined
+    one, as a point; None where its range difference has no hyperbola."""
+    xy, ok = refine_with_tdoa(xy_of([p]), (1, 2, np.array([dt])), bs, region)
+    return Point2D(*xy[0].tolist()) if ok[0] else None
+
+
+def xy_of(points):
+    """The (T, 2) array of a list of T points, the form a stack takes."""
+    return np.array([(p.x, p.y) for p in points]).reshape(-1, 2)
+
+
+def stacked(points):
+    """The (xy, ok) a stack form gives for these one-epoch estimates: a
+    NaN row and ok False where the estimate is None."""
+    xy = np.array([(math.nan, math.nan) if p is None else (p.x, p.y) for p in points])
+    return xy.reshape(-1, 2), np.array([p is not None for p in points], dtype=bool)
+
+
+def bits(found):
+    """The exact bits of a stack form's (xy, ok), NaN rows included."""
+    xy, ok = found
+    return xy.shape, xy.tobytes(), ok.dtype, ok.tolist()
 
 
 def looped_db(bs, area, grid_step, excluded, channel, rng):
@@ -193,10 +212,11 @@ class TestCoarseEstimate:
         # up to 12 epochs, so two distance tables; each row as it would be alone
         meas = np.array([db.rss[k] + offset + np.array(noise)
                          for k, offset, noise in epochs])
-        assert coarse_estimate(db, meas) == [match_one(db, row) for row in meas]
+        alone = [match_one(db, row) for row in meas]
+        assert bits(coarse_estimate(db, meas)) == bits(stacked(alone))
 
     def test_empty_stack(self, db):
-        assert coarse_estimate(db, np.empty((0, 4))) == []
+        assert bits(coarse_estimate(db, np.empty((0, 4)))) == bits(stacked([]))
 
     def test_ties_go_to_first_grid_point(self, db):
         # grid points 7 and 90 hold the same fingerprint
@@ -205,7 +225,7 @@ class TestCoarseEstimate:
         twin = FingerprintDB(db.positions, rss, db.bs_ids)
         first = Point2D(*db.positions[7])
         assert match_one(twin, rss[7]) == first
-        assert coarse_estimate(twin, [rss[90] + 3.0] * 10) == [first] * 10
+        assert bits(coarse_estimate(twin, [rss[90] + 3.0] * 10)) == bits(stacked([first] * 10))
 
     def test_empty_db(self, db):
         empty = FingerprintDB(db.positions[:0], db.rss[:0], db.bs_ids)
@@ -281,11 +301,6 @@ def region_projections(draw):
     return bs, region, coarse, (1, 2, 2.0 * r / SPEED_OF_LIGHT)
 
 
-def bits(points):
-    """The exact bits of each point's coordinates, None kept."""
-    return [None if p is None else (p.x.hex(), p.y.hex()) for p in points]
-
-
 class TestRefineWithTdoa:
     def test_point_on_hyperbola_unchanged(self):
         # zero range difference, point already on the bisector
@@ -349,25 +364,31 @@ class TestRefineWithTdoa:
 
     def test_degenerate_tdoa(self):
         # a range difference beyond the half-separation, NaN or infinite:
-        # the epoch without a hyperbola is None, alone or in a stack
+        # the epoch without a hyperbola is masked out, alone or in a stack
         for dt in (1e-6, math.nan, math.inf):
             assert refine_one(Point2D(1, 1), dt) is None
-            refined = refine_with_tdoa([Point2D(1, 1)] * 2, (1, 2, np.array([dt, 0.0])),
+            refined = refine_with_tdoa(xy_of([Point2D(1, 1)] * 2), (1, 2, np.array([dt, 0.0])),
                                        CORNER_BS, AREA)
-            assert refined[0] is None
-            assert refined[1] == refine_one(Point2D(1, 1), 0.0)
+            assert bits(refined) == bits(stacked([None, refine_one(Point2D(1, 1), 0.0)]))
 
     def test_empty_stack(self):
-        assert refine_with_tdoa([], (1, 2, np.empty(0)), CORNER_BS, AREA) == []
+        assert bits(refine_with_tdoa(np.empty((0, 2)), (1, 2, np.empty(0)),
+                                     CORNER_BS, AREA)) == bits(stacked([]))
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_coarse_of_another_length_rejected(self, points):
+        with pytest.raises(LengthMismatch, match=re.escape(
+                f"coarse points of shape ({points}, 2) for 2 TDOA epochs")):
+            refine_with_tdoa(np.ones((points, 2)), (1, 2, np.zeros(2)), CORNER_BS, AREA)
 
     @settings(max_examples=80, deadline=None)
     @given(projection_stacks())
     def test_stack_equals_per_epoch_calls(self, stack):
-        # bit for bit, None included; the range differences crowd the
+        # bit for bit, the mask included; the range differences crowd the
         # half-separation, where a hyperbola stops existing
         bs, points, dt = stack
         alone = [refine_one(p, t, bs) for p, t in zip(points, dt.tolist(), strict=True)]
-        assert bits(refine_with_tdoa(points, (1, 2, dt), bs, AREA)) == bits(alone)
+        assert bits(refine_with_tdoa(xy_of(points), (1, 2, dt), bs, AREA)) == bits(stacked(alone))
 
 
 class TestCircularTrack:

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from rssdloc import harness
 from rssdloc.channel import MeasurementSet, simulate_measurements
 from rssdloc.cli import main
-from rssdloc.errors import (CoincidentPosition, CoincidentWithStation, EmptyInput,
-                             InvalidScenario, LocalizationError, UnknownKey)
+from rssdloc.errors import (CoincidentPosition, CoincidentWithStation, DegenerateHyperbola,
+                             EmptyInput, InvalidScenario, LocalizationError, UnknownKey)
 from rssdloc.fingerprint import FingerprintDB, circular_track, coarse_estimate, refine_with_tdoa
-from rssdloc.geometry import SPEED_OF_LIGHT, Point2D
+from rssdloc.geometry import SPEED_OF_LIGHT, Point2D, distance
 from rssdloc.harness import (
     EpochRecord,
     RunReport,
@@ -183,7 +183,8 @@ class TestFpTrial:
 
 def per_epoch_trial(s, trial, db):
     """Reference loop of a trial: each epoch is measured and then located on
-    its own, as a stack of one.  A directional simulation points its
+    its own, by the solvers' one-epoch forms, or the fingerprint steps on a
+    stack of one.  A directional simulation points its
     antennas at the known start, takes each epoch's misorientation before
     measuring it, and re-points them at each estimate.  Returns the
     (t, true position, estimate) records, the fallback count, and the
@@ -210,22 +211,24 @@ def per_epoch_trial(s, trial, db):
         cfg = SolverConfig(s.channel, bs, s.region, s.antenna_model)
         est = pos
         if idx >= known:
-            m = simulate_measurements(bs, row, s.channel, s.tdoa_noise, rng)
+            m = simulate_measurements(bs, pos, s.channel, s.tdoa_noise, rng)
             if s.mode is Mode.SIM_RSSD:
-                (est,) = solve_rssd(cfg, m)
+                est = solve_rssd(cfg, m)
             elif s.mode is Mode.SIM_RSSD_TDOA:
-                (est,) = solve_rssd_tdoa(cfg, m)
-                if est is None:  # no hyperbola
+                try:
+                    est = solve_rssd_tdoa(cfg, m)
+                except DegenerateHyperbola:  # no hyperbola
                     fallbacks += 1
-                    (est,) = solve_rssd(cfg, m)
+                    est = solve_rssd(cfg, m)
             else:
-                (est,) = coarse_estimate(db, m.rss)
+                coarse, _ = coarse_estimate(db, m.rss[None])
+                est = Point2D(*coarse[0].tolist())
                 if s.mode is Mode.FP_RSSD_TDOA:
-                    (refined,) = refine_with_tdoa([est], m.tdoa, stations, s.region)
-                    if refined is None:
+                    refined, ok = refine_with_tdoa(coarse, m.tdoa, stations, s.region)
+                    if ok[0]:
+                        est = Point2D(*refined[0].tolist())
+                    else:  # no hyperbola
                         fallbacks += 1
-                    else:
-                        est = refined
         if feedback:
             boresight = update_orientation(boresight, stations, est)
         records.append((te, pos, est))
@@ -307,6 +310,20 @@ class TestBatchedTrial:
         known = 1 if mode.is_sim else 0
         assert np.array_equal(args[1], [(e.true_position.x, e.true_position.y)
                                         for e in r.records[known:]])
+
+    @pytest.mark.parametrize("mode, antenna_model", MODELS)
+    def test_errors_are_distances(self, fp_scenario, mode, antenna_model):
+        # every record's error is geometry.distance of its positions, the
+        # math.hypot of their differences, bit for bit: np.hypot differs
+        # from it in the last ulp on some pairs
+        if mode.is_sim:
+            s = load_scenario(SIM_YAML, {"mode": mode.value, "antenna_model": antenna_model.value})
+        else:
+            s = fp_scenario.with_mode(mode)
+        db = None if mode.is_sim else scenario_db(s)
+        for trial in range(3):
+            for r in run_trial(s, trial, db).records:
+                assert r.error.hex() == distance(r.true_position, r.estimate).hex()
 
     @pytest.mark.parametrize("mode, name, reads", [
         (Mode.SIM_RSSD, "solve_rssd", lambda m: m),
@@ -437,8 +454,9 @@ class TestTdoaFallback:
         locate = harness._LOCATE[mode]
         estimates, fell_back = locate(s, db, s.stations, m)
         assert fell_back == 1
-        assert estimates[0] == harness._LOCATE[without](s, db, s.stations, epoch(0))[0][0]
-        assert estimates[1] == locate(s, db, s.stations, epoch(1))[0][0]
+        alone = [harness._LOCATE[without](s, db, s.stations, epoch(0)),
+                 locate(s, db, s.stations, epoch(1))]
+        assert estimates.tolist() == [xy[0].tolist() for xy, _ in alone]
 
     def test_fp_epoch_keeps_coarse_estimate(self, fp_scenario):
         db = scenario_db(fp_scenario)
@@ -833,8 +851,8 @@ class TestCli:
         s = load_scenario(path, {"mode": "FP_RSSD"})
         loaded = FingerprintDB.from_csv(db_file)  # to_csv rounds to 1e-4 dB
         rng = trial_rng(s.seed, 0)
-        want = [coarse_estimate(loaded, [simulate_measurements(
-                    s.stations, pos, s.channel, s.tdoa_noise, rng).rss[cols]])[0]
+        want = [Point2D(*coarse_estimate(loaded, [simulate_measurements(
+                    s.stations, pos, s.channel, s.tdoa_noise, rng).rss[cols]])[0][0].tolist())
                 for pos in circular_track(s.circular)]
         assert [e.estimate for e in run_trial(s, 0).records] == want
 

@@ -156,9 +156,22 @@ def tdoa_stacks(draw):
     return cfg, ms
 
 
-def bits(points):
-    """The exact bits of each point's coordinates, None kept."""
-    return [None if p is None else (p.x.hex(), p.y.hex()) for p in points]
+def xy_of(points):
+    """The (T, 2) array of a list of T points, the form a stack takes."""
+    return np.array([(p.x, p.y) for p in points]).reshape(-1, 2)
+
+
+def stacked(points):
+    """The (xy, ok) a stack form gives for these one-epoch estimates: a
+    NaN row and ok False where the estimate is None."""
+    xy = np.array([(math.nan, math.nan) if p is None else (p.x, p.y) for p in points])
+    return xy.reshape(-1, 2), np.array([p is not None for p in points], dtype=bool)
+
+
+def bits(found):
+    """The exact bits of a stack form's (xy, ok), NaN rows included."""
+    xy, ok = found
+    return xy.shape, xy.tobytes(), ok.dtype, ok.tolist()
 
 
 class TestObjective:
@@ -260,9 +273,11 @@ class TestSolveRssd:
         gx, gy = np.meshgrid(_grid(region.x_min, region.x_max, region.coarse_step),
                              _grid(region.y_min, region.y_max, region.coarse_step))
         gx, gy = gx.ravel(), gy.ravel()
-        for est, m in zip(solve_rssd(cfg, stack(ms)), ms, strict=True):
+        xy, ok = solve_rssd(cfg, stack(ms))
+        assert ok.all()
+        for row, m in zip(xy.tolist(), ms, strict=True):
             k = int(np.argmin(_Model.build(cfg, m).objective(gx, gy)))
-            assert est == Point2D(float(gx[k]), float(gy[k]))
+            assert row == [gx[k], gy[k]]
 
     @pytest.mark.parametrize("layout", ["lacks-station-1", "adds-station-11"])
     def test_measurement_of_another_layout_rejected(self, layout):
@@ -334,8 +349,8 @@ class TestSolveRssdTdoa:
         message = f"stations {re.escape(missing)} are not TDOA-capable stations"
         p = Point2D(0.0, 0.0)
         for call in (lambda: solve_rssd_tdoa(cfg, m), lambda: solve_rssd_tdoa(cfg, stack([m, m])),
-                     lambda: refine_with_tdoa([p], m.tdoa, layout, REGION),
-                     lambda: refine_with_tdoa([p, p], stack([m, m]).tdoa, layout, REGION)):
+                     lambda: refine_with_tdoa(xy_of([p]), m.tdoa, layout, REGION),
+                     lambda: refine_with_tdoa(xy_of([p, p]), stack([m, m]).tdoa, layout, REGION)):
             with pytest.raises(ValueError, match=message):
                 call()
 
@@ -351,7 +366,7 @@ class TestSolveRssdTdoa:
         m = stack([measure(bs[:-1], Point2D(1.0, 1.0), NOISY)] * 2)
         m = {"no TDOA": replace(m, tdoa=None),
              "not TDOA-capable": replace(m, tdoa=(3, 4, m.tdoa[2]))}[case]
-        points = [Point2D(0.5, 0.5)] * 2
+        points = xy_of([Point2D(0.5, 0.5)] * 2)
         for call in (lambda: solve_rssd_tdoa(cfg, m),
                      lambda: refine_with_tdoa(points, m.tdoa, bs, REGION)):
             with pytest.raises(error, match=message):
@@ -423,8 +438,8 @@ class TestSolveRssdTdoa:
 
     def test_nan_tdoa_has_no_hyperbola(self):
         # a NaN range difference fails the degeneracy check as inf does: the
-        # single call raises, and a stack's epoch is None, for the caller's
-        # fallback
+        # single call raises, and a stack masks its epoch out, for the
+        # caller's fallback
         bs = make_stations()
         cfg = SolverConfig(NOISY, bs, REGION)
         m = measure(bs, Point2D(1.0, 1.0), NOISY)
@@ -432,7 +447,8 @@ class TestSolveRssdTdoa:
             m_bad = replace(m, tdoa=(9, 10, dt))
             with pytest.raises(DegenerateHyperbola):
                 solve_rssd_tdoa(cfg, m_bad)
-            assert solve_rssd_tdoa(cfg, stack([m_bad, m])) == [None, solve_rssd_tdoa(cfg, m)]
+            assert (bits(solve_rssd_tdoa(cfg, stack([m_bad, m])))
+                    == bits(stacked([None, solve_rssd_tdoa(cfg, m)])))
 
     @pytest.mark.parametrize("r", [4.0, -4.0, 5.5, math.nan, math.inf, -math.inf])
     def test_one_epoch_without_a_hyperbola_raises_its_error(self, r):
@@ -476,9 +492,9 @@ class TestSolveRssdTdoa:
                 ys, _, rounds = solver._line_tables(frame, sc.region)
                 assert rounds == 5
                 shapes.clear()
-                assert None not in solve_rssd_tdoa(cfg, m)
-                sizes = [min(solver._LINE_CHUNK, epochs - lo)
-                         for lo in range(0, epochs, solver._LINE_CHUNK)]
+                assert solve_rssd_tdoa(cfg, m)[1].all()
+                sizes = [min(solver._LOCKSTEP, epochs - lo)
+                         for lo in range(0, epochs, solver._LOCKSTEP)]
                 assert shapes == [shape for n in sizes
                                   for shape in [(n, len(ys))] + [(n, 33)] * rounds]
             shapes.clear()
@@ -524,8 +540,8 @@ class TestSolveRssdTdoa:
     @settings(max_examples=80, deadline=None)
     @given(tdoa_stacks(), st.sampled_from([1, 3, 16]))
     def test_stack_equals_per_epoch_calls(self, stack_case, chunk):
-        # bit for bit, with None where the single call raises; small chunks
-        # split the stack
+        # bit for bit, masked out where the single call raises; small
+        # chunks split the stack
         cfg, ms = stack_case
         alone = []
         for m in ms:
@@ -534,8 +550,8 @@ class TestSolveRssdTdoa:
             except DegenerateHyperbola:
                 alone.append(None)
         block = stack(ms) if ms else measure(cfg.bs, np.empty((0, 2)))
-        with mock.patch.object(solver, "_LINE_CHUNK", chunk):
-            assert bits(solve_rssd_tdoa(cfg, block)) == bits(alone)
+        with mock.patch.object(solver, "_LOCKSTEP", chunk):
+            assert bits(solve_rssd_tdoa(cfg, block)) == bits(stacked(alone))
 
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
@@ -544,9 +560,9 @@ class TestSolveRssdTdoa:
            st.booleans(), st.integers(0, 2**32 - 1))
     def test_line_points_round_as_the_frame_does(self, pk, pl, fractions, directional, seed):
         # the search runs in the pair's frame and maps only each epoch's
-        # estimate out, once, by frame.from_canonical, from the point of its
-        # branch at the estimated height; a stack's estimates equal each
-        # epoch's single call bit for bit
+        # estimate out, once, by frame.from_canonical_xy, from the point of
+        # its branch at the estimated height: a call maps its epochs' rows in
+        # one; a stack's estimates equal each epoch's single call bit for bit
         pk, pl = Point2D(*pk), Point2D(*pl)
         assume(distance(pk, pl) > 0.1)
         bs = make_stations(directional, Point2D(0.0, 0.0))[:-2] + [
@@ -560,23 +576,27 @@ class TestSolveRssdTdoa:
         frame, r, _ = measured_hyperbolas(cfg.stations, stack(ms).tdoa)
         hs = [Hyperbola(frame.half_separation, r_e) for r_e in r.tolist()]
         mapped = []
-        from_canonical = CanonicalFrame.from_canonical
+        from_canonical_xy = CanonicalFrame.from_canonical_xy
 
-        def recorded(f, p):
-            mapped.append((p, from_canonical(f, p)))
-            return mapped[-1][1]
+        def recorded(f, x, y):
+            mapped.append(np.stack([x, y], axis=1))
+            return from_canonical_xy(f, x, y)
 
-        with mock.patch.object(CanonicalFrame, "from_canonical", recorded):
+        with mock.patch.object(CanonicalFrame, "from_canonical_xy", recorded):
             together = solve_rssd_tdoa(cfg, stack(ms))
             alone = [solve_rssd_tdoa(cfg, m) for m in ms]
-        assert bits(together) == bits(alone)
-        assert bits(p for _, p in mapped) == bits(together + alone)
-        for (p, _), h in zip(mapped, hs + hs):
-            assert p.x == float(hyperbola_x_of_y(h, p.y))
+        assert bits(together) == bits(stacked(alone))
+        # the stack's call, then each single call
+        assert [len(p) for p in mapped] == [len(ms)] + [1] * len(ms)
+        canonical = np.concatenate(mapped)
+        assert canonical[:len(ms)].tobytes() == canonical[len(ms):].tobytes()
+        for (x, y), h in zip(canonical.tolist(), hs + hs):
+            assert x == float(hyperbola_x_of_y(h, y))
 
     def test_empty_stack(self):
         bs = make_stations()
-        assert solve_rssd_tdoa(SolverConfig(NOISY, bs, REGION), measure(bs, np.empty((0, 2)))) == []
+        assert bits(solve_rssd_tdoa(SolverConfig(NOISY, bs, REGION),
+                                    measure(bs, np.empty((0, 2))))) == bits(stacked([]))
 
     @settings(max_examples=60, deadline=None)
     @given(layouts(tdoa=True))
@@ -768,11 +788,14 @@ class TestAgainstPairForm:
         assert cfg.region.contains(est)
 
     @settings(max_examples=30, deadline=None)
-    @given(stacks())
-    def test_stack_equals_per_measurement(self, stack_case):
-        # up to ten epochs: several coarse-product chunks and one refinement
+    @given(stacks(), st.sampled_from([1, 3, 16]))
+    def test_stack_equals_per_measurement(self, stack_case, lockstep):
+        # up to ten epochs: several coarse-product chunks, and one
+        # refinement or, with small lockstep chunks, several
         cfg, ms = stack_case
-        assert solve_rssd(cfg, stack(ms)) == [solve_rssd(cfg, m) for m in ms]
+        with mock.patch.object(solver, "_LOCKSTEP", lockstep):
+            alone = [solve_rssd(cfg, m) for m in ms]
+            assert bits(solve_rssd(cfg, stack(ms))) == bits(stacked(alone))
 
     @settings(max_examples=60, deadline=None)
     @given(stacks(), st.integers(2, 30), st.integers(0, 2**32 - 1))
@@ -795,7 +818,8 @@ class TestAgainstPairForm:
 
     def test_empty_stack(self):
         bs = make_stations()
-        assert solve_rssd(SolverConfig(NOISY, bs, REGION), measure(bs, np.empty((0, 2)))) == []
+        assert bits(solve_rssd(SolverConfig(NOISY, bs, REGION),
+                               measure(bs, np.empty((0, 2))))) == bits(stacked([]))
 
     @settings(max_examples=60, deadline=None)
     @given(stacks(max_epochs=5, directional=False))
