@@ -8,9 +8,9 @@ receive antenna.
 The two stations of a range-difference (TDOA) pair define a canonical frame
 with the stations on the x-axis at (-s, 0) and (+s, 0).  All hyperbola math
 works in that frame; :class:`CanonicalFrame` has one map into it
-(``to_canonical``) and one out of it (``from_canonical_xy``, on coordinates,
-which ``from_canonical`` applies to a point), and
-:func:`measured_hyperbolas` reads TDOA observations into it.
+(``to_canonical``, on a point) and one out of it (``from_canonical_xy``, on
+coordinates), and :func:`measured_hyperbolas` reads TDOA observations into
+it.
 """
 
 from __future__ import annotations
@@ -288,12 +288,9 @@ class CanonicalFrame:
         c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
         return Point2D(c * dx + s * dy, -s * dx + c * dy)
 
-    def from_canonical(self, p: Point2D) -> Point2D:
-        return Point2D(*self.from_canonical_xy(p.x, p.y))
-
     def from_canonical_xy(self, x, y):
-        """from_canonical of coordinates: floats, or arrays mapped
-        element by element to the same bits."""
+        """The inverse of to_canonical, on coordinates: floats, or arrays
+        mapped element by element to the same bits, giving (x, y)."""
         c, s = math.cos(self.axis_angle), math.sin(self.axis_angle)
         return self.origin.x + c * x - s * y, self.origin.y + s * x + c * y
 

@@ -36,7 +36,8 @@ indexed assignment of the ~ok rows for both modes, and is counted in
 RunReport.tdoa_fallbacks; the simulation fits a chunk's fallback epochs in
 one stack.  The trial keeps its true positions and estimates as (T, 2)
 arrays, and builds its EpochRecords from them once, at its end, each
-error the math.hypot of geometry.distance.
+error the math.hypot of geometry.distance; an estimate the antennas were
+re-pointed at keeps the Point2D built for update_orientation.
 """
 
 from __future__ import annotations
@@ -189,7 +190,9 @@ def run_trial(s: Scenario, trial: int,
     drawn = simulate_measurements(stations, xy[known:], s.channel, s.tdoa_noise, rng)
     locate = _LOCATE[s.mode]
 
-    estimates = xy.copy()  # the known start stays; every other row is located
+    # the estimates, where the known start stays and every other row is
+    # located, and the same as points, each built once
+    estimates, points = xy.copy(), truth[:known]
     fallbacks = 0
     start = known
     while start < len(t):
@@ -204,12 +207,14 @@ def run_trial(s: Scenario, trial: int,
         ms = drawn.received_by(now, slice(start - known, stop - known))
         estimates[start:stop], fell_back = locate(s, db, now, ms)
         fallbacks += fell_back
-        if boresight is not None:
-            boresight = update_orientation(boresight, stations, Point2D(*estimates[start].tolist()))
+        if boresight is not None:  # the antennas re-point at the new estimate
+            points.append(Point2D(*estimates[start].tolist()))
+            boresight = update_orientation(boresight, stations, points[-1])
         start = stop
+    points += [Point2D(*p) for p in estimates[len(points):].tolist()]  # no re-pointing built them
     theta = None if pointed is None else misorientation(pointed, stations, xy)
-    records = [EpochRecord(te, pos, est, distance(pos, est)) for te, pos, est
-               in zip(t.tolist(), truth, [Point2D(*p) for p in estimates.tolist()])]
+    records = [EpochRecord(te, pos, est, distance(pos, est))
+               for te, pos, est in zip(t.tolist(), truth, points)]
     errors = [r.error for r in records[known:]]
     return RunReport(mode=s.mode, trial=trial, records=records, rmse=compute_rmse(errors),
                      mean_error=float(np.mean(errors)),

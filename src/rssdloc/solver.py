@@ -200,7 +200,7 @@ class _Model:
         """The model in a TDOA pair's canonical frame: the stations' positions
         and the antennas' (G cos b, G sin b) rotated as frame.to_canonical
         rotates, so that its objective at a canonical point is the model's
-        at the point frame.from_canonical maps it to, up to rounding.  The
+        at the point frame.from_canonical_xy maps it to, up to rounding.  The
         positions come from _frame_stations; only the gains are rotated
         here."""
         c, s, x, y = _frame_stations(frame, tuple(self.sx.tolist()), tuple(self.sy.tolist()))

@@ -6,9 +6,10 @@ from hypothesis import settings
 
 # Tier-1 draws the same examples on every machine and run, and replays no
 # failure saved by an earlier run, so its outcome depends on the commit
-# alone.  The explore profile draws fresh examples, more of them where a
-# test sets no max_examples of its own, and prints the blob that
-# reproduces a failure: pytest --hypothesis-profile=explore.
+# alone.  The explore profile draws fresh examples and prints the blob that
+# reproduces a failure: pytest --hypothesis-profile=explore.  Its
+# max_examples reaches only a test that sets none of its own in @settings
+# (test_distance_symmetric and test_distance_triangle_inequality).
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False, max_examples=1000, print_blob=True)
 settings.load_profile("tier1")

@@ -324,7 +324,7 @@ class TestRefineWithTdoa:
         xs = hyperbola_x_of_y(h, ys)
         pc = frame.to_canonical(coarse)
         k = int(np.argmin((xs - pc.x) ** 2 + (ys - pc.y) ** 2))
-        best = frame.from_canonical(Point2D(float(xs[k]), float(ys[k])))
+        best = Point2D(*frame.from_canonical_xy(float(xs[k]), float(ys[k])))
         assert distance(refined, best) < 1e-4
 
     def test_residual_after_refinement(self):

@@ -579,16 +579,21 @@ class TestSolveRssdTdoa:
         from_canonical_xy = CanonicalFrame.from_canonical_xy
 
         def recorded(f, x, y):
-            mapped.append(np.stack([x, y], axis=1))
-            return from_canonical_xy(f, x, y)
+            out = from_canonical_xy(f, x, y)
+            mapped.append((np.stack([x, y], axis=1), np.stack(out, axis=1)))
+            return out
 
         with mock.patch.object(CanonicalFrame, "from_canonical_xy", recorded):
             together = solve_rssd_tdoa(cfg, stack(ms))
             alone = [solve_rssd_tdoa(cfg, m) for m in ms]
         assert bits(together) == bits(stacked(alone))
-        # the stack's call, then each single call
-        assert [len(p) for p in mapped] == [len(ms)] + [1] * len(ms)
-        canonical = np.concatenate(mapped)
+        # the stack's call, then each single call; every estimate returned is
+        # the frame's map of its branch point
+        assert [len(c) for c, _ in mapped] == [len(ms)] + [1] * len(ms)
+        assert together[1].all()
+        out = np.concatenate([o for _, o in mapped])
+        assert out.tobytes() == np.concatenate([together[0], xy_of(alone)]).tobytes()
+        canonical = np.concatenate([c for c, _ in mapped])
         assert canonical[:len(ms)].tobytes() == canonical[len(ms):].tobytes()
         for (x, y), h in zip(canonical.tolist(), hs + hs):
             assert x == float(hyperbola_x_of_y(h, y))
